@@ -21,7 +21,8 @@
 //! rerun to continue), `--list` (print the expanded cells and exit).
 //!
 //! The merged tree lands in `DIR/sweep.json`; per-cell done-markers in
-//! `DIR/cell-{id}-{hash}.json`. Reruns reuse markers, so interrupting
+//! `DIR/cell-{id}-{hash}.json`; each cell's host seconds (or `reused`)
+//! in `DIR/wall.txt`, outside the merged tree. Reruns reuse markers, so interrupting
 //! and restarting converges on the byte-identical `sweep.json` an
 //! uninterrupted run produces (see DESIGN.md §4g).
 

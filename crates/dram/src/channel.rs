@@ -1,5 +1,6 @@
 //! Per-channel memory controller: FR-FCFS scheduling over a DDR4 channel.
 
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -168,6 +169,20 @@ struct Pending {
     /// Time the request entered the controller; no command for it may be
     /// issued earlier (causality).
     arrived: SimTime,
+    /// Where a DRAM request lands, decoded once in `push`; unused (zero)
+    /// for SRAM requests.
+    at: Coord,
+}
+
+/// The DRAM coordinates the scheduler needs for one request.
+#[derive(Debug, Clone, Copy, Default)]
+struct Coord {
+    /// Flat bank index within the channel.
+    bank: usize,
+    rank: u32,
+    /// Flat (rank, bank group) index.
+    rank_bg: u32,
+    row: u64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -189,13 +204,13 @@ impl Ord for CompEntry {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum QueueId {
     Read,
     Write,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Action {
     Cas(QueueId, usize),
     Act(QueueId, usize),
@@ -249,6 +264,9 @@ pub struct Channel {
     refresh_due: SimTime,
     refresh_mode: bool,
     drain_writes: bool,
+    /// [`scan`](Self::scan)'s answer, kept until a push, an issued command
+    /// or entry into refresh mode changes what it reads.
+    picked: Cell<Option<Option<(Action, SimTime)>>>,
 
     stats: ChannelStats,
     trace: Option<Vec<TraceEntry>>,
@@ -291,6 +309,7 @@ impl Channel {
             refresh_due,
             refresh_mode: false,
             drain_writes: false,
+            picked: Cell::new(None),
             stats: ChannelStats::default(),
             trace: None,
             cfg,
@@ -345,21 +364,31 @@ impl Channel {
     pub fn push(&mut self, req: MemRequest, now: SimTime) {
         assert!(self.can_accept(req.kind), "queue full: check can_accept()");
         self.clock = self.clock.max(now);
-        if req.target == Target::Dram {
+        let at = if req.target == Target::Dram {
             let loc = self.map.decode(req.addr);
             assert_eq!(
                 loc.channel, self.index,
                 "request addr {:#x} decodes to channel {}, pushed to {}",
                 req.addr, loc.channel, self.index
             );
-        }
+            Coord {
+                bank: loc.flat_bank(&self.cfg),
+                rank: loc.rank,
+                rank_bg: loc.bank_group + loc.rank * self.cfg.bank_groups,
+                row: loc.row,
+            }
+        } else {
+            Coord::default()
+        };
         let seq = self.next_seq;
         self.next_seq += 1;
         let pending = Pending {
             req,
             seq,
             arrived: self.clock,
+            at,
         };
+        self.picked.set(None);
         match req.kind {
             MemKind::Read => self.read_q.push(pending),
             MemKind::Write => self.write_q.push(pending),
@@ -373,12 +402,17 @@ impl Channel {
     /// the earliest of (next feasible command, refresh deadline, earliest
     /// completion delivery). `None` when fully idle.
     pub fn next_event(&self) -> Option<SimTime> {
+        self.wakeup_for(self.pick())
+    }
+
+    /// [`next_event`](Self::next_event) given the scheduler's pick.
+    fn wakeup_for(&self, picked: Option<(Action, SimTime)>) -> Option<SimTime> {
         let mut t = self
             .completions
             .peek()
             .map(|Reverse(c)| c.at)
             .unwrap_or(SimTime::MAX);
-        if let Some((_, ta)) = self.pick() {
+        if let Some((_, ta)) = picked {
             t = t.min(ta);
         }
         // Refresh wakes only channels that have seen traffic; waking the
@@ -398,6 +432,7 @@ impl Channel {
         loop {
             if !self.refresh_mode && now >= self.refresh_due && self.stats.traffic.bytes() > 0 {
                 self.refresh_mode = true;
+                self.picked.set(None);
             }
             match self.pick() {
                 Some((action, t)) if t <= now => self.issue(action, t),
@@ -420,16 +455,6 @@ impl Channel {
     }
 
     // ---- scheduling ----
-
-    fn bank_of(&self, addr: u64) -> (usize, u32, u32, u64) {
-        let loc = self.map.decode(addr);
-        (
-            loc.flat_bank(&self.cfg),
-            loc.rank,
-            loc.bank_group + loc.rank * self.cfg.bank_groups,
-            loc.row,
-        )
-    }
 
     /// Earliest issue time for a CAS to an open row.
     fn cas_time(&self, rank: u32, rank_bg: u32, bank: usize, kind: MemKind) -> SimTime {
@@ -487,12 +512,8 @@ impl Channel {
     /// True if any queued request hits `row` currently open in `bank`.
     fn row_has_pending_hit(&self, bank: usize, row: u64) -> bool {
         let hit = |q: &[Pending]| {
-            q.iter().any(|p| {
-                p.req.target == Target::Dram && {
-                    let (b, _, _, r) = self.bank_of(p.req.addr);
-                    b == bank && r == row
-                }
-            })
+            q.iter()
+                .any(|p| p.req.target == Target::Dram && p.at.bank == bank && p.at.row == row)
         };
         hit(&self.read_q) || hit(&self.write_q)
     }
@@ -514,7 +535,12 @@ impl Channel {
                     }
                 }
                 Target::Dram => {
-                    let (bank, rank, rank_bg, row) = self.bank_of(p.req.addr);
+                    let Coord {
+                        bank,
+                        rank,
+                        rank_bg,
+                        row,
+                    } = p.at;
                     match self.banks[bank].open_row() {
                         Some(open) if open == row => {
                             let t = self
@@ -554,7 +580,22 @@ impl Channel {
         }
     }
 
+    /// The next command and its earliest issue time: [`scan`](Self::scan)
+    /// answered from the cache when nothing it reads has changed, so
+    /// wakeup queries and no-op advances do not rescan the queues. Debug
+    /// builds rescan on every call and check the cache against it.
     fn pick(&self) -> Option<(Action, SimTime)> {
+        let picked = self.picked.get().unwrap_or_else(|| {
+            let p = self.scan();
+            self.picked.set(Some(p));
+            p
+        });
+        debug_assert_eq!(picked, self.scan(), "stale DRAM pick cache");
+        picked
+    }
+
+    /// FR-FCFS over the queues (or the refresh sequence in refresh mode).
+    fn scan(&self) -> Option<(Action, SimTime)> {
         if self.refresh_mode {
             // Close all banks, then REF once tRP has elapsed everywhere.
             let mut pre: Option<(usize, SimTime)> = None;
@@ -600,10 +641,11 @@ impl Channel {
     }
 
     fn issue(&mut self, action: Action, t: SimTime) {
-        let c = self.cfg.clone();
-        self.cmd_slot = t + c.cycles(1);
+        self.picked.set(None);
+        self.cmd_slot = t + self.cfg.cycles(1);
         match action {
             Action::Refresh => {
+                let c = &self.cfg;
                 for b in &mut self.banks {
                     debug_assert!(b.open_row().is_none());
                     b.act_ready = b.act_ready.max(t + c.cycles(c.t_rfc));
@@ -614,13 +656,19 @@ impl Channel {
                 self.record(t, Cmd::Ref);
             }
             Action::Pre(bank) => {
+                let c = &self.cfg;
                 self.banks[bank].precharge(t, c.cycles(c.t_rp));
                 self.stats.precharges.inc();
                 self.record(t, Cmd::Pre { bank });
             }
             Action::Act(qid, idx) => {
-                let req = self.peek(qid, idx).req;
-                let (bank, rank, rank_bg, row) = self.bank_of(req.addr);
+                let Coord {
+                    bank,
+                    rank,
+                    rank_bg,
+                    row,
+                } = self.peek(qid, idx).at;
+                let c = &self.cfg;
                 self.banks[bank].activate(
                     t,
                     row,
@@ -640,7 +688,13 @@ impl Channel {
             }
             Action::Cas(qid, idx) => {
                 let p = self.take(qid, idx);
-                let (bank, rank, rank_bg, row) = self.bank_of(p.req.addr);
+                let Coord {
+                    bank,
+                    rank,
+                    rank_bg,
+                    row,
+                } = p.at;
+                let c = &self.cfg;
                 let (lat, cmd) = match p.req.kind {
                     MemKind::Read => (c.cycles(c.t_cl), Cmd::Rd { bank, row }),
                     MemKind::Write => (c.cycles(c.t_cwl), Cmd::Wr { bank, row }),
@@ -668,11 +722,11 @@ impl Channel {
             }
             Action::Sram(qid, idx) => {
                 let p = self.take(qid, idx);
-                let data_end = t + c.t_burst();
+                let data_end = t + self.cfg.t_burst();
                 self.dbus_free = data_end;
                 self.last_dir = Some(p.req.kind);
                 self.stats.sram_ops.inc();
-                self.finish(p, data_end + SimTime::from_ps(c.sram_ps));
+                self.finish(p, data_end + SimTime::from_ps(self.cfg.sram_ps));
             }
         }
     }
@@ -941,6 +995,73 @@ mod tests {
             "expected refreshes during {now}, got {}",
             ch.stats().refreshes.get()
         );
+    }
+
+    #[test]
+    fn cached_pick_matches_a_fresh_scan_after_every_call() {
+        let cfg = DramConfig::ddr4_3200();
+        let mut ch = Channel::new(&cfg, 0);
+        ch.enable_trace();
+        let mut rng = mcn_sim::DetRng::new(13);
+        let refi = cfg.cycles(cfg.t_refi);
+        let span = cfg.channel_bytes() / LINE_BYTES;
+        let mut drain_flips = 0;
+        let mut check = |ch: &Channel| {
+            assert_eq!(ch.next_event(), ch.wakeup_for(ch.scan()));
+            if ch.drain_writes != (drain_flips % 2 == 1) {
+                drain_flips += 1;
+            }
+        };
+        let (mut now, mut tag) = (SimTime::ZERO, 0u64);
+        while now < refi * 6 || ch.outstanding() > 0 {
+            // A seeded burst: reads and writes, a few to the MCN SRAM, half
+            // of the DRAM lines in a few hot rows so hits, misses and
+            // conflicts all occur. Bursts run long enough to fill the
+            // write queue past the high watermark.
+            if now < refi * 6 {
+                for _ in 0..rng.next_below(48) {
+                    let write = rng.chance(0.5);
+                    if !ch.can_accept(if write { MemKind::Write } else { MemKind::Read }) {
+                        break;
+                    }
+                    let line = if rng.chance(0.5) {
+                        rng.next_below(1024)
+                    } else {
+                        rng.next_below(span)
+                    };
+                    let req = match (rng.chance(0.1), write) {
+                        (true, true) => MemRequest::sram_write(0x4000_0000, tag),
+                        (true, false) => MemRequest::sram_read(0x4000_0000, tag),
+                        (false, true) => MemRequest::write(line * LINE_BYTES, tag),
+                        (false, false) => MemRequest::read(line * LINE_BYTES, tag),
+                    };
+                    ch.push(req, now);
+                    tag += 1;
+                    check(&ch);
+                }
+            }
+            // Advance to arbitrary times: exactly the next event, a little
+            // ahead of now (often a no-op), or far ahead (past refreshes).
+            for _ in 0..1 + rng.next_below(6) {
+                now = match (rng.next_below(3), ch.next_event()) {
+                    (0, Some(t)) => t,
+                    (1, _) => now + SimTime::from_ps(rng.next_below(200_000)),
+                    _ => now + SimTime::from_ps(rng.next_below(refi.as_ps() / 3)),
+                }
+                .max(now);
+                ch.advance(now);
+                check(&ch);
+            }
+        }
+        assert!(
+            drain_flips >= 2,
+            "write drain entered and left: {drain_flips}"
+        );
+        assert!(ch.stats().refreshes.get() >= 5);
+        assert!(ch.stats().sram_ops.get() > 0);
+        assert!(ch.stats().precharges.get() > 0 && ch.stats().row_hits() > 0);
+        let violations = crate::check::TimingChecker::new(cfg).verify(ch.trace());
+        assert!(violations.is_empty(), "violations: {violations:?}");
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The per-node network stack: interfaces, routes, sockets, demux.
 
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::net::Ipv4Addr;
 
@@ -207,6 +208,10 @@ pub struct NetStack {
     /// [`tcp_totals`](Self::tcp_totals) never goes backwards when a slot
     /// is freed.
     dead_tcp: crate::tcp::TcpStats,
+    /// [`scan_timers`](Self::scan_timers)'s answer. Every path that can
+    /// arm, fire or cancel a connection's timer, or create or free a
+    /// socket, clears it first.
+    timer: Cell<Option<Option<SimTime>>>,
     /// Aggregate statistics.
     pub stats: StackStats,
 }
@@ -232,6 +237,7 @@ impl NetStack {
             next_port: 33000,
             next_isn: 1_000_000,
             dead_tcp: crate::tcp::TcpStats::default(),
+            timer: Cell::new(None),
             stats: StackStats::default(),
         }
     }
@@ -357,6 +363,7 @@ impl NetStack {
     }
 
     fn alloc_sock(&mut self, s: Socket) -> SockId {
+        self.timer.set(None);
         for (i, slot) in self.sockets.iter_mut().enumerate() {
             if matches!(slot, Socket::Closed) {
                 *slot = s;
@@ -417,6 +424,7 @@ impl NetStack {
     /// are pruned here instead: stats merged, 4-tuple freed, slot
     /// recycled, `accept_prunes` incremented — and the next entry tried.
     pub fn tcp_accept(&mut self, listener: SockId) -> Option<SockId> {
+        self.timer.set(None);
         loop {
             let id = match self.sockets.get_mut(listener.0) {
                 Some(Socket::TcpListener { pending, .. }) => pending.pop_front()?,
@@ -496,6 +504,7 @@ impl NetStack {
     }
 
     fn tcp_conn(&mut self, sock: SockId) -> Result<&mut TcpConn, StackError> {
+        self.timer.set(None);
         match self.sockets.get_mut(sock.0) {
             Some(Socket::Tcp { conn, .. }) => Ok(conn),
             _ => Err(StackError::BadSocket),
@@ -867,6 +876,7 @@ impl NetStack {
     }
 
     fn deliver_tcp(&mut self, ifidx: usize, pkt: &Ipv4Packet, now: SimTime) {
+        self.timer.set(None);
         let verify = self.ifaces[ifidx].cfg.rx_checksum;
         let Ok(seg) = TcpSegment::decode(&pkt.payload, pkt.src, pkt.dst, verify) else {
             self.stats.malformed.inc();
@@ -1129,6 +1139,7 @@ impl NetStack {
     /// Releases a socket slot. TCP connections are aborted if still open;
     /// listeners and UDP binds release their port.
     pub fn sock_drop(&mut self, sock: SockId, now: SimTime) {
+        self.timer.set(None);
         let Some(slot) = self.sockets.get_mut(sock.0) else {
             return;
         };
@@ -1163,8 +1174,22 @@ impl NetStack {
 
     // ---------------- timers ----------------
 
-    /// Earliest TCP timer deadline across all connections.
+    /// Earliest TCP timer deadline across all connections, answered from
+    /// a cache while no connection's timers can have moved, so wakeup
+    /// queries do not scan the sockets. Debug builds rescan on every call
+    /// and check the cache against the scan.
     pub fn next_timer(&self) -> Option<SimTime> {
+        let t = self.timer.get().unwrap_or_else(|| {
+            let t = self.scan_timers();
+            self.timer.set(Some(t));
+            t
+        });
+        debug_assert_eq!(t, self.scan_timers(), "stale TCP timer cache");
+        t
+    }
+
+    /// The earliest deadline over every connection's timers.
+    fn scan_timers(&self) -> Option<SimTime> {
         self.sockets
             .iter()
             .filter_map(|s| match s {
@@ -1177,6 +1202,7 @@ impl NetStack {
     /// Fires due timers and flushes resulting segments. Also processes any
     /// pending loopback traffic.
     pub fn on_timer(&mut self, now: SimTime) {
+        self.timer.set(None);
         for idx in 0..self.sockets.len() {
             let due = match &self.sockets[idx] {
                 Socket::Tcp { conn, .. } => conn.next_timer().is_some_and(|d| d <= now),
@@ -1237,9 +1263,13 @@ mod tests {
     use super::*;
 
     pub(super) fn mk_pair() -> (NetStack, NetStack, SimTime) {
+        mk_pair_with(TcpConfig::default(), TcpConfig::default())
+    }
+
+    fn mk_pair_with(cfg_a: TcpConfig, cfg_b: TcpConfig) -> (NetStack, NetStack, SimTime) {
         // Two nodes A (10.0.0.1) and B (10.0.0.2) on one subnet.
-        let mut a = NetStack::new(TcpConfig::default());
-        let mut b = NetStack::new(TcpConfig::default());
+        let mut a = NetStack::new(cfg_a);
+        let mut b = NetStack::new(cfg_b);
         let mac_a = MacAddr::from_id(1);
         let mac_b = MacAddr::from_id(2);
         let ip_a = Ipv4Addr::new(10, 0, 0, 1);
@@ -1500,6 +1530,132 @@ mod tests {
         .unwrap();
         let f = m.poll_output(0).unwrap();
         assert_eq!(f.dst, host_mac);
+    }
+
+    /// Asserts that both stacks' cached `next_timer` equals a fresh scan.
+    fn fresh(a: &NetStack, b: &NetStack) {
+        assert_eq!(a.next_timer(), a.scan_timers(), "stack A timer cache");
+        assert_eq!(b.next_timer(), b.scan_timers(), "stack B timer cache");
+    }
+
+    /// Moves frames (losing A's when `lose_a`) and fires timers for `span`
+    /// of simulated time, checking both timer caches after every call.
+    fn walk(a: &mut NetStack, b: &mut NetStack, now: &mut SimTime, span: SimTime, lose_a: bool) {
+        let until = *now + span;
+        loop {
+            let mut moved = false;
+            while let Some(f) = a.poll_output(0) {
+                if !lose_a {
+                    b.on_frame(0, f, *now);
+                }
+                moved = true;
+                fresh(a, b);
+            }
+            while let Some(f) = b.poll_output(0) {
+                a.on_frame(0, f, *now);
+                moved = true;
+                fresh(a, b);
+            }
+            if moved {
+                continue;
+            }
+            let next = [a.next_timer(), b.next_timer()].into_iter().flatten().min();
+            match next.filter(|&t| t <= until) {
+                Some(t) => {
+                    *now = (*now).max(t);
+                    a.on_timer(*now);
+                    fresh(a, b);
+                    b.on_timer(*now);
+                    fresh(a, b);
+                }
+                None => break,
+            }
+        }
+        *now = (*now).max(until);
+    }
+
+    /// Reads everything `sock` holds, checking the caches after each read.
+    fn drain(a: &NetStack, b: &mut NetStack, sock: SockId, now: SimTime) -> usize {
+        let mut buf = [0u8; 4096];
+        let mut total = 0;
+        loop {
+            let n = b.tcp_recv(sock, &mut buf, now).unwrap();
+            fresh(a, b);
+            if n == 0 {
+                return total;
+            }
+            total += n;
+        }
+    }
+
+    #[test]
+    fn next_timer_cache_matches_a_fresh_scan_through_a_connection_life() {
+        let ms = SimTime::from_ms;
+        let cfg_b = TcpConfig {
+            recv_buf: 8 * 1024,
+            ..TcpConfig::default()
+        };
+        let (mut a, mut b, mut now) = mk_pair_with(TcpConfig::default(), cfg_b);
+        a.set_keepalive(ms(300), ms(50), 3);
+        fresh(&a, &b);
+
+        // Handshake.
+        let lst = b.tcp_listen(5001).unwrap();
+        let cs = a
+            .tcp_connect(Ipv4Addr::new(10, 0, 0, 2), 5001, now)
+            .unwrap();
+        fresh(&a, &b);
+        walk(&mut a, &mut b, &mut now, ms(1), false);
+        let ss = b.tcp_accept(lst).expect("pending connection");
+        fresh(&a, &b);
+        assert_eq!(a.tcp_state(cs), TcpState::Established);
+
+        // Delayed ACK: one small segment arms B's ACK timer.
+        a.tcp_send(cs, &[1; 100], now).unwrap();
+        fresh(&a, &b);
+        while let Some(f) = a.poll_output(0) {
+            b.on_frame(0, f, now);
+            fresh(&a, &b);
+        }
+        assert_eq!(b.next_timer(), Some(now + TcpConfig::default().delack));
+        walk(&mut a, &mut b, &mut now, ms(1), false);
+        assert_eq!(drain(&a, &mut b, ss, now), 100);
+
+        // RTO: A's data is lost; its retransmission timer resends it.
+        a.tcp_send(cs, &[2; 1000], now).unwrap();
+        walk(&mut a, &mut b, &mut now, ms(100), true);
+        walk(&mut a, &mut b, &mut now, ms(300), false);
+        assert_eq!(a.tcp_totals().timeouts, 1);
+        assert_eq!(drain(&a, &mut b, ss, now), 1000);
+
+        // Zero window: B stops reading, A probes on its persist timer,
+        // then B drains and the rest flows.
+        let sent = a.tcp_send(cs, &[3; 24 * 1024], now).unwrap();
+        walk(&mut a, &mut b, &mut now, ms(700), false);
+        assert!(a.tcp_totals().persist_probes_out >= 1);
+        let mut got = 0;
+        while got < sent {
+            got += drain(&a, &mut b, ss, now);
+            walk(&mut a, &mut b, &mut now, ms(1), false);
+        }
+        assert_eq!(got, sent);
+
+        // Keepalive: an idle connection is probed and the peer answers.
+        let probes = a.tcp_totals().keepalive_probes_out;
+        walk(&mut a, &mut b, &mut now, ms(400), false);
+        assert!(a.tcp_totals().keepalive_probes_out > probes);
+        assert_eq!(a.tcp_error(cs), None);
+
+        // Close, TIME_WAIT on the active closer, then reaping.
+        a.tcp_close(cs, now);
+        fresh(&a, &b);
+        walk(&mut a, &mut b, &mut now, ms(1) / 2, false);
+        assert_eq!(b.tcp_recv(ss, &mut [0u8; 16], now).unwrap(), 0);
+        b.tcp_close(ss, now);
+        fresh(&a, &b);
+        walk(&mut a, &mut b, &mut now, ms(10), false);
+        assert_eq!(a.stats.time_wait_reaped.get(), 1);
+        assert_eq!((a.next_timer(), b.next_timer()), (None, None));
     }
 }
 

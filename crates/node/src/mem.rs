@@ -7,23 +7,13 @@
 //! emerges from the DRAM timing model (row hits, bank parallelism, channel
 //! contention), which is the mechanism behind the paper's Fig. 9.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use mcn_dram::{AddressMap, Channel, DramConfig, Interleave, MemKind, MemRequest, Target};
 use mcn_sim::{DetRng, SimTime};
 
 /// Caller-chosen identifier delivered with job completions.
 pub type WaiterId = u64;
-
-/// Snapshot returned by [`MemorySystem::debug_state`]: `(active jobs,
-/// per-channel outstanding, per-channel next event, per-job
-/// (id, issued, completed, outstanding, lines))`.
-pub type MemDebug = (
-    usize,
-    Vec<usize>,
-    Vec<Option<mcn_sim::SimTime>>,
-    Vec<(u64, u64, u64, u32, u64)>,
-);
 
 /// Handle to a running transfer job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -145,9 +135,10 @@ pub const DEFAULT_MLP: u32 = 10;
 pub struct MemorySystem {
     map: AddressMap,
     channels: Vec<Channel>,
-    jobs: HashMap<u64, Job>,
+    /// Running jobs in id order, the order `pump` feeds them and
+    /// `advance` reports them in.
+    jobs: BTreeMap<u64, Job>,
     next_job: u64,
-    finished: Vec<(WaiterId, JobId)>,
 }
 
 impl MemorySystem {
@@ -167,9 +158,8 @@ impl MemorySystem {
         MemorySystem {
             map,
             channels,
-            jobs: HashMap::new(),
+            jobs: BTreeMap::new(),
             next_job: 1,
-            finished: Vec::new(),
         }
     }
 
@@ -226,23 +216,6 @@ impl MemorySystem {
         JobId(id)
     }
 
-    /// Debug dump: (active jobs, per-channel outstanding, per-channel
-    /// next_event, per-job (id, issued, completed, outstanding, lines)).
-    pub fn debug_state(&self) -> MemDebug {
-        let mut jobs: Vec<(u64, u64, u64, u32, u64)> = self
-            .jobs
-            .iter()
-            .map(|(id, j)| (*id, j.issued, j.completed, j.outstanding, j.lines))
-            .collect();
-        jobs.sort_unstable();
-        (
-            self.jobs.len(),
-            self.channels.iter().map(|c| c.outstanding()).collect(),
-            self.channels.iter().map(|c| c.next_event()).collect(),
-            jobs,
-        )
-    }
-
     /// True while any job or channel has pending work.
     pub fn busy(&self) -> bool {
         !self.jobs.is_empty() || self.channels.iter().any(|c| c.outstanding() > 0)
@@ -276,29 +249,22 @@ impl MemorySystem {
         }
         self.pump(now);
         // Collect finished jobs after pumping (a job with zero remaining
-        // issues and zero outstanding is done).
-        let mut done_ids = Vec::new();
-        for (&id, job) in &self.jobs {
-            if job.completed >= job.lines && job.outstanding == 0 {
-                done_ids.push(id);
+        // issues and zero outstanding is done), in id order.
+        let mut finished = Vec::new();
+        self.jobs.retain(|&id, job| {
+            let done = job.completed >= job.lines && job.outstanding == 0;
+            if done {
+                finished.push((job.waiter, JobId(id)));
             }
-        }
-        done_ids.sort_unstable(); // deterministic order
-        for id in done_ids {
-            let job = self.jobs.remove(&id).expect("present");
-            self.finished.push((job.waiter, JobId(id)));
-        }
-        std::mem::take(&mut self.finished)
+            !done
+        });
+        finished
     }
 
     /// Issues as many line requests as windows and queues allow.
     fn pump(&mut self, now: SimTime) {
         let nch = self.channels.len() as u64;
-        let map = self.map.clone();
-        let mut ids: Vec<u64> = self.jobs.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            let job = self.jobs.get_mut(&id).expect("present");
+        for (&id, job) in &mut self.jobs {
             loop {
                 if job.outstanding >= job.mlp {
                     break;
@@ -368,7 +334,7 @@ impl MemorySystem {
                         }
                     }
                 };
-                let ch = (map.channel_of(req.addr) as u64 % nch) as usize;
+                let ch = (self.map.channel_of(req.addr) as u64 % nch) as usize;
                 if !self.channels[ch].can_accept(req.kind) {
                     break; // channel full: retry on its next completion
                 }
@@ -382,7 +348,6 @@ impl MemorySystem {
             }
         }
     }
-
 }
 
 #[cfg(test)]

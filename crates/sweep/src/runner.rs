@@ -16,12 +16,19 @@
 //! and one uninterrupted sweep produce byte-identical `sweep.json`.
 //! Marker writes go through a temp file + rename, so a killed run
 //! leaves either a complete marker or none.
+//!
+//! Host time stays out of both: each call writes `wall.txt` beside
+//! `sweep.json`, one line per cell in expansion order with the host
+//! seconds the cell took in this call, or `reused` when its marker came
+//! from an earlier call.
 
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
+use std::time::Instant;
 
 use mcn_sim::{MetricSink, MetricsSnapshot};
 
@@ -105,7 +112,9 @@ pub fn run_sweep(spec: &SweepSpec, cfg: &SweepConfig) -> std::io::Result<SweepOu
     fs::create_dir_all(&cfg.out_dir)?;
 
     // Partition the cells: unsupported (skipped), already-done (valid
-    // marker), and runnable.
+    // marker), and runnable. `walls` holds each cell's `wall.txt`
+    // entry: host seconds or `reused`.
+    let mut walls: Vec<Option<String>> = vec![None; spec.cells.len()];
     let mut skipped = Vec::new();
     let mut reused = 0usize;
     let mut runnable: Vec<(usize, u64)> = Vec::new(); // (cell index, hash)
@@ -117,6 +126,7 @@ pub fn run_sweep(spec: &SweepSpec, cfg: &SweepConfig) -> std::io::Result<SweepOu
         let hash = cell.config_hash(spec.seed, &spec.scale);
         if load_marker(&marker_path(&cfg.out_dir, cell, hash)).is_some() {
             reused += 1;
+            walls[i] = Some("reused".into());
         } else {
             runnable.push((i, hash));
         }
@@ -132,6 +142,7 @@ pub fn run_sweep(spec: &SweepSpec, cfg: &SweepConfig) -> std::io::Result<SweepOu
     // the merge below re-reads markers in expansion order.
     let queue: Mutex<VecDeque<(usize, u64)>> = Mutex::new(runnable.into());
     let io_err: Mutex<Option<std::io::Error>> = Mutex::new(None);
+    let walls = Mutex::new(walls);
     std::thread::scope(|s| {
         let mut handles = Vec::new();
         for _ in 0..cfg.jobs.max(1).min(executed.max(1)) {
@@ -140,12 +151,15 @@ pub fn run_sweep(spec: &SweepSpec, cfg: &SweepConfig) -> std::io::Result<SweepOu
                 let Some((i, hash)) = job else { break };
                 let cell = &spec.cells[i];
                 let seed = cell.seed(spec.seed);
+                let start = Instant::now();
                 let snap = run_cell(cell, &spec.scale, seed);
+                let wall_s = start.elapsed().as_secs_f64();
                 if let Err(e) = write_atomic(&marker_path(&cfg.out_dir, cell, hash), &snap.to_json())
                 {
                     *io_err.lock().expect("io_err") = Some(e);
                     break;
                 }
+                walls.lock().expect("walls")[i] = Some(format!("{wall_s:.3}"));
             }));
         }
         let mut panic = None;
@@ -187,6 +201,14 @@ pub fn run_sweep(spec: &SweepSpec, cfg: &SweepConfig) -> std::io::Result<SweepOu
 
     let merged_path = cfg.out_dir.join("sweep.json");
     write_atomic(&merged_path, &merged.to_json())?;
+
+    let mut wall_txt = String::from("# cell  host seconds in this run, or reused\n");
+    for (cell, wall) in spec.cells.iter().zip(walls.into_inner().expect("walls")) {
+        if let Some(wall) = wall {
+            writeln!(wall_txt, "{} {wall}", cell.id()).expect("write to String");
+        }
+    }
+    fs::write(cfg.out_dir.join("wall.txt"), wall_txt)?;
     Ok(SweepOutcome {
         executed,
         reused,
@@ -230,6 +252,40 @@ mod tests {
         assert_eq!(second.executed, 0);
         assert_eq!(second.reused, 2);
         assert_eq!(first.merged.to_json(), second.merged.to_json());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn wall_txt_lists_host_seconds_then_reuse_in_expansion_order() {
+        let spec = tiny_spec(5);
+        let dir = tmp_dir("wall");
+        let cfg = SweepConfig::new(2, &dir);
+        let lines = |out: SweepOutcome| -> Vec<(String, String)> {
+            fs::read_to_string(out.merged_path.with_file_name("wall.txt"))
+                .expect("wall.txt written")
+                .lines()
+                .filter(|l| !l.starts_with('#'))
+                .map(|l| {
+                    let (id, wall) = l.split_once(' ').expect("two fields");
+                    (id.to_string(), wall.to_string())
+                })
+                .collect()
+        };
+        let ids: Vec<String> = spec.cells.iter().map(Cell::id).collect();
+        let first = lines(run_sweep(&spec, &cfg).expect("first"));
+        assert_eq!(
+            first.iter().map(|(id, _)| id.clone()).collect::<Vec<_>>(),
+            ids
+        );
+        for (id, wall) in &first {
+            let s: f64 = wall.parse().unwrap_or_else(|_| panic!("{id}: {wall}"));
+            assert!(s >= 0.0);
+        }
+        let second = lines(run_sweep(&spec, &cfg).expect("second"));
+        assert!(
+            second.iter().all(|(_, wall)| wall == "reused"),
+            "{second:?}"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -1,7 +1,7 @@
 //! Contract tests for the declarative sweep runner (DESIGN.md §4g):
 //! byte-identical output across reruns, worker counts, and
-//! kill-and-resume splits, plus the energy-figure invariants every cell
-//! reports.
+//! kill-and-resume splits, and against the committed smoke sweep, plus
+//! the energy-figure invariants every cell reports.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -49,6 +49,23 @@ fn same_seed_is_byte_identical_across_runs_and_worker_counts() {
     assert_eq!(sweep_json(&d4), a);
     let _ = fs::remove_dir_all(&d1);
     let _ = fs::remove_dir_all(&d4);
+}
+
+/// The smoke preset regenerates `results/sweep_smoke.json` byte for
+/// byte, so a change that only claims speed shows it moved no number,
+/// and a change to the model must regenerate the file in its own diff
+/// (`sweep --preset smoke --out DIR`, then copy `DIR/sweep.json`).
+#[test]
+fn smoke_preset_reproduces_the_committed_sweep_json() {
+    let dir = tmp_dir("smoke");
+    run_sweep(&SweepSpec::smoke(), &SweepConfig::new(2, &dir)).expect("smoke sweep");
+    let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/results/sweep_smoke.json");
+    let committed = fs::read_to_string(committed).expect("results/sweep_smoke.json");
+    assert!(
+        sweep_json(&dir) == committed,
+        "the smoke sweep no longer matches results/sweep_smoke.json"
+    );
+    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
