@@ -24,6 +24,7 @@
 use std::time::Instant;
 
 use mcn::fabric::ClosConfig;
+use mcn::outage::Part;
 use mcn::{Datacenter, MetricSink};
 use mcn_bench::{kv_dc_workload, KvDcParams};
 use mcn_serve::ServeReport;
@@ -139,12 +140,12 @@ fn main() {
     let mut paths = Vec::new();
     for p in 0..clos.pods {
         for a in 0..clos.aggs_per_pod {
-            let name = Datacenter::agg_outage_component(p, a);
+            let name = Part::Agg(p, a).to_string();
             paths.push((name.clone(), tree.get_u64(&format!("fabric.ecmp.path.{name}"))));
         }
     }
     for j in 0..clos.spines {
-        let name = Datacenter::spine_outage_component(j);
+        let name = Part::Spine(j).to_string();
         paths.push((name.clone(), tree.get_u64(&format!("fabric.ecmp.path.{name}"))));
     }
     let path_sum: u64 = paths.iter().map(|(_, n)| n).sum();

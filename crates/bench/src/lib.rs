@@ -2,10 +2,16 @@
 //!
 //! One function per experiment, shared by the `fig*`/`table*` binaries
 //! (which print paper-style rows; see `src/bin/`) and the integration
-//! tests. The implementations live in [`mcn_sweep::scenarios`] so the
-//! figure binaries and the declarative sweep runner (`--bin sweep`)
-//! run byte-for-byte the same construction code; this crate re-exports
-//! them under their historical names. The mapping to the paper:
+//! tests. The implementations live in [`mcn_sweep::scenarios`]; this
+//! crate re-exports them under their historical names. The declarative
+//! sweep runner (`--bin sweep`) does not call the figure helpers: its
+//! cells run private per-cell functions of the same module, which seed
+//! and meter differently (e.g. [`workload_mcn`] seeds its ranks with
+//! `0xC0FFEE`, a cell with its derived seed; [`iperf_mcn`] meters after
+//! a 2 ms warm-up, a cell from zero), so a figure row and the matching
+//! cell can differ. Only the rack and datacenter builders
+//! ([`rack_iperf_workload`], [`kv_rack_workload`], [`kv_dc_workload`])
+//! are shared by a bench binary and the sweep. The mapping to the paper:
 //!
 //! | artifact | function | binary |
 //! |----------|----------|--------|
@@ -18,7 +24,7 @@
 //! | Fig 9    | [`workload_mcn`] / [`workload_conventional`] | `fig9` |
 //! | Fig 10   | the same plus [`mcn_energy::cluster_energy`] | `fig10` |
 //! | Fig 11   | [`workload_scaleup`] / [`workload_mcn`] | `fig11` |
-//! | all of the above + serving + datacenter | [`mcn_sweep::run_sweep`] | `sweep` |
+//! | sweep cells for the above + serving + datacenter | [`mcn_sweep::run_sweep`] | `sweep` |
 //!
 //! Criterion micro-benchmarks of the substrates live in `benches/`.
 

@@ -259,11 +259,15 @@ impl<E: Endpoint> Shard for EndpointBlock<E> {
     }
 }
 
-/// Per-topology hooks on the shared switched-routing rule.
+/// A topology's switched boundary: the learning switch itself plus
+/// per-topology hooks on the shared routing rule.
 ///
-/// The default implementations make a trivially permissive policy (the
-/// baseline cluster's fully connected switch).
+/// The default hooks make a trivially permissive policy (the baseline
+/// cluster's fully connected switch).
 pub(crate) trait SwitchPolicy {
+    /// The switch frames cross.
+    fn switch(&mut self) -> &mut Switch;
+
     /// Claims a frame *before* MAC switching; returning `true` consumes
     /// it (the rack's datacenter gateway pulls frames addressed to the
     /// well-known gateway MAC onto the fabric uplink this way). `at` is
@@ -280,28 +284,22 @@ pub(crate) trait SwitchPolicy {
     }
 }
 
-/// A [`SwitchPolicy`] with no restrictions.
-pub(crate) struct OpenSwitch;
-
-impl SwitchPolicy for OpenSwitch {}
-
-/// The switched-boundary routing rule shared by rack, cluster and
-/// datacenter: store-and-forward latency, then either the policy claims
-/// the frame (it leaves this switching domain) or the learning switch
-/// picks egress ports, each gated by the policy's admission check.
+/// The switched-boundary routing rule shared by rack and cluster:
+/// store-and-forward latency, then either the policy claims the frame
+/// (it leaves this switching domain) or the learning switch picks
+/// egress ports, each gated by the policy's admission check.
 pub(crate) fn route_switched<P: SwitchPolicy>(
-    switch: &mut Switch,
     policy: &mut P,
     from: usize,
     at: SimTime,
     frame: EthernetFrame,
     out: &mut Vec<(usize, SimTime, EthernetFrame)>,
 ) {
-    let fwd_at = at + switch.forward_latency;
+    let fwd_at = at + policy.switch().forward_latency;
     if policy.claim(fwd_at, &frame) {
         return;
     }
-    for p in switch.route(&frame, from) {
+    for p in policy.switch().route(&frame, from) {
         if policy.admit(from, p) {
             out.push((p, fwd_at, frame.clone()));
         }

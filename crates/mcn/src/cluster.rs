@@ -26,7 +26,7 @@ use mcn_sim::{
     SimTime, StallReport, Wakeup,
 };
 
-use crate::block::{route_switched, Endpoint, EndpointBlock, OpenSwitch};
+use crate::block::{route_switched, Endpoint, EndpointBlock, SwitchPolicy};
 use crate::config::SystemConfig;
 
 /// One baseline node: a host-class machine plus its NIC.
@@ -108,13 +108,18 @@ impl Endpoint for ClusterNode {
 /// One shard of the cluster: a node behind the shared wire pipeline.
 type NodeBlock = EndpointBlock<ClusterNode>;
 
-/// The coordinator-side boundary for the cluster: just the switch, with
-/// no admission restrictions.
-struct ClusterFabric<'a> {
-    switch: &'a mut Switch,
+/// The cluster's coordinator: just the switch, with no admission
+/// restrictions and no control events.
+#[derive(Debug)]
+struct OpenSwitch(Switch);
+
+impl SwitchPolicy for OpenSwitch {
+    fn switch(&mut self) -> &mut Switch {
+        &mut self.0
+    }
 }
 
-impl Fabric<NodeBlock> for ClusterFabric<'_> {
+impl Fabric<NodeBlock> for OpenSwitch {
     fn next_control(&mut self) -> Option<SimTime> {
         None
     }
@@ -128,7 +133,7 @@ impl Fabric<NodeBlock> for ClusterFabric<'_> {
         frame: EthernetFrame,
         out: &mut Vec<(usize, SimTime, EthernetFrame)>,
     ) {
-        route_switched(self.switch, &mut OpenSwitch, from, at, frame, out);
+        route_switched(self, from, at, frame, out);
     }
 }
 
@@ -140,7 +145,7 @@ impl Fabric<NodeBlock> for ClusterFabric<'_> {
 pub struct EthernetCluster {
     now: SimTime,
     blocks: Vec<NodeBlock>,
-    switch: Switch,
+    switch: OpenSwitch,
     /// The quantum-synchronized scheduler (serial = 1 thread).
     sched: ParallelEngine,
 }
@@ -200,7 +205,7 @@ impl EthernetCluster {
         let quantum = Quantum::from_path(switch.forward_latency, sys.eth_latency);
         EthernetCluster {
             now: SimTime::ZERO,
-            switch,
+            switch: OpenSwitch(switch),
             blocks: nodes
                 .into_iter()
                 .map(|cn| EndpointBlock::new(cn, mk_link(), mk_link()))
@@ -210,10 +215,11 @@ impl EthernetCluster {
     }
 
     /// Enables frame loss/corruption on node `i`'s uplink (failure
-    /// injection for TCP-recovery tests).
+    /// injection for TCP-recovery tests). The uplink is rebuilt with the
+    /// bandwidth and latency the cluster was configured with.
     pub fn impair_uplink(&mut self, i: usize, drop: f64, corrupt: f64, seed: u64) {
-        self.blocks[i].up =
-            Link::new(1.25e9, SimTime::from_us(1)).with_impairments(drop, corrupt, seed);
+        let up = &mut self.blocks[i].up;
+        *up = Link::new(up.bytes_per_sec(), up.latency()).with_impairments(drop, corrupt, seed);
     }
 
     /// The uplink (node `i` → switch), e.g. to read impairment counters.
@@ -305,9 +311,14 @@ impl EthernetCluster {
     /// Drives the cluster with the windowed scheduler on `threads`
     /// workers.
     fn drive(&mut self, target: SimTime, goal: RunGoal, threads: usize) -> RunReport {
-        let EthernetCluster { blocks, switch, now, sched } = self;
-        let mut fabric = ClusterFabric { switch };
-        sched.run(blocks, &mut fabric, now, target, goal, threads)
+        self.sched.run(
+            &mut self.blocks,
+            &mut self.switch,
+            &mut self.now,
+            target,
+            goal,
+            threads,
+        )
     }
 
     /// Runs until every process on every node finishes, or `deadline`
@@ -363,7 +374,7 @@ impl Instrumented for EthernetCluster {
     /// and the clock.
     fn metrics(&self, out: &mut MetricSink) {
         out.counter("now_ps", self.now.as_ps());
-        out.absorb("switch", &self.switch);
+        out.absorb("switch", &self.switch.0);
         for (i, b) in self.blocks.iter().enumerate() {
             out.scoped(&format!("node{i}"), |out| {
                 b.ep.node.metrics(out);
@@ -564,6 +575,25 @@ mod tests {
                     .is_some_and(|s| s.retransmits > 0),
             "impairments should be visible in counters"
         );
+    }
+
+    #[test]
+    fn impaired_uplink_keeps_the_configured_link() {
+        let sys = SystemConfig {
+            eth_bytes_per_sec: 3.125e9,
+            eth_latency: SimTime::from_us(3),
+            ..SystemConfig::default()
+        };
+        let mut c = EthernetCluster::new(&sys, 2);
+        c.impair_uplink(1, 0.5, 0.0, 7);
+        for i in 0..2 {
+            assert_eq!(c.uplink(i).bytes_per_sec(), 3.125e9, "uplink {i} bandwidth");
+            assert_eq!(
+                c.uplink(i).latency(),
+                SimTime::from_us(3),
+                "uplink {i} latency"
+            );
+        }
     }
 
     #[test]

@@ -53,12 +53,13 @@ use mcn_node::{ProcId, Process};
 use mcn_sim::metrics::{Instrumented, MetricSink};
 use mcn_sim::stats::Counter;
 use mcn_sim::{
-    Activity, Component, EngineStats, EventQueue, Fabric, FaultPlan, OutageKind, OutagePlan,
-    Outbox, ParallelEngine, Quantum, RunGoal, RunReport, Shard, ShardStats, SimTime,
+    Activity, Component, EngineStats, EventQueue, Fabric, FaultPlan, OutagePlan, Outbox,
+    ParallelEngine, Quantum, RunGoal, RunReport, Shard, ShardStats, SimTime,
 };
 
 use crate::config::{McnConfig, SystemConfig};
-use crate::rack::{DomainStats, McnRack};
+use crate::outage::{self, DomainStats, Edge, Part};
+use crate::rack::McnRack;
 use crate::system::McnSystem;
 
 /// Shape of the Clos fabric. Total racks (`pods * racks_per_pod`) must
@@ -218,19 +219,6 @@ pub(crate) enum DcCmd {
     Down,
     /// The switch returns (with empty buffers and a cold pipe).
     Up,
-}
-
-/// A scheduled hard event at the datacenter layer.
-#[derive(Debug)]
-enum DcOutage {
-    /// Fabric switch (shard index) goes dark.
-    SwitchDown { sw: usize },
-    /// It comes back.
-    SwitchUp { sw: usize },
-    /// Accounting marker: failure domain `domain` crashes now.
-    DomainCrash { domain: usize },
-    /// Accounting marker: failure domain `domain` heals now.
-    DomainHeal { domain: usize },
 }
 
 /// One rack as an outer-level shard: the rack (with its own inner
@@ -438,47 +426,58 @@ impl Shard for DcShard {
 /// ECMP + fabric routing statistics (deterministic; part of the
 /// byte-identity contract).
 #[derive(Debug, Default)]
-pub struct DcStats {
+struct DcStats {
     /// Equal-cost next-hop decisions made.
-    pub routed: Counter,
+    routed: Counter,
     /// Frames dropped because no alive equal-cost candidate remained
     /// (or the destination could not be decoded).
-    pub dropped: Counter,
+    dropped: Counter,
     /// Frames handed down into a destination rack.
-    pub to_rack: Counter,
+    to_rack: Counter,
     /// Frames an agg forwarded up to the spine tier (cross-pod).
-    pub cross_pod: Counter,
+    cross_pod: Counter,
     /// Frames an agg turned around inside its pod (intra-pod).
-    pub intra_pod: Counter,
+    intra_pod: Counter,
     /// Per-switch ECMP path counters (indexed like the switch shards).
-    pub per_switch: Vec<Counter>,
+    per_switch: Vec<Counter>,
     /// Switch outages applied.
-    pub switch_downs: Counter,
+    switch_downs: Counter,
     /// Correlated failure-domain accounting.
-    pub domains: Vec<DomainStats>,
+    domains: Vec<DomainStats>,
 }
 
-/// The coordinator-side routing of the Clos fabric: adjacency from the
-/// [`ClosConfig`], ECMP over alive candidates, and the outage schedule.
-struct DcFabric<'a> {
-    clos: &'a ClosConfig,
-    n_racks: usize,
+/// The datacenter's coordinator: adjacency from the [`ClosConfig`],
+/// ECMP over alive candidates, and the outage schedule.
+#[derive(Debug)]
+struct ClosFabric {
+    clos: ClosConfig,
     /// Liveness per shard (racks always `true`; switches mirror the
     /// shard-side flag so route-time checks need no shard access).
-    alive: &'a mut [bool],
-    outages: &'a mut EventQueue<DcOutage>,
-    stats: &'a mut DcStats,
+    alive: Vec<bool>,
+    /// Installed outage edges for the fabric switches (rack edges go to
+    /// the racks' own schedules).
+    outages: EventQueue<Edge>,
+    stats: DcStats,
 }
 
-impl DcFabric<'_> {
+impl ClosFabric {
     /// Shard index of `pod`'s `agg`-th aggregation switch.
     fn agg_idx(&self, pod: usize, agg: usize) -> usize {
-        self.n_racks + pod * self.clos.aggs_per_pod + agg
+        self.clos.racks() + pod * self.clos.aggs_per_pod + agg
     }
 
     /// Shard index of spine `j`.
     fn spine_idx(&self, j: usize) -> usize {
-        self.n_racks + self.clos.pods * self.clos.aggs_per_pod + j
+        self.clos.racks() + self.clos.pods * self.clos.aggs_per_pod + j
+    }
+
+    /// Shard index of a fabric switch part.
+    fn switch_idx(&self, part: Part) -> usize {
+        match part {
+            Part::Agg(p, a) => self.agg_idx(p, a),
+            Part::Spine(j) => self.spine_idx(j),
+            part => unreachable!("{part} is not a fabric switch"),
+        }
     }
 
     /// Picks one alive candidate by flow hash and pushes the delivery;
@@ -497,35 +496,34 @@ impl DcFabric<'_> {
         }
         let pick = alive[(flow_hash(&frame) % alive.len() as u64) as usize];
         self.stats.routed.inc();
-        self.stats.per_switch[pick - self.n_racks].inc();
+        self.stats.per_switch[pick - self.clos.racks()].inc();
         out.push((pick, at, frame));
     }
 }
 
-impl Fabric<DcShard> for DcFabric<'_> {
+impl Fabric<DcShard> for ClosFabric {
     fn next_control(&mut self) -> Option<SimTime> {
         self.outages.peek_time()
     }
 
     fn pop_controls(&mut self, now: SimTime, out: &mut Vec<(usize, SimTime, DcCmd)>) {
-        while let Some((at, o)) = self.outages.pop_if_due(now) {
+        while let Some((at, edge)) = self.outages.pop_if_due(now) {
             let at = at.max(now);
-            match o {
-                DcOutage::SwitchDown { sw } => {
+            match edge {
+                Edge::DomainDown(i) => self.stats.domains[i].crashes.inc(),
+                Edge::DomainUp(i) => self.stats.domains[i].heals.inc(),
+                Edge::Down(part) => {
+                    let sw = self.switch_idx(part);
                     self.stats.switch_downs.inc();
                     self.alive[sw] = false;
                     out.push((sw, at, DcCmd::Down));
                 }
-                DcOutage::SwitchUp { sw } => {
+                Edge::Up(part) => {
+                    let sw = self.switch_idx(part);
                     self.alive[sw] = true;
                     out.push((sw, at, DcCmd::Up));
                 }
-                DcOutage::DomainCrash { domain } => {
-                    self.stats.domains[domain].crashes.inc();
-                }
-                DcOutage::DomainHeal { domain } => {
-                    self.stats.domains[domain].heals.inc();
-                }
+                edge => unreachable!("{edge:?} passed the datacenter's range check"),
             }
         }
     }
@@ -541,20 +539,21 @@ impl Fabric<DcShard> for DcFabric<'_> {
             self.stats.dropped.inc();
             return;
         };
-        if dst_rack >= self.n_racks {
+        let n_racks = self.clos.racks();
+        if dst_rack >= n_racks {
             self.stats.dropped.inc();
             return;
         }
         let rpp = self.clos.racks_per_pod;
         let app = self.clos.aggs_per_pod;
-        if from < self.n_racks {
+        if from < n_racks {
             // Rack uplink: onto one of its pod's aggs.
             let pod = from / rpp;
             let aggs: Vec<usize> = (0..app).map(|a| self.agg_idx(pod, a)).collect();
             self.pick(aggs, at, frame, out);
-        } else if from < self.n_racks + self.clos.pods * app {
+        } else if from < n_racks + self.clos.pods * app {
             // Aggregation switch: down into its pod, or up to a spine.
-            let pod = (from - self.n_racks) / app;
+            let pod = (from - n_racks) / app;
             if dst_rack / rpp == pod {
                 self.stats.intra_pod.inc();
                 self.stats.to_rack.inc();
@@ -579,17 +578,14 @@ impl Fabric<DcShard> for DcFabric<'_> {
 #[derive(Debug)]
 pub struct Datacenter {
     shards: Vec<DcShard>,
-    clos: ClosConfig,
     now: SimTime,
     /// The outer (cross-pod) scheduler.
     sched: ParallelEngine,
     /// The inner (intra-rack) quantum every rack engine shares.
     rack_quantum: Quantum,
-    outages: EventQueue<DcOutage>,
-    /// Route-time liveness per shard.
-    alive: Vec<bool>,
-    /// Fabric statistics.
-    pub stats: DcStats,
+    /// The coordinator the outer scheduler routes and applies outages
+    /// through.
+    fabric: ClosFabric,
 }
 
 impl Datacenter {
@@ -652,7 +648,7 @@ impl Datacenter {
         for p in 0..clos.pods {
             for a in 0..clos.aggs_per_pod {
                 shards.push(DcShard::Switch(SwitchShard {
-                    name: Self::agg_outage_component(p, a),
+                    name: Part::Agg(p, a).to_string(),
                     alive: true,
                     ingress: Pipe::new(agg_bps, clos.fabric_latency),
                     fwd: tor_fwd,
@@ -665,7 +661,7 @@ impl Datacenter {
         }
         for j in 0..clos.spines {
             shards.push(DcShard::Switch(SwitchShard {
-                name: Self::spine_outage_component(j),
+                name: Part::Spine(j).to_string(),
                 alive: true,
                 ingress: Pipe::new(spine_bps, clos.fabric_latency),
                 fwd: tor_fwd,
@@ -681,182 +677,61 @@ impl Datacenter {
         let quantum = Quantum::from_path(tor_fwd, clos.fabric_latency);
         Datacenter {
             shards,
-            clos: clos.clone(),
             now: SimTime::ZERO,
             sched: ParallelEngine::new(quantum),
             rack_quantum: rack_quantum.expect("at least one rack"),
-            outages: EventQueue::new(),
-            alive,
-            stats: DcStats { per_switch, ..DcStats::default() },
+            fabric: ClosFabric {
+                clos: clos.clone(),
+                alive,
+                outages: EventQueue::new(),
+                stats: DcStats {
+                    per_switch,
+                    ..DcStats::default()
+                },
+            },
         }
     }
 
-    /// Outage-plan component name for spine `j`
-    /// ([`OutageKind::SwitchDown`]).
-    pub fn spine_outage_component(j: usize) -> String {
-        format!("spine{j}")
-    }
-
-    /// Outage-plan component name for aggregation switch `a` of pod `p`
-    /// ([`OutageKind::SwitchDown`]).
-    pub fn agg_outage_component(p: usize, a: usize) -> String {
-        format!("pod{p}.agg{a}")
-    }
-
-    /// Outage-plan component name for whole-rack power events on rack
-    /// `r` ([`OutageKind::NodeReboot`] reboots every server at once).
-    pub fn rack_outage_component(r: usize) -> String {
-        format!("rack{r}")
-    }
-
-    /// Expands one failure-domain member name into its (down, up) event
-    /// schedulers. Understands `spine{j}`, `pod{p}.agg{a}` and
-    /// `rack{r}`.
-    fn member_shard(&self, domain: &str, member: &str) -> MemberKind {
-        let bad = || -> ! {
-            panic!(
-                "failure domain '{domain}': member '{member}' names no component \
-                 of this datacenter ({} racks, {} aggs/pod, {} spines)",
-                self.clos.racks(),
-                self.clos.aggs_per_pod,
-                self.clos.spines
-            )
-        };
-        if let Some(j) = member.strip_prefix("spine").and_then(|j| j.parse::<usize>().ok()) {
-            if j >= self.clos.spines {
-                bad();
-            }
-            return MemberKind::Switch(
-                self.clos.racks() + self.clos.pods * self.clos.aggs_per_pod + j,
-            );
-        }
-        if let Some(r) = member.strip_prefix("rack").and_then(|r| r.parse::<usize>().ok()) {
-            if r >= self.clos.racks() {
-                bad();
-            }
-            return MemberKind::Rack(r);
-        }
-        if let Some(rest) = member.strip_prefix("pod") {
-            if let Some((p, a)) = rest.split_once(".agg") {
-                if let (Ok(p), Ok(a)) = (p.parse::<usize>(), a.parse::<usize>()) {
-                    if p < self.clos.pods && a < self.clos.aggs_per_pod {
-                        return MemberKind::Switch(
-                            self.clos.racks() + p * self.clos.aggs_per_pod + a,
-                        );
-                    }
-                }
-            }
-            bad();
-        }
-        bad()
-    }
-
-    /// Installs a hard-outage plan at the datacenter layer. Component
-    /// names understood:
-    ///
-    /// * `spine{j}` / `pod{p}.agg{a}` + [`OutageKind::SwitchDown`] — the
-    ///   fabric switch goes dark for the duration; ECMP re-hashes flows
-    ///   onto the survivors,
-    /// * `rack{r}` + [`OutageKind::NodeReboot`] — a rack-scale power
-    ///   event: every server of the rack reboots at once (expanded into
-    ///   the rack's own inner schedule),
-    /// * failure domains whose members use the shapes above +
-    ///   [`OutageKind::DomainDown`] — pod-scale correlated events (e.g.
-    ///   a pod losing both aggs and a rack to one breaker), counted
-    ///   under `fabric.outage.domain.<name>.*`.
-    ///
-    /// Per-DIMM / per-link chaos *within* a rack still goes through
-    /// [`McnRack::set_outage_plan`] on [`rack_mut`](Self::rack_mut).
+    /// Installs a hard-outage plan written in the [`outage`] grammar. A
+    /// datacenter honours `spine{j}` and `pod{p}.agg{a}` (the fabric
+    /// switch goes dark and ECMP re-hashes flows onto the survivors) and
+    /// `rack{r}` (every server of the rack reboots at once, through the
+    /// rack's own schedule), plus failure domains over these — e.g. a
+    /// pod breaker felling both aggs and a rack — counted under
+    /// `fabric.outage.domain.<name>.*`. Chaos inside one rack goes
+    /// through [`McnRack::set_outage_plan`] on [`rack_mut`](Self::rack_mut).
     ///
     /// # Panics
     ///
-    /// Panics if a domain member names a component outside this fabric.
+    /// Panics, naming it, on a component, kind or domain member this
+    /// datacenter cannot honour.
     pub fn set_outage_plan(&mut self, plan: &OutagePlan) {
-        for (di, dom) in plan.domains().iter().enumerate() {
-            if self.stats.domains.len() <= di {
-                self.stats.domains.push(DomainStats {
-                    name: dom.name.clone(),
-                    crashes: Counter::default(),
-                    heals: Counter::default(),
-                });
-            }
-            let mut sched = plan.schedule(&dom.name);
-            for (t, kind) in sched.pop_due(SimTime::MAX) {
-                let OutageKind::DomainDown { down_for } = kind else {
-                    continue;
-                };
-                // Markers first: stable FIFO order puts the accounting
-                // edge before the member commands of the same instant.
-                self.outages.schedule(t, DcOutage::DomainCrash { domain: di });
-                self.outages.schedule(t + down_for, DcOutage::DomainHeal { domain: di });
-                let members: Vec<MemberKind> = dom
-                    .members
-                    .iter()
-                    .map(|m| self.member_shard(&dom.name, m))
-                    .collect();
-                for m in members {
-                    self.schedule_member(m, t, t + down_for);
-                }
-            }
-        }
-        for j in 0..self.clos.spines {
-            let sw = self.clos.racks() + self.clos.pods * self.clos.aggs_per_pod + j;
-            let mut sched = plan.schedule(&Self::spine_outage_component(j));
-            for (t, kind) in sched.pop_due(SimTime::MAX) {
-                let OutageKind::SwitchDown { down_for } = kind else {
-                    continue;
-                };
-                self.schedule_member(MemberKind::Switch(sw), t, t + down_for);
-            }
-        }
-        for p in 0..self.clos.pods {
-            for a in 0..self.clos.aggs_per_pod {
-                let sw = self.clos.racks() + p * self.clos.aggs_per_pod + a;
-                let mut sched = plan.schedule(&Self::agg_outage_component(p, a));
-                for (t, kind) in sched.pop_due(SimTime::MAX) {
-                    let OutageKind::SwitchDown { down_for } = kind else {
-                        continue;
-                    };
-                    self.schedule_member(MemberKind::Switch(sw), t, t + down_for);
-                }
-            }
-        }
-        for r in 0..self.clos.racks() {
-            let mut sched = plan.schedule(&Self::rack_outage_component(r));
-            for (t, kind) in sched.pop_due(SimTime::MAX) {
-                let OutageKind::NodeReboot { down_for } = kind else {
-                    continue;
-                };
-                self.schedule_member(MemberKind::Rack(r), t, t + down_for);
-            }
-        }
-    }
-
-    fn schedule_member(&mut self, m: MemberKind, at: SimTime, up_at: SimTime) {
-        match m {
-            MemberKind::Switch(sw) => {
-                self.outages.schedule(at, DcOutage::SwitchDown { sw });
-                self.outages.schedule(up_at, DcOutage::SwitchUp { sw });
-            }
-            MemberKind::Rack(r) => {
-                let DcShard::Rack(rs) = &mut self.shards[r] else {
-                    unreachable!("rack shards are first");
-                };
-                for s in 0..self.clos.servers_per_rack {
-                    rs.rack.schedule_node_outage(s, at, up_at);
-                }
+        let clos = &self.fabric.clos;
+        let aggs =
+            (0..clos.pods).flat_map(|p| (0..clos.aggs_per_pod).map(move |a| Part::Agg(p, a)));
+        let parts: Vec<Part> = (0..clos.spines)
+            .map(Part::Spine)
+            .chain(aggs)
+            .chain((0..clos.racks()).map(Part::Rack))
+            .collect();
+        let domains = Some(&mut self.fabric.stats.domains);
+        for (t, edge) in outage::expand(plan, "datacenter", &parts, domains) {
+            match edge {
+                Edge::Down(Part::Rack(r)) => self.rack_mut(r).schedule_every_node(t, Edge::Down),
+                Edge::Up(Part::Rack(r)) => self.rack_mut(r).schedule_every_node(t, Edge::Up),
+                edge => self.fabric.outages.schedule(t, edge),
             }
         }
     }
 
     /// The fabric shape.
     pub fn clos(&self) -> &ClosConfig {
-        &self.clos
+        &self.fabric.clos
     }
 
     /// Number of racks.
     pub fn racks(&self) -> usize {
-        self.clos.racks()
+        self.fabric.clos.racks()
     }
 
     /// Access rack `r`.
@@ -914,7 +789,7 @@ impl Datacenter {
 
     /// Earliest pending activity anywhere in the datacenter.
     pub fn next_event(&mut self) -> Option<SimTime> {
-        let mut t = self.outages.peek_time();
+        let mut t = self.fabric.outages.peek_time();
         for s in self.shards.iter_mut() {
             t = match (t, Shard::next_event(s)) {
                 (Some(a), Some(b)) => Some(a.min(b)),
@@ -927,15 +802,14 @@ impl Datacenter {
     /// Drives the datacenter with the outer windowed scheduler on
     /// `threads` workers.
     fn drive(&mut self, target: SimTime, goal: RunGoal, threads: usize) -> RunReport {
-        let Datacenter { shards, clos, now, sched, outages, alive, stats, .. } = self;
-        let mut fabric = DcFabric {
-            clos,
-            n_racks: clos.racks(),
-            alive,
-            outages,
-            stats,
-        };
-        sched.run(shards, &mut fabric, now, target, goal, threads)
+        self.sched.run(
+            &mut self.shards,
+            &mut self.fabric,
+            &mut self.now,
+            target,
+            goal,
+            threads,
+        )
     }
 
     /// Runs until every process on every server of every rack finishes,
@@ -951,14 +825,6 @@ impl Datacenter {
     pub fn run_parallel_until(&mut self, deadline: SimTime, threads: usize) {
         self.drive(deadline, RunGoal::Deadline, threads);
     }
-}
-
-/// A parsed failure-domain member at the datacenter layer.
-enum MemberKind {
-    /// A fabric switch shard index.
-    Switch(usize),
-    /// A whole rack.
-    Rack(usize),
 }
 
 impl Component for Datacenter {
@@ -993,22 +859,23 @@ impl Instrumented for Datacenter {
     /// hierarchical quantum domains under `sched.domain.{cross_pod,
     /// intra_rack}.*` (outer barriers vs accumulated inner windows).
     fn metrics(&self, out: &mut MetricSink) {
+        let stats = &self.fabric.stats;
         out.counter("now_ps", self.now.as_ps());
         out.scoped("fabric", |out| {
             out.scoped("ecmp", |out| {
-                out.counter("routed", self.stats.routed.get());
-                out.counter("dropped", self.stats.dropped.get());
-                for (i, c) in self.stats.per_switch.iter().enumerate() {
-                    let DcShard::Switch(sw) = &self.shards[self.clos.racks() + i] else {
+                out.counter("routed", stats.routed.get());
+                out.counter("dropped", stats.dropped.get());
+                for (i, c) in stats.per_switch.iter().enumerate() {
+                    let DcShard::Switch(sw) = &self.shards[self.racks() + i] else {
                         unreachable!("switch shards follow the racks");
                     };
                     out.counter(&format!("path.{}", sw.name), c.get());
                 }
             });
-            out.counter("to_rack", self.stats.to_rack.get());
-            out.counter("cross_pod", self.stats.cross_pod.get());
-            out.counter("intra_pod", self.stats.intra_pod.get());
-            out.counter("switch_downs", self.stats.switch_downs.get());
+            out.counter("to_rack", stats.to_rack.get());
+            out.counter("cross_pod", stats.cross_pod.get());
+            out.counter("intra_pod", stats.intra_pod.get());
+            out.counter("switch_downs", stats.switch_downs.get());
             for s in &self.shards {
                 if let DcShard::Switch(sw) = s {
                     out.scoped(&sw.name, |out| {
@@ -1018,11 +885,8 @@ impl Instrumented for Datacenter {
                     });
                 }
             }
-            for d in &self.stats.domains {
-                out.scoped(&format!("outage.domain.{}", d.name), |out| {
-                    out.counter("crashes", d.crashes.get());
-                    out.counter("heals", d.heals.get());
-                });
+            for d in &stats.domains {
+                out.absorb(&format!("outage.domain.{}", d.name), d);
             }
         });
         for (r, s) in self.shards.iter().enumerate() {
@@ -1053,7 +917,7 @@ impl Instrumented for Datacenter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcn_sim::MetricsSnapshot;
+    use mcn_sim::{MetricsSnapshot, OutageKind};
 
     fn mk(clos: &ClosConfig) -> Datacenter {
         Datacenter::new(&SystemConfig::default(), McnConfig::level(3), clos)
@@ -1130,7 +994,7 @@ mod tests {
         let mut dc = mk(&clos);
         let mut plan = OutagePlan::new(3);
         plan.at(
-            &Datacenter::spine_outage_component(0),
+            &Part::Spine(0).to_string(),
             SimTime::ZERO,
             OutageKind::SwitchDown { down_for: SimTime::from_ms(50) },
         );

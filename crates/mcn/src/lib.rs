@@ -30,7 +30,9 @@
 //! * [`McnSystem`] — a full MCN-enabled server (host + N DIMMs) with its
 //!   deterministic event loop,
 //! * [`EthernetCluster`] — the 10GbE scale-out baseline (N conventional
-//!   nodes, NICs, links, a switch) every figure compares against.
+//!   nodes, NICs, links, a switch) every figure compares against,
+//! * [`outage`] — the one component grammar every topology reads an
+//!   [`OutagePlan`](mcn_sim::OutagePlan) through.
 //!
 //! ## Quick start
 //!
@@ -54,6 +56,7 @@ pub mod dimm;
 pub mod driver;
 pub mod error;
 pub mod fabric;
+pub mod outage;
 pub mod rack;
 pub mod sram;
 pub mod system;

@@ -42,44 +42,17 @@ use mcn_node::{MemorySystem, ProcId, Process};
 use mcn_sim::metrics::{Instrumented, MetricSink};
 use mcn_sim::stats::Counter;
 use mcn_sim::{
-    Activity, Component, EngineStats, EventQueue, Fabric, FaultPlan, OutageKind, OutagePlan,
-    ParallelEngine, Quantum, RunGoal, RunReport, Shard, SimTime, StallReport,
+    Activity, Component, EngineStats, EventQueue, Fabric, FaultPlan, OutagePlan, ParallelEngine,
+    Quantum, RunGoal, RunReport, Shard, SimTime, StallReport,
 };
 
 use crate::block::{route_switched, Endpoint, EndpointBlock, SwitchPolicy};
 use crate::config::{McnConfig, SystemConfig};
+use crate::outage::{self, DomainStats, Edge, Part};
 use crate::system::McnSystem;
 
-/// A scheduled hard event at the rack layer (expanded from an
-/// [`OutagePlan`] by [`McnRack::set_outage_plan`]).
-#[derive(Debug)]
-enum RackOutage {
-    /// Crash DIMM `dimm` of server `server`.
-    DimmCrash { server: usize, dimm: usize },
-    /// Power that DIMM back on.
-    DimmPowerOn { server: usize, dimm: usize },
-    /// Sever server `server`'s ToR uplink (both directions).
-    LinkDown { server: usize },
-    /// Restore it.
-    LinkUp { server: usize },
-    /// Partition the switch: servers may only reach servers in their own
-    /// group (group id per server; servers not listed keep group 0).
-    Partition { group_of: Vec<usize> },
-    /// Heal the partition.
-    Heal,
-    /// Whole-node reboot: uplink down + every DIMM crashes.
-    NodeDown { server: usize },
-    /// Node comes back: uplink up + every DIMM powers on.
-    NodeUp { server: usize },
-    /// Accounting marker: failure domain `domain` crashes now (the
-    /// member events are scheduled at the same instant right after it).
-    DomainCrash { domain: usize },
-    /// Accounting marker: failure domain `domain` heals now.
-    DomainHeal { domain: usize },
-}
-
 /// A control command the coordinator hands to one server block at a
-/// window boundary (the shard-side half of a [`RackOutage`]).
+/// window boundary (the shard-side half of an outage [`Edge`]).
 #[derive(Debug)]
 pub(crate) enum BlockCmd {
     /// Crash DIMM `d`.
@@ -94,18 +67,6 @@ pub(crate) enum BlockCmd {
     NodeDown,
     /// Uplink up + every DIMM powers on.
     NodeUp,
-}
-
-/// Per-failure-domain outage accounting (one entry per domain defined in
-/// the installed [`OutagePlan`], in definition order).
-#[derive(Debug)]
-pub struct DomainStats {
-    /// Domain name from the plan.
-    pub name: String,
-    /// Whole-domain crashes applied.
-    pub crashes: Counter,
-    /// Whole-domain heals applied.
-    pub heals: Counter,
 }
 
 /// Rack-layer outage statistics.
@@ -277,16 +238,33 @@ impl Endpoint for McnEndpoint {
     }
 }
 
-/// The admission/claim policy of the ToR: partitions, severed uplinks,
-/// and (in datacenter mode) the fabric gateway.
-struct RackPolicy<'a> {
-    partition: &'a Option<Vec<usize>>,
-    link_up: &'a [bool],
-    stats: &'a mut RackStats,
-    dc_uplink: Option<&'a mut Vec<(SimTime, EthernetFrame)>>,
+/// The rack's coordinator: the ToR switch, the outage schedule, and the
+/// partition / carrier state routing consults. It is the ToR's
+/// admission policy (partitions, severed uplinks and, in datacenter
+/// mode, the fabric gateway) and the rack engine's [`Fabric`].
+#[derive(Debug)]
+struct Tor {
+    switch: Switch,
+    /// Installed outage edges (crashes, partitions, reboots).
+    outages: EventQueue<Edge>,
+    /// Port groups while partitioned (a server in no group is in group
+    /// 0; in several, the last one counts); `None` = fully connected.
+    partition: Option<Vec<Vec<usize>>>,
+    /// Per-server uplink carrier (false = severed); authoritative copy
+    /// for route-time checks, mirrored into the blocks for poll-time.
+    link_up: Vec<bool>,
+    stats: RackStats,
+    /// Datacenter mode only: frames claimed by the gateway since the
+    /// last [`McnRack::take_dc_uplink`], with their cleared-the-ToR
+    /// timestamps.
+    dc_uplink: Option<Vec<(SimTime, EthernetFrame)>>,
 }
 
-impl SwitchPolicy for RackPolicy<'_> {
+impl SwitchPolicy for Tor {
+    fn switch(&mut self) -> &mut Switch {
+        &mut self.switch
+    }
+
     fn claim(&mut self, at: SimTime, frame: &EthernetFrame) -> bool {
         if frame.dst != McnSystem::GATEWAY_MAC {
             return false;
@@ -306,8 +284,9 @@ impl SwitchPolicy for RackPolicy<'_> {
     }
 
     fn admit(&mut self, from: usize, to: usize) -> bool {
-        if let Some(groups) = self.partition {
-            if groups[to] != groups[from] {
+        if let Some(groups) = &self.partition {
+            let group = |s: usize| groups.iter().rposition(|g| g.contains(&s)).unwrap_or(0);
+            if group(to) != group(from) {
                 // Partitioned: the switch has no path between the
                 // groups. Silent loss, exactly like a real fabric.
                 self.stats.partition_drops.inc();
@@ -322,64 +301,44 @@ impl SwitchPolicy for RackPolicy<'_> {
     }
 }
 
-/// The coordinator-side boundary: the ToR switch, the outage schedule,
-/// and the partition / carrier state that routing consults.
-struct RackFabric<'a> {
-    switch: &'a mut Switch,
-    outages: &'a mut EventQueue<RackOutage>,
-    partition: &'a mut Option<Vec<usize>>,
-    link_up: &'a mut [bool],
-    stats: &'a mut RackStats,
-    dc_uplink: Option<&'a mut Vec<(SimTime, EthernetFrame)>>,
-}
-
-impl Fabric<EndpointBlock<McnEndpoint>> for RackFabric<'_> {
+impl Fabric<EndpointBlock<McnEndpoint>> for Tor {
     fn next_control(&mut self) -> Option<SimTime> {
         self.outages.peek_time()
     }
 
     fn pop_controls(&mut self, now: SimTime, out: &mut Vec<(usize, SimTime, BlockCmd)>) {
-        while let Some((at, o)) = self.outages.pop_if_due(now) {
+        while let Some((at, edge)) = self.outages.pop_if_due(now) {
             let at = at.max(now);
-            match o {
-                RackOutage::DimmCrash { server, dimm } => {
-                    out.push((server, at, BlockCmd::DimmCrash(dimm)));
-                }
-                RackOutage::DimmPowerOn { server, dimm } => {
-                    out.push((server, at, BlockCmd::DimmPowerOn(dimm)));
-                }
-                RackOutage::LinkDown { server } => {
-                    self.stats.link_downs.inc();
-                    self.link_up[server] = false;
-                    out.push((server, at, BlockCmd::LinkDown));
-                }
-                RackOutage::LinkUp { server } => {
-                    self.link_up[server] = true;
-                    out.push((server, at, BlockCmd::LinkUp));
-                }
-                RackOutage::Partition { group_of } => {
+            match edge {
+                Edge::DomainDown(i) => self.stats.domains[i].crashes.inc(),
+                Edge::DomainUp(i) => self.stats.domains[i].heals.inc(),
+                Edge::Partition(groups) => {
                     self.stats.partitions.inc();
-                    *self.partition = Some(group_of);
+                    self.partition = Some(groups);
                 }
-                RackOutage::Heal => {
-                    *self.partition = None;
+                Edge::Up(Part::Switch) => self.partition = None,
+                Edge::Down(Part::Dimm(s, d)) => out.push((s, at, BlockCmd::DimmCrash(d))),
+                Edge::Up(Part::Dimm(s, d)) => out.push((s, at, BlockCmd::DimmPowerOn(d))),
+                Edge::Down(Part::Link(s)) => {
+                    self.stats.link_downs.inc();
+                    self.link_up[s] = false;
+                    out.push((s, at, BlockCmd::LinkDown));
                 }
-                RackOutage::NodeDown { server } => {
+                Edge::Up(Part::Link(s)) => {
+                    self.link_up[s] = true;
+                    out.push((s, at, BlockCmd::LinkUp));
+                }
+                Edge::Down(Part::Node(s)) => {
                     self.stats.node_reboots.inc();
                     self.stats.link_downs.inc();
-                    self.link_up[server] = false;
-                    out.push((server, at, BlockCmd::NodeDown));
+                    self.link_up[s] = false;
+                    out.push((s, at, BlockCmd::NodeDown));
                 }
-                RackOutage::NodeUp { server } => {
-                    self.link_up[server] = true;
-                    out.push((server, at, BlockCmd::NodeUp));
+                Edge::Up(Part::Node(s)) => {
+                    self.link_up[s] = true;
+                    out.push((s, at, BlockCmd::NodeUp));
                 }
-                RackOutage::DomainCrash { domain } => {
-                    self.stats.domains[domain].crashes.inc();
-                }
-                RackOutage::DomainHeal { domain } => {
-                    self.stats.domains[domain].heals.inc();
-                }
+                edge => unreachable!("{edge:?} passed the rack's range check"),
             }
         }
     }
@@ -391,13 +350,7 @@ impl Fabric<EndpointBlock<McnEndpoint>> for RackFabric<'_> {
         frame: EthernetFrame,
         out: &mut Vec<(usize, SimTime, EthernetFrame)>,
     ) {
-        let mut policy = RackPolicy {
-            partition: self.partition,
-            link_up: self.link_up,
-            stats: self.stats,
-            dc_uplink: self.dc_uplink.as_deref_mut(),
-        };
-        route_switched(self.switch, &mut policy, from, at, frame, out);
+        route_switched(self, from, at, frame, out);
     }
 }
 
@@ -409,27 +362,13 @@ impl Fabric<EndpointBlock<McnEndpoint>> for RackFabric<'_> {
 #[derive(Debug)]
 pub struct McnRack {
     blocks: Vec<EndpointBlock<McnEndpoint>>,
-    switch: Switch,
     now: SimTime,
     /// The quantum-synchronized scheduler (serial = 1 thread).
     sched: ParallelEngine,
-    /// Scheduled hard events (crashes, partitions, reboots).
-    outages: EventQueue<RackOutage>,
-    /// Per-server switch group while partitioned; `None` = fully connected.
-    partition: Option<Vec<usize>>,
-    /// Per-server uplink carrier (false = severed); authoritative copy
-    /// for route-time checks, mirrored into the blocks for poll-time.
-    link_up: Vec<bool>,
+    /// The coordinator the scheduler routes and applies outages through.
+    tor: Tor,
     /// This rack's id in the datacenter address plan (0 standalone).
     rack_id: usize,
-    /// Whether a Clos fabric sits above the ToR.
-    dc_mode: bool,
-    /// Frames claimed by the gateway since the last
-    /// [`take_dc_uplink`](Self::take_dc_uplink), with their
-    /// cleared-the-ToR timestamps.
-    dc_uplink_out: Vec<(SimTime, EthernetFrame)>,
-    /// Outage statistics.
-    pub stats: RackStats,
 }
 
 impl McnRack {
@@ -538,196 +477,52 @@ impl McnRack {
                     )
                 })
                 .collect(),
-            switch,
             now: SimTime::ZERO,
             sched: ParallelEngine::new(quantum),
-            outages: EventQueue::new(),
-            partition: None,
-            link_up: vec![true; n_servers],
+            tor: Tor {
+                switch,
+                outages: EventQueue::new(),
+                partition: None,
+                link_up: vec![true; n_servers],
+                stats: RackStats::default(),
+                dc_uplink: dc.then(Vec::new),
+            },
             rack_id,
-            dc_mode: dc,
-            dc_uplink_out: Vec::new(),
-            stats: RackStats::default(),
         }
     }
 
-    /// Outage-plan component name for DIMM `d` of server `s`.
-    pub fn dimm_outage_component(s: usize, d: usize) -> String {
-        format!("server{s}.dimm{d}")
-    }
-
-    /// Outage-plan component name for server `s`'s ToR uplink.
-    pub fn link_outage_component(s: usize) -> String {
-        format!("server{s}.link")
-    }
-
-    /// Outage-plan component name for whole-node reboots of server `s`.
-    pub fn node_outage_component(s: usize) -> String {
-        format!("server{s}")
-    }
-
-    /// Outage-plan component name for the ToR switch (partitions).
-    pub const SWITCH_OUTAGE_COMPONENT: &'static str = "switch";
-
-    /// Expands one failure-domain member name into its (crash, heal)
-    /// event pair. Understands the same component shapes as
-    /// [`set_outage_plan`](Self::set_outage_plan): `server{s}.dimm{d}`,
-    /// `server{s}.link`, and `server{s}` (whole-node reboot).
-    fn member_outages(&self, domain: &str, member: &str) -> (RackOutage, RackOutage) {
-        let bad = || -> ! {
-            panic!(
-                "failure domain '{domain}': member '{member}' names no component \
-                 of this rack ({} servers)",
-                self.blocks.len()
-            )
-        };
-        let Some(rest) = member.strip_prefix("server") else { bad() };
-        let (s, tail) = match rest.split_once('.') {
-            Some((s, tail)) => (s, Some(tail)),
-            None => (rest, None),
-        };
-        let Ok(s) = s.parse::<usize>() else { bad() };
-        if s >= self.blocks.len() {
-            bad();
-        }
-        match tail {
-            None => (RackOutage::NodeDown { server: s }, RackOutage::NodeUp { server: s }),
-            Some("link") => {
-                (RackOutage::LinkDown { server: s }, RackOutage::LinkUp { server: s })
-            }
-            Some(t) => {
-                let Some(d) = t.strip_prefix("dimm").and_then(|d| d.parse::<usize>().ok())
-                else {
-                    bad()
-                };
-                if d >= self.blocks[s].ep.sys.dimms() {
-                    bad();
-                }
-                (
-                    RackOutage::DimmCrash { server: s, dimm: d },
-                    RackOutage::DimmPowerOn { server: s, dimm: d },
-                )
-            }
-        }
-    }
-
-    /// Installs a hard-outage plan. Component names understood:
+    /// Installs a hard-outage plan written in the [`outage`] grammar. A
+    /// rack honours `server{s}.dimm{d}` (the host↔DIMM re-init handshake
+    /// heals a crashed DIMM), `server{s}.link` (the ToR uplink is
+    /// severed), `server{s}` (uplink down and every DIMM crashed) and
+    /// `switch` (servers reach only their own partition group until
+    /// `heal_at`; a server in no group counts as group 0), plus failure
+    /// domains over all of these but `switch`.
     ///
-    /// * `server{s}.dimm{d}` + [`OutageKind::DimmCrash`] — crash/reboot one
-    ///   DIMM (the host↔DIMM re-init handshake heals it),
-    /// * `server{s}.link` + [`OutageKind::LinkDown`] — sever the server's
-    ///   ToR uplink for the duration,
-    /// * `server{s}` + [`OutageKind::NodeReboot`] — uplink down and every
-    ///   DIMM crashed until the node comes back,
-    /// * `switch` + [`OutageKind::SwitchPartition`] — servers may only
-    ///   reach their own group until `heal_at`.
-    ///
-    /// Failure domains defined on the plan
-    /// ([`OutagePlan::define_domain`](mcn_sim::OutagePlan::define_domain))
-    /// expand too: a [`OutageKind::DomainDown`] scheduled against the
-    /// domain name crashes every member (each member name uses the
-    /// component shapes above) at one instant and heals them all
-    /// `down_for` later. Both edges land at window boundaries on the
-    /// coordinator, so the whole domain flips atomically and
-    /// deterministically at any thread count. Per-domain accounting is
-    /// exported as `rack.outage.domain.<name>.{crashes,heals}`.
+    /// Edges land at window boundaries on the coordinator, so a domain
+    /// flips atomically and deterministically at any thread count.
+    /// Per-domain accounting is exported as
+    /// `rack.outage.domain.<name>.{crashes,heals}`.
     ///
     /// # Panics
     ///
-    /// Panics if a domain member names a component outside this rack —
-    /// always a chaos-wiring bug, never a runtime condition.
+    /// Panics, naming it, on a component, kind or domain member this
+    /// rack cannot honour.
     pub fn set_outage_plan(&mut self, plan: &OutagePlan) {
-        for (di, dom) in plan.domains().iter().enumerate() {
-            if self.stats.domains.len() <= di {
-                self.stats.domains.push(DomainStats {
-                    name: dom.name.clone(),
-                    crashes: Counter::default(),
-                    heals: Counter::default(),
-                });
-            }
-            let mut sched = plan.schedule(&dom.name);
-            for (t, kind) in sched.pop_due(SimTime::MAX) {
-                let OutageKind::DomainDown { down_for } = kind else {
-                    continue;
-                };
-                // Markers first: stable FIFO ordering for simultaneous
-                // events means the accounting fires before (crash) and
-                // after (heal edge at t + down_for) the member commands
-                // of the same instant.
-                self.outages.schedule(t, RackOutage::DomainCrash { domain: di });
-                self.outages.schedule(t + down_for, RackOutage::DomainHeal { domain: di });
-                for m in &dom.members {
-                    let (down, up) = self.member_outages(&dom.name, m);
-                    self.outages.schedule(t, down);
-                    self.outages.schedule(t + down_for, up);
-                }
-            }
+        let mut parts = Vec::new();
+        for (s, b) in self.blocks.iter().enumerate() {
+            parts.extend((0..b.ep.sys.dimms()).map(|d| Part::Dimm(s, d)));
+            parts.extend([Part::Link(s), Part::Node(s)]);
         }
-        for s in 0..self.blocks.len() {
-            for d in 0..self.blocks[s].ep.sys.dimms() {
-                let mut sched = plan.schedule(&Self::dimm_outage_component(s, d));
-                for (t, kind) in sched.pop_due(SimTime::MAX) {
-                    let OutageKind::DimmCrash { down_for } = kind else {
-                        continue;
-                    };
-                    self.outages.schedule(t, RackOutage::DimmCrash { server: s, dimm: d });
-                    self.outages
-                        .schedule(t + down_for, RackOutage::DimmPowerOn { server: s, dimm: d });
-                }
-            }
-            let mut links = plan.schedule(&Self::link_outage_component(s));
-            for (t, kind) in links.pop_due(SimTime::MAX) {
-                let OutageKind::LinkDown { down_for } = kind else {
-                    continue;
-                };
-                self.outages.schedule(t, RackOutage::LinkDown { server: s });
-                self.outages.schedule(t + down_for, RackOutage::LinkUp { server: s });
-            }
-            let mut nodes = plan.schedule(&Self::node_outage_component(s));
-            for (t, kind) in nodes.pop_due(SimTime::MAX) {
-                let OutageKind::NodeReboot { down_for } = kind else {
-                    continue;
-                };
-                self.outages.schedule(t, RackOutage::NodeDown { server: s });
-                self.outages.schedule(t + down_for, RackOutage::NodeUp { server: s });
-            }
-        }
-        let mut sw = plan.schedule(Self::SWITCH_OUTAGE_COMPONENT);
-        for (t, kind) in sw.pop_due(SimTime::MAX) {
-            let OutageKind::SwitchPartition { groups, heal_at } = kind else {
-                continue;
-            };
-            let mut group_of = vec![0usize; self.blocks.len()];
-            for (g, members) in groups.iter().enumerate() {
-                for &m in members {
-                    if m < group_of.len() {
-                        group_of[m] = g;
-                    }
-                }
-            }
-            self.outages.schedule(t, RackOutage::Partition { group_of });
-            self.outages.schedule(heal_at.max(t), RackOutage::Heal);
+        parts.push(Part::Switch);
+        for (t, edge) in outage::expand(plan, "rack", &parts, Some(&mut self.tor.stats.domains)) {
+            self.tor.outages.schedule(t, edge);
         }
     }
 
-    /// Partitions the switch now: server `s` belongs to `group_of[s]` and
-    /// can only reach its own group. Prefer [`Self::set_outage_plan`] for
-    /// scheduled chaos; this is the immediate form.
-    pub fn partition_now(&mut self, group_of: Vec<usize>) {
-        assert_eq!(group_of.len(), self.blocks.len());
-        self.stats.partitions.inc();
-        self.partition = Some(group_of);
-    }
-
-    /// Heals a partition now: full connectivity is restored. Stalled
-    /// retransmissions resume at their own pending timers.
-    pub fn heal_now(&mut self) {
-        self.partition = None;
-    }
-
-    /// Whether the switch is currently partitioned.
-    pub fn is_partitioned(&self) -> bool {
-        self.partition.is_some()
+    /// Rack-layer outage statistics.
+    pub fn stats(&self) -> &RackStats {
+        &self.tor.stats
     }
 
     /// Number of servers.
@@ -787,7 +582,7 @@ impl McnRack {
     /// plus the next scheduled outage (a crash or heal is activity even
     /// when every server is idle).
     pub fn next_event(&mut self) -> Option<SimTime> {
-        let mut t = self.outages.peek_time();
+        let mut t = self.tor.outages.peek_time();
         for b in self.blocks.iter_mut() {
             t = match (t, Shard::next_event(b)) {
                 (Some(a), Some(b)) => Some(a.min(b)),
@@ -817,11 +612,14 @@ impl McnRack {
                 ),
             );
         }
-        if let Some(groups) = &self.partition {
+        if let Some(groups) = &self.tor.partition {
             r.line("wire", format!("switch partitioned: groups={groups:?}"));
         }
-        if !self.outages.is_empty() {
-            r.line("wire", format!("{} scheduled outages pending", self.outages.len()));
+        if !self.tor.outages.is_empty() {
+            r.line(
+                "wire",
+                format!("{} scheduled outages pending", self.tor.outages.len()),
+            );
         }
         r
     }
@@ -834,28 +632,14 @@ impl McnRack {
 
     /// Drives the rack with the windowed scheduler on `threads` workers.
     fn drive(&mut self, target: SimTime, goal: RunGoal, threads: usize) -> RunReport {
-        let McnRack {
-            blocks,
-            switch,
-            now,
-            sched,
-            outages,
-            partition,
-            link_up,
-            dc_mode,
-            dc_uplink_out,
-            stats,
-            ..
-        } = self;
-        let mut fabric = RackFabric {
-            switch,
-            outages,
-            partition,
-            link_up,
-            stats,
-            dc_uplink: if *dc_mode { Some(dc_uplink_out) } else { None },
-        };
-        sched.run(blocks, &mut fabric, now, target, goal, threads)
+        self.sched.run(
+            &mut self.blocks,
+            &mut self.tor,
+            &mut self.now,
+            target,
+            goal,
+            threads,
+        )
     }
 
     /// Runs until every process on every server finishes, or `deadline`
@@ -882,7 +666,11 @@ impl McnRack {
 
     /// Drains the gateway-claimed frames bound for the Clos fabric.
     pub(crate) fn take_dc_uplink(&mut self) -> Vec<(SimTime, EthernetFrame)> {
-        std::mem::take(&mut self.dc_uplink_out)
+        self.tor
+            .dc_uplink
+            .as_mut()
+            .map(std::mem::take)
+            .unwrap_or_default()
     }
 
     /// Delivers a frame that arrived from the fabric at the ToR at `at`:
@@ -893,20 +681,20 @@ impl McnRack {
             .ok()
             .map(|p| p.dst)
         else {
-            self.stats.fabric_drops.inc();
+            self.tor.stats.fabric_drops.inc();
             return false;
         };
         let Some(owner) = owner_of(dst_ip, self.rack_id, self.blocks.len()) else {
-            self.stats.fabric_drops.inc();
+            self.tor.stats.fabric_drops.inc();
             return false;
         };
-        if !self.link_up[owner] {
-            self.stats.uplink_drops.inc();
+        if !self.tor.link_up[owner] {
+            self.tor.stats.uplink_drops.inc();
             return false;
         }
         let mut f = frame;
         f.dst = McnSystem::nic_mac_in(self.rack_id, owner);
-        self.stats.fabric_rx.inc();
+        self.tor.stats.fabric_rx.inc();
         Shard::deliver(&mut self.blocks[owner], at, f);
         true
     }
@@ -917,11 +705,12 @@ impl McnRack {
         &self.sched
     }
 
-    /// Schedules a whole-node reboot of `server` directly (the
-    /// datacenter expands rack-scale outage components into these).
-    pub(crate) fn schedule_node_outage(&mut self, server: usize, at: SimTime, up_at: SimTime) {
-        self.outages.schedule(at, RackOutage::NodeDown { server });
-        self.outages.schedule(up_at, RackOutage::NodeUp { server });
+    /// Schedules `edge` of every server's [`Part::Node`] at `at` (the
+    /// datacenter's map for a `rack{r}` edge).
+    pub(crate) fn schedule_every_node(&mut self, at: SimTime, edge: fn(Part) -> Edge) {
+        for s in 0..self.blocks.len() {
+            self.tor.outages.schedule(at, edge(Part::Node(s)));
+        }
     }
 
     /// Event-loop accounting summed over the server blocks.
@@ -968,24 +757,22 @@ impl Instrumented for McnRack {
     /// (`sched.*`) and the clock.
     fn metrics(&self, out: &mut MetricSink) {
         out.counter("now_ps", self.now.as_ps());
+        let stats = &self.tor.stats;
         out.scoped("rack", |out| {
-            out.counter("partition_drops", self.stats.partition_drops.get());
+            out.counter("partition_drops", stats.partition_drops.get());
             let block_drops: u64 = self.blocks.iter().map(|b| b.uplink_drops.get()).sum();
-            out.counter("uplink_drops", self.stats.uplink_drops.get() + block_drops);
-            out.counter("link_downs", self.stats.link_downs.get());
-            out.counter("partitions", self.stats.partitions.get());
-            out.counter("node_reboots", self.stats.node_reboots.get());
-            out.counter("fabric_tx", self.stats.fabric_tx.get());
-            out.counter("fabric_rx", self.stats.fabric_rx.get());
-            out.counter("fabric_drops", self.stats.fabric_drops.get());
-            for d in &self.stats.domains {
-                out.scoped(&format!("outage.domain.{}", d.name), |out| {
-                    out.counter("crashes", d.crashes.get());
-                    out.counter("heals", d.heals.get());
-                });
+            out.counter("uplink_drops", stats.uplink_drops.get() + block_drops);
+            out.counter("link_downs", stats.link_downs.get());
+            out.counter("partitions", stats.partitions.get());
+            out.counter("node_reboots", stats.node_reboots.get());
+            out.counter("fabric_tx", stats.fabric_tx.get());
+            out.counter("fabric_rx", stats.fabric_rx.get());
+            out.counter("fabric_drops", stats.fabric_drops.get());
+            for d in &stats.domains {
+                out.absorb(&format!("outage.domain.{}", d.name), d);
             }
         });
-        out.absorb("switch", &self.switch);
+        out.absorb("switch", &self.tor.switch);
         for (s, b) in self.blocks.iter().enumerate() {
             out.absorb(&format!("srv{s}"), &b.ep.sys);
         }
@@ -1005,7 +792,7 @@ impl Instrumented for McnRack {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use mcn_sim::ComponentExt;
+    use mcn_sim::{ComponentExt, OutageKind};
 
     fn mk(servers: usize, dimms: usize, level: u32) -> McnRack {
         McnRack::new(&SystemConfig::default(), servers, dimms, McnConfig::level(level))
@@ -1161,6 +948,16 @@ mod tests {
     #[test]
     fn partition_blocks_cross_group_traffic_until_heal() {
         let mut rack = mk(2, 1, 1);
+        let mut plan = OutagePlan::new(1);
+        plan.at(
+            &Part::Switch.to_string(),
+            SimTime::ZERO,
+            OutageKind::SwitchPartition {
+                groups: vec![vec![0], vec![1]],
+                heal_at: SimTime::from_ms(1),
+            },
+        );
+        rack.set_outage_plan(&plan);
         let dst_ip = rack.server(1).dimm_ip(0);
         let u0 = rack
             .server_mut(0)
@@ -1176,7 +973,6 @@ mod tests {
             .stack
             .udp_bind(7001)
             .unwrap();
-        rack.partition_now(vec![0, 1]);
         rack.server_mut(0)
             .dimm_mut(0)
             .node
@@ -1193,9 +989,8 @@ mod tests {
                 .is_none(),
             "partitioned switch must not forward"
         );
-        assert!(rack.stats.partition_drops.get() > 0);
-        // Heal, resend: delivery works again.
-        rack.heal_now();
+        assert!(rack.stats().partition_drops.get() > 0);
+        // Healed at 1 ms: a resend is delivered.
         let now = rack.now();
         rack.server_mut(0)
             .dimm_mut(0)
@@ -1215,13 +1010,12 @@ mod tests {
 
     #[test]
     fn scheduled_node_reboot_heals_itself() {
-        use mcn_sim::OutagePlan;
         let mut rack = mk(2, 1, 1);
         let mut plan = OutagePlan::new(11);
         plan.at(
-            &McnRack::node_outage_component(1),
+            &Part::Node(1).to_string(),
             SimTime::from_us(100),
-            mcn_sim::OutageKind::NodeReboot {
+            OutageKind::NodeReboot {
                 down_for: SimTime::from_us(300),
             },
         );
@@ -1231,21 +1025,14 @@ mod tests {
         rack.run_until(SimTime::from_ms(10));
         assert!(rack.server(1).dimm(0).alive(), "node back at 400us");
         assert!(rack.server(1).hdrv.port_is_up(0), "reinit handshake healed");
-        assert_eq!(rack.stats.node_reboots.get(), 1);
+        assert_eq!(rack.stats().node_reboots.get(), 1);
     }
 
     #[test]
     fn domain_crash_fells_and_heals_all_members_atomically() {
-        use mcn_sim::OutagePlan;
         let mut rack = mk(2, 2, 1);
         let mut plan = OutagePlan::new(7);
-        plan.define_domain(
-            "riser0",
-            &[
-                &McnRack::dimm_outage_component(0, 0),
-                &McnRack::dimm_outage_component(0, 1),
-            ],
-        );
+        plan.define_domain("riser0", &[&Part::Dimm(0, 0).to_string(), &Part::Dimm(0, 1).to_string()]);
         plan.domain_crash(
             "riser0",
             SimTime::from_us(100),
@@ -1258,12 +1045,12 @@ mod tests {
         assert!(!rack.server(0).dimm(0).alive(), "member 0 down");
         assert!(!rack.server(0).dimm(1).alive(), "member 1 down");
         assert!(rack.server(1).dimm(0).alive(), "other domain untouched");
-        assert_eq!(rack.stats.domains[0].crashes.get(), 1);
-        assert_eq!(rack.stats.domains[0].heals.get(), 0);
+        assert_eq!(rack.stats().domains[0].crashes.get(), 1);
+        assert_eq!(rack.stats().domains[0].heals.get(), 0);
         rack.run_until(SimTime::from_ms(10));
         assert!(rack.server(0).dimm(0).alive(), "member 0 healed");
         assert!(rack.server(0).dimm(1).alive(), "member 1 healed");
-        assert_eq!(rack.stats.domains[0].heals.get(), 1);
+        assert_eq!(rack.stats().domains[0].heals.get(), 1);
         // The per-domain counters are in the registry under rack.*.
         let snap = mcn_sim::MetricsSnapshot::collect(&rack);
         assert_eq!(snap.get_u64("rack.outage.domain.riser0.crashes"), 1);
@@ -1273,12 +1060,51 @@ mod tests {
     #[test]
     #[should_panic(expected = "names no component")]
     fn domain_with_unknown_member_panics_at_install() {
-        use mcn_sim::OutagePlan;
         let mut rack = mk(2, 1, 1);
         let mut plan = OutagePlan::new(7);
         plan.define_domain("bogus", &["server9.dimm0"]);
         plan.domain_crash("bogus", SimTime::from_us(1), SimTime::from_us(1));
         rack.set_outage_plan(&plan);
+    }
+
+    /// Installs a one-event plan on a 2x1 rack.
+    fn install(component: &str, kind: OutageKind) {
+        let mut plan = OutagePlan::new(7);
+        plan.at(component, SimTime::from_us(1), kind);
+        mk(2, 1, 1).set_outage_plan(&plan);
+    }
+
+    #[test]
+    #[should_panic(expected = "'srv0.dimm0' names no component of this rack")]
+    fn the_old_server_spelling_panics_at_install() {
+        install(
+            "srv0.dimm0",
+            OutageKind::DimmCrash {
+                down_for: SimTime::from_us(1),
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "'server0.dimm0' cannot take LinkDown")]
+    fn a_link_outage_on_a_dimm_panics_at_install() {
+        install(
+            "server0.dimm0",
+            OutageKind::LinkDown {
+                down_for: SimTime::from_us(1),
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "'spine0' names no component of this rack")]
+    fn a_datacenter_part_on_a_rack_panics_at_install() {
+        install(
+            "spine0",
+            OutageKind::SwitchDown {
+                down_for: SimTime::from_us(1),
+            },
+        );
     }
 
     #[test]

@@ -33,8 +33,7 @@ use mcn_node::{CostModel, JobId, Node, ProcId, Process};
 use mcn_sim::fault::{FaultInjector, FaultKind, FaultPlan};
 use mcn_sim::metrics::{Instrumented, MetricSink};
 use mcn_sim::{
-    Activity, Component, Engine, EngineStats, EventQueue, OutageKind, OutagePlan, SimTime,
-    StallReport, Wakeup,
+    Activity, Component, Engine, EngineStats, EventQueue, OutagePlan, SimTime, StallReport, Wakeup,
 };
 
 use crate::config::{McnConfig, SystemConfig};
@@ -43,6 +42,7 @@ use crate::driver::{
     classify, sram_window, ForwardClass, HostDriver, HostOp, Port, PortLink, HOST_DRV_WAITER,
 };
 use crate::error::{McnError, McnSide};
+use crate::outage::{self, Edge, Part};
 use crate::sram::Dir;
 
 /// Watchdog retry budget before a stalled MCN-DMA transfer degrades to the
@@ -159,24 +159,13 @@ impl McnSystem {
     /// Builds a server with `n_dimms` MCN DIMMs at optimisation level
     /// `cfg`, spreading DIMMs evenly across host channels.
     pub fn new(sys: &SystemConfig, n_dimms: usize, cfg: McnConfig) -> Self {
-        Self::new_in_rack(sys, n_dimms, cfg, 0)
+        Self::with_faults(sys, n_dimms, cfg, &FaultPlan::default())
     }
 
     /// [`new`](Self::new) with a fault plan wired into the data path; see
     /// the `*_fault_component` helpers for the component names queried.
     pub fn with_faults(sys: &SystemConfig, n_dimms: usize, cfg: McnConfig, plan: &FaultPlan) -> Self {
-        Self::with_faults_in_rack(sys, n_dimms, cfg, 0, plan)
-    }
-
-    /// Builds server `server_id` of a rack (shifted address plan; see
-    /// [`crate::rack::McnRack`]).
-    pub fn new_in_rack(
-        sys: &SystemConfig,
-        n_dimms: usize,
-        cfg: McnConfig,
-        server_id: usize,
-    ) -> Self {
-        Self::with_faults_in_rack(sys, n_dimms, cfg, server_id, &FaultPlan::default())
+        Self::with_faults_in_dc(sys, n_dimms, cfg, 0, 0, plan)
     }
 
     /// Fault-plan component name for server `s`'s ALERT_N line (`Drop`
@@ -204,23 +193,12 @@ impl McnSystem {
         format!("srv{s}.sram.dimm{d}")
     }
 
-    /// [`new_in_rack`](Self::new_in_rack) with a fault plan.
-    pub fn with_faults_in_rack(
-        sys: &SystemConfig,
-        n_dimms: usize,
-        cfg: McnConfig,
-        server_id: usize,
-        plan: &FaultPlan,
-    ) -> Self {
-        Self::with_faults_in_dc(sys, n_dimms, cfg, 0, server_id, plan)
-    }
-
-    /// [`with_faults_in_rack`](Self::with_faults_in_rack) for server
-    /// `server_id` of rack `rack_id` in a multi-rack datacenter: the
+    /// [`with_faults`](Self::with_faults) for server `server_id` of rack
+    /// `rack_id` (see [`crate::rack::McnRack`]): DIMM and host-interface
+    /// addresses (`10.x`) shift per server and are rack-private; the
     /// conventional-NIC address plan shifts per rack
     /// ([`nic_ip_in`](Self::nic_ip_in)) so host NICs stay unique across
-    /// the whole fabric. DIMM and host-interface addresses (`10.x`) are
-    /// rack-private and do not shift.
+    /// a whole datacenter.
     pub fn with_faults_in_dc(
         sys: &SystemConfig,
         n_dimms: usize,
@@ -369,51 +347,27 @@ impl McnSystem {
         }
     }
 
-    /// Outage-plan component name for DIMM `d` of server `s`: schedule
-    /// [`OutageKind::DimmCrash`] events on it and pass the plan to
-    /// [`set_outage_plan`](Self::set_outage_plan).
-    pub fn dimm_outage_component(s: usize, d: usize) -> String {
-        format!("srv{s}.dimm{d}")
-    }
-
-    /// Installs a hard-outage plan: every scheduled event on this server's
-    /// DIMM components becomes a timed crash/power-on pair in the effect
-    /// queue. `LinkDown` and `NodeReboot` on a DIMM component degrade to a
-    /// crash of that DIMM (a single server has no switch or uplink);
-    /// `SwitchPartition` is a rack-level event and is ignored here.
+    /// Installs a hard-outage plan written in the [`outage`] grammar: a
+    /// server honours only its own DIMMs, `server{s}.dimm{d}` with `s`
+    /// its [`server_id`](Self::server_id), each crash becoming a timed
+    /// crash/power-on pair in the effect queue.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming it, on any other component, on a kind other than
+    /// `DimmCrash`, and on any failure domain.
     pub fn set_outage_plan(&mut self, plan: &OutagePlan) {
-        for d in 0..self.dimms.len() {
-            let mut sched =
-                plan.schedule(&Self::dimm_outage_component(self.server_id, d));
-            for (t, kind) in sched.pop_due(SimTime::MAX) {
-                let down_for = match kind {
-                    OutageKind::DimmCrash { down_for }
-                    | OutageKind::LinkDown { down_for }
-                    | OutageKind::NodeReboot { down_for }
-                    | OutageKind::DomainDown { down_for } => down_for,
-                    OutageKind::SwitchPartition { .. }
-                    | OutageKind::SwitchDown { .. } => continue,
-                };
-                self.effects.schedule(t, Effect::Crash { dimm: d });
-                self.effects
-                    .schedule(t + down_for, Effect::PowerOn { dimm: d });
-            }
+        let parts: Vec<Part> = (0..self.dimms.len())
+            .map(|d| Part::Dimm(self.server_id, d))
+            .collect();
+        for (t, edge) in outage::expand(plan, "server", &parts, None) {
+            let effect = match edge {
+                Edge::Down(Part::Dimm(_, dimm)) => Effect::Crash { dimm },
+                Edge::Up(Part::Dimm(_, dimm)) => Effect::PowerOn { dimm },
+                edge => unreachable!("{edge:?} passed the server's range check"),
+            };
+            self.effects.schedule(t, effect);
         }
-    }
-
-    /// Enables TCP keepalive (`SO_KEEPALIVE`) for connections opened from
-    /// now on by the *host* stack: probing starts after `idle` without
-    /// traffic, probes repeat every `intvl`, and `probes` unanswered probes
-    /// declare the peer dead. Serving workloads use this to reap half-open
-    /// connections left by crashed DIMMs instead of leaking sockets.
-    pub fn set_host_keepalive(&mut self, idle: SimTime, intvl: SimTime, probes: u32) {
-        self.host.stack.set_keepalive(idle, intvl, probes);
-    }
-
-    /// [`set_host_keepalive`](Self::set_host_keepalive) for DIMM `d`'s
-    /// stack (the near-memory server side).
-    pub fn set_dimm_keepalive(&mut self, d: usize, idle: SimTime, intvl: SimTime, probes: u32) {
-        self.dimms[d].node.stack.set_keepalive(idle, intvl, probes);
     }
 
     /// Hard-crashes DIMM `d` now (see [`McnDimm::crash`]): the device
@@ -465,12 +419,6 @@ impl McnSystem {
         });
         self.nic_ifidx = Some(ifidx);
         ifidx
-    }
-
-    /// The conventional NIC's MAC for rack server `s`
-    /// ([`nic_mac_in`](Self::nic_mac_in) for rack 0).
-    pub fn nic_mac(s: usize) -> MacAddr {
-        Self::nic_mac_in(0, s)
     }
 
     /// The conventional NIC's IP for rack server `s`
@@ -1957,8 +1905,9 @@ mod tests {
     fn outage_plan_schedules_crash_and_reboot() {
         use mcn_sim::OutagePlan;
         let mut plan = OutagePlan::new(7);
+        // The rack's spelling: a standalone server is server 0.
         plan.at(
-            &McnSystem::dimm_outage_component(0, 0),
+            "server0.dimm0",
             SimTime::from_us(50),
             mcn_sim::OutageKind::DimmCrash {
                 down_for: SimTime::from_us(200),
@@ -1973,6 +1922,28 @@ mod tests {
         assert!(sys.hdrv.port_is_up(0), "handshake heals the port");
         assert_eq!(sys.dimm(0).stats.crashes.get(), 1);
         assert_eq!(sys.dimm(0).stats.reboots.get(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "'srv0.dimm0' names no component of this server")]
+    fn outage_plan_rejects_names_outside_the_grammar() {
+        let mut plan = mcn_sim::OutagePlan::new(7);
+        plan.at(
+            "srv0.dimm0",
+            SimTime::from_us(50),
+            mcn_sim::OutageKind::DimmCrash {
+                down_for: SimTime::from_us(200),
+            },
+        );
+        mk(1, 1).set_outage_plan(&plan);
+    }
+
+    #[test]
+    #[should_panic(expected = "a server has no failure domains: cannot install 'riser0'")]
+    fn outage_plan_rejects_failure_domains() {
+        let mut plan = mcn_sim::OutagePlan::new(7);
+        plan.define_domain("riser0", &["server0.dimm0"]);
+        mk(1, 1).set_outage_plan(&plan);
     }
 
     #[test]

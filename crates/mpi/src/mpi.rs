@@ -141,16 +141,6 @@ impl MpiRank {
             .map(MpiError::RankFailed)
     }
 
-    /// Every peer declared dead so far.
-    pub fn failed_ranks(&self) -> Vec<usize> {
-        (0..self.size).filter(|&p| self.failed[p]).collect()
-    }
-
-    /// Liveness-failure redials consumed against `peer`'s budget.
-    pub fn peer_reconnects(&self, peer: usize) -> u32 {
-        self.reconnects[peer]
-    }
-
     /// Charges one liveness failure against `peer`'s budget; returns
     /// `true` if a redial is still allowed.
     fn note_peer_failure(&mut self, peer: usize) -> bool {
@@ -377,18 +367,6 @@ impl MpiRank {
     /// Debug view of pending inbox entries: (src, tag, len).
     pub fn debug_inbox(&self) -> Vec<(usize, u32, usize)> {
         self.inbox.iter().map(|(s, t, p)| (*s, *t, p.len())).collect()
-    }
-
-    /// A rank that needs to *receive* from an unconnected lower peer must
-    /// still be dialable; make sure we have dialed everyone we will ever
-    /// talk to. Call once at startup for dense communication patterns.
-    pub fn dial_all(&mut self, ctx: &mut ProcCtx<'_>) {
-        for p in 0..self.size {
-            if p != self.rank {
-                self.dial(ctx, p);
-            }
-        }
-        self.progress(ctx);
     }
 }
 

@@ -285,11 +285,6 @@ impl NetStack {
         self.ifaces[ifidx].up = true;
     }
 
-    /// Current carrier state of `ifidx`.
-    pub fn link_is_up(&self, ifidx: usize) -> bool {
-        self.ifaces[ifidx].up
-    }
-
     /// Adds a route. `mask` 255.255.255.255 gives the paper's host-side /32
     /// point-to-point semantics; `dest`/`mask` 0.0.0.0 gives the MCN-side
     /// match-everything default route (optionally via a `gateway` whose MAC
@@ -325,13 +320,6 @@ impl NetStack {
     /// The interface's configuration.
     pub fn iface(&self, ifidx: usize) -> &NetConfig {
         &self.ifaces[ifidx].cfg
-    }
-
-    /// Mutable access to interface configuration (the MCN driver flips
-    /// checksum/TSO/MTU knobs at setup; MTU changes affect only new
-    /// connections, like `ifconfig mtu` on live sockets).
-    pub fn iface_mut(&mut self, ifidx: usize) -> &mut NetConfig {
-        &mut self.ifaces[ifidx].cfg
     }
 
     fn is_local(&self, ip: Ipv4Addr) -> bool {
@@ -611,14 +599,6 @@ impl NetStack {
     pub fn tcp_readable(&self, sock: SockId) -> usize {
         match self.sockets.get(sock.0) {
             Some(Socket::Tcp { conn, .. }) => conn.readable(),
-            _ => 0,
-        }
-    }
-
-    /// Send-buffer space available.
-    pub fn tcp_writable(&self, sock: SockId) -> usize {
-        match self.sockets.get(sock.0) {
-            Some(Socket::Tcp { conn, .. }) => conn.writable(),
             _ => 0,
         }
     }

@@ -67,11 +67,6 @@ impl CpuPool {
         self.free_at[core]
     }
 
-    /// Earliest time any core is free.
-    pub fn earliest_free(&self) -> SimTime {
-        *self.free_at.iter().min().expect("non-empty")
-    }
-
     /// Total busy time across all cores (for energy accounting).
     pub fn total_busy(&self) -> SimTime {
         SimTime::from_ps(self.busy_ps.iter().sum())

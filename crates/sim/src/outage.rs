@@ -56,8 +56,8 @@ pub enum OutageKind {
     /// The switch partitions its ports into isolated groups; forwarding
     /// between groups drops until `heal_at` (an absolute time).
     SwitchPartition {
-        /// Port groups; forwarding is allowed only within a group. Ports
-        /// not listed form an implicit extra group.
+        /// Port groups; forwarding is allowed only within a group. A
+        /// port in no group counts as group 0.
         groups: Vec<Vec<usize>>,
         /// Absolute simulated time the partition heals.
         heal_at: SimTime,

@@ -52,13 +52,21 @@
 //! index)` per batch — per-shard emission order (`seq`) breaks the
 //! remaining ties — and routed frames are handed back to the owning
 //! shard at the start of its next batch. Because frames carry exact
-//! timestamps and links tolerate future-dated sends, the final state is
-//! **independent of the window size, batch size, and thread count**:
+//! timestamps, the final state is **independent of the thread count**:
 //! `threads = 1` and `threads = N` produce byte-identical metrics
 //! snapshots, including every `sched.*` counter (lookahead, batching,
 //! pooling, and rebalancing are all decided on the coordinator from
 //! deterministic data). The serial path is the same batched algorithm
 //! run inline, so there is exactly one scheduler to trust.
+//!
+//! Window edges are a weaker promise. A link serializes from
+//! `tx_free.max(now)`, so a frame handed over late, stamped with its
+//! exact time, lands exactly only if nothing dated earlier is sent on
+//! that link afterwards. In a flat engine (a rack, a cluster) every
+//! downlink is fed by the switch alone, in merged time order, so that
+//! holds: results outside `sched.*` do not depend on where windows end
+//! or on how a caller slices a drive into calls. A nested engine breaks
+//! it; see the hand-off caveat below.
 //!
 //! # Hierarchical quantum domains
 //!
@@ -80,7 +88,13 @@
 //!    with their exact arrival timestamps (future-dated relative to the
 //!    outer barrier), and frames leaving it keep the timestamps of
 //!    their inner barriers, so neither direction loses precision at the
-//!    domain boundary.
+//!    domain boundary. Caveat: an entering frame is sent into an inner
+//!    link at the outer window start, stamped with its future arrival,
+//!    and an earlier-dated inner frame sent on that link afterwards
+//!    queues behind it. Which frames meet that way depends on where the
+//!    outer windows end, so a nested engine's results (the datacenter's)
+//!    depend on how the caller slices a drive, though never on the
+//!    thread count.
 //!
 //! Each level is a synchronization *domain* with its own window/barrier
 //! cadence: intra-rack traffic syncs on the short quantum many times

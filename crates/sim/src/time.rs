@@ -106,12 +106,6 @@ impl SimTime {
         self.0 as f64 / 1e12
     }
 
-    /// This time as a floating-point number of microseconds.
-    #[inline]
-    pub fn as_us_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// This time as a floating-point number of nanoseconds.
     #[inline]
     pub fn as_ns_f64(self) -> f64 {

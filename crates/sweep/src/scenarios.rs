@@ -3,13 +3,15 @@
 //! sealed metrics snapshot.
 //!
 //! The figure-family helpers ([`iperf_mcn`], [`workload_mcn`], …) are
-//! the canonical implementations behind the `mcn-bench` binaries (the
-//! bench crate re-exports them), so every `fig*`/`table*` binary and
-//! every sweep cell runs the same construction code. The parameterised
-//! rack/datacenter KV builders ([`kv_rack_workload`],
-//! [`kv_dc_workload`]) and the rack iperf mix ([`rack_iperf_workload`])
-//! generalise what `serving_bench`, `dc_bench` and `engine_bench`
-//! previously built inline.
+//! what the `fig*`/`table*` binaries of `mcn-bench` run (the bench
+//! crate re-exports them). Sweep cells do not call them: [`run_cell`]
+//! dispatches to private per-cell functions that seed and meter
+//! differently (DESIGN.md §4g), so a figure row and its cell can
+//! differ. The parameterised rack/datacenter KV builders
+//! ([`kv_rack_workload`], [`kv_dc_workload`]) and the rack iperf mix
+//! ([`rack_iperf_workload`]) are shared: `serving_bench`, `dc_bench`
+//! and `engine_bench` run them, and so do the rack and datacenter
+//! cells.
 //!
 //! Every cell snapshot carries the same layout:
 //!
@@ -28,6 +30,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use mcn::fabric::ClosConfig;
+use mcn::outage::Part;
 use mcn::{
     ComponentExt, Datacenter, EthernetCluster, McnConfig, McnRack, McnSystem, SystemConfig,
 };
@@ -502,15 +505,15 @@ pub fn kv_rack_workload(p: &KvRackParams) -> (McnRack, KvReport) {
         plan.define_domain(
             &riser(0),
             &[
-                &McnRack::dimm_outage_component(0, 0),
-                &McnRack::dimm_outage_component(0, 1),
+                &Part::Dimm(0, 0).to_string(),
+                &Part::Dimm(0, 1).to_string(),
             ],
         );
         plan.define_domain(
             &riser(1),
             &[
-                &McnRack::dimm_outage_component(1, 0),
-                &McnRack::dimm_outage_component(1, 1),
+                &Part::Dimm(1, 0).to_string(),
+                &Part::Dimm(1, 1).to_string(),
             ],
         );
         match chaos {
@@ -521,7 +524,7 @@ pub fn kv_rack_workload(p: &KvRackParams) -> (McnRack, KvReport) {
             KvRackChaos::ReplicaCrash { at, down_for } => {
                 report.lock().set_fault_window(at, at + down_for);
                 plan.at(
-                    &McnRack::dimm_outage_component(0, 0),
+                    &Part::Dimm(0, 0).to_string(),
                     at,
                     OutageKind::DimmCrash { down_for },
                 );
@@ -623,7 +626,7 @@ pub fn kv_dc_workload(p: &KvDcParams) -> (Datacenter, KvReport, KvReport) {
     if let Some((at, down_for)) = p.spine_outage {
         let mut plan = OutagePlan::new(0xDCB);
         plan.at(
-            &Datacenter::spine_outage_component(0),
+            &Part::Spine(0).to_string(),
             at,
             OutageKind::SwitchDown { down_for },
         );
@@ -696,7 +699,7 @@ pub fn rack_iperf_workload(
     if let Some((at, heal_at)) = partition {
         let mut plan = OutagePlan::new(0xAB);
         plan.at(
-            McnRack::SWITCH_OUTAGE_COMPONENT,
+            &Part::Switch.to_string(),
             at,
             OutageKind::SwitchPartition {
                 groups: vec![vec![0], vec![1]],

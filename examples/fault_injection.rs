@@ -15,7 +15,8 @@
 //! `iperf_server.*`) is emitted instead of the human-readable summary.
 
 use mcn::{
-    ComponentExt, Instrumented, McnConfig, McnSystem, MetricSink, MetricsSnapshot, SystemConfig,
+    outage::Part, ComponentExt, Instrumented, McnConfig, McnSystem, MetricSink, MetricsSnapshot,
+    SystemConfig,
 };
 use mcn_mpi::{IperfClient, IperfReport, IperfServer};
 use mcn_sim::fault::{FaultKind, FaultPlan};
@@ -63,7 +64,7 @@ fn main() {
     if outage {
         let mut oplan = OutagePlan::new(seed);
         oplan.at(
-            &McnSystem::dimm_outage_component(0, 0),
+            &Part::Dimm(0, 0).to_string(),
             SimTime::from_ms(1),
             OutageKind::DimmCrash {
                 down_for: SimTime::from_ms(5),

@@ -17,7 +17,9 @@
 //!
 //! Run with: `cargo run --release --example serving`
 
-use mcn::{ComponentExt, McnConfig, McnRack, McnSystem, MetricsSnapshot, SystemConfig};
+use mcn::{
+    outage::Part, ComponentExt, McnConfig, McnRack, McnSystem, MetricsSnapshot, SystemConfig,
+};
 use mcn_serve::{
     Backend, KvClient, KvClientConfig, KvServer, KvServerConfig, ReplicaMap,
     ResilientClientConfig, ResilientKvClient, ServeReport,
@@ -133,8 +135,8 @@ fn main() {
         plan.define_domain(
             &format!("riser{s}"),
             &[
-                &McnRack::dimm_outage_component(s, 0),
-                &McnRack::dimm_outage_component(s, 1),
+                &Part::Dimm(s, 0).to_string(),
+                &Part::Dimm(s, 1).to_string(),
             ],
         );
     }

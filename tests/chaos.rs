@@ -18,7 +18,9 @@
 //!   rack; `chaos_smoke_snapshot` prints them as `SNAP|`-prefixed lines so
 //!   CI can diff two invocations).
 
-use mcn::{ComponentExt, McnConfig, McnRack, McnSystem, MetricsSnapshot, SystemConfig};
+use mcn::{
+    outage::Part, ComponentExt, McnConfig, McnRack, McnSystem, MetricsSnapshot, SystemConfig,
+};
 use mcn_mpi::mpi::MpiRank;
 use mcn_mpi::placement::{spawn_on_mcn, MPI_BASE_PORT};
 use mcn_mpi::workloads::{RankProgram, WorkloadReport};
@@ -39,7 +41,7 @@ fn dimm_crash_and_reboot_keeps_tcp_byte_complete() {
     // repairs the stream. The application sees a hiccup, not data loss.
     let mut plan = OutagePlan::new(0xD1);
     plan.at(
-        &McnSystem::dimm_outage_component(0, 0),
+        &Part::Dimm(0, 0).to_string(),
         SimTime::from_us(1500),
         OutageKind::DimmCrash {
             down_for: SimTime::from_ms(30),
@@ -123,7 +125,7 @@ fn switch_partition_heals_and_stream_completes() {
     // after the heal, retransmission completes the stream byte-exact.
     let mut plan = OutagePlan::new(0xAB);
     plan.at(
-        McnRack::SWITCH_OUTAGE_COMPONENT,
+        &Part::Switch.to_string(),
         SimTime::from_us(2500),
         OutageKind::SwitchPartition {
             groups: vec![vec![0], vec![1]],
@@ -202,12 +204,15 @@ fn switch_partition_heals_and_stream_completes() {
         rack.stall_report("partitioned stream stalled")
     );
     assert_eq!(got, data, "byte-exact across a partition and heal");
-    assert_eq!(rack.stats.partitions.get(), 1);
+    assert_eq!(rack.stats().partitions.get(), 1);
     assert!(
-        rack.stats.partition_drops.get() > 0,
+        rack.stats().partition_drops.get() > 0,
         "the partition must have eaten frames"
     );
-    assert!(!rack.is_partitioned(), "healed at 250ms");
+    assert!(
+        rack.now() >= SimTime::from_ms(250),
+        "the stream can only complete after the 250 ms heal"
+    );
     assert!(
         rack.server(0)
             .dimm(0)
@@ -318,13 +323,13 @@ fn dead_rank_yields_rank_failed_not_a_hang() {
 fn chaos_mix_snapshot(seed: u64) -> String {
     let mut plan = OutagePlan::new(seed);
     plan.random_crashes(
-        &McnRack::dimm_outage_component(1, 0),
+        &Part::Dimm(1, 0).to_string(),
         2,
         (SimTime::from_ms(1), SimTime::from_ms(80)),
         (SimTime::from_ms(5), SimTime::from_ms(20)),
     );
     plan.at(
-        McnRack::SWITCH_OUTAGE_COMPONENT,
+        &Part::Switch.to_string(),
         SimTime::from_ms(2),
         OutageKind::SwitchPartition {
             groups: vec![vec![0], vec![1]],
@@ -335,7 +340,7 @@ fn chaos_mix_snapshot(seed: u64) -> String {
     // land while the rack is partitioned shift timings without moving any
     // final counter, so the schedule itself is part of the chaos history.
     let mut snap = String::new();
-    let mut sched = plan.schedule(&McnRack::dimm_outage_component(1, 0));
+    let mut sched = plan.schedule(&Part::Dimm(1, 0).to_string());
     for (t, kind) in sched.pop_due(SimTime::MAX) {
         use std::fmt::Write;
         writeln!(snap, "SNAP|plan srv1.dimm0 at={t} {kind:?}").unwrap();
@@ -449,7 +454,7 @@ fn chaos_mix_snapshot(seed: u64) -> String {
     let crashes = rack.server(1).dimm(0).stats.crashes.get();
     assert!((1..=2).contains(&crashes), "got {crashes} crashes");
     assert_eq!(rack.server(1).dimm(0).stats.reboots.get(), crashes);
-    assert_eq!(rack.stats.partitions.get(), 1);
+    assert_eq!(rack.stats().partitions.get(), 1);
 
     snap.push_str(&rack_snapshot(&rack));
     snap

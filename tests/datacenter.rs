@@ -6,6 +6,7 @@
 //! rarer than intra-rack windows).
 
 use mcn::fabric::ClosConfig;
+use mcn::outage::Part;
 use mcn::{
     Datacenter, Instrumented, McnConfig, McnSystem, MetricSink, MetricsSnapshot, SystemConfig,
 };
@@ -70,7 +71,7 @@ fn spine_loss_is_thread_count_invariant_at_64_servers() {
     // ECMP re-hashes the affected flows onto spine 1, TCP retransmits.
     let mut plan = OutagePlan::new(0xD0C);
     plan.at(
-        &Datacenter::spine_outage_component(0),
+        &Part::Spine(0).to_string(),
         SimTime::from_us(300),
         OutageKind::SwitchDown { down_for: SimTime::from_ms(2) },
     );
@@ -187,9 +188,9 @@ fn pod_scale_domain_outage_fells_aggs_and_rack_together() {
     let mut dc = Datacenter::new(&SystemConfig::default(), McnConfig::level(3), &clos);
     let mut plan = OutagePlan::new(0xBAD);
     let (a0, a1, r0) = (
-        Datacenter::agg_outage_component(0, 0),
-        Datacenter::agg_outage_component(0, 1),
-        Datacenter::rack_outage_component(0),
+        Part::Agg(0, 0).to_string(),
+        Part::Agg(0, 1).to_string(),
+        Part::Rack(0).to_string(),
     );
     plan.define_domain("pod0.breaker", &[a0.as_str(), a1.as_str(), r0.as_str()]);
     plan.domain_crash("pod0.breaker", SimTime::from_us(150), SimTime::from_ms(3));

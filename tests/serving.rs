@@ -26,7 +26,8 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use mcn::{
-    ComponentExt, McnConfig, McnRack, McnSystem, MetricSink, MetricsSnapshot, SystemConfig,
+    outage::Part, ComponentExt, McnConfig, McnRack, McnSystem, MetricSink, MetricsSnapshot,
+    SystemConfig,
 };
 use mcn_net::tcp::{TcpConfig, TcpState};
 use mcn_net::{
@@ -320,7 +321,7 @@ fn dimm_crash_half_open_connections_are_reaped_by_keepalive() {
     }
     let mut plan = OutagePlan::new(0xDEAD);
     plan.at(
-        &McnSystem::dimm_outage_component(0, 0),
+        &Part::Dimm(0, 0).to_string(),
         SimTime::from_ms(2),
         OutageKind::DimmCrash {
             down_for: SimTime::from_secs(5), // never returns within the run
@@ -358,14 +359,14 @@ fn chaos_mix_serving_is_thread_count_invariant() {
     // commutative) at any run_parallel thread count.
     let mut plan = OutagePlan::new(0xC0DE);
     plan.at(
-        &McnRack::dimm_outage_component(1, 0),
+        &Part::Dimm(1, 0).to_string(),
         SimTime::from_us(800),
         OutageKind::DimmCrash {
             down_for: SimTime::from_ms(5),
         },
     );
     plan.at(
-        McnRack::SWITCH_OUTAGE_COMPONENT,
+        &Part::Switch.to_string(),
         SimTime::from_ms(1),
         OutageKind::SwitchPartition {
             groups: vec![vec![0], vec![1]],
@@ -601,8 +602,8 @@ fn replicated_failover_is_thread_count_invariant() {
         plan.define_domain(
             &riser(s),
             &[
-                &McnRack::dimm_outage_component(s, 0),
-                &McnRack::dimm_outage_component(s, 1),
+                &Part::Dimm(s, 0).to_string(),
+                &Part::Dimm(s, 1).to_string(),
             ],
         );
     }
