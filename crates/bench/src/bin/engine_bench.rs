@@ -4,7 +4,10 @@
 //! parallel engine, and reports:
 //!
 //! * how much polling the windowed scheduler avoided versus the old
-//!   scan-everything run loops (the poll ratio), and
+//!   scan-everything run loops (the poll ratio), the serial engine's
+//!   polls and simulated seconds per wall second, and how many
+//!   memory-only server steps the blocks fast-forwarded per step they
+//!   took themselves, and
 //! * the parallel wall-clock speedup, after asserting that the parallel
 //!   run's metrics snapshot and final clock are byte-identical to the
 //!   serial run's.
@@ -126,6 +129,8 @@ fn main() {
     let ratio = scan as f64 / actual.max(1) as f64;
     let rk = rack.engine_stats();
     let rounds_per_advance = rk.rounds.get() as f64 / rk.advances.get().max(1) as f64;
+    let fast_forwarded_per_advance =
+        rk.fast_forwarded.get() as f64 / rk.advances.get().max(1) as f64;
     let polls_per_wall_s = actual as f64 / serial_wall_s.max(1e-9);
     let goodput_gbps = srv0.lock().meter.gbps() + srv1.lock().meter.gbps();
 
@@ -138,6 +143,8 @@ fn main() {
     sink.value("wall_seconds", serial_wall_s);
     sink.value("serial_polls_per_sec", polls_per_wall_s);
     sink.value("min_serial_polls_per_sec", MIN_SERIAL_POLLS_PER_SEC);
+    sink.value("sim_seconds_per_wall_second", sim_s / serial_wall_s.max(1e-9));
+    sink.value("fast_forwarded_per_advance", fast_forwarded_per_advance);
     sink.value("advance_rounds_per_step", rounds_per_advance);
     sink.value("component_polls_per_sim_sec", actual as f64 / sim_s.max(1e-12));
     sink.value(

@@ -20,6 +20,11 @@
 //! `sweep-out`), `--limit N` (run at most N new cells, then stop —
 //! rerun to continue), `--list` (print the expanded cells and exit).
 //!
+//! `sweep diff A.json B.json [--ignore SEG]...` compares two registries
+//! instead (merged sweep trees or `BENCH_*.json`): changed paths grouped
+//! by cell, groups ranked by changes, one-sided paths listed. It exits 1
+//! when anything differs outside paths containing an ignored segment.
+//!
 //! The merged tree lands in `DIR/sweep.json`; per-cell done-markers in
 //! `DIR/cell-{id}-{hash}.json`; each cell's host seconds (or `reused`)
 //! in `DIR/wall.txt`, outside the merged tree. Reruns reuse markers, so interrupting
@@ -28,17 +33,49 @@
 
 use std::process::exit;
 
+use mcn_sim::metrics::MetricsSnapshot;
+use mcn_sweep::diff::RegistryDiff;
 use mcn_sweep::{run_sweep, SweepConfig, SweepSpec};
 
 fn usage() -> ! {
     eprintln!(
         "usage: sweep [--preset paper|smoke] [--spec FILE] [--seed N] \
-         [--jobs N] [--out DIR] [--limit N] [--list]"
+         [--jobs N] [--out DIR] [--limit N] [--list]\n       \
+         sweep diff A.json B.json [--ignore SEG]..."
     );
     exit(2);
 }
 
+/// `sweep diff A.json B.json [--ignore SEG]...`
+fn diff(mut args: impl Iterator<Item = String>) -> ! {
+    let (Some(a), Some(b)) = (args.next(), args.next()) else { usage() };
+    let mut ignore = Vec::new();
+    while let Some(flag) = args.next() {
+        match (flag.as_str(), args.next()) {
+            ("--ignore", Some(seg)) => ignore.push(seg),
+            _ => usage(),
+        }
+    }
+    let load = |f: &str| {
+        let text = std::fs::read_to_string(f).unwrap_or_else(|e| {
+            eprintln!("cannot read {f:?}: {e}");
+            exit(2);
+        });
+        MetricsSnapshot::parse_flat_json(&text).unwrap_or_else(|e| {
+            eprintln!("{f:?} is not a flat registry: {e}");
+            exit(2);
+        })
+    };
+    let ignore: Vec<&str> = ignore.iter().map(String::as_str).collect();
+    let d = RegistryDiff::new(&load(&a), &load(&b), &ignore);
+    print!("{}", d.render());
+    exit(i32::from(d.differs()));
+}
+
 fn main() {
+    if std::env::args().nth(1).as_deref() == Some("diff") {
+        diff(std::env::args().skip(2));
+    }
     let mut preset = String::from("smoke");
     let mut spec_file: Option<String> = None;
     let mut seed: Option<u64> = None;

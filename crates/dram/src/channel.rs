@@ -402,11 +402,31 @@ impl Channel {
     /// the earliest of (next feasible command, refresh deadline, earliest
     /// completion delivery). `None` when fully idle.
     pub fn next_event(&self) -> Option<SimTime> {
-        self.wakeup_for(self.pick())
+        self.earliest_work().map(|t| t.max(self.clock))
     }
 
-    /// [`next_event`](Self::next_event) given the scheduler's pick.
-    fn wakeup_for(&self, picked: Option<(Action, SimTime)>) -> Option<SimTime> {
+    /// The time of the earliest work this channel holds: its
+    /// [`next_event`](Self::next_event) before the clamp to the channel
+    /// clock. When a request pushed at a future time ran the clock ahead
+    /// of this, the next [`advance`](Self::advance) issues
+    /// earlier-dated commands, whose completions may land by then.
+    pub fn earliest_work(&self) -> Option<SimTime> {
+        self.work_for(self.pick())
+    }
+
+    /// Tags of the completions already scheduled for delivery by `t`
+    /// (in no particular order). Commands issued at or after `t` complete
+    /// strictly later, so when [`earliest_work`](Self::earliest_work) is
+    /// not before `t` these are all that `advance(t)` can deliver.
+    pub fn completions_by(&self, t: SimTime) -> impl Iterator<Item = u64> + '_ {
+        self.completions
+            .iter()
+            .filter(move |Reverse(c)| c.at <= t)
+            .map(|Reverse(c)| c.tag)
+    }
+
+    /// [`earliest_work`](Self::earliest_work) given the scheduler's pick.
+    fn work_for(&self, picked: Option<(Action, SimTime)>) -> Option<SimTime> {
         let mut t = self
             .completions
             .peek()
@@ -421,7 +441,7 @@ impl Channel {
         if !self.refresh_mode && self.stats.traffic.bytes() > 0 {
             t = t.min(self.refresh_due);
         }
-        (t != SimTime::MAX).then(|| t.max(self.clock))
+        (t != SimTime::MAX).then_some(t)
     }
 
     /// Advances the controller to `now`, issuing every command that becomes
@@ -1007,7 +1027,7 @@ mod tests {
         let span = cfg.channel_bytes() / LINE_BYTES;
         let mut drain_flips = 0;
         let mut check = |ch: &Channel| {
-            assert_eq!(ch.next_event(), ch.wakeup_for(ch.scan()));
+            assert_eq!(ch.earliest_work(), ch.work_for(ch.scan()));
             if ch.drain_writes != (drain_flips % 2 == 1) {
                 drain_flips += 1;
             }

@@ -59,6 +59,15 @@ pub(crate) trait Endpoint: Send {
     /// links, which the block tracks itself).
     fn next_wakeup(&mut self) -> Option<SimTime>;
 
+    /// Runs the machine's memory-only steps up to `limit` (see
+    /// [`McnSystem::fast_forward`](crate::McnSystem::fast_forward)) and
+    /// returns how many ran and the time of the last. The default runs
+    /// none.
+    fn fast_forward(&mut self, limit: SimTime) -> (u64, SimTime) {
+        let _ = limit;
+        (0, SimTime::ZERO)
+    }
+
     /// Applies a control command; `link_up` is the block's carrier flag
     /// so link-level commands can flip it.
     fn apply(&mut self, at: SimTime, cmd: Self::Cmd, link_up: &mut bool);
@@ -84,10 +93,12 @@ pub(crate) struct EndpointBlock<E: Endpoint> {
     /// Shard-local mirror of the uplink carrier (the coordinator holds
     /// the authoritative copy for route-time checks).
     pub(crate) link_up: bool,
-    /// Block-local clock: the last event time processed.
+    /// Block-local clock: the last event time processed, fast-forwarded
+    /// server steps included.
     pub(crate) clock: SimTime,
     /// Event-loop accounting (advances = event times, rounds =
-    /// convergence iterations with work, polls = block polls).
+    /// convergence iterations with work, polls = block polls,
+    /// fast_forwarded = server steps that stood in for block steps).
     pub(crate) stats: EngineStats,
     /// Frames this block dropped on its own severed uplink.
     pub(crate) uplink_drops: Counter,
@@ -97,6 +108,18 @@ pub(crate) struct EndpointBlock<E: Endpoint> {
 }
 
 impl<E: Endpoint> EndpointBlock<E> {
+    /// Earliest pending NIC or link event.
+    fn wire_wakeup(&self) -> Option<SimTime> {
+        [
+            self.ep.nic().next_wakeup(),
+            mcn_sim::Wakeup::next_wakeup(&self.up),
+            mcn_sim::Wakeup::next_wakeup(&self.down),
+        ]
+        .into_iter()
+        .flatten()
+        .min()
+    }
+
     /// Wraps `ep` with fresh links and a live carrier.
     pub(crate) fn new(ep: E, up: Link, down: Link) -> Self {
         EndpointBlock {
@@ -178,17 +201,11 @@ impl<E: Endpoint> Shard for EndpointBlock<E> {
     type Cmd = E::Cmd;
 
     fn next_event(&mut self) -> Option<SimTime> {
-        let nic = self.ep.nic().next_wakeup();
-        [
-            self.ep.next_wakeup(),
-            nic,
-            mcn_sim::Wakeup::next_wakeup(&self.up),
-            mcn_sim::Wakeup::next_wakeup(&self.down),
-        ]
-        .into_iter()
-        .flatten()
-        .min()
-        .map(|t| t.max(self.clock))
+        [self.ep.next_wakeup(), self.wire_wakeup()]
+            .into_iter()
+            .flatten()
+            .min()
+            .map(|t| t.max(self.clock))
     }
 
     fn next_emission(&mut self) -> Option<SimTime> {
@@ -231,7 +248,27 @@ impl<E: Endpoint> Shard for EndpointBlock<E> {
 
     fn run_window(&mut self, end: SimTime, outbox: &mut Outbox<EthernetFrame>) -> u64 {
         let mut steps = 0;
-        while let Some(t) = Shard::next_event(self) {
+        loop {
+            // A block step at a memory-only server time would find nothing
+            // else to do, so the server fast-forwards through those times
+            // up to 1 ps before the next NIC or link event (a block step
+            // must never revisit a fast-forwarded time). Each such time
+            // still counts as a step of this window.
+            let limit = match self.wire_wakeup() {
+                Some(w) => w.as_ps().checked_sub(1).map(|ps| end.min(SimTime::from_ps(ps))),
+                None => Some(end),
+            };
+            if let Some(limit) = limit {
+                let (ff, last) = self.ep.fast_forward(limit);
+                if ff > 0 {
+                    self.clock = self.clock.max(last);
+                    self.stats.fast_forwarded.add(ff);
+                    steps += ff;
+                }
+            }
+            let Some(t) = Shard::next_event(self) else {
+                break;
+            };
             if t > end {
                 break;
             }

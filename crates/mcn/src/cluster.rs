@@ -338,9 +338,7 @@ impl EthernetCluster {
     fn summed_stats(&self) -> EngineStats {
         let mut s = EngineStats::default();
         for b in &self.blocks {
-            s.component_polls.add(b.stats.component_polls.get());
-            s.rounds.add(b.stats.rounds.get());
-            s.advances.add(b.stats.advances.get());
+            s.accumulate(&b.stats);
         }
         s
     }

@@ -407,8 +407,23 @@ impl McnDimm {
         if !self.alive {
             return None;
         }
+        [self.next_event_outside_mem(), self.node.mem.next_event()]
+            .into_iter()
+            .flatten()
+            .min()
+    }
+
+    /// [`next_event`](Self::next_event) without the node's memory system:
+    /// staged driver work plus [`Node::next_event_outside_mem`].
+    pub(crate) fn next_event_outside_mem(&self) -> Option<SimTime> {
+        if !self.alive {
+            return None;
+        }
         let staged = self.staged.iter().map(|(t, _)| *t).min();
-        [staged, self.node.next_event()].into_iter().flatten().min()
+        [staged, self.node.next_event_outside_mem()]
+            .into_iter()
+            .flatten()
+            .min()
     }
 
     /// Advances the DIMM to `now`; returns signals for the system layer.

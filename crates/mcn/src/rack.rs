@@ -208,6 +208,10 @@ impl Endpoint for McnEndpoint {
         self.sys.next_event()
     }
 
+    fn fast_forward(&mut self, limit: SimTime) -> (u64, SimTime) {
+        (self.sys.fast_forward(limit), self.sys.now())
+    }
+
     fn apply(&mut self, at: SimTime, cmd: BlockCmd, link_up: &mut bool) {
         match cmd {
             BlockCmd::DimmCrash(d) => self.sys.crash_dimm(d, at),
@@ -717,9 +721,7 @@ impl McnRack {
     fn summed_stats(&self) -> EngineStats {
         let mut s = EngineStats::default();
         for b in &self.blocks {
-            s.component_polls.add(b.stats.component_polls.get());
-            s.rounds.add(b.stats.rounds.get());
-            s.advances.add(b.stats.advances.get());
+            s.accumulate(&b.stats);
         }
         s
     }

@@ -27,7 +27,7 @@ use std::net::Ipv4Addr;
 use mcn_dram::Target;
 use mcn_net::tcp::TcpConfig;
 use mcn_net::{EthernetFrame, MacAddr, NetConfig};
-use mcn_node::mem::{Pattern, Transfer};
+use mcn_node::mem::{MemorySystem, Pattern, Transfer};
 use mcn_node::nic::{rx_protocol_cost, tx_protocol_cost};
 use mcn_node::{CostModel, JobId, Node, ProcId, Process};
 use mcn_sim::fault::{FaultInjector, FaultKind, FaultPlan};
@@ -153,6 +153,9 @@ pub struct McnSystem {
     /// Recycled id buffer for the engine's stale/touched drains (the
     /// per-advance hot path allocates nothing).
     engine_scratch: Vec<usize>,
+    /// Per-component wakeups outside memory, recomputed by each
+    /// [`fast_forward`](Self::fast_forward) that finds a step to try.
+    visible: Vec<Option<SimTime>>,
 }
 
 impl McnSystem {
@@ -344,6 +347,7 @@ impl McnSystem {
             stall_seq: 0,
             engine: Engine::new(1 + n_dimms),
             engine_scratch: Vec::new(),
+            visible: Vec::new(),
         }
     }
 
@@ -658,6 +662,15 @@ impl McnSystem {
         }
     }
 
+    /// The memory system of engine component `id`.
+    fn mem_of(&self, id: usize) -> &MemorySystem {
+        if id == HOST_ID {
+            &self.host.mem
+        } else {
+            &self.dimms[id - 1 - HOST_ID].node.mem
+        }
+    }
+
     /// Re-queries every stale component's deadline. The host is *always*
     /// treated as stale: it is a public field, so harnesses and tests can
     /// inject work (binds, sends, spawns) the engine cannot observe.
@@ -672,8 +685,8 @@ impl McnSystem {
     }
 
     /// Earliest pending activity anywhere in the system: the staged-effect
-    /// queue head or the earliest indexed component wakeup — a heap peek,
-    /// not a scan over host + every DIMM.
+    /// queue head or the earliest indexed component wakeup — cached
+    /// deadlines, not live queries of the host and every DIMM.
     pub fn next_event(&mut self) -> Option<SimTime> {
         self.refresh_wakeups();
         let t = match (self.effects.peek_time(), self.engine.earliest()) {
@@ -681,6 +694,76 @@ impl McnSystem {
             (a, b) => a.or(b),
         };
         t.map(|x| x.max(self.now))
+    }
+
+    /// Runs every *memory-only step* up to and including `limit`, and
+    /// returns how many ran (DESIGN.md §4c has the full contract).
+    ///
+    /// A memory-only step is a time `t` at which [`advance`](Self::advance)
+    /// would find only memory work: no staged effect and no component's
+    /// wakeup outside memory is due by `t`, and no due memory system may
+    /// finish a job ([`MemorySystem::may_finish_job`]). Such a step runs
+    /// through the engine's own bookkeeping — the same pops in the same
+    /// order, the same advance and poll counts, plus `fast_forwarded` —
+    /// without the host and DIMM polls around it. The loop stops at the
+    /// first step that is not memory-only, so the caller's next `advance`
+    /// never revisits a fast-forwarded time.
+    pub(crate) fn fast_forward(&mut self, limit: SimTime) -> u64 {
+        self.refresh_wakeups();
+        let mut horizon = None;
+        let mut steps = 0;
+        while let Some(t) = self.engine.earliest().map(|t| t.max(self.now)) {
+            if t > limit
+                || t >= *horizon.get_or_insert_with(|| self.visible_horizon())
+                || self.engine.due(t).any(|id| self.mem_of(id).may_finish_job(t))
+            {
+                break;
+            }
+            self.now = t;
+            self.engine.begin(t);
+            self.engine.start_round();
+            while let Some(id) = self.engine.pop_dirty() {
+                let mem = if id == HOST_ID {
+                    &mut self.host.mem
+                } else {
+                    &mut self.dimms[id - 1 - HOST_ID].node.mem
+                };
+                let done = mem.advance(t);
+                debug_assert!(done.is_empty(), "fast-forwarded step at {t} finished {done:?}");
+            }
+            let ids = self.engine.drain_touched_into(std::mem::take(&mut self.engine_scratch));
+            for &id in &ids {
+                let w = [self.visible[id], self.mem_of(id).next_event()]
+                    .into_iter()
+                    .flatten()
+                    .min();
+                debug_assert_eq!(w, self.wakeup_of(id), "fast-forward wakeup of {id} at {t}");
+                self.engine.set_wakeup(id, w);
+            }
+            self.engine_scratch = ids;
+            self.engine.stats.fast_forwarded.inc();
+            steps += 1;
+        }
+        steps
+    }
+
+    /// Records every component's wakeup outside memory (stack output
+    /// and timers, processes, staged DIMM driver work) in `visible`, by
+    /// engine id, and returns the earliest time anything visible is due:
+    /// that or the staged-effect head. Memory steps that finish no job
+    /// move neither.
+    fn visible_horizon(&mut self) -> SimTime {
+        self.visible.clear();
+        self.visible.push(self.host.next_event_outside_mem());
+        self.visible
+            .extend(self.dimms.iter().map(McnDimm::next_event_outside_mem));
+        self.visible
+            .iter()
+            .flatten()
+            .copied()
+            .chain(self.effects.peek_time())
+            .min()
+            .unwrap_or(SimTime::MAX)
     }
 
     /// Processes everything due at time `t`.
@@ -698,9 +781,6 @@ impl McnSystem {
         for round in 0.. {
             if round >= 100_000 {
                 panic!("{}", self.stall_report("system advance did not converge"));
-            }
-            if round > 0 && round % 1000 == 0 && std::env::var("MCN_SYS_DEBUG").is_ok() {
-                eprintln!("advance({t}) round {round}");
             }
             let mut changed = false;
 
@@ -1447,6 +1527,10 @@ impl Component for McnSystem {
         McnSystem::now(self)
     }
     fn next_event(&mut self) -> Option<SimTime> {
+        McnSystem::next_event(self)
+    }
+    fn next_event_within(&mut self, limit: SimTime) -> Option<SimTime> {
+        self.fast_forward(limit);
         McnSystem::next_event(self)
     }
     fn advance(&mut self, t: SimTime) -> Activity {

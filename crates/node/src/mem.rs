@@ -126,6 +126,17 @@ struct Job {
     rng: DetRng,
 }
 
+impl Job {
+    /// Every line is in flight or done, so the next completions may
+    /// finish the job (a copy's last step is its writes).
+    fn fully_issued(&self) -> bool {
+        match self.spec {
+            Transfer::Copy { .. } => self.writes_issued >= self.lines,
+            _ => self.issued >= self.lines,
+        }
+    }
+}
+
 /// Default per-job memory-level parallelism (out-of-order window / DMA
 /// pipelining depth).
 pub const DEFAULT_MLP: u32 = 10;
@@ -224,6 +235,27 @@ impl MemorySystem {
     /// Next time this memory system wants to run.
     pub fn next_event(&self) -> Option<SimTime> {
         self.channels.iter().filter_map(|c| c.next_event()).min()
+    }
+
+    /// Whether [`advance`](Self::advance)`(t)` may report a finished job.
+    /// Conservative: `false` guarantees it finishes none.
+    ///
+    /// A job finishes on a completion once it has nothing left to issue.
+    /// A channel whose earliest work is dated before `t` (a request pushed
+    /// at a future time ran its clock ahead) issues earlier-dated commands
+    /// inside `advance(t)` whose completions may land by `t`, so such a
+    /// channel always counts; otherwise only completions already due by
+    /// `t` can land.
+    pub fn may_finish_job(&self, t: SimTime) -> bool {
+        self.channels.iter().any(|ch| match ch.earliest_work() {
+            Some(w) if w <= t => {
+                w < t
+                    || ch
+                        .completions_by(t)
+                        .any(|tag| self.jobs.get(&(tag >> 1)).is_some_and(Job::fully_issued))
+            }
+            _ => false,
+        })
     }
 
     /// Advances all channels to `now`; returns jobs that finished.
@@ -515,6 +547,72 @@ mod tests {
         let mut waiters: Vec<u64> = done.iter().map(|(w, _)| *w).collect();
         waiters.sort_unstable();
         assert_eq!(waiters, (0..20).collect::<Vec<_>>());
+    }
+
+    /// Seeded property: whenever `may_finish_job(t)` says no,
+    /// `advance(t)` finishes no job — with jobs started now and at future
+    /// times (which run channel clocks ahead of their queued work), and
+    /// advances at event times and at arbitrary times.
+    #[test]
+    fn may_finish_check_is_conservative() {
+        let (mut yes, mut no) = (0u32, 0u32);
+        for seed in 0..6 {
+            let mut rng = DetRng::new(seed);
+            let mut ms = sys(2);
+            let mut now = SimTime::ZERO;
+            for waiter in 0..400u64 {
+                let bytes = 64 * rng.range(1, 48);
+                let spec = match rng.next_below(4) {
+                    0 => Transfer::Stream {
+                        start: rng.next_below(1 << 20) * 64,
+                        bytes,
+                        read_frac: 0.7,
+                        access: Access::Rand { span: 1 << 26 },
+                    },
+                    1 => Transfer::Copy {
+                        src: Pattern::dram(rng.next_below(1 << 16) * 64),
+                        dst: Pattern::sram(64 * rng.next_below(2), 128),
+                        bytes,
+                    },
+                    2 => Transfer::Single {
+                        pat: Pattern::dram(rng.next_below(1 << 16) * 64),
+                        kind: MemKind::Write,
+                        bytes,
+                    },
+                    _ => Transfer::Stream {
+                        start: rng.next_below(1 << 16) * 64,
+                        bytes,
+                        read_frac: 1.0,
+                        access: Access::Seq,
+                    },
+                };
+                let at = if rng.chance(0.5) {
+                    now
+                } else {
+                    now + SimTime::from_ps(rng.next_below(2_000_000))
+                };
+                ms.start_with_mlp(spec, waiter, 1 + rng.next_below(12) as u32, at);
+                for _ in 0..rng.next_below(40) {
+                    let Some(next) = ms.next_event() else { break };
+                    let t = if rng.chance(0.8) {
+                        next
+                    } else {
+                        now + SimTime::from_ps(rng.next_below(100_000))
+                    }
+                    .max(now);
+                    let may = ms.may_finish_job(t);
+                    let done = ms.advance(t);
+                    assert!(may || done.is_empty(), "seed {seed}: {done:?} finished at {t} unflagged");
+                    if may {
+                        yes += 1;
+                    } else {
+                        no += 1;
+                    }
+                    now = t;
+                }
+            }
+        }
+        assert!(yes > 0 && no > 0, "check said yes {yes} and no {no} times");
     }
 
     #[test]

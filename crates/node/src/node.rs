@@ -55,17 +55,23 @@ impl Node {
     /// run *now*; that case is reported as `Some(SimTime::ZERO)`, which
     /// orchestrators clamp to their own clock.
     pub fn next_event(&self) -> Option<SimTime> {
+        [self.next_event_outside_mem(), self.mem.next_event()]
+            .into_iter()
+            .flatten()
+            .min()
+    }
+
+    /// [`next_event`](Self::next_event) without the memory system: queued
+    /// output, stack timers and processes. Memory steps that finish no job
+    /// leave it unchanged.
+    pub fn next_event_outside_mem(&self) -> Option<SimTime> {
         if self.stack.has_output() {
             return Some(SimTime::ZERO);
         }
-        [
-            self.mem.next_event(),
-            self.stack.next_timer(),
-            self.runner.next_event(&self.cpus),
-        ]
-        .into_iter()
-        .flatten()
-        .min()
+        [self.stack.next_timer(), self.runner.next_event(&self.cpus)]
+            .into_iter()
+            .flatten()
+            .min()
     }
 
     /// Advances the memory system and routes process-owned job completions

@@ -9,15 +9,16 @@
 //!   orchestrator (system, rack, cluster),
 //! * [`Wakeup`] — a passive source of pending work (a node, NIC or link)
 //!   that reports its earliest internal deadline,
-//! * [`WakeupIndex`] — a per-component deadline index backed by
-//!   [`EventQueue`] with cancellable handles, so the next event is found in
-//!   O(log n) instead of O(components),
+//! * [`WakeupIndex`] — a flat per-component deadline index: one
+//!   `(deadline, schedule stamp)` slot per component, scanned in place
+//!   (orchestrators own at most a handful of components),
 //! * [`Engine`] — dirty-list bookkeeping for `advance()`: only components
 //!   named on the list (seeded by due wakeups and delivered effects) are
 //!   re-polled each convergence round, instead of sweeping everything.
 //!
-//! Determinism: the wakeup index inherits the queue's stable FIFO ordering
-//! for equal timestamps, and the dirty list is a FIFO deduplicated by id,
+//! Determinism: the wakeup index breaks equal deadlines by schedule stamp
+//! (the order they were last set), and the dirty list is a FIFO
+//! deduplicated by id,
 //! so two runs that deliver the same effects in the same order poll
 //! components in the same order. No hash-ordered iteration is involved
 //! anywhere on the hot path.
@@ -57,7 +58,6 @@
 use std::collections::VecDeque;
 
 use crate::metrics::{Instrumented, MetricSink};
-use crate::queue::{EventHandle, EventQueue};
 use crate::stats::Counter;
 use crate::SimTime;
 
@@ -111,6 +111,15 @@ pub trait Component {
     /// Earliest pending activity, clamped to [`now`](Component::now);
     /// `None` when fully idle.
     fn next_event(&mut self) -> Option<SimTime>;
+    /// [`next_event`](Component::next_event) for a caller that drives no
+    /// further than `limit`. An implementor may first run, up to and
+    /// including `limit`, internal steps whose only effect the caller
+    /// cannot observe before the returned event (McnSystem fast-forwards
+    /// memory-only time steps this way). The default runs nothing.
+    fn next_event_within(&mut self, limit: SimTime) -> Option<SimTime> {
+        let _ = limit;
+        self.next_event()
+    }
     /// Processes everything due at `t` (which must be `>= now`).
     fn advance(&mut self, t: SimTime) -> Activity;
     /// All application processes finished? Components that host none
@@ -134,6 +143,8 @@ pub trait Component {
 /// for every [`Component`]; orchestrators must not duplicate these.
 pub trait ComponentExt: Component {
     /// Advances to the next event; returns `false` when fully idle.
+    /// Exactly one event: a step has no deadline that could bound a
+    /// [`next_event_within`](Component::next_event_within) fast-forward.
     fn step(&mut self) -> bool {
         let Some(t) = self.next_event() else {
             return false;
@@ -146,7 +157,7 @@ pub trait ComponentExt: Component {
     /// even if the system goes idle before it.
     fn run_until(&mut self, deadline: SimTime) {
         loop {
-            match self.next_event() {
+            match self.next_event_within(deadline) {
                 Some(t) if t <= deadline => {
                     self.advance(t);
                 }
@@ -162,7 +173,7 @@ pub trait ComponentExt: Component {
     /// returns `true` on completion.
     fn run_until_procs_done(&mut self, max: SimTime) -> bool {
         while !self.procs_done() {
-            match self.next_event() {
+            match self.next_event_within(max) {
                 Some(t) if t <= max => {
                     self.advance(t);
                 }
@@ -221,80 +232,89 @@ pub trait ComponentExt: Component {
 
 impl<C: Component + ?Sized> ComponentExt for C {}
 
-/// A per-component deadline index: the earliest wakeup across all
-/// components is a heap peek, not a scan.
+/// A per-component deadline index: one `(deadline, schedule stamp)`
+/// slot per component id, so setting a deadline is a slot write and the
+/// earliest wakeup is a scan of a few slots.
 ///
-/// Each component id holds at most one entry; [`set`](WakeupIndex::set)
-/// cancels the previous entry before scheduling the new one (a no-op when
-/// the deadline is unchanged, which is the common case). Deadlines in the
-/// past are clamped to the index clock — components report
-/// `SimTime::ZERO` for "ready now".
+/// Equal deadlines pop in *schedule order*: every [`set`](WakeupIndex::set)
+/// that changes a slot draws a fresh stamp, while re-setting an unchanged
+/// deadline keeps the old one (and so its place among ties). That order
+/// is load-bearing: which of two components due at the same time runs
+/// first decides the order their work reaches shared state.
+/// Deadlines in the past are clamped to the index clock (the deadline of
+/// the last popped entry) — components report `SimTime::ZERO` for "ready
+/// now".
 #[derive(Debug)]
 pub struct WakeupIndex {
-    queue: EventQueue<usize>,
-    entries: Vec<Option<(SimTime, EventHandle)>>,
+    slots: Vec<Option<(SimTime, u64)>>,
+    next_stamp: u64,
+    now: SimTime,
 }
 
 impl WakeupIndex {
     /// An index for component ids `0..n`.
     pub fn new(n: usize) -> Self {
         WakeupIndex {
-            queue: EventQueue::new(),
-            entries: vec![None; n],
+            slots: vec![None; n],
+            next_stamp: 0,
+            now: SimTime::ZERO,
         }
     }
 
     /// Number of component slots.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slots.len()
     }
 
     /// `true` when the index has no component slots.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.slots.is_empty()
     }
 
     /// The deadline currently recorded for `id`.
     pub fn get(&self, id: usize) -> Option<SimTime> {
-        self.entries[id].map(|(t, _)| t)
+        self.slots[id].map(|(t, _)| t)
     }
 
     /// Records `id`'s earliest deadline (`None` = idle), replacing any
     /// previous entry.
     pub fn set(&mut self, id: usize, deadline: Option<SimTime>) {
-        let deadline = deadline.map(|t| t.max(self.queue.now()));
-        if self.entries[id].map(|(t, _)| t) == deadline {
+        let deadline = deadline.map(|t| t.max(self.now));
+        if self.get(id) == deadline {
             return;
         }
-        if let Some((_, h)) = self.entries[id].take() {
-            self.queue.cancel(h);
-        }
-        if let Some(t) = deadline {
-            let h = self.queue.schedule_cancellable(t, id);
-            self.entries[id] = Some((t, h));
-        }
+        self.slots[id] = deadline.map(|t| {
+            self.next_stamp += 1;
+            (t, self.next_stamp)
+        });
     }
 
     /// Earliest recorded deadline across all components.
-    pub fn earliest(&mut self) -> Option<SimTime> {
-        self.queue.peek_time()
+    pub fn earliest(&self) -> Option<SimTime> {
+        self.slots.iter().flatten().map(|&(t, _)| t).min()
     }
 
-    /// Pops the next component whose deadline is `<= t`, clearing its
-    /// entry (the driver re-records it after advancing the component).
+    /// Ids whose recorded deadline is `<= t`, in id order.
+    pub fn due(&self, t: SimTime) -> impl Iterator<Item = usize> + '_ {
+        (0..self.slots.len()).filter(move |&id| self.get(id).is_some_and(|d| d <= t))
+    }
+
+    /// Pops the next component whose deadline is `<= t` — the earliest
+    /// deadline, ties in schedule order — clearing its entry (the driver
+    /// re-records it after advancing the component).
     pub fn pop_due(&mut self, t: SimTime) -> Option<usize> {
-        if self.queue.peek_time().is_some_and(|pt| pt <= t) {
-            let (_, id) = self.queue.pop().expect("peeked");
-            self.entries[id] = None;
-            return Some(id);
+        let (id, (deadline, _)) = self
+            .slots
+            .iter()
+            .enumerate()
+            .filter_map(|(id, slot)| slot.map(|s| (id, s)))
+            .min_by_key(|&(_, s)| s)?;
+        if deadline > t {
+            return None;
         }
-        None
-    }
-
-    /// Tombstoned (cancelled but not yet compacted) entries — exposed so
-    /// churn tests can assert boundedness.
-    pub fn tombstones(&self) -> usize {
-        self.queue.tombstones()
+        self.slots[id] = None;
+        self.now = deadline;
+        Some(id)
     }
 }
 
@@ -308,6 +328,10 @@ pub struct EngineStats {
     pub rounds: Counter,
     /// `advance()` calls on the owning orchestrator.
     pub advances: Counter,
+    /// Advances that ran only memory systems (fast-forwarded steps; each
+    /// is also counted in `advances`). On a rack's server blocks: the
+    /// server steps a block fast-forwarded instead of stepping itself.
+    pub fast_forwarded: Counter,
 }
 
 impl EngineStats {
@@ -317,6 +341,14 @@ impl EngineStats {
     pub fn scan_equivalent(&self, n: usize) -> u64 {
         (self.rounds.get() + self.advances.get()) * n as u64
     }
+
+    /// Adds `other`'s counters into these (summing a topology's blocks).
+    pub fn accumulate(&mut self, other: &EngineStats) {
+        self.component_polls.add(other.component_polls.get());
+        self.rounds.add(other.rounds.get());
+        self.advances.add(other.advances.get());
+        self.fast_forwarded.add(other.fast_forwarded.get());
+    }
 }
 
 impl Instrumented for EngineStats {
@@ -324,6 +356,7 @@ impl Instrumented for EngineStats {
         out.counter("component_polls", self.component_polls.get());
         out.counter("rounds", self.rounds.get());
         out.counter("advances", self.advances.get());
+        out.counter("fast_forwarded", self.fast_forwarded.get());
     }
 }
 
@@ -418,9 +451,15 @@ impl Engine {
         self.index.set(id, deadline);
     }
 
-    /// Earliest indexed wakeup across all components (O(log n)).
-    pub fn earliest(&mut self) -> Option<SimTime> {
+    /// Earliest indexed wakeup across all components.
+    pub fn earliest(&self) -> Option<SimTime> {
         self.index.earliest()
+    }
+
+    /// Components whose indexed wakeup is due at `t`, in id order
+    /// (what [`begin`](Engine::begin) would pop, without popping).
+    pub fn due(&self, t: SimTime) -> impl Iterator<Item = usize> + '_ {
+        self.index.due(t)
     }
 
     /// Opens an `advance(t)` call: counts it and seeds the dirty list
@@ -582,6 +621,23 @@ mod tests {
     }
 
     #[test]
+    fn wakeup_index_breaks_ties_in_schedule_order() {
+        let t = SimTime::from_ns(10);
+        let mut ix = WakeupIndex::new(3);
+        // Equal deadlines pop in the order they were set, not by id.
+        ix.set(2, Some(t));
+        ix.set(0, Some(t));
+        ix.set(1, Some(t));
+        // Re-setting an unchanged deadline keeps its place...
+        ix.set(2, Some(t));
+        // ...while moving one away and back sends it to the end.
+        ix.set(0, Some(SimTime::from_ns(20)));
+        ix.set(0, Some(t));
+        let order: Vec<usize> = std::iter::from_fn(|| ix.pop_due(t)).collect();
+        assert_eq!(order, vec![2, 1, 0]);
+    }
+
+    #[test]
     fn wakeup_index_clamps_past_deadlines() {
         let mut ix = WakeupIndex::new(2);
         ix.set(0, Some(SimTime::from_ns(50)));
@@ -684,19 +740,5 @@ mod tests {
         // Engine-less components report zeros, not a panic.
         assert_eq!(ticker(1).poll_accounting(), (0, 0));
         assert_eq!(ticker(1).engine_stats().rounds.get(), 0);
-    }
-
-    #[test]
-    fn wakeup_index_tombstones_stay_bounded_under_churn() {
-        let mut ix = WakeupIndex::new(8);
-        for k in 0..10_000u64 {
-            let id = (k % 8) as usize;
-            ix.set(id, Some(SimTime::from_ns(1000 + k)));
-        }
-        assert!(
-            ix.tombstones() <= 512,
-            "tombstones grew to {}",
-            ix.tombstones()
-        );
     }
 }

@@ -53,6 +53,6 @@ pub use metrics::{Instrumented, MetricSink, MetricValue, MetricsSnapshot};
 pub use outage::{Backoff, FailureDomain, OutageKind, OutagePlan, OutageSchedule};
 pub use pool::{FramePool, PoolStats};
 pub use shard::{Fabric, Outbox, ParallelEngine, Quantum, RunGoal, RunReport, Shard, ShardStats};
-pub use queue::{EventHandle, EventQueue};
+pub use queue::EventQueue;
 pub use rng::DetRng;
 pub use time::SimTime;

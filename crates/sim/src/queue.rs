@@ -1,17 +1,9 @@
 //! Time-ordered event queue.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 use crate::SimTime;
-
-/// Handle to a scheduled event, used to cancel it before it fires.
-///
-/// Returned by [`EventQueue::schedule_cancellable`]. Handles are unique per
-/// queue for the lifetime of the queue (a monotonically increasing sequence
-/// number), so a stale handle never cancels a different event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventHandle(u64);
 
 /// A deterministic, time-ordered event queue.
 ///
@@ -19,9 +11,6 @@ pub struct EventHandle(u64);
 /// * Events scheduled for the **same** timestamp fire in the order they were
 ///   scheduled (stable FIFO) — crucial for reproducibility, since hash-order
 ///   or heap-order ties would make runs non-deterministic.
-/// * Events can be cancelled via the handle returned by
-///   [`schedule_cancellable`](Self::schedule_cancellable); cancellation is
-///   O(1) (tombstoning) and cancelled events are skipped on pop.
 ///
 /// The payload type `E` is chosen by the system crate driving the queue;
 /// this kernel imposes no actor or component model.
@@ -39,16 +28,9 @@ pub struct EventHandle(u64);
 pub struct EventQueue<E> {
     heap: BinaryHeap<Reverse<Entry<E>>>,
     next_seq: u64,
-    cancelled: HashSet<u64>,
-    /// Seqs of cancellable events still in the heap; only events created via
-    /// `schedule_cancellable` pay this bookkeeping cost.
-    live_cancellable: HashSet<u64>,
     now: SimTime,
     popped: u64,
 }
-
-/// Below this many tombstones compaction is not worth the heap rebuild.
-const COMPACT_MIN: usize = 64;
 
 #[derive(Debug)]
 struct Entry<E> {
@@ -86,8 +68,6 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
             next_seq: 0,
-            cancelled: HashSet::new(),
-            live_cancellable: HashSet::new(),
             now: SimTime::ZERO,
             popped: 0,
         }
@@ -100,7 +80,7 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Total number of events delivered so far (excluding cancelled ones).
+    /// Total number of events delivered so far.
     #[inline]
     pub fn delivered(&self) -> u64 {
         self.popped
@@ -130,66 +110,13 @@ impl<E> EventQueue<E> {
         self.schedule(self.now + delay, payload);
     }
 
-    /// Schedules a cancellable event; see [`cancel`](Self::cancel).
-    pub fn schedule_cancellable(&mut self, time: SimTime, payload: E) -> EventHandle {
-        let handle = EventHandle(self.next_seq);
-        self.schedule(time, payload);
-        self.live_cancellable.insert(handle.0);
-        handle
-    }
-
-    /// Cancels a previously scheduled event. Returns `true` if the event had
-    /// not yet fired (and is now guaranteed never to fire), `false` if it
-    /// already fired or was already cancelled.
-    pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        if !self.live_cancellable.remove(&handle.0) {
-            return false; // already fired, already cancelled, or bogus
-        }
-        let fresh = self.cancelled.insert(handle.0);
-        // Tombstoned entries occupy the heap until their timestamp comes
-        // up; under schedule/cancel churn (the engine's wakeup index
-        // reschedules deadlines constantly) that would grow without bound.
-        // Compact once tombstones outnumber live events.
-        if self.cancelled.len() > COMPACT_MIN && self.cancelled.len() > self.heap.len() / 2 {
-            self.compact();
-        }
-        fresh
-    }
-
-    /// Rebuilds the heap without tombstoned entries. O(n); amortised away
-    /// by the growth trigger in [`cancel`](Self::cancel).
-    fn compact(&mut self) {
-        let entries = std::mem::take(&mut self.heap).into_vec();
-        self.heap = entries
-            .into_iter()
-            .filter(|Reverse(e)| !self.cancelled.remove(&e.seq))
-            .collect();
-        debug_assert!(
-            self.cancelled.is_empty(),
-            "every tombstone names a heap entry"
-        );
-    }
-
-    /// Number of tombstoned (cancelled, not yet reclaimed) heap entries.
-    /// Bounded by `max(COMPACT_MIN, live events)` thanks to the compaction
-    /// trigger in [`cancel`](Self::cancel).
-    pub fn tombstones(&self) -> usize {
-        self.cancelled.len()
-    }
-
     /// Removes and returns the next event `(time, payload)`, advancing
-    /// [`now`](Self::now) to its timestamp. Cancelled events are skipped.
+    /// [`now`](Self::now) to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(Reverse(entry)) = self.heap.pop() {
-            if self.cancelled.remove(&entry.seq) {
-                continue;
-            }
-            self.live_cancellable.remove(&entry.seq);
-            self.now = entry.time;
-            self.popped += 1;
-            return Some((entry.time, entry.payload));
-        }
-        None
+        let Reverse(entry) = self.heap.pop()?;
+        self.now = entry.time;
+        self.popped += 1;
+        Some((entry.time, entry.payload))
     }
 
     /// Pops the next event only if it is due at or before `deadline`.
@@ -204,28 +131,19 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// The timestamp of the next live event without removing it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(Reverse(entry)) = self.heap.peek() {
-            if self.cancelled.contains(&entry.seq) {
-                let seq = entry.seq;
-                self.heap.pop();
-                self.cancelled.remove(&seq);
-                continue;
-            }
-            return Some(entry.time);
-        }
-        None
+    /// The timestamp of the next event without removing it.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|Reverse(entry)| entry.time)
     }
 
-    /// Number of live (non-cancelled) events still queued.
+    /// Number of events still queued.
     pub fn len(&self) -> usize {
-        self.heap.len() - self.cancelled.len()
+        self.heap.len()
     }
 
-    /// `true` when no live events remain.
+    /// `true` when no events remain.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 }
 
@@ -288,93 +206,5 @@ mod tests {
         q.schedule(SimTime::from_ns(10), ());
         q.pop();
         q.schedule(SimTime::from_ns(5), ());
-    }
-
-    #[test]
-    fn cancellation() {
-        let mut q = EventQueue::new();
-        let h1 = q.schedule_cancellable(SimTime::from_ns(1), 1);
-        let h2 = q.schedule_cancellable(SimTime::from_ns(2), 2);
-        q.schedule(SimTime::from_ns(3), 3);
-        assert!(q.cancel(h2));
-        assert!(!q.cancel(h2), "double cancel reports false");
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop(), Some((SimTime::from_ns(1), 1)));
-        assert!(!q.cancel(h1), "cancelling a fired event reports false");
-        assert_eq!(q.pop(), Some((SimTime::from_ns(3), 3)));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn peek_skips_cancelled() {
-        let mut q = EventQueue::new();
-        let h = q.schedule_cancellable(SimTime::from_ns(1), 1);
-        q.schedule(SimTime::from_ns(2), 2);
-        q.cancel(h);
-        assert_eq!(q.peek_time(), Some(SimTime::from_ns(2)));
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn bogus_handle_is_rejected() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        assert!(!q.cancel(EventHandle(42)));
-    }
-
-    #[test]
-    fn tombstones_stay_bounded_under_schedule_cancel_churn() {
-        // The wakeup-index pattern: perpetually reschedule a handful of
-        // deadlines that never (or rarely) fire. Without compaction the
-        // heap and the cancelled set both grow linearly with churn.
-        let mut q = EventQueue::new();
-        let mut handles: Vec<Option<EventHandle>> = vec![None; 8];
-        for k in 0..50_000u64 {
-            let id = (k % 8) as usize;
-            if let Some(h) = handles[id].take() {
-                q.cancel(h);
-            }
-            handles[id] = Some(q.schedule_cancellable(SimTime::from_ns(1_000_000 + k), id));
-            if k % 1000 == 999 {
-                // Occasionally consume an event, as a real run would.
-                let (_, id) = q.pop().expect("eight live events exist");
-                handles[id] = None;
-            }
-        }
-        let live = handles.iter().flatten().count();
-        assert_eq!(q.len(), live);
-        assert!(
-            q.tombstones() <= COMPACT_MIN.max(q.len()),
-            "tombstones {} exceed bound (live {})",
-            q.tombstones(),
-            q.len()
-        );
-        // The heap itself is also bounded: live entries + tombstones.
-        assert!(q.heap.len() <= q.len() + q.tombstones());
-        // Everything still pops in order with correct payloads.
-        let mut last = q.now();
-        while let Some((t, _)) = q.pop() {
-            assert!(t >= last);
-            last = t;
-        }
-    }
-
-    #[test]
-    fn compaction_preserves_live_events_and_order() {
-        let mut q = EventQueue::new();
-        let mut keep = Vec::new();
-        for i in 0..300u64 {
-            let h = q.schedule_cancellable(SimTime::from_ns(1000 - (i % 500)), i);
-            if i % 3 == 0 {
-                keep.push((1000 - (i % 500), i));
-            } else {
-                q.cancel(h); // drives repeated compactions
-            }
-        }
-        assert_eq!(q.len(), keep.len());
-        keep.sort(); // time, then schedule (seq) order — matches FIFO ties
-        let popped: Vec<(u64, u64)> = std::iter::from_fn(|| q.pop())
-            .map(|(t, v)| (t.as_ns(), v))
-            .collect();
-        assert_eq!(popped, keep);
     }
 }

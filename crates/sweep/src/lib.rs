@@ -54,6 +54,7 @@
 //! # std::fs::remove_dir_all(&dir).ok();
 //! ```
 
+pub mod diff;
 pub mod runner;
 pub mod scenarios;
 pub mod spec;
