@@ -102,6 +102,12 @@ pub(crate) struct EndpointBlock<E: Endpoint> {
     pub(crate) stats: EngineStats,
     /// Frames this block dropped on its own severed uplink.
     pub(crate) uplink_drops: Counter,
+    /// [`scan_next`](Self::scan_next)'s answer (`None`: not cached).
+    /// Everything that can change what it reads clears it: `deliver`,
+    /// `apply`, each block step and each fast-forward that ran steps in
+    /// `run_window`, and the crate accessors that hand out the block's
+    /// insides ([`ep_mut`](Self::ep_mut), [`up_mut`](Self::up_mut)).
+    next: Option<Option<SimTime>>,
     /// Recycled buffers for the per-tick NIC/link drains.
     nic_events: Vec<NicEvent>,
     frame_scratch: Vec<EthernetFrame>,
@@ -120,6 +126,46 @@ impl<E: Endpoint> EndpointBlock<E> {
         .min()
     }
 
+    /// The earliest endpoint, NIC or link event, not clamped to the
+    /// block clock.
+    fn scan_next(&mut self) -> Option<SimTime> {
+        [self.ep.next_wakeup(), self.wire_wakeup()]
+            .into_iter()
+            .flatten()
+            .min()
+    }
+
+    /// [`scan_next`](Self::scan_next) answered from the memo while
+    /// nothing it reads can have changed, so the scheduler's repeated
+    /// queries cost no endpoint wakeup refresh. Debug builds rescan on
+    /// every call and check the memo against the scan.
+    fn next_unclamped(&mut self) -> Option<SimTime> {
+        let t = match self.next {
+            Some(t) => t,
+            None => {
+                let t = self.scan_next();
+                self.next = Some(t);
+                t
+            }
+        };
+        debug_assert_eq!(t, self.scan_next(), "stale block wakeup memo");
+        t
+    }
+
+    /// The endpoint, for callers that may change its schedule (spawns,
+    /// socket calls): clears the wakeup memo.
+    pub(crate) fn ep_mut(&mut self) -> &mut E {
+        self.next = None;
+        &mut self.ep
+    }
+
+    /// The uplink, for callers that may change its schedule: clears the
+    /// wakeup memo.
+    pub(crate) fn up_mut(&mut self) -> &mut Link {
+        self.next = None;
+        &mut self.up
+    }
+
     /// Wraps `ep` with fresh links and a live carrier.
     pub(crate) fn new(ep: E, up: Link, down: Link) -> Self {
         EndpointBlock {
@@ -130,6 +176,7 @@ impl<E: Endpoint> EndpointBlock<E> {
             clock: SimTime::ZERO,
             stats: EngineStats::default(),
             uplink_drops: Counter::default(),
+            next: None,
             nic_events: Vec::new(),
             frame_scratch: Vec::new(),
         }
@@ -201,11 +248,7 @@ impl<E: Endpoint> Shard for EndpointBlock<E> {
     type Cmd = E::Cmd;
 
     fn next_event(&mut self) -> Option<SimTime> {
-        [self.ep.next_wakeup(), self.wire_wakeup()]
-            .into_iter()
-            .flatten()
-            .min()
-            .map(|t| t.max(self.clock))
+        self.next_unclamped().map(|t| t.max(self.clock))
     }
 
     fn next_emission(&mut self) -> Option<SimTime> {
@@ -236,6 +279,7 @@ impl<E: Endpoint> Shard for EndpointBlock<E> {
     }
 
     fn apply(&mut self, at: SimTime, cmd: E::Cmd) {
+        self.next = None;
         self.ep.apply(at, cmd, &mut self.link_up);
     }
 
@@ -243,6 +287,7 @@ impl<E: Endpoint> Shard for EndpointBlock<E> {
         // `at` is the time the frame left the switch towards us; the
         // downlink adds serialization + propagation on its own clock, so
         // a barrier-late hand-off still yields the exact arrival time.
+        self.next = None;
         self.down.send(frame, at);
     }
 
@@ -253,14 +298,17 @@ impl<E: Endpoint> Shard for EndpointBlock<E> {
             // else to do, so the server fast-forwards through those times
             // up to 1 ps before the next NIC or link event (a block step
             // must never revisit a fast-forwarded time). Each such time
-            // still counts as a step of this window.
+            // still counts as a step of this window. A server whose next
+            // event lies past `limit` has no step to run, so the call is
+            // skipped.
             let limit = match self.wire_wakeup() {
                 Some(w) => w.as_ps().checked_sub(1).map(|ps| end.min(SimTime::from_ps(ps))),
                 None => Some(end),
             };
-            if let Some(limit) = limit {
+            if let Some(limit) = limit.filter(|&l| self.next_unclamped().is_some_and(|t| t <= l)) {
                 let (ff, last) = self.ep.fast_forward(limit);
                 if ff > 0 {
+                    self.next = None;
                     self.clock = self.clock.max(last);
                     self.stats.fast_forwarded.add(ff);
                     steps += ff;
@@ -275,6 +323,7 @@ impl<E: Endpoint> Shard for EndpointBlock<E> {
             self.clock = t;
             steps += 1;
             self.stats.advances.inc();
+            self.next = None;
             let mut iters = 0u32;
             loop {
                 self.stats.component_polls.inc();

@@ -218,7 +218,7 @@ impl EthernetCluster {
     /// injection for TCP-recovery tests). The uplink is rebuilt with the
     /// bandwidth and latency the cluster was configured with.
     pub fn impair_uplink(&mut self, i: usize, drop: f64, corrupt: f64, seed: u64) {
-        let up = &mut self.blocks[i].up;
+        let up = self.blocks[i].up_mut();
         *up = Link::new(up.bytes_per_sec(), up.latency()).with_impairments(drop, corrupt, seed);
     }
 
@@ -247,10 +247,11 @@ impl EthernetCluster {
         &self.blocks[i].ep
     }
 
-    /// Mutable access to node `i` (e.g. to bind sockets or spawn work;
-    /// the scheduler re-queries every block's deadline each window).
+    /// Mutable access to node `i` (e.g. to bind sockets or spawn work).
+    /// Clears the node block's cached next event, so the scheduler
+    /// re-queries the node before it plans the next window.
     pub fn node_mut(&mut self, i: usize) -> &mut ClusterNode {
-        &mut self.blocks[i].ep
+        self.blocks[i].ep_mut()
     }
 
     /// Current simulated time.
@@ -572,6 +573,89 @@ mod tests {
                     .tcp_stats(cs)
                     .is_some_and(|s| s.retransmits > 0),
             "impairments should be visible in counters"
+        );
+    }
+
+    #[test]
+    fn uplink_replaced_mid_stream_loses_only_its_frames() {
+        // The uplink is rebuilt after the cluster has run, while a frame
+        // on it is the earliest thing node 0's block waits for: the
+        // frames on it die with the old link, TCP retransmits them, and
+        // the stream still arrives whole.
+        let mut c = mk(2);
+        let lst = c.node_mut(1).node.stack.tcp_listen(5001).unwrap();
+        let cs = c
+            .node_mut(0)
+            .node
+            .stack
+            .tcp_connect(EthernetCluster::ip_of(1), 5001, SimTime::ZERO)
+            .unwrap();
+        c.run_until(SimTime::from_ms(1));
+        let ss = c.node_mut(1).node.stack.tcp_accept(lst).unwrap();
+        let data: Vec<u8> = (0..64 * 1024u32).map(|i| (i % 251) as u8).collect();
+        let now = c.now();
+        let mut sent = c.node_mut(0).node.stack.tcp_send(cs, &data, now).unwrap();
+        let uplink_first = |c: &EthernetCluster| {
+            let n = c.node(0);
+            c.uplink(0).next_arrival().is_some_and(|a| {
+                [n.node.next_event(), n.nic.next_event()]
+                    .into_iter()
+                    .flatten()
+                    .all(|t| t > a)
+            })
+        };
+        let mut steps = 0;
+        while !uplink_first(&c) {
+            steps += 1;
+            assert!(steps < 10_000, "node 0's uplink never led its block");
+            c.run_until(c.now() + SimTime::from_ns(100));
+        }
+        c.impair_uplink(0, 0.0, 0.0, 1);
+        assert!(c.uplink(0).next_arrival().is_none(), "the rebuilt uplink is empty");
+        // The whole first flight died, so no duplicate ACK can trigger a
+        // fast retransmit: recovery waits for the first RTO.
+        let mut got = Vec::new();
+        let mut buf = vec![0u8; 65536];
+        let mut pacing = Backoff::new(SimTime::from_ms(1), SimTime::from_ms(1), 10_000);
+        let done = c.run_with_backoff(&mut pacing, |c| {
+            let now = c.now();
+            if sent < data.len() {
+                sent += c
+                    .node_mut(0)
+                    .node
+                    .stack
+                    .tcp_send(cs, &data[sent..], now)
+                    .unwrap();
+            }
+            loop {
+                let now = c.now();
+                let n = c
+                    .node_mut(1)
+                    .node
+                    .stack
+                    .tcp_recv(ss, &mut buf, now)
+                    .unwrap();
+                if n == 0 {
+                    break;
+                }
+                got.extend_from_slice(&buf[..n]);
+            }
+            got.len() >= data.len()
+        });
+        assert!(
+            done,
+            "stalled at {} bytes\n{}",
+            got.len(),
+            c.stall_report("stream after uplink rebuild stalled")
+        );
+        assert_eq!(got, data);
+        assert!(
+            c.node(0)
+                .node
+                .stack
+                .tcp_stats(cs)
+                .is_some_and(|s| s.retransmits > 0),
+            "the frames lost with the old uplink were retransmitted"
         );
     }
 

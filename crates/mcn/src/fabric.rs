@@ -743,7 +743,9 @@ impl Datacenter {
     }
 
     /// Mutable access to rack `r` (spawn work, open sockets, install
-    /// rack-local chaos; the scheduler re-queries deadlines each window).
+    /// rack-local chaos). The rack's server accessors clear the cached
+    /// next event of the server block they hand out, so the next window
+    /// sees the change.
     pub fn rack_mut(&mut self, r: usize) -> &mut McnRack {
         match &mut self.shards[r] {
             DcShard::Rack(rs) => &mut rs.rack,

@@ -544,10 +544,11 @@ impl McnRack {
         &self.blocks[s].ep.sys
     }
 
-    /// Mutable access to server `s` (e.g. to spawn work or open sockets;
-    /// the scheduler re-queries every block's deadline each window).
+    /// Mutable access to server `s` (e.g. to spawn work or open sockets).
+    /// Clears the server block's cached next event, so the scheduler
+    /// re-queries the server before it plans the next window.
     pub fn server_mut(&mut self, s: usize) -> &mut McnSystem {
-        &mut self.blocks[s].ep.sys
+        &mut self.blocks[s].ep_mut().sys
     }
 
     /// Current simulated time.

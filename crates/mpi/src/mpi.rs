@@ -363,11 +363,6 @@ impl MpiRank {
     pub fn flushed(&self) -> bool {
         self.tx.iter().all(|q| q.is_empty())
     }
-
-    /// Debug view of pending inbox entries: (src, tag, len).
-    pub fn debug_inbox(&self) -> Vec<(usize, u32, usize)> {
-        self.inbox.iter().map(|(s, t, p)| (*s, *t, p.len())).collect()
-    }
 }
 
 impl Instrumented for MpiRank {
@@ -433,16 +428,6 @@ impl Barrier {
             mpi.progress(ctx);
             let src = (mpi.rank() + size - dist) % size;
             if mpi.try_recv(Some(src), tag).is_none() {
-                if std::env::var("MCN_MPI_DEBUG").is_ok() {
-                    eprintln!(
-                        "  barrier rank {} gen {} waiting round {} for {} (inbox: {:?})",
-                        mpi.rank(),
-                        self.generation,
-                        self.round,
-                        src,
-                        mpi.debug_inbox()
-                    );
-                }
                 return false;
             }
             self.round += 1;

@@ -541,15 +541,6 @@ impl RankProgram {
 impl Process for RankProgram {
     fn poll(&mut self, ctx: &mut ProcCtx<'_>) -> Poll {
         loop {
-            if std::env::var("MCN_MPI_DEBUG").is_ok() {
-                eprintln!(
-                    "[{}] rank {} poll state={:?} iter={}",
-                    ctx.now,
-                    self.mpi.rank(),
-                    std::mem::discriminant(&self.state),
-                    self.iter
-                );
-            }
             match &mut self.state {
                 State::Init => {
                     self.mpi.progress(ctx); // creates the listener

@@ -148,6 +148,21 @@ pub enum TcpState {
 
 const WSCALE: u8 = 7;
 
+/// Copies `dst.len()` bytes of `src`, starting `off` bytes in, into
+/// `dst`: one slice copy per half of the ring buffer.
+fn copy_from_deque(src: &VecDeque<u8>, off: usize, dst: &mut [u8]) {
+    let (head, tail) = src.as_slices();
+    let n = dst.len();
+    if off < head.len() {
+        let k = (head.len() - off).min(n);
+        dst[..k].copy_from_slice(&head[off..off + k]);
+        dst[k..].copy_from_slice(&tail[..n - k]);
+    } else {
+        let off = off - head.len();
+        dst.copy_from_slice(&tail[off..off + n]);
+    }
+}
+
 /// One TCP connection endpoint.
 ///
 /// Drive it with [`on_segment`](Self::on_segment), application calls
@@ -528,9 +543,8 @@ impl TcpConn {
     pub fn recv(&mut self, buf: &mut [u8], now: SimTime) -> usize {
         let n = buf.len().min(self.rcv_buf.len());
         let free_before = self.cfg.recv_buf - self.rcv_buf.len();
-        for b in buf.iter_mut().take(n) {
-            *b = self.rcv_buf.pop_front().expect("len checked");
-        }
+        copy_from_deque(&self.rcv_buf, 0, &mut buf[..n]);
+        self.rcv_buf.drain(..n);
         self.stats.bytes_delivered += n as u64;
         if n > 0 {
             // Window-update ACKs: when the advertised window reopens from
@@ -749,13 +763,6 @@ impl TcpConn {
         if self.state == TcpState::Closed {
             return;
         }
-        if std::env::var("MCN_TCP_DEBUG").is_ok() {
-            eprintln!(
-                "RTO at {now}: {:?}->{:?} state={:?} cwnd={} inflight={} snd_wnd={} unsent={} una={} nxt={}",
-                self.local, self.remote, self.state, self.cwnd as u64,
-                self.in_flight(), self.snd_wnd, self.unsent(), self.snd_una, self.snd_nxt
-            );
-        }
         self.stats.timeouts += 1;
         self.consec_rtos = self.consec_rtos.saturating_add(1);
         if self.consec_rtos > self.cfg.max_rto_retries {
@@ -828,14 +835,9 @@ impl TcpConn {
         let avail = self.snd_buf.len().saturating_sub(off);
         let len = avail.min(self.cfg.mss);
         if len > 0 {
-            let payload: Bytes = self
-                .snd_buf
-                .iter()
-                .skip(off)
-                .take(len)
-                .copied()
-                .collect::<Vec<u8>>()
-                .into();
+            let mut payload = vec![0; len];
+            copy_from_deque(&self.snd_buf, off, &mut payload);
+            let payload = Bytes::from(payload);
             let last_of_fin =
                 self.fin_sent && off + len == self.snd_buf.len();
             self.out.push(TcpSegment {
@@ -1217,14 +1219,9 @@ impl TcpConn {
                 if len == 0 {
                     break;
                 }
-                let payload: Bytes = self
-                    .snd_buf
-                    .iter()
-                    .skip(off)
-                    .take(len)
-                    .copied()
-                    .collect::<Vec<u8>>()
-                    .into();
+                let mut payload = vec![0; len];
+                copy_from_deque(&self.snd_buf, off, &mut payload);
+                let payload = Bytes::from(payload);
                 let is_last = off + len == self.snd_buf.len();
                 let fin_now = self.fin_queued && is_last && !self.fin_sent;
                 let seq = self.snd_nxt;
@@ -1337,6 +1334,23 @@ impl TcpConn {
 mod tests {
     use super::*;
     use mcn_sim::DetRng;
+
+    #[test]
+    fn deque_copy_matches_the_byte_iterator_on_a_wrapped_buffer() {
+        let mut q: VecDeque<u8> = VecDeque::with_capacity(16);
+        q.extend(0..12);
+        q.drain(..9);
+        q.extend(100..110);
+        assert!(!q.as_slices().1.is_empty(), "contents must wrap the ring");
+        for off in 0..=q.len() {
+            for len in 0..=q.len() - off {
+                let want: Vec<u8> = q.iter().skip(off).take(len).copied().collect();
+                let mut got = vec![0; len];
+                copy_from_deque(&q, off, &mut got);
+                assert_eq!(got, want, "off {off} len {len}");
+            }
+        }
+    }
 
     fn addr(n: u8) -> (Ipv4Addr, u16) {
         (Ipv4Addr::new(10, 0, 0, n), 1000 + n as u16)
