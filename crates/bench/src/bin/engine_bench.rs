@@ -15,9 +15,9 @@
 //! Writes `BENCH_engine.json` into the working directory and exits
 //! nonzero if the poll ratio (scan-equivalent / actual) drops below 2x,
 //! the serial poll rate regresses below its floor, the parallel run
-//! diverges from the serial run, or any of the scheduler's lookahead /
-//! batching / frame-pool counters stays at zero (the machinery the
-//! speedup depends on must demonstrably engage). The speedup target
+//! diverges from the serial run, or either of the scheduler's lookahead
+//! and batching counters stays at zero (the machinery the speedup
+//! depends on must demonstrably engage). The speedup target
 //! (1.5x) is a hard gate when the host has at least two cores and the
 //! run used at least two workers; on single-core hosts it degrades to a
 //! warning, because two workers on one core cannot beat serial.
@@ -39,13 +39,12 @@ const MIN_SPEEDUP: f64 = 1.5;
 /// serial hot path trips it while host noise does not.
 const MIN_SERIAL_POLLS_PER_SEC: f64 = 500_000.0;
 /// Scheduler counters that must be nonzero after any run: coarsened
-/// windows, batched dispatch rounds, and recycled frame buffers. These
-/// hold at any thread count because the coordinator computes them from
-/// the same deterministic schedule serial and parallel runs share.
-const REQUIRED_SCHED_COUNTERS: [&str; 3] = [
+/// windows and batched dispatch rounds. These hold at any thread count
+/// because the coordinator computes them from the same deterministic
+/// schedule serial and parallel runs share.
+const REQUIRED_SCHED_COUNTERS: [&str; 2] = [
     "rack.sched.lookahead.windows_coalesced",
     "rack.sched.batch.jobs",
-    "rack.sched.pool.reused",
 ];
 
 type Report = std::sync::Arc<parking_lot::Mutex<IperfReport>>;

@@ -35,8 +35,8 @@
 //! [`mcn_sim::shard`]: the **outer** engine synchronizes racks and
 //! fabric switches on the long spine-hop quantum (ToR forward +
 //! fabric latency), while each rack advances its servers with its own
-//! **inner** engine on the short ToR-hop quantum, driven to exactly the
-//! outer window edge (`McnRack::drive_window` inside
+//! **inner** engine on the short ToR-hop quantum, driven once per outer
+//! batch to exactly its end (`McnRack::drive_window` inside
 //! [`Shard::run_window`]). Both engines export the shared domain schema
 //! (`sched.domain.cross_pod.*` outer, `sched.domain.intra_rack.*`
 //! accumulated inner), so a snapshot shows directly that cross-pod
@@ -270,7 +270,7 @@ impl Shard for RackShard {
     fn run_window(&mut self, end: SimTime, outbox: &mut Outbox<EthernetFrame>) -> u64 {
         // Hierarchical quantum domains: the rack's inner engine runs its
         // own short-quantum windows serially up to exactly the outer
-        // window edge (containment), then hands its gateway claims —
+        // batch end (containment), then hands its gateway claims —
         // stamped with exact ToR-forward times — to the outer barrier
         // (monotone hand-off).
         let steps = self.rack.drive_window(end);

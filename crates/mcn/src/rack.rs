@@ -664,7 +664,7 @@ impl McnRack {
 
     /// Drives every event up to exactly `end` serially and returns the
     /// event count — the inner step of a hierarchical quantum domain
-    /// (the datacenter engine calls this inside each outer window).
+    /// (the datacenter engine calls this once per outer batch).
     pub(crate) fn drive_window(&mut self, end: SimTime) -> u64 {
         self.drive(end, RunGoal::Deadline, 1).events
     }

@@ -42,7 +42,6 @@ pub mod engine;
 pub mod fault;
 pub mod metrics;
 pub mod outage;
-pub mod pool;
 pub mod shard;
 pub mod stats;
 
@@ -51,7 +50,6 @@ pub use engine::{Activity, Component, ComponentExt, Engine, EngineStats, Wakeup,
 pub use fault::{FaultInjector, FaultKind, FaultPlan};
 pub use metrics::{Instrumented, MetricSink, MetricValue, MetricsSnapshot};
 pub use outage::{Backoff, FailureDomain, OutageKind, OutagePlan, OutageSchedule};
-pub use pool::{FramePool, PoolStats};
 pub use shard::{Fabric, Outbox, ParallelEngine, Quantum, RunGoal, RunReport, Shard, ShardStats};
 pub use queue::EventQueue;
 pub use rng::DetRng;

@@ -21,7 +21,7 @@
 //! end, then routes the collected emissions through the
 //! [`Fabric`] at the barrier.
 //!
-//! # Lookahead coarsening and batched dispatch
+//! # Lookahead coarsening
 //!
 //! One barrier per quantum is correct but slow: a mostly idle system
 //! (TCP timers, retransmission backoff) pays a full sync round every
@@ -31,20 +31,19 @@
 //! deliveries are charged the shard's minimum ingress→egress
 //! [`turnaround`](Shard::turnaround), and the window batch is extended
 //! to `min_emission + Q − 1 ps` — the last instant provably free of
-//! cross-shard effects. The extended batch ships as **one job** of
-//! consecutive quantum sub-windows (a window plan), so channel and
-//! barrier cost is paid once per batch instead of once per quantum.
-//! Rounds in which a control event fired never extend (a command can
-//! create emissions the pre-command bound did not account for), and no
-//! batch ever crosses the next scheduled control event.
+//! cross-shard effects. Each shard runs the whole batch in one
+//! [`Shard::run_window`] call, so channel and barrier cost is paid once
+//! per batch instead of once per quantum. Rounds in which a control
+//! event fired never extend (a command can create emissions the
+//! pre-command bound did not account for), and no batch ever crosses
+//! the next scheduled control event.
 //!
-//! Delivery and outbox buffers are recycled through a
-//! [`FramePool`] owned by the coordinator, and
-//! every 64 rounds the coordinator rebalances the static shard→worker
-//! assignment from observed per-shard step counts (longest-processing-
-//! time greedy). Neither affects results: the pool only hands out empty
-//! buffers, and the assignment only decides *which thread* runs a
-//! shard.
+//! With `T` workers, worker `w` owns shards `w, w + T, w + 2T, …` for
+//! the whole run; worker 0 is the coordinator and runs its share
+//! inline. The split interleaves because composites list their shards
+//! by kind (a datacenter lists its racks before its switches), so a
+//! contiguous split would put every heavy shard on one worker. The
+//! assignment only decides *which thread* runs a shard, never a result.
 //!
 //! # Determinism
 //!
@@ -54,10 +53,10 @@
 //! shard at the start of its next batch. Because frames carry exact
 //! timestamps, the final state is **independent of the thread count**:
 //! `threads = 1` and `threads = N` produce byte-identical metrics
-//! snapshots, including every `sched.*` counter (lookahead, batching,
-//! pooling, and rebalancing are all decided on the coordinator from
-//! deterministic data). The serial path is the same batched algorithm
-//! run inline, so there is exactly one scheduler to trust.
+//! snapshots, including every `sched.*` counter (lookahead and batching
+//! are decided on the coordinator from deterministic data). The serial
+//! path is the same batched algorithm run inline, so there is exactly
+//! one scheduler to trust.
 //!
 //! Window edges are a weaker promise. A link serializes from
 //! `tx_free.max(now)`, so a frame handed over late, stamped with its
@@ -66,7 +65,9 @@
 //! downlink is fed by the switch alone, in merged time order, so that
 //! holds: results outside `sched.*` do not depend on where windows end
 //! or on how a caller slices a drive into calls. A nested engine breaks
-//! it; see the hand-off caveat below.
+//! it; see the hand-off caveat below. A [`RunGoal::ProcsDone`] run is
+//! the other exception: it stops at a barrier, so its final clock
+//! depends on how far lookahead stretched the last batch.
 //!
 //! # Hierarchical quantum domains
 //!
@@ -81,24 +82,24 @@
 //! nesting correct:
 //!
 //! 1. **Containment** — the inner engine is driven with
-//!    [`RunGoal::Deadline`] to exactly the outer window end, so inner
-//!    barriers are invisible from outside and the outer clock never
-//!    runs ahead of an inner one.
+//!    [`RunGoal::Deadline`] to exactly the outer batch end, once per
+//!    outer batch, so inner barriers are invisible from outside and the
+//!    outer clock never runs ahead of an inner one.
 //! 2. **Monotone hand-off** — frames entering the shard are delivered
 //!    with their exact arrival timestamps (future-dated relative to the
 //!    outer barrier), and frames leaving it keep the timestamps of
 //!    their inner barriers, so neither direction loses precision at the
 //!    domain boundary. Caveat: an entering frame is sent into an inner
-//!    link at the outer window start, stamped with its future arrival,
+//!    link at the outer batch start, stamped with its future arrival,
 //!    and an earlier-dated inner frame sent on that link afterwards
 //!    queues behind it. Which frames meet that way depends on where the
-//!    outer windows end, so a nested engine's results (the datacenter's)
+//!    outer batches end, so a nested engine's results (the datacenter's)
 //!    depend on how the caller slices a drive, though never on the
 //!    thread count.
 //!
 //! Each level is a synchronization *domain* with its own window/barrier
 //! cadence: intra-rack traffic syncs on the short quantum many times
-//! per outer window, while cross-domain traffic pays the long quantum's
+//! per outer batch, while cross-domain traffic pays the long quantum's
 //! barrier only when it must. [`ParallelEngine::domain_metrics`]
 //! renders any level's counters under a shared `domain.<name>.*`
 //! schema so a hierarchy's cost split (e.g. `domain.cross_pod.barriers`
@@ -180,11 +181,10 @@
 //! assert_eq!(run(1).1.iter().sum::<u32>(), 8);
 //! ```
 
-use std::sync::{mpsc, Mutex};
+use std::sync::mpsc;
 use std::thread;
 
 use crate::metrics::{Instrumented, MetricSink};
-use crate::pool::{FramePool, PoolStats};
 use crate::stats::Counter;
 use crate::time::SimTime;
 
@@ -217,45 +217,22 @@ impl Quantum {
     }
 }
 
-/// Cross-shard emissions collected during one window, in emission order.
+/// Cross-shard emissions collected during one window batch, in emission
+/// order.
 #[derive(Debug)]
 pub struct Outbox<F> {
     items: Vec<(SimTime, F)>,
 }
 
 impl<F> Outbox<F> {
-    /// An empty outbox.
-    pub fn new() -> Self {
+    fn new() -> Self {
         Outbox { items: Vec::new() }
-    }
-
-    /// An outbox backed by a recycled (empty) buffer from the frame
-    /// pool, so steady-state rounds emit without allocating.
-    fn seeded(items: Vec<(SimTime, F)>) -> Self {
-        debug_assert!(items.is_empty(), "pooled outbox seeds must be cleared");
-        Outbox { items }
     }
 
     /// Records a frame leaving the shard at time `at` (the time it hits
     /// the shard boundary, *before* any fabric latency).
     pub fn emit(&mut self, at: SimTime, frame: F) {
         self.items.push((at, frame));
-    }
-
-    /// Number of queued emissions.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// True if nothing was emitted.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-}
-
-impl<F> Default for Outbox<F> {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -309,8 +286,9 @@ pub trait Shard: Send {
     /// ingress path at `at` (e.g. starts serialization on the downlink).
     fn deliver(&mut self, at: SimTime, frame: Self::Frame);
 
-    /// Runs every local event with `time ≤ end`, pushing cross-shard
-    /// emissions into `outbox` stamped with their emission time.
+    /// Runs every local event with `time ≤ end` (the end of a whole
+    /// window batch), pushing cross-shard emissions into `outbox`
+    /// stamped with their emission time.
     /// Returns the number of event times processed (for activity and
     /// progress accounting).
     fn run_window(&mut self, end: SimTime, outbox: &mut Outbox<Self::Frame>) -> u64;
@@ -354,6 +332,9 @@ pub enum RunGoal {
     /// Run until every shard reports its processes done, failing if the
     /// target time passes first (the analogue of
     /// [`run_until_procs_done`](crate::engine::ComponentExt::run_until_procs_done)).
+    /// The run stops at the first barrier after the last process
+    /// finishes, so the final clock (and anything priced by it or routed
+    /// in that batch) depends on how far lookahead stretched the batch.
     ProcsDone,
 }
 
@@ -373,36 +354,29 @@ pub struct RunReport {
 /// part of the byte-identity contract like any simulation counter.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct ShardStats {
-    /// Quantum sub-windows executed (including coalesced ones).
+    /// Quantum widths covered by the batches run: per batch, its first
+    /// one-quantum window plus every (possibly partial) quantum that
+    /// lookahead added after it.
     pub windows: Counter,
     /// Cross-shard frames routed through the fabric.
     pub messages: Counter,
-    /// Dispatch rounds (barriers): one batched job per shard each.
+    /// Dispatch rounds (barriers): one `run_window` call per shard each.
     pub batch_jobs: Counter,
-    /// Extra sub-windows run without a barrier thanks to lookahead
-    /// coarsening (`windows − batch_jobs`, summed per round).
+    /// Quantum widths beyond the first that lookahead coarsening added
+    /// to a batch (`windows − batch_jobs`, summed per round).
     pub windows_coalesced: Counter,
-    /// Scheduled load-rebalance points reached (every 64 rounds). The
-    /// count is schedule-driven so it stays thread-count invariant.
-    pub rebalances: Counter,
-    /// Delivery/outbox buffer recycling through the coordinator's
-    /// [`FramePool`].
-    pub pool: PoolStats,
 }
 
 impl ShardStats {
     /// Folds another scheduler's counters into this one. Used to
     /// aggregate the many inner engines of one hierarchical quantum
     /// domain (every rack of a datacenter) into a single domain-level
-    /// figure; see the [module docs](self). The pool counters are
-    /// per-engine plumbing and fold along with the rest.
+    /// figure; see the [module docs](self).
     pub fn accumulate(&mut self, other: &ShardStats) {
         self.windows.add(other.windows.get());
         self.messages.add(other.messages.get());
         self.batch_jobs.add(other.batch_jobs.get());
         self.windows_coalesced.add(other.windows_coalesced.get());
-        self.rebalances.add(other.rebalances.get());
-        self.pool.accumulate(&other.pool);
     }
 }
 
@@ -414,32 +388,17 @@ impl Instrumented for ShardStats {
         out.scoped("lookahead", |out| {
             out.counter("windows_coalesced", self.windows_coalesced.get());
         });
-        out.scoped("balance", |out| out.counter("rebalances", self.rebalances.get()));
-        out.absorb("pool", &self.pool);
     }
 }
 
-/// The batch of consecutive quantum sub-windows one dispatch round
-/// covers: ends at `first_end`, `first_end + step`, …, capped at `end`
-/// (always at least one window). Shipped whole to each shard so the
-/// barrier is paid once per batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct WindowPlan {
-    first_end: SimTime,
-    step: SimTime,
-    end: SimTime,
-}
-
-impl WindowPlan {
-    /// Number of sub-windows the plan executes (mirrors the loop in
-    /// [`run_one`] exactly, for honest `sched.windows` accounting).
-    fn windows(&self) -> u64 {
-        if self.end <= self.first_end {
-            return 1;
-        }
-        let extra_ps = (self.end - self.first_end).as_ps();
-        1 + extra_ps.div_ceil(self.step.as_ps().max(1))
+/// Quantum widths a batch from the one-quantum window end `base_end`
+/// to `end` covers: `1 + ⌈(end − base_end) / quantum⌉`, or 1 when
+/// lookahead added nothing (or a control event clamped the batch).
+fn batch_windows(base_end: SimTime, end: SimTime, quantum: SimTime) -> u64 {
+    if end <= base_end {
+        return 1;
     }
+    1 + (end - base_end).as_ps().div_ceil(quantum.as_ps())
 }
 
 /// What one shard reports back at a barrier.
@@ -449,113 +408,58 @@ struct ShardReport<F> {
     turnaround: SimTime,
     procs_done: bool,
     emitted: Vec<(SimTime, F)>,
-    /// The drained delivery buffer, handed back for pooling.
-    scratch: Vec<(SimTime, F)>,
     steps: u64,
 }
 
-/// Per-shard work shipped with a window job. The `deliveries` and
-/// `outbox` buffers come from the coordinator's frame pool and return
-/// to it via the report.
+/// Per-shard work shipped with a window batch.
 struct ShardWork<C, F> {
     cmds: Vec<(SimTime, C)>,
     deliveries: Vec<(SimTime, F)>,
-    outbox: Vec<(SimTime, F)>,
 }
 
-enum Job<C, F> {
-    Round {
-        plan: Option<WindowPlan>,
-        work: Vec<(usize, ShardWork<C, F>)>,
-    },
-    Stop,
-}
+/// One worker's share of a round: the batch end (`None` applies the
+/// work without running a window) and the work for its shards, in the
+/// order the worker owns them.
+type Job<C, F> = (Option<SimTime>, Vec<ShardWork<C, F>>);
 
-/// Applies pending work to one shard and (optionally) runs one batch of
-/// windows. Shared verbatim by the serial and the threaded paths, so
-/// both drive shards identically.
+/// Applies pending work to one shard and, given a batch end, runs the
+/// batch. Shared verbatim by the serial and the threaded paths, so both
+/// drive shards identically.
 fn run_one<S: Shard>(
     shard: &mut S,
-    plan: Option<WindowPlan>,
-    mut work: ShardWork<S::Cmd, S::Frame>,
+    end: Option<SimTime>,
+    work: ShardWork<S::Cmd, S::Frame>,
 ) -> ShardReport<S::Frame> {
-    for (at, cmd) in work.cmds.drain(..) {
+    for (at, cmd) in work.cmds {
         shard.apply(at, cmd);
     }
-    for (at, frame) in work.deliveries.drain(..) {
+    for (at, frame) in work.deliveries {
         shard.deliver(at, frame);
     }
-    let mut outbox = Outbox::seeded(work.outbox);
-    let mut steps = 0;
-    if let Some(plan) = plan {
-        let mut sub = plan.first_end.min(plan.end);
-        loop {
-            steps += shard.run_window(sub, &mut outbox);
-            if sub >= plan.end {
-                break;
-            }
-            sub = match sub.checked_add(plan.step) {
-                Some(t) => t.min(plan.end),
-                None => plan.end,
-            };
-        }
-    }
+    let mut outbox = Outbox::new();
+    let steps = end.map_or(0, |end| shard.run_window(end, &mut outbox));
     ShardReport {
         next_event: shard.next_event(),
         next_emission: shard.next_emission(),
         turnaround: shard.turnaround(),
         procs_done: shard.procs_done(),
         emitted: outbox.items,
-        scratch: work.deliveries,
         steps,
     }
 }
 
-/// Builds this round's per-shard work, drawing delivery and outbox
-/// buffers from the pool (pending buffers rotate out as deliveries and
-/// rotate back via the report's scratch).
+/// Builds this round's per-shard work, moving out every pending
+/// command and delivery.
 fn gather<C, F>(
-    n: usize,
-    pool: &mut FramePool<(SimTime, F)>,
     pending: &mut [Vec<(SimTime, F)>],
     cmds: &mut [Vec<(SimTime, C)>],
 ) -> Vec<ShardWork<C, F>> {
-    (0..n)
-        .map(|s| ShardWork {
-            cmds: std::mem::take(&mut cmds[s]),
-            deliveries: std::mem::replace(&mut pending[s], pool.take()),
-            outbox: pool.take(),
-        })
+    pending
+        .iter_mut()
+        .zip(cmds.iter_mut())
+        .map(|(p, c)| ShardWork { cmds: std::mem::take(c), deliveries: std::mem::take(p) })
         .collect()
 }
-
-/// Contiguous near-even shard→worker split (the starting assignment,
-/// matching serial iteration order).
-fn split_even(n: usize, workers: usize) -> Vec<Vec<usize>> {
-    let chunk = n.div_ceil(workers);
-    (0..workers).map(|w| (w * chunk..n.min((w + 1) * chunk)).collect()).collect()
-}
-
-/// Longest-processing-time greedy rebalance: heaviest shards first,
-/// each to the least-loaded worker, ties broken by lower index on both
-/// sides. Purely a thread→shard mapping — results never depend on it.
-fn balance(loads: &[u64], workers: usize) -> Vec<Vec<usize>> {
-    let mut order: Vec<usize> = (0..loads.len()).collect();
-    order.sort_by_key(|&s| (std::cmp::Reverse(loads[s]), s));
-    let mut totals = vec![0u64; workers];
-    let mut out = vec![Vec::new(); workers];
-    for s in order {
-        let w = (0..workers).min_by_key(|&w| (totals[w], w)).expect("workers >= 1");
-        // +1 so idle shards still spread their fixed dispatch cost.
-        totals[w] += loads[s] + 1;
-        out[w].push(s);
-    }
-    out
-}
-
-/// How often (in dispatch rounds) the coordinator recomputes the
-/// shard→worker assignment from observed step counts.
-const REBALANCE_EVERY: u64 = 64;
 
 /// The windowed conservative scheduler: plans quantum-bounded window
 /// batches with lookahead coarsening, dispatches them to shards (inline
@@ -582,8 +486,9 @@ impl ParallelEngine {
 
     /// Renders this engine's counters as one named synchronization
     /// *domain* of a quantum hierarchy (see the [module docs](self))
-    /// under `domain.<name>.*`: the domain's quantum, its sub-windows
-    /// executed, its barriers paid, and its cross-shard messages. The
+    /// under `domain.<name>.*`: the domain's quantum, the quantum widths
+    /// its batches covered, its barriers paid, and its cross-shard
+    /// messages. The
     /// shared schema is what lets a snapshot compare levels directly
     /// (`domain.cross_pod.barriers` vs `domain.intra_rack.windows`).
     pub fn domain_metrics(&self, name: &str, out: &mut MetricSink) {
@@ -631,94 +536,69 @@ impl ParallelEngine {
         }
         let threads = threads.clamp(1, n);
         if threads == 1 {
-            let mut dispatch = |plan, work: Vec<ShardWork<S::Cmd, S::Frame>>, _assign: Option<Vec<Vec<usize>>>| {
-                shards
-                    .iter_mut()
-                    .zip(work)
-                    .map(|(s, w)| run_one(s, plan, w))
-                    .collect()
+            let mut dispatch = |end, work: Vec<ShardWork<S::Cmd, S::Frame>>| {
+                shards.iter_mut().zip(work).map(|(s, w)| run_one(s, end, w)).collect()
             };
-            return self.coordinate::<S, F>(n, fabric, now, target, goal, threads, &mut dispatch);
+            return self.coordinate::<S, F>(n, fabric, now, target, goal, &mut dispatch);
         }
 
-        // Shards sit behind shared mutex slots so the shard→worker
-        // assignment can move between rounds without moving shard data.
-        // Assignments are always disjoint, so locks never contend; the
-        // mutex exists to satisfy the borrow checker across threads.
-        let slots: Vec<Mutex<&mut S>> = shards.iter_mut().map(Mutex::new).collect();
-        let slots = &slots;
+        // Worker `w` owns shards `w, w + T, w + 2T, …` for the whole run.
+        let mut owned: Vec<Vec<&mut S>> = (0..threads).map(|_| Vec::new()).collect();
+        for (s, shard) in shards.iter_mut().enumerate() {
+            owned[s % threads].push(shard);
+        }
+        let mut owned = owned.into_iter();
+        let mut inline = owned.next().expect("threads >= 1");
         thread::scope(|scope| {
-            let (res_tx, res_rx) = mpsc::channel();
             // The coordinator doubles as worker 0 and runs its share
-            // inline while the spawned workers chew on theirs, so only
-            // `threads − 1` job channels exist.
-            let mut job_txs = Vec::with_capacity(threads - 1);
-            for _ in 1..threads {
-                let (job_tx, job_rx) = mpsc::channel::<Job<S::Cmd, S::Frame>>();
-                job_txs.push(job_tx);
-                let res_tx = res_tx.clone();
-                scope.spawn(move || {
-                    while let Ok(job) = job_rx.recv() {
-                        match job {
-                            Job::Stop => break,
-                            Job::Round { plan, work } => {
-                                let reports: Vec<_> = work
-                                    .into_iter()
-                                    .map(|(idx, w)| {
-                                        let mut shard =
-                                            slots[idx].lock().expect("shard mutex poisoned");
-                                        (idx, run_one(&mut **shard, plan, w))
-                                    })
-                                    .collect();
-                                if res_tx.send(reports).is_err() {
-                                    break;
-                                }
+            // inline while the spawned workers chew on theirs. A worker
+            // exits when its job channel closes.
+            let workers: Vec<_> = owned
+                .map(|mut mine| {
+                    let (job_tx, job_rx) = mpsc::channel::<Job<S::Cmd, S::Frame>>();
+                    let (res_tx, res_rx) = mpsc::channel();
+                    scope.spawn(move || {
+                        while let Ok((end, work)) = job_rx.recv() {
+                            let reports: Vec<_> =
+                                mine.iter_mut().zip(work).map(|(s, w)| run_one(&mut **s, end, w)).collect();
+                            if res_tx.send(reports).is_err() {
+                                break;
                             }
                         }
-                    }
-                });
-            }
-            let mut assign = split_even(n, threads);
-            let mut dispatch = |plan, work: Vec<ShardWork<S::Cmd, S::Frame>>, new_assign: Option<Vec<Vec<usize>>>| {
-                if let Some(a) = new_assign {
-                    assign = a;
+                    });
+                    (job_tx, res_rx)
+                })
+                .collect();
+            let mut dispatch = |end, work: Vec<ShardWork<S::Cmd, S::Frame>>| {
+                let mut jobs: Vec<Vec<_>> = (0..threads).map(|_| Vec::new()).collect();
+                for (s, w) in work.into_iter().enumerate() {
+                    jobs[s % threads].push(w);
                 }
-                let mut work: Vec<Option<_>> = work.into_iter().map(Some).collect();
-                for (w, job_tx) in job_txs.iter().enumerate() {
-                    let batch: Vec<_> = assign[w + 1]
-                        .iter()
-                        .map(|&s| (s, work[s].take().expect("shard assigned twice")))
-                        .collect();
-                    job_tx
-                        .send(Job::Round { plan, work: batch })
-                        .expect("shard worker exited early");
+                let mut jobs = jobs.into_iter();
+                let own_work = jobs.next().expect("threads >= 1");
+                for ((job_tx, _), job) in workers.iter().zip(jobs) {
+                    job_tx.send((end, job)).expect("shard worker exited early");
                 }
                 let mut out: Vec<Option<ShardReport<S::Frame>>> = (0..n).map(|_| None).collect();
-                for &s in &assign[0] {
-                    let w = work[s].take().expect("shard assigned twice");
-                    let mut shard = slots[s].lock().expect("shard mutex poisoned");
-                    out[s] = Some(run_one(&mut **shard, plan, w));
+                for (k, (shard, w)) in inline.iter_mut().zip(own_work).enumerate() {
+                    out[k * threads] = Some(run_one(&mut **shard, end, w));
                 }
-                for _ in 1..threads {
-                    for (s, r) in res_rx.recv().expect("shard worker panicked") {
-                        out[s] = Some(r);
+                for (w, (_, res_rx)) in workers.iter().enumerate() {
+                    let reports = res_rx.recv().expect("shard worker panicked");
+                    for (k, r) in reports.into_iter().enumerate() {
+                        out[w + 1 + k * threads] = Some(r);
                     }
                 }
                 out.into_iter().map(|r| r.expect("missing shard report")).collect()
             };
-            let report = self.coordinate::<S, F>(n, fabric, now, target, goal, threads, &mut dispatch);
-            for job_tx in &job_txs {
-                let _ = job_tx.send(Job::Stop);
-            }
-            report
+            self.coordinate::<S, F>(n, fabric, now, target, goal, &mut dispatch)
         })
     }
 
     /// The coordinator loop, shared by the inline and threaded paths.
-    /// `dispatch` applies per-shard work, optionally runs one window
-    /// batch on every shard, and optionally installs a new shard→worker
-    /// assignment; it returns reports in shard order.
-    #[allow(clippy::type_complexity, clippy::too_many_arguments)]
+    /// `dispatch` applies per-shard work and, given a batch end, runs
+    /// the batch on every shard; it returns reports in shard order.
+    #[allow(clippy::type_complexity)]
     fn coordinate<S, F>(
         &mut self,
         n: usize,
@@ -726,11 +606,9 @@ impl ParallelEngine {
         now: &mut SimTime,
         target: SimTime,
         goal: RunGoal,
-        workers: usize,
         dispatch: &mut dyn FnMut(
-            Option<WindowPlan>,
+            Option<SimTime>,
             Vec<ShardWork<S::Cmd, S::Frame>>,
-            Option<Vec<Vec<usize>>>,
         ) -> Vec<ShardReport<S::Frame>>,
     ) -> RunReport
     where
@@ -741,29 +619,19 @@ impl ParallelEngine {
         let quantum = self.quantum.window();
         let span = quantum.saturating_sub(one_ps);
 
-        // Enough capacity that the 2·n buffers in flight each round all
-        // come back without discards.
-        let mut pool: FramePool<(SimTime, S::Frame)> = FramePool::new(2 * n + 4);
         let mut pending: Vec<Vec<(SimTime, S::Frame)>> = (0..n).map(|_| Vec::new()).collect();
         let mut cmds: Vec<Vec<(SimTime, S::Cmd)>> = (0..n).map(|_| Vec::new()).collect();
         let mut ctl_buf: Vec<(usize, SimTime, S::Cmd)> = Vec::new();
         let mut route_buf: Vec<(usize, SimTime, S::Frame)> = Vec::new();
         // The barrier merge scratch, reused across rounds (one stable
-        // sort per batch, zero steady-state allocation).
+        // sort per batch).
         let mut merged: Vec<(SimTime, usize, S::Frame)> = Vec::new();
-        // Per-shard steps since the last rebalance point.
-        let mut loads: Vec<u64> = vec![0; n];
         let mut events = 0u64;
         let mut idle_rounds = 0u32;
-        let mut round = 0u64;
 
         // Initial probe: learn every shard's next event, emission bound
         // and done flag without running a window.
-        let mut reports = dispatch(None, gather(n, &mut pool, &mut pending, &mut cmds), None);
-        for r in reports.iter_mut() {
-            pool.put(std::mem::take(&mut r.emitted));
-            pool.put(std::mem::take(&mut r.scratch));
-        }
+        let mut reports = dispatch(None, gather(&mut pending, &mut cmds));
 
         let completed = loop {
             if goal == RunGoal::ProcsDone && reports.iter().all(|r| r.procs_done) {
@@ -818,8 +686,8 @@ impl ParallelEngine {
             // provably free of cross-shard effects. `min_emit` is the
             // earliest any shard could emit — from its own reported
             // bound, or from a pending delivery plus its turnaround. A
-            // frame emitted at `e` lands no earlier than `e + Q`, so
-            // every window ending by `min_emit + Q − 1 ps` is safe.
+            // frame emitted at `e` lands no earlier than `e + Q`, so a
+            // batch ending by `min_emit + Q − 1 ps` is safe.
             // Rounds with control commands never extend: a command can
             // create emissions the pre-command bounds did not see.
             if !controls_fired {
@@ -849,29 +717,14 @@ impl ParallelEngine {
             }
             debug_assert!(end >= t1, "window end before its start");
 
-            let plan = WindowPlan { first_end: base_end.min(end), step: quantum, end };
-            let wins = plan.windows();
-            round += 1;
+            let wins = batch_windows(base_end, end, quantum);
             self.stats.windows.add(wins);
             self.stats.batch_jobs.inc();
-            if wins > 1 {
-                self.stats.windows_coalesced.add(wins - 1);
-            }
-            // Rebalance on a fixed round schedule so the decision (and
-            // its counter) is thread-count invariant; the assignment
-            // itself only matters when real workers exist.
-            let new_assign = if round.is_multiple_of(REBALANCE_EVERY) {
-                self.stats.rebalances.inc();
-                let a = (workers > 1).then(|| balance(&loads, workers));
-                loads.iter_mut().for_each(|l| *l = 0);
-                a
-            } else {
-                None
-            };
+            self.stats.windows_coalesced.add(wins - 1);
 
             let events_before = events;
             let had_pending = pending.iter().any(|p| !p.is_empty());
-            reports = dispatch(Some(plan), gather(n, &mut pool, &mut pending, &mut cmds), new_assign);
+            reports = dispatch(Some(end), gather(&mut pending, &mut cmds));
             *now = end;
 
             // Barrier: merge emissions with one stable sort on
@@ -880,10 +733,7 @@ impl ParallelEngine {
             merged.clear();
             for (s, r) in reports.iter_mut().enumerate() {
                 events += r.steps;
-                loads[s] += r.steps;
                 merged.extend(r.emitted.drain(..).map(|(at, frame)| (at, s, frame)));
-                pool.put(std::mem::take(&mut r.emitted));
-                pool.put(std::mem::take(&mut r.scratch));
             }
             merged.sort_by_key(|&(at, s, _)| (at, s));
             for (at, s, frame) in merged.drain(..) {
@@ -911,13 +761,8 @@ impl ParallelEngine {
         // Hand leftover in-flight deliveries to their shards before
         // returning so no frame is lost between run() calls.
         if pending.iter().any(|p| !p.is_empty()) {
-            dispatch(None, gather(n, &mut pool, &mut pending, &mut cmds), None);
+            dispatch(None, gather(&mut pending, &mut cmds));
         }
-        // Fold this run's pool accounting into the persistent counters.
-        self.stats.pool.allocated.add(pool.stats.allocated.get());
-        self.stats.pool.reused.add(pool.stats.reused.get());
-        self.stats.pool.returned.add(pool.stats.returned.get());
-        self.stats.pool.discarded.add(pool.stats.discarded.get());
         RunReport { completed, events }
     }
 }
@@ -984,11 +829,11 @@ mod tests {
         }
     }
 
-    fn merge_order(threads: usize) -> Vec<(SimTime, u32, u32)> {
-        // Three shards emitting two frames per 100 ns tick, all at the
-        // same timestamps, so the batched merge has real ties to break:
+    fn merge_order(shards: u32, threads: usize) -> Vec<(SimTime, u32, u32)> {
+        // Every shard emits two frames per 100 ns tick, all at the same
+        // timestamps, so the batched merge has real ties to break:
         // across shards (by index) and within a shard (by emission seq).
-        let mut shards: Vec<Emitter> = (0..3)
+        let mut shards: Vec<Emitter> = (0..shards)
             .map(|id| Emitter {
                 id,
                 script: (0u32..40).map(|i| (SimTime::from_ns(100 * u64::from(i / 2)), i)).collect(),
@@ -1007,21 +852,31 @@ mod tests {
             threads,
         );
         assert!(rep.completed);
-        assert_eq!(fabric.order.len(), 3 * 40);
+        assert_eq!(fabric.order.len(), shards.len() * 40);
         fabric.order
     }
 
     #[test]
     fn batched_merge_keeps_time_shard_seq_order() {
-        let serial = merge_order(1);
-        // The merged route order is fully sorted by (time, shard, seq):
-        // the stable per-batch sort must not reorder equal keys.
-        let mut expected = serial.clone();
-        expected.sort();
-        assert_eq!(serial, expected, "merge order is not (time, shard, seq)");
-        // And it is identical on every thread count.
-        assert_eq!(serial, merge_order(2), "2-thread merge order diverged");
-        assert_eq!(serial, merge_order(3), "3-thread merge order diverged");
+        // 3 and 5 shards on 2–4 workers include uneven splits (worker 0
+        // owns more shards than the others), so a report put back at
+        // the wrong shard index breaks the order.
+        for shards in [3, 5] {
+            let serial = merge_order(shards, 1);
+            // The merged route order is fully sorted by (time, shard,
+            // seq): the stable per-batch sort must not reorder equal keys.
+            let mut expected = serial.clone();
+            expected.sort();
+            assert_eq!(serial, expected, "merge order is not (time, shard, seq)");
+            // And it is identical on every thread count.
+            for threads in 2..=4 {
+                assert_eq!(
+                    serial,
+                    merge_order(shards, threads),
+                    "{shards} shards on {threads} workers: merge order diverged"
+                );
+            }
+        }
     }
 
     /// Fires local events every 50 ns but never emits, so lookahead
@@ -1125,31 +980,13 @@ mod tests {
     }
 
     #[test]
-    fn balance_is_deterministic_lpt() {
-        let loads = [10, 1, 1, 1, 7, 3];
-        let a = balance(&loads, 2);
-        assert_eq!(a, balance(&loads, 2), "balance is not deterministic");
-        // LPT with +1 dispatch cost: 0→w0 (11), 4→w1 (8), 5→w1 (12),
-        // 1→w0 (13), 2→w1 (14), 3→w0 (15).
-        assert_eq!(a, vec![vec![0, 1, 3], vec![4, 5, 2]]);
-        // Every shard appears exactly once.
-        let mut seen: Vec<usize> = a.iter().flatten().copied().collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..loads.len()).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn window_plan_counts_match_run_one_loop() {
+    fn batch_windows_count_the_quantum_widths_covered() {
         let q = SimTime::from_ns(200);
-        let plan = |first: u64, end: u64| WindowPlan {
-            first_end: SimTime::from_ns(first),
-            step: q,
-            end: SimTime::from_ns(end),
-        };
-        assert_eq!(plan(199, 199).windows(), 1);
-        assert_eq!(plan(199, 150).windows(), 1); // clamped batch: end < first
-        assert_eq!(plan(199, 399).windows(), 2);
-        assert_eq!(plan(199, 400).windows(), 3); // partial final window
-        assert_eq!(plan(199, 999).windows(), 5);
+        let wins = |base: u64, end: u64| batch_windows(SimTime::from_ns(base), SimTime::from_ns(end), q);
+        assert_eq!(wins(199, 199), 1);
+        assert_eq!(wins(199, 150), 1); // clamped batch: end < base
+        assert_eq!(wins(199, 399), 2);
+        assert_eq!(wins(199, 400), 3); // partial final quantum
+        assert_eq!(wins(199, 999), 5);
     }
 }

@@ -514,14 +514,13 @@ fn chaos_smoke_snapshot() {
         "nic1.tx_frames",
         "link0.up.sent",
         "engine.advances",
-        // The windowed scheduler's coarsening, batching and frame-pool
-        // machinery must engage (and stay deterministic) even on the
-        // serial drive path — the coordinator computes these from the
-        // same schedule at any thread count, so they are part of the
-        // byte-identity diff CI runs on this snapshot.
+        // The windowed scheduler's coarsening and batching must engage
+        // (and stay deterministic) even on the serial drive path — the
+        // coordinator computes these from the same schedule at any
+        // thread count, so they are part of the byte-identity diff CI
+        // runs on this snapshot.
         "sched.lookahead.windows_coalesced",
         "sched.batch.jobs",
-        "sched.pool.reused",
     ] {
         assert!(
             snap.contains(&format!("\"{path}\":")),
