@@ -448,6 +448,14 @@ impl Channel {
     /// feasible on the way, and returns the completions whose delivery time
     /// is `<= now` (in delivery order).
     pub fn advance(&mut self, now: SimTime) -> Vec<Completion> {
+        let mut out = Vec::new();
+        self.advance_with(now, |c| out.push(c));
+        out
+    }
+
+    /// [`advance`](Self::advance) that hands each completion to `deliver`
+    /// (in delivery order) instead of collecting them.
+    pub fn advance_with(&mut self, now: SimTime, mut deliver: impl FnMut(Completion)) {
         self.clock = self.clock.max(now);
         loop {
             if !self.refresh_mode && now >= self.refresh_due && self.stats.traffic.bytes() > 0 {
@@ -459,19 +467,17 @@ impl Channel {
                 _ => break,
             }
         }
-        let mut out = Vec::new();
         while let Some(Reverse(c)) = self.completions.peek() {
             if c.at > now {
                 break;
             }
             let Reverse(c) = self.completions.pop().expect("peeked");
-            out.push(Completion {
+            deliver(Completion {
                 tag: c.tag,
                 at: c.at,
                 kind: c.kind,
             });
         }
-        out
     }
 
     // ---- scheduling ----

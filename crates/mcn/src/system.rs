@@ -671,6 +671,15 @@ impl McnSystem {
         }
     }
 
+    /// [`mem_of`](Self::mem_of), mutably.
+    fn mem_mut(&mut self, id: usize) -> &mut MemorySystem {
+        if id == HOST_ID {
+            &mut self.host.mem
+        } else {
+            &mut self.dimms[id - 1 - HOST_ID].node.mem
+        }
+    }
+
     /// Re-queries every stale component's deadline. The host is *always*
     /// treated as stale: it is a public field, so harnesses and tests can
     /// inject work (binds, sends, spawns) the engine cannot observe.
@@ -702,42 +711,58 @@ impl McnSystem {
     /// A memory-only step is a time `t` at which [`advance`](Self::advance)
     /// would find only memory work: no staged effect and no component's
     /// wakeup outside memory is due by `t`, and no due memory system may
-    /// finish a job ([`MemorySystem::may_finish_job`]). Such a step runs
-    /// through the engine's own bookkeeping — the same pops in the same
-    /// order, the same advance and poll counts, plus `fast_forwarded` —
-    /// without the host and DIMM polls around it. The loop stops at the
-    /// first step that is not memory-only, so the caller's next `advance`
-    /// never revisits a fast-forwarded time.
+    /// finish a job ([`MemorySystem::may_finish_job`]). A component due
+    /// alone runs one [`MemorySystem::run_stretch`] up to the next other
+    /// component's indexed wakeup, the visible horizon or past `limit`,
+    /// and the engine records the stretch in one update
+    /// ([`Engine::record_stretch`]). Components due together take one
+    /// step each, in the index's pop order, as one advance. Either way
+    /// the engine ends as the per-event drive would leave it, with the
+    /// same advance and poll counts plus `fast_forwarded`, and the host
+    /// and DIMM polls around the steps are skipped. The loop stops at
+    /// the first step that is not memory-only, so the caller's next
+    /// `advance` never revisits a fast-forwarded time.
     pub(crate) fn fast_forward(&mut self, limit: SimTime) -> u64 {
         self.refresh_wakeups();
         let mut horizon = None;
         let mut steps = 0;
         while let Some(t) = self.engine.earliest().map(|t| t.max(self.now)) {
-            if t > limit
-                || t >= *horizon.get_or_insert_with(|| self.visible_horizon())
-                || self.engine.due(t).any(|id| self.mem_of(id).may_finish_job(t))
-            {
+            if t > limit {
+                break;
+            }
+            let horizon = *horizon.get_or_insert_with(|| self.visible_horizon());
+            if t >= horizon {
+                break;
+            }
+            if let Some((id, other)) = self.engine.due_alone(t) {
+                let past_limit = limit
+                    .checked_add(SimTime::from_ps(1))
+                    .unwrap_or(SimTime::MAX);
+                let before = horizon.min(past_limit).min(other.unwrap_or(SimTime::MAX));
+                let run = self.mem_mut(id).run_stretch(t, before, u64::MAX);
+                if run.steps == 0 {
+                    break; // it may finish a job at `t`
+                }
+                self.now = run.last;
+                let w = self.wakeup_after_mem(id, run.next);
+                self.engine.record_stretch(id, run.steps, run.last, w);
+                steps += run.steps;
+                continue;
+            }
+            // A tie: one step of each due component, in pop order.
+            if self.engine.due(t).any(|id| self.mem_of(id).may_finish_job(t)) {
                 break;
             }
             self.now = t;
             self.engine.begin(t);
             self.engine.start_round();
             while let Some(id) = self.engine.pop_dirty() {
-                let mem = if id == HOST_ID {
-                    &mut self.host.mem
-                } else {
-                    &mut self.dimms[id - 1 - HOST_ID].node.mem
-                };
-                let done = mem.advance(t);
-                debug_assert!(done.is_empty(), "fast-forwarded step at {t} finished {done:?}");
+                let run = self.mem_mut(id).run_stretch(t, SimTime::MAX, 1);
+                debug_assert_eq!((run.steps, run.last), (1, t), "tie step of {id}");
             }
             let ids = self.engine.drain_touched_into(std::mem::take(&mut self.engine_scratch));
             for &id in &ids {
-                let w = [self.visible[id], self.mem_of(id).next_event()]
-                    .into_iter()
-                    .flatten()
-                    .min();
-                debug_assert_eq!(w, self.wakeup_of(id), "fast-forward wakeup of {id} at {t}");
+                let w = self.wakeup_after_mem(id, self.mem_of(id).next_event());
                 self.engine.set_wakeup(id, w);
             }
             self.engine_scratch = ids;
@@ -745,6 +770,21 @@ impl McnSystem {
             steps += 1;
         }
         steps
+    }
+
+    /// Component `id`'s wakeup after memory-only steps left its memory's
+    /// next event at `mem_next`: that or its recorded wakeup outside
+    /// memory, which such steps do not move. Debug builds check it
+    /// against a full [`wakeup_of`](Self::wakeup_of).
+    fn wakeup_after_mem(&self, id: usize, mem_next: Option<SimTime>) -> Option<SimTime> {
+        let w = [self.visible[id], mem_next].into_iter().flatten().min();
+        debug_assert_eq!(
+            w,
+            self.wakeup_of(id),
+            "fast-forward wakeup of {id} at {}",
+            self.now
+        );
+        w
     }
 
     /// Records every component's wakeup outside memory (stack output

@@ -135,6 +135,34 @@ impl Job {
             _ => self.issued >= self.lines,
         }
     }
+
+    /// Every line completed and nothing is in flight. Only a completion
+    /// can make this true, and nothing makes it false again.
+    fn done(&self) -> bool {
+        self.completed >= self.lines && self.outstanding == 0
+    }
+
+    /// Credits one of this job's line completions (a copy's reads feed
+    /// its writes); returns whether it finished the job.
+    fn complete(&mut self, is_write: bool) -> bool {
+        self.outstanding -= 1;
+        match self.spec {
+            Transfer::Copy { .. } if !is_write => self.reads_done += 1,
+            _ => self.completed += 1,
+        }
+        self.done()
+    }
+}
+
+/// What [`MemorySystem::run_stretch`] ran.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Stretch {
+    /// Steps run; each did one [`advance`](MemorySystem::advance)'s work.
+    pub steps: u64,
+    /// The last step's time (the caller's `now` when none ran).
+    pub last: SimTime,
+    /// [`next_event`](MemorySystem::next_event) after the last step.
+    pub next: Option<SimTime>,
 }
 
 /// Default per-job memory-level parallelism (out-of-order window / DMA
@@ -142,6 +170,12 @@ impl Job {
 pub const DEFAULT_MLP: u32 = 10;
 
 /// A node's memory channels plus the job layer. See the module docs.
+///
+/// Its owner steps it one event at a time with
+/// [`advance`](Self::advance)`(`[`next_event`](Self::next_event)`())`,
+/// or runs a stretch of steps that finish no job in one
+/// [`run_stretch`](Self::run_stretch) call. Either way a step advances
+/// only the channels with work due.
 #[derive(Debug)]
 pub struct MemorySystem {
     map: AddressMap,
@@ -258,33 +292,73 @@ impl MemorySystem {
         })
     }
 
-    /// Advances all channels to `now`; returns jobs that finished.
+    /// Advances the channels to `now`; returns jobs that finished, in id
+    /// order.
     pub fn advance(&mut self, now: SimTime) -> Vec<(WaiterId, JobId)> {
+        if self.step(now) {
+            self.take_finished()
+        } else {
+            Vec::new()
+        }
+    }
+
+    /// Runs up to `max_steps` of this memory system's own steps in time
+    /// order, each doing what `advance(next_event())` would, and stops
+    /// before the first step that is at or after `before` or that
+    /// [`may_finish_job`](Self::may_finish_job). The first step is at
+    /// [`next_event`](Self::next_event) clamped to `now`; each later one
+    /// at `next_event` after the step before, which is never earlier
+    /// (and may be the same time). No step finishes a job (debug builds
+    /// assert it), so a stretch has nothing to report to the job owners.
+    pub fn run_stretch(&mut self, now: SimTime, before: SimTime, max_steps: u64) -> Stretch {
+        let mut run = Stretch {
+            steps: 0,
+            last: now,
+            next: self.next_event(),
+        };
+        while let Some(t) = run.next.map(|n| n.max(run.last)) {
+            if run.steps == max_steps || t >= before || self.may_finish_job(t) {
+                break;
+            }
+            let finished = self.step(t);
+            debug_assert!(!finished, "stretch step at {t} finished a job");
+            run.steps += 1;
+            run.last = t;
+            run.next = self.next_event();
+            debug_assert!(
+                run.next.is_none_or(|n| n >= t),
+                "memory wakeup before its step"
+            );
+        }
+        run
+    }
+
+    /// One [`advance`](Self::advance)'s work without collecting finished
+    /// jobs: advances each channel whose earliest work is due by `now`
+    /// (any other would only move its clock, which `push` and
+    /// `next_event` clamp anyway), hands the completions to their jobs
+    /// and pumps. Returns whether a completion finished a job.
+    fn step(&mut self, now: SimTime) -> bool {
+        let jobs = &mut self.jobs;
+        let mut finished = false;
         for ch in &mut self.channels {
-            for done in ch.advance(now) {
-                let job_id = done.tag >> 1;
-                let is_write = done.tag & 1 == 1;
-                if let Some(job) = self.jobs.get_mut(&job_id) {
-                    job.outstanding -= 1;
-                    match &job.spec {
-                        Transfer::Copy { .. } => {
-                            if is_write {
-                                job.completed += 1;
-                            } else {
-                                job.reads_done += 1;
-                            }
-                        }
-                        _ => job.completed += 1,
+            if ch.earliest_work().is_some_and(|w| w <= now) {
+                ch.advance_with(now, |done| {
+                    if let Some(job) = jobs.get_mut(&(done.tag >> 1)) {
+                        finished |= job.complete(done.tag & 1 == 1);
                     }
-                }
+                });
             }
         }
         self.pump(now);
-        // Collect finished jobs after pumping (a job with zero remaining
-        // issues and zero outstanding is done), in id order.
+        finished
+    }
+
+    /// Removes the finished jobs and returns them in id order.
+    fn take_finished(&mut self) -> Vec<(WaiterId, JobId)> {
         let mut finished = Vec::new();
         self.jobs.retain(|&id, job| {
-            let done = job.completed >= job.lines && job.outstanding == 0;
+            let done = job.done();
             if done {
                 finished.push((job.waiter, JobId(id)));
             }
@@ -613,6 +687,135 @@ mod tests {
             }
         }
         assert!(yes > 0 && no > 0, "check said yes {yes} and no {no} times");
+    }
+
+    /// The reference step for [`stretch_matches_stepping_one_event_at_a_time`]:
+    /// what `advance(now)` did before the due-channel filter, advancing
+    /// every channel and always collecting finished jobs.
+    fn advance_every_channel(ms: &mut MemorySystem, now: SimTime) -> Vec<(WaiterId, JobId)> {
+        for ch in &mut ms.channels {
+            for done in ch.advance(now) {
+                if let Some(job) = ms.jobs.get_mut(&(done.tag >> 1)) {
+                    job.complete(done.tag & 1 == 1);
+                }
+            }
+        }
+        ms.pump(now);
+        ms.take_finished()
+    }
+
+    /// Seeded property: one `run_stretch` leaves a memory system exactly
+    /// where stepping `advance(next_event())` one event at a time to the
+    /// same stop leaves it: the same steps, last time, next event and
+    /// channel statistics, and the same jobs finishing afterwards. Jobs
+    /// start now and at future times; bounds are short, cross refresh
+    /// deadlines, or cap the step count.
+    #[test]
+    fn stretch_matches_stepping_one_event_at_a_time() {
+        let refi = DramConfig::ddr4_3200().cycles(DramConfig::ddr4_3200().t_refi);
+        let (mut steps, mut stopped_by_job, mut finished) = (0u64, 0u32, 0usize);
+        for seed in 0..8 {
+            let mut rng = DetRng::new(100 + seed);
+            let channels = 1 + (seed % 2) as u32;
+            let (mut fast, mut slow) = (sys(channels), sys(channels));
+            let mut now = SimTime::ZERO;
+            for waiter in 0..150u64 {
+                let bytes = 64 * rng.range(1, 64);
+                let spec = match rng.next_below(4) {
+                    0 => Transfer::Stream {
+                        start: rng.next_below(1 << 20) * 64,
+                        bytes,
+                        read_frac: 0.7,
+                        access: Access::Rand { span: 1 << 26 },
+                    },
+                    1 => Transfer::Copy {
+                        src: Pattern::dram(rng.next_below(1 << 16) * 64),
+                        dst: Pattern::sram(64 * rng.next_below(2), 64 * u64::from(channels)),
+                        bytes,
+                    },
+                    2 => Transfer::Single {
+                        pat: Pattern::dram(rng.next_below(1 << 16) * 64),
+                        kind: if rng.chance(0.5) {
+                            MemKind::Read
+                        } else {
+                            MemKind::Write
+                        },
+                        bytes,
+                    },
+                    _ => Transfer::Stream {
+                        start: rng.next_below(1 << 16) * 64,
+                        bytes,
+                        read_frac: 1.0,
+                        access: Access::Seq,
+                    },
+                };
+                let at = if rng.chance(0.5) {
+                    now
+                } else {
+                    now + SimTime::from_ps(rng.next_below(2_000_000))
+                };
+                let mlp = 1 + rng.next_below(12) as u32;
+                fast.start_with_mlp(spec.clone(), waiter, mlp, at);
+                slow.start_with_mlp(spec, waiter, mlp, at);
+                for _ in 0..rng.next_below(6) {
+                    let before = now
+                        + match rng.next_below(3) {
+                            0 => SimTime::from_ps(rng.next_below(200_000)),
+                            1 => refi * 2,
+                            _ => SimTime::from_ps(rng.next_below(refi.as_ps())),
+                        };
+                    let max_steps = if rng.chance(0.2) {
+                        rng.range(1, 4)
+                    } else {
+                        100_000
+                    };
+                    let run = fast.run_stretch(now, before, max_steps);
+                    let mut want = Stretch {
+                        steps: 0,
+                        last: now,
+                        next: slow.next_event(),
+                    };
+                    while let Some(t) = want.next.map(|n| n.max(want.last)) {
+                        if want.steps == max_steps || t >= before || slow.may_finish_job(t) {
+                            break;
+                        }
+                        let done = advance_every_channel(&mut slow, t);
+                        assert!(
+                            done.is_empty(),
+                            "seed {seed}: reference step at {t} finished {done:?}"
+                        );
+                        want.steps += 1;
+                        want.last = t;
+                        want.next = slow.next_event();
+                    }
+                    assert_eq!(run, want, "seed {seed}: stretch from {now} before {before}");
+                    for (f, s) in fast.channels().iter().zip(slow.channels()) {
+                        assert_eq!(f.next_event(), s.next_event(), "seed {seed}");
+                        let (f, s) = (format!("{:?}", f.stats()), format!("{:?}", s.stats()));
+                        assert_eq!(f, s, "seed {seed}");
+                    }
+                    steps += run.steps;
+                    now = run.last;
+                    // The step that ended the stretch: the same jobs finish.
+                    if let Some(t) = run.next.map(|n| n.max(now)).filter(|&t| t < before) {
+                        stopped_by_job += u32::from(run.steps < max_steps);
+                        let done = fast.advance(t);
+                        assert_eq!(
+                            done,
+                            advance_every_channel(&mut slow, t),
+                            "seed {seed} at {t}"
+                        );
+                        finished += done.len();
+                        now = t;
+                    }
+                }
+            }
+        }
+        assert!(
+            steps > 10_000 && stopped_by_job > 100 && finished > 100,
+            "{steps} stretch steps, {stopped_by_job} stops at a possible finish, \
+             {finished} jobs finished"
+        );
     }
 
     #[test]

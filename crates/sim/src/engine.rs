@@ -299,6 +299,21 @@ impl WakeupIndex {
         (0..self.slots.len()).filter(move |&id| self.get(id).is_some_and(|d| d <= t))
     }
 
+    /// The one id whose recorded deadline is `<= t`, if exactly one is,
+    /// with the earliest deadline among the others.
+    fn due_alone(&self, t: SimTime) -> Option<(usize, Option<SimTime>)> {
+        let (mut alone, mut other) = (None, None::<SimTime>);
+        for (id, slot) in self.slots.iter().enumerate() {
+            let Some((d, _)) = *slot else { continue };
+            if d > t {
+                other = Some(other.map_or(d, |o| o.min(d)));
+            } else if alone.replace(id).is_some() {
+                return None;
+            }
+        }
+        alone.map(|id| (id, other))
+    }
+
     /// Pops the next component whose deadline is `<= t` — the earliest
     /// deadline, ties in schedule order — clearing its entry (the driver
     /// re-records it after advancing the component).
@@ -315,6 +330,27 @@ impl WakeupIndex {
         self.slots[id] = None;
         self.now = deadline;
         Some(id)
+    }
+
+    /// Pops `id` as [`pop_due`](Self::pop_due) would at each of `steps`
+    /// steps it runs alone, the last at `last`: clears its slot and moves
+    /// the index clock to the last popped deadline. That is the slot's
+    /// own deadline after one step and `last` after more, since each
+    /// later step is due at the deadline the step before recorded, its
+    /// own time.
+    fn pop_alone(&mut self, id: usize, steps: u64, last: SimTime) {
+        debug_assert!(steps > 0, "an empty stretch pops nothing");
+        debug_assert!(
+            self.slots
+                .iter()
+                .enumerate()
+                .all(|(o, s)| o == id || s.is_none_or(|(d, _)| d > last)),
+            "component {id} was not alone up to {last}"
+        );
+        let (deadline, _) = self.slots[id]
+            .take()
+            .expect("a stretch of an indexed component");
+        self.now = if steps > 1 { last } else { deadline };
     }
 }
 
@@ -460,6 +496,36 @@ impl Engine {
     /// (what [`begin`](Engine::begin) would pop, without popping).
     pub fn due(&self, t: SimTime) -> impl Iterator<Item = usize> + '_ {
         self.index.due(t)
+    }
+
+    /// The one component due at `t`, if exactly one is, with the
+    /// earliest indexed wakeup among the others.
+    pub fn due_alone(&self, t: SimTime) -> Option<(usize, Option<SimTime>)> {
+        self.index.due_alone(t)
+    }
+
+    /// Records in one update `steps` fast-forwarded steps that component
+    /// `id` ran alone (due by itself at each, the last at `last`, every
+    /// other wakeup later) and its wakeup `wakeup` after them. It leaves
+    /// what `steps` rounds of [`begin`](Engine::begin),
+    /// [`pop_dirty`](Engine::pop_dirty) and
+    /// [`set_wakeup`](Engine::set_wakeup) leave: `advances`,
+    /// `component_polls` and `fast_forwarded` each rise by `steps`, the
+    /// index clock ends at the last popped deadline, and `id` is
+    /// re-recorded with a fresh schedule stamp, so it follows every
+    /// other component in a later tie.
+    pub fn record_stretch(
+        &mut self,
+        id: usize,
+        steps: u64,
+        last: SimTime,
+        wakeup: Option<SimTime>,
+    ) {
+        self.stats.advances.add(steps);
+        self.stats.component_polls.add(steps);
+        self.stats.fast_forwarded.add(steps);
+        self.index.pop_alone(id, steps, last);
+        self.index.set(id, wakeup);
     }
 
     /// Opens an `advance(t)` call: counts it and seeds the dirty list
@@ -686,6 +752,90 @@ mod tests {
         assert_eq!(e.earliest(), Some(SimTime::from_ns(99)));
         assert_eq!(e.stats.advances.get(), 1);
         assert_eq!(e.stats.component_polls.get(), 2);
+    }
+
+    /// One fast-forwarded step the per-event way: `begin(t)`, a poll of
+    /// every popped component, and each re-recorded at its wakeup in
+    /// `after` (by id).
+    fn round(e: &mut Engine, t: SimTime, after: &[(usize, Option<SimTime>)]) -> Vec<usize> {
+        e.begin(t);
+        e.start_round();
+        let popped: Vec<usize> = std::iter::from_fn(|| e.pop_dirty()).collect();
+        for id in e.drain_touched() {
+            let w = after.iter().find(|&&(a, _)| a == id).map(|&(_, w)| w);
+            e.set_wakeup(id, w.expect("a wakeup for every popped component"));
+        }
+        e.stats.fast_forwarded.inc();
+        popped
+    }
+
+    /// Everything the engine's later behaviour depends on, bar stamp
+    /// values: counters, slot deadlines, the index clock, and the pop
+    /// order of a tie at `tie` (which consumes the engine).
+    fn observed(
+        mut e: Engine,
+        tie: SimTime,
+    ) -> (String, Vec<Option<SimTime>>, SimTime, Vec<usize>) {
+        let deadlines = (0..e.components()).map(|id| e.index.get(id)).collect();
+        let now = e.index.now;
+        let order = std::iter::from_fn(|| e.index.pop_due(tie)).collect();
+        (format!("{:?}", e.stats), deadlines, now, order)
+    }
+
+    #[test]
+    fn a_recorded_stretch_leaves_what_its_rounds_leave() {
+        let ns = SimTime::from_ns;
+        // Components 0 and 1 step together at 10 ns (a tie step), then 2
+        // is re-recorded at 50 ns, after 0's last stamp. Component 0 then
+        // runs alone at 20, 20, 30 and 45 ns and is re-recorded at 50 ns,
+        // where it must follow 2.
+        let setup = || {
+            let mut e = Engine::new(3);
+            e.drain_stale();
+            e.set_wakeup(0, Some(ns(10)));
+            e.set_wakeup(1, Some(ns(10)));
+            e.set_wakeup(2, Some(ns(70)));
+            assert_eq!(
+                round(&mut e, ns(10), &[(0, Some(ns(20))), (1, Some(ns(60)))]),
+                [0, 1]
+            );
+            e.set_wakeup(2, Some(ns(50)));
+            e
+        };
+        let stretch = [ns(20), ns(20), ns(30), ns(45), ns(50)];
+        let mut slow = setup();
+        for w in stretch.windows(2) {
+            assert_eq!(round(&mut slow, w[0], &[(0, Some(w[1]))]), [0]);
+        }
+        let mut fast = setup();
+        assert_eq!(fast.due_alone(ns(20)), Some((0, Some(ns(50)))));
+        fast.record_stretch(0, 4, ns(45), Some(ns(50)));
+        assert_eq!(fast.stats.advances.get(), 5);
+        let want = observed(slow, ns(50));
+        assert_eq!(observed(fast, ns(50)), want);
+        assert_eq!(
+            want.3,
+            [2, 0],
+            "a re-recorded slot follows older ones in a tie"
+        );
+        assert_eq!(want.2, ns(45));
+
+        // A single step at 18 ns of a slot dated 15 ns (the caller's clock
+        // was ahead) leaves the index clock at the popped 15 ns.
+        let setup = || {
+            let mut e = Engine::new(2);
+            e.drain_stale();
+            e.set_wakeup(0, Some(ns(15)));
+            e.set_wakeup(1, Some(ns(40)));
+            e
+        };
+        let mut slow = setup();
+        round(&mut slow, ns(18), &[(0, Some(ns(40)))]);
+        let mut fast = setup();
+        fast.record_stretch(0, 1, ns(18), Some(ns(40)));
+        assert_eq!(fast.index.now, ns(15));
+        assert_eq!(fast.due_alone(ns(40)), None, "both due at 40 ns");
+        assert_eq!(observed(fast, ns(40)), observed(slow, ns(40)));
     }
 
     #[test]

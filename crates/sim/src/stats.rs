@@ -216,7 +216,10 @@ impl Histogram {
 
     /// Value at or below which `p` percent of samples fall (`0 < p <= 100`),
     /// reported as the lower bound of the containing bucket (≤ ~3% relative
-    /// error). Returns `None` when empty.
+    /// error) clamped to the observed [min, max]. A bucket's lower bound
+    /// can lie below every sample in it, so without the clamp a percentile
+    /// could fall below the minimum; a single sample reports itself.
+    /// Returns `None` when empty.
     pub fn percentile(&self, p: f64) -> Option<SimTime> {
         if self.total == 0 || !(0.0..=100.0).contains(&p) {
             return None;
@@ -226,7 +229,8 @@ impl Histogram {
         for (i, &c) in self.counts.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                return Some(SimTime::from_ps(Self::bucket_low(i)));
+                let floor = SimTime::from_ps(Self::bucket_low(i));
+                return Some(floor.max(self.min).min(self.max));
             }
         }
         Some(self.max)
@@ -345,9 +349,27 @@ mod tests {
         for scale in [1u64, 1_000, 1_000_000, 1_000_000_000] {
             let mut h = Histogram::new();
             h.record(SimTime::from_ps(scale * 7));
-            let p = h.percentile(50.0).unwrap();
-            assert!(p <= SimTime::from_ps(scale * 7));
-            assert!(p.as_ps() as f64 >= scale as f64 * 7.0 * 0.9);
+            for p in [1.0, 50.0, 99.0, 100.0] {
+                assert_eq!(h.percentile(p), Some(SimTime::from_ps(scale * 7)), "p{p}");
+            }
         }
+    }
+
+    #[test]
+    fn histogram_percentiles_stay_within_the_observed_range() {
+        let mut h = Histogram::new();
+        // 200 000 ps lies in the bucket that starts at 196 608 ps.
+        for ps in [200_000u64, 200_300, 200_600] {
+            h.record(SimTime::from_ps(ps));
+        }
+        assert_eq!(
+            Histogram::bucket_low(Histogram::bucket_of(200_000)),
+            196_608
+        );
+        assert_eq!(h.percentile(1.0), Some(SimTime::from_ps(200_000)));
+        assert_eq!(h.percentile(100.0), Some(SimTime::from_ps(200_000)));
+        // In-range floors are still the bucket floors.
+        h.record(SimTime::from_ps(300_000));
+        assert_eq!(h.percentile(100.0), Some(SimTime::from_ps(294_912)));
     }
 }
