@@ -23,7 +23,7 @@
 
 use std::time::Instant;
 
-use mcn::fabric::ClosConfig;
+use mcn::ClosConfig;
 use mcn::outage::Part;
 use mcn::{Datacenter, MetricSink};
 use mcn_bench::{kv_dc_workload, KvDcParams};

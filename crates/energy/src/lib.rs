@@ -199,7 +199,7 @@ pub fn rack_energy(p: &PowerParams, rack: &McnRack, elapsed: SimTime) -> EnergyR
 /// switch-port's power per fabric link — every ToR uplink (one per
 /// rack), every rack→agg and agg→spine attachment. This is deliberately
 /// a port-count model, not a per-switch chassis model: it scales with
-/// the topology the [`mcn::fabric::ClosConfig`] describes and keeps the
+/// the topology the [`mcn::ClosConfig`] describes and keeps the
 /// MCN-vs-scale-out comparison conservative (the fabric is charged even
 /// when idle).
 pub fn datacenter_energy(p: &PowerParams, dc: &Datacenter, elapsed: SimTime) -> EnergyReport {
@@ -382,7 +382,7 @@ mod tests {
 
     #[test]
     fn datacenter_energy_adds_fabric_ports() {
-        use mcn::fabric::ClosConfig;
+        use mcn::ClosConfig;
         let p = PowerParams::default();
         let clos = ClosConfig::default();
         let dc = Datacenter::new(&SystemConfig::default(), McnConfig::level(0), &clos);

@@ -1,40 +1,185 @@
-//! The shared per-endpoint shard wrapper and switch routing rule every
-//! topology level instantiates.
+//! The one topology driver and the per-endpoint shard wrapper every
+//! multi-machine system shares.
 //!
-//! [`McnRack`](crate::McnRack) shards an MCN server behind its NIC and
-//! uplink; [`EthernetCluster`](crate::EthernetCluster) shards a baseline
-//! node behind the same wire; the Clos fabric of [`crate::fabric`]
-//! composes whole racks. All three used to carry near-identical copies
-//! of the same wire-pipeline code (NIC events → uplink → switch →
-//! downlink → NIC) and the same switched-routing rule. This module is
-//! the single copy:
+//! The paper's multi-machine systems all have one shape: machines
+//! behind switches, driven by the windowed scheduler of
+//! [`mcn_sim::shard`]. [`Topology`] is that shape: shards under one
+//! coordinator, with the only copy of the clock, the drive loop,
+//! `next_event`, `run_parallel`/`run_parallel_until`, `all_procs_done`
+//! and the [`Component`] impl. Its three instantiations are type
+//! aliases that add their own constructors, accessors, stall reports
+//! and registry trees as inherent impls:
 //!
-//! * [`Endpoint`] is the small surface a machine must expose (its NIC,
-//!   its memory, and pre/post-wire progress hooks); [`EndpointBlock`]
-//!   wraps any endpoint into a [`Shard`] with the uplink/downlink
-//!   machinery, the emission lower bounds, and the convergence loop.
-//! * [`SwitchPolicy`] + [`route_switched`] are the one switched-boundary
-//!   routing rule: MAC learning and store-and-forward on a
-//!   [`Switch`], with per-topology admission (partitions, dead
-//!   uplinks) and an escape hatch that claims frames leaving the
-//!   topology entirely (the rack's datacenter gateway).
+//! * [`McnRack`](crate::McnRack): MCN servers, each an
+//!   [`EndpointBlock`], under the rack's ToR coordinator (switching,
+//!   outages, partitions and, in a datacenter, the fabric gateway);
+//! * [`EthernetCluster`](crate::EthernetCluster): plain 10GbE nodes
+//!   under the same ToR, with no outage plan installed;
+//! * [`Datacenter`](crate::Datacenter): whole racks and fabric switches
+//!   under the Clos coordinator (ECMP and switch outages).
+//!
+//! [`Endpoint`] is the small surface a machine must expose (its NIC, its
+//! memory, and pre/post-wire progress hooks); [`EndpointBlock`] wraps
+//! any endpoint into a [`Shard`] with the uplink/downlink machinery, the
+//! emission lower bounds, and the convergence loop.
 
-use mcn_net::link::{Link, Switch};
+use mcn_net::link::Link;
 use mcn_net::EthernetFrame;
 use mcn_node::nic::{Nic, NicEvent};
 use mcn_node::MemorySystem;
 use mcn_sim::stats::Counter;
-use mcn_sim::{EngineStats, Outbox, Shard, SimTime, Wakeup};
+use mcn_sim::{
+    Activity, Component, EngineStats, Fabric, Outbox, ParallelEngine, Quantum, RunGoal, RunReport,
+    Shard, SimTime, Wakeup,
+};
+
+/// A [`Shard`] a [`Topology`] can hold: the scheduler's contract plus
+/// the one hook the topology's engine accounting reads.
+pub trait Member: Shard {
+    /// Adds this shard's event-loop accounting: its own block counters
+    /// into `blocks` (the topology reports them as one entry summed over
+    /// its shards) and the entries of any engine it embeds to `inner`.
+    fn account(&self, blocks: &mut Option<EngineStats>, inner: &mut Vec<(EngineStats, usize)>);
+}
+
+/// Shards under one coordinator, driven by the quantum-synchronized
+/// scheduler (see the [module docs](self)). The scheduler routes every
+/// cross-shard frame and applies every control command through the
+/// coordinator at barriers, so serial and parallel runs produce
+/// byte-identical results.
+#[derive(Debug)]
+pub struct Topology<S, F> {
+    /// The shards, indexed as the coordinator addresses them.
+    pub(crate) shards: Vec<S>,
+    /// The coordinator: routing, control schedule and its state.
+    pub(crate) coord: F,
+    /// Current simulated time (the last barrier).
+    pub(crate) now: SimTime,
+    /// The quantum-synchronized scheduler (serial = 1 thread).
+    pub(crate) sched: ParallelEngine,
+}
+
+impl<S: Member, F: Fabric<S>> Topology<S, F> {
+    /// A topology at time zero whose scheduler synchronizes on
+    /// `quantum`, the fastest path from one shard to another.
+    pub(crate) fn assemble(shards: Vec<S>, coord: F, quantum: Quantum) -> Self {
+        Topology {
+            shards,
+            coord,
+            now: SimTime::ZERO,
+            sched: ParallelEngine::new(quantum),
+        }
+    }
+
+    /// Current simulated time.
+    pub fn now(&self) -> SimTime {
+        self.now
+    }
+
+    /// The synchronization quantum the scheduler derived from the
+    /// fastest cross-shard path (switch forwarding plus one link).
+    pub fn quantum(&self) -> Quantum {
+        self.sched.quantum()
+    }
+
+    /// All processes on every shard finished?
+    pub fn all_procs_done(&self) -> bool {
+        self.shards.iter().all(Shard::procs_done)
+    }
+
+    /// Earliest pending activity: the earliest shard event or the
+    /// coordinator's next control event (a crash or heal is activity
+    /// even when every shard is idle).
+    pub fn next_event(&mut self) -> Option<SimTime> {
+        let control = self.coord.next_control();
+        let shards = self.shards.iter_mut().filter_map(Shard::next_event);
+        shards.chain(control).min().map(|t| t.max(self.now))
+    }
+
+    /// Drives the topology with the windowed scheduler on `threads`
+    /// workers.
+    fn drive(&mut self, target: SimTime, goal: RunGoal, threads: usize) -> RunReport {
+        self.sched.run(
+            &mut self.shards,
+            &mut self.coord,
+            &mut self.now,
+            target,
+            goal,
+            threads,
+        )
+    }
+
+    /// Runs until every process on every shard finishes, or `deadline`
+    /// passes (returns false). With `threads >= 2` the shards run on
+    /// worker threads under the synchronization quantum; the result —
+    /// final clock and every counter — is byte-identical to `threads = 1`.
+    pub fn run_parallel(&mut self, deadline: SimTime, threads: usize) -> bool {
+        self.drive(deadline, RunGoal::ProcsDone, threads).completed
+    }
+
+    /// Runs every event up to `deadline` on `threads` workers, then sets
+    /// the clock to it: the parallel analogue of
+    /// [`run_until`](mcn_sim::ComponentExt::run_until).
+    pub fn run_parallel_until(&mut self, deadline: SimTime, threads: usize) {
+        self.drive(deadline, RunGoal::Deadline, threads);
+    }
+
+    /// Drives every event up to exactly `end` serially and returns the
+    /// event count (a datacenter drives each rack this way once per
+    /// outer batch).
+    pub(crate) fn drive_window(&mut self, end: SimTime) -> u64 {
+        self.drive(end, RunGoal::Deadline, 1).events
+    }
+}
+
+impl<S: Member, F: Fabric<S>> Component for Topology<S, F> {
+    fn now(&self) -> SimTime {
+        self.now
+    }
+    fn next_event(&mut self) -> Option<SimTime> {
+        Topology::next_event(self)
+    }
+    fn advance(&mut self, t: SimTime) -> Activity {
+        assert!(t >= self.now, "time must not go backwards");
+        Activity::from_flag(self.drive_window(t) > 0)
+    }
+    fn procs_done(&self) -> bool {
+        self.all_procs_done()
+    }
+    fn engine_accounting(&self, out: &mut Vec<(EngineStats, usize)>) {
+        let (mut blocks, mut inner) = (None, Vec::new());
+        for s in &self.shards {
+            s.account(&mut blocks, &mut inner);
+        }
+        out.extend(blocks.map(|b| (b, self.shards.len())));
+        out.append(&mut inner);
+    }
+}
+
+/// A control command the ToR hands to one endpoint block at a window
+/// boundary (the shard-side half of an outage edge).
+#[derive(Debug)]
+pub enum BlockCmd {
+    /// Crash DIMM `d`.
+    DimmCrash(usize),
+    /// Power DIMM `d` back on.
+    DimmPowerOn(usize),
+    /// Uplink carrier lost.
+    LinkDown,
+    /// Uplink carrier restored.
+    LinkUp,
+    /// Uplink down + every DIMM crashes.
+    NodeDown,
+    /// Uplink up + every DIMM powers on.
+    NodeUp,
+}
 
 /// The machine-specific half of a shard: what sits behind the NIC.
 ///
 /// The wire half (NIC event pump, uplink/downlink, emission bounds) is
 /// identical across topologies and lives in [`EndpointBlock`]; an
 /// endpoint only provides device/stack progress and frame ingestion.
-pub(crate) trait Endpoint: Send {
-    /// Control command the coordinator can apply at window boundaries.
-    type Cmd: Send;
-
+pub trait Endpoint: Send {
     /// The NIC and the host memory it DMAs into, borrowed together
     /// (the pump needs both at once).
     fn wire(&mut self) -> (&mut Nic, &mut MemorySystem);
@@ -68,9 +213,17 @@ pub(crate) trait Endpoint: Send {
         (0, SimTime::ZERO)
     }
 
-    /// Applies a control command; `link_up` is the block's carrier flag
-    /// so link-level commands can flip it.
-    fn apply(&mut self, at: SimTime, cmd: Self::Cmd, link_up: &mut bool);
+    /// Applies the machine's half of a control command (the block flips
+    /// its own carrier flag). The default has no DIMMs to crash.
+    fn apply(&mut self, at: SimTime, cmd: BlockCmd) {
+        let _ = (at, cmd);
+    }
+
+    /// Pushes the entries of any engine the machine embeds (see
+    /// [`Component::engine_accounting`]). The default has none.
+    fn engine_accounting(&self, out: &mut Vec<(EngineStats, usize)>) {
+        let _ = out;
+    }
 
     /// Every process on this machine finished?
     fn procs_done(&self) -> bool;
@@ -83,7 +236,7 @@ pub(crate) trait Endpoint: Send {
 /// the topology's switch. Everything inside interacts at local latency;
 /// the only way out is the uplink.
 #[derive(Debug)]
-pub(crate) struct EndpointBlock<E: Endpoint> {
+pub struct EndpointBlock<E: Endpoint> {
     /// The machine.
     pub(crate) ep: E,
     /// Uplink towards the switch.
@@ -118,8 +271,8 @@ impl<E: Endpoint> EndpointBlock<E> {
     fn wire_wakeup(&self) -> Option<SimTime> {
         [
             self.ep.nic().next_wakeup(),
-            mcn_sim::Wakeup::next_wakeup(&self.up),
-            mcn_sim::Wakeup::next_wakeup(&self.down),
+            Wakeup::next_wakeup(&self.up),
+            Wakeup::next_wakeup(&self.down),
         ]
         .into_iter()
         .flatten()
@@ -245,7 +398,7 @@ impl<E: Endpoint> EndpointBlock<E> {
 
 impl<E: Endpoint> Shard for EndpointBlock<E> {
     type Frame = EthernetFrame;
-    type Cmd = E::Cmd;
+    type Cmd = BlockCmd;
 
     fn next_event(&mut self) -> Option<SimTime> {
         self.next_unclamped().map(|t| t.max(self.clock))
@@ -278,9 +431,14 @@ impl<E: Endpoint> Shard for EndpointBlock<E> {
         self.down.latency() + self.ep.nic().pcie_latency() + self.up.latency()
     }
 
-    fn apply(&mut self, at: SimTime, cmd: E::Cmd) {
+    fn apply(&mut self, at: SimTime, cmd: BlockCmd) {
         self.next = None;
-        self.ep.apply(at, cmd, &mut self.link_up);
+        match cmd {
+            BlockCmd::LinkDown | BlockCmd::NodeDown => self.link_up = false,
+            BlockCmd::LinkUp | BlockCmd::NodeUp => self.link_up = true,
+            BlockCmd::DimmCrash(_) | BlockCmd::DimmPowerOn(_) => {}
+        }
+        self.ep.apply(at, cmd);
     }
 
     fn deliver(&mut self, at: SimTime, frame: EthernetFrame) {
@@ -345,49 +503,9 @@ impl<E: Endpoint> Shard for EndpointBlock<E> {
     }
 }
 
-/// A topology's switched boundary: the learning switch itself plus
-/// per-topology hooks on the shared routing rule.
-///
-/// The default hooks make a trivially permissive policy (the baseline
-/// cluster's fully connected switch).
-pub(crate) trait SwitchPolicy {
-    /// The switch frames cross.
-    fn switch(&mut self) -> &mut Switch;
-
-    /// Claims a frame *before* MAC switching; returning `true` consumes
-    /// it (the rack's datacenter gateway pulls frames addressed to the
-    /// well-known gateway MAC onto the fabric uplink this way). `at` is
-    /// the time the frame has cleared the switch's forwarding stage.
-    fn claim(&mut self, _at: SimTime, _frame: &EthernetFrame) -> bool {
-        false
-    }
-
-    /// Admission check for egress port `to` on a frame that arrived on
-    /// `from`; returning `false` drops the copy (partition, dead
-    /// uplink).
-    fn admit(&mut self, _from: usize, _to: usize) -> bool {
-        true
-    }
-}
-
-/// The switched-boundary routing rule shared by rack and cluster:
-/// store-and-forward latency, then either the policy claims the frame
-/// (it leaves this switching domain) or the learning switch picks
-/// egress ports, each gated by the policy's admission check.
-pub(crate) fn route_switched<P: SwitchPolicy>(
-    policy: &mut P,
-    from: usize,
-    at: SimTime,
-    frame: EthernetFrame,
-    out: &mut Vec<(usize, SimTime, EthernetFrame)>,
-) {
-    let fwd_at = at + policy.switch().forward_latency;
-    if policy.claim(fwd_at, &frame) {
-        return;
-    }
-    for p in policy.switch().route(&frame, from) {
-        if policy.admit(from, p) {
-            out.push((p, fwd_at, frame.clone()));
-        }
+impl<E: Endpoint> Member for EndpointBlock<E> {
+    fn account(&self, blocks: &mut Option<EngineStats>, inner: &mut Vec<(EngineStats, usize)>) {
+        blocks.get_or_insert_default().accumulate(&self.stats);
+        self.ep.engine_accounting(inner);
     }
 }

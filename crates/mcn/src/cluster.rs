@@ -7,27 +7,27 @@
 //! adapters), so the stack charges no software checksum time; wire
 //! integrity is the Ethernet FCS, checked by the receiving MAC.
 //!
-//! Like [`crate::McnRack`], the cluster runs on the quantum-synchronized
-//! scheduler in [`mcn_sim::shard`]: each node block (node + NIC + links)
-//! is one shard, the switch routes at barriers, and
-//! [`run_parallel`](EthernetCluster::run_parallel) with any thread count
-//! reproduces the single-threaded results byte for byte.
+//! The cluster is a rack of plain nodes: the same topology type as
+//! [`crate::McnRack`], each node block (node + NIC + links) one shard of
+//! the quantum-synchronized scheduler in [`mcn_sim::shard`], routed by
+//! the rack's ToR coordinator with no outage plan, no partition and no
+//! fabric uplink, so it forwards exactly what a bare learning switch
+//! does. `run_parallel` with any thread count reproduces the
+//! single-threaded results byte for byte.
 
 use std::net::Ipv4Addr;
 
-use mcn_net::link::{Link, Switch};
+use mcn_net::link::Link;
 use mcn_net::tcp::TcpConfig;
 use mcn_net::{EthernetFrame, MacAddr, NetConfig};
 use mcn_node::nic::{Nic, NicConfig, NIC_WAITER};
 use mcn_node::{CostModel, MemorySystem, Node, ProcId, Process};
 use mcn_sim::metrics::{Instrumented, MetricSink};
-use mcn_sim::{
-    Activity, Component, EngineStats, Fabric, ParallelEngine, Quantum, RunGoal, RunReport, Shard,
-    SimTime, StallReport, Wakeup,
-};
+use mcn_sim::{ComponentExt, SimTime, StallReport, Wakeup};
 
-use crate::block::{route_switched, Endpoint, EndpointBlock, SwitchPolicy};
+use crate::block::{Endpoint, EndpointBlock, Topology};
 use crate::config::SystemConfig;
+use crate::rack::Tor;
 
 /// One baseline node: a host-class machine plus its NIC.
 #[derive(Debug)]
@@ -38,14 +38,7 @@ pub struct ClusterNode {
     pub nic: Nic,
 }
 
-/// The cluster issues no control commands; its shards only exchange
-/// frames.
-#[derive(Debug)]
-pub(crate) enum NoCmd {}
-
 impl Endpoint for ClusterNode {
-    type Cmd = NoCmd;
-
     fn wire(&mut self) -> (&mut Nic, &mut MemorySystem) {
         (&mut self.nic, &mut self.node.mem)
     }
@@ -92,10 +85,6 @@ impl Endpoint for ClusterNode {
         self.node.next_wakeup()
     }
 
-    fn apply(&mut self, _at: SimTime, cmd: NoCmd, _link_up: &mut bool) {
-        match cmd {}
-    }
-
     fn procs_done(&self) -> bool {
         self.node.runner.all_done()
     }
@@ -105,50 +94,13 @@ impl Endpoint for ClusterNode {
     }
 }
 
-/// One shard of the cluster: a node behind the shared wire pipeline.
-type NodeBlock = EndpointBlock<ClusterNode>;
-
-/// The cluster's coordinator: just the switch, with no admission
-/// restrictions and no control events.
-#[derive(Debug)]
-struct OpenSwitch(Switch);
-
-impl SwitchPolicy for OpenSwitch {
-    fn switch(&mut self) -> &mut Switch {
-        &mut self.0
-    }
-}
-
-impl Fabric<NodeBlock> for OpenSwitch {
-    fn next_control(&mut self) -> Option<SimTime> {
-        None
-    }
-
-    fn pop_controls(&mut self, _now: SimTime, _out: &mut Vec<(usize, SimTime, NoCmd)>) {}
-
-    fn route(
-        &mut self,
-        from: usize,
-        at: SimTime,
-        frame: EthernetFrame,
-        out: &mut Vec<(usize, SimTime, EthernetFrame)>,
-    ) {
-        route_switched(self, from, at, frame, out);
-    }
-}
-
 /// The 10GbE scale-out cluster; drive like [`crate::McnSystem`].
 ///
 /// Shard `i` of the windowed scheduler is the whole per-node block: the
-/// node, its NIC, and its up/down links.
-#[derive(Debug)]
-pub struct EthernetCluster {
-    now: SimTime,
-    blocks: Vec<NodeBlock>,
-    switch: OpenSwitch,
-    /// The quantum-synchronized scheduler (serial = 1 thread).
-    sched: ParallelEngine,
-}
+/// node, its NIC, and its up/down links. The clock and drive methods
+/// (`now`, `quantum`, `next_event`, `all_procs_done`, `run_parallel`,
+/// `run_parallel_until`, `len`) are the ones every topology shares.
+pub type EthernetCluster = Topology<EndpointBlock<ClusterNode>, Tor>;
 
 impl EthernetCluster {
     /// Builds a cluster of `n` Table-II-class nodes on one switch.
@@ -200,31 +152,20 @@ impl EthernetCluster {
                 }
             }
         }
-        let mk_link = || Link::new(sys.eth_bytes_per_sec, sys.eth_latency);
-        let switch = Switch::new(n.max(1));
-        let quantum = Quantum::from_path(switch.forward_latency, sys.eth_latency);
-        EthernetCluster {
-            now: SimTime::ZERO,
-            switch: OpenSwitch(switch),
-            blocks: nodes
-                .into_iter()
-                .map(|cn| EndpointBlock::new(cn, mk_link(), mk_link()))
-                .collect(),
-            sched: ParallelEngine::new(quantum),
-        }
+        Topology::switched(sys, nodes, 0, false)
     }
 
     /// Enables frame loss/corruption on node `i`'s uplink (failure
     /// injection for TCP-recovery tests). The uplink is rebuilt with the
     /// bandwidth and latency the cluster was configured with.
     pub fn impair_uplink(&mut self, i: usize, drop: f64, corrupt: f64, seed: u64) {
-        let up = self.blocks[i].up_mut();
+        let up = self.shards[i].up_mut();
         *up = Link::new(up.bytes_per_sec(), up.latency()).with_impairments(drop, corrupt, seed);
     }
 
     /// The uplink (node `i` → switch), e.g. to read impairment counters.
     pub fn uplink(&self, i: usize) -> &Link {
-        &self.blocks[i].up
+        &self.shards[i].up
     }
 
     /// IP of node `i` (`10.0.0.(i+1)`).
@@ -232,37 +173,16 @@ impl EthernetCluster {
         Ipv4Addr::new(10, 0, 0, (i + 1) as u8)
     }
 
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// True for an empty cluster.
-    pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
-    }
-
     /// Access node `i`.
     pub fn node(&self, i: usize) -> &ClusterNode {
-        &self.blocks[i].ep
+        &self.shards[i].ep
     }
 
     /// Mutable access to node `i` (e.g. to bind sockets or spawn work).
     /// Clears the node block's cached next event, so the scheduler
     /// re-queries the node before it plans the next window.
     pub fn node_mut(&mut self, i: usize) -> &mut ClusterNode {
-        self.blocks[i].ep_mut()
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// The synchronization quantum the scheduler derived from the
-    /// switch + downlink latency.
-    pub fn quantum(&self) -> Quantum {
-        self.sched.quantum()
+        self.shards[i].ep_mut()
     }
 
     /// Spawns a process on a core of node `i`.
@@ -270,26 +190,12 @@ impl EthernetCluster {
         self.node_mut(i).node.runner.spawn(proc, core)
     }
 
-    /// All processes on all nodes finished?
-    pub fn all_procs_done(&self) -> bool {
-        self.blocks.iter().all(|b| b.ep.node.runner.all_done())
-    }
-
-    /// Earliest pending activity across the node blocks.
-    pub fn next_event(&mut self) -> Option<SimTime> {
-        self.blocks
-            .iter_mut()
-            .filter_map(Shard::next_event)
-            .min()
-            .map(|x| x.max(self.now))
-    }
-
     /// A structured snapshot of the cluster for stall debugging: each
     /// node's blocked processes and socket states, plus NIC/link timers.
     pub fn stall_report(&self, title: &str) -> StallReport {
         let mut r =
             StallReport::new(format!("{title} (cluster of {} @ {})", self.len(), self.now));
-        for (i, b) in self.blocks.iter().enumerate() {
+        for (i, b) in self.shards.iter().enumerate() {
             for line in b.ep.node.runner.stalled_procs() {
                 r.line(&format!("node{i} procs"), line);
             }
@@ -308,61 +214,6 @@ impl EthernetCluster {
         }
         r
     }
-
-    /// Drives the cluster with the windowed scheduler on `threads`
-    /// workers.
-    fn drive(&mut self, target: SimTime, goal: RunGoal, threads: usize) -> RunReport {
-        self.sched.run(
-            &mut self.blocks,
-            &mut self.switch,
-            &mut self.now,
-            target,
-            goal,
-            threads,
-        )
-    }
-
-    /// Runs until every process on every node finishes, or `deadline`
-    /// passes (returns false). Results are byte-identical for any
-    /// `threads` value.
-    pub fn run_parallel(&mut self, deadline: SimTime, threads: usize) -> bool {
-        self.drive(deadline, RunGoal::ProcsDone, threads).completed
-    }
-
-    /// Runs every event up to `deadline` on `threads` workers, then sets
-    /// the clock to it.
-    pub fn run_parallel_until(&mut self, deadline: SimTime, threads: usize) {
-        self.drive(deadline, RunGoal::Deadline, threads);
-    }
-
-    /// Event-loop accounting summed over the node blocks.
-    fn summed_stats(&self) -> EngineStats {
-        let mut s = EngineStats::default();
-        for b in &self.blocks {
-            s.accumulate(&b.stats);
-        }
-        s
-    }
-}
-
-impl Component for EthernetCluster {
-    fn now(&self) -> SimTime {
-        EthernetCluster::now(self)
-    }
-    fn next_event(&mut self) -> Option<SimTime> {
-        EthernetCluster::next_event(self)
-    }
-    fn advance(&mut self, t: SimTime) -> Activity {
-        assert!(t >= self.now, "time must not go backwards");
-        let rep = self.drive(t, RunGoal::Deadline, 1);
-        Activity::from_flag(rep.events > 0)
-    }
-    fn procs_done(&self) -> bool {
-        self.all_procs_done()
-    }
-    fn engine_accounting(&self, out: &mut Vec<(EngineStats, usize)>) {
-        out.push((self.summed_stats(), self.blocks.len()));
-    }
 }
 
 impl Instrumented for EthernetCluster {
@@ -373,8 +224,8 @@ impl Instrumented for EthernetCluster {
     /// and the clock.
     fn metrics(&self, out: &mut MetricSink) {
         out.counter("now_ps", self.now.as_ps());
-        out.absorb("switch", &self.switch.0);
-        for (i, b) in self.blocks.iter().enumerate() {
+        out.absorb("switch", &self.coord.switch);
+        for (i, b) in self.shards.iter().enumerate() {
             out.scoped(&format!("node{i}"), |out| {
                 b.ep.node.metrics(out);
                 out.absorb("nic", &b.ep.nic);
@@ -384,7 +235,7 @@ impl Instrumented for EthernetCluster {
                 out.absorb("down", &b.down);
             });
         }
-        out.absorb("engine", &self.summed_stats());
+        out.absorb("engine", &self.engine_stats());
         out.absorb("sched", &self.sched);
     }
 }

@@ -36,14 +36,16 @@
 //! fabric switches on the long spine-hop quantum (ToR forward +
 //! fabric latency), while each rack advances its servers with its own
 //! **inner** engine on the short ToR-hop quantum, driven once per outer
-//! batch to exactly its end (`McnRack::drive_window` inside
-//! [`Shard::run_window`]). Both engines export the shared domain schema
-//! (`sched.domain.cross_pod.*` outer, `sched.domain.intra_rack.*`
-//! accumulated inner), so a snapshot shows directly that cross-pod
-//! barriers are far rarer than intra-rack windows. Byte-identity at any
-//! thread count holds at every level: the outer engine's barrier merge
-//! is deterministic, and each inner engine runs serially inside its
-//! shard.
+//! batch to exactly its end (the rack's own drive inside
+//! [`Shard::run_window`]). Racks, fabric switches and the ECMP
+//! coordinator form the same [`Topology`] type as a rack's servers and
+//! ToR, so one driver runs both levels. Both engines export the shared
+//! domain schema (`sched.domain.cross_pod.*` outer,
+//! `sched.domain.intra_rack.*` accumulated inner), so a snapshot shows
+//! directly that cross-pod barriers are far rarer than intra-rack
+//! windows. Byte-identity at any thread count holds at every level: the
+//! outer engine's barrier merge is deterministic, and each inner engine
+//! runs serially inside its shard.
 
 use std::collections::VecDeque;
 
@@ -53,10 +55,11 @@ use mcn_node::{ProcId, Process};
 use mcn_sim::metrics::{Instrumented, MetricSink};
 use mcn_sim::stats::Counter;
 use mcn_sim::{
-    Activity, Component, EngineStats, EventQueue, Fabric, FaultPlan, OutagePlan, Outbox,
-    ParallelEngine, Quantum, RunGoal, RunReport, Shard, ShardStats, SimTime,
+    Component, EngineStats, EventQueue, Fabric, FaultPlan, OutagePlan, Outbox, ParallelEngine,
+    Quantum, Shard, ShardStats, SimTime,
 };
 
+use crate::block::{Member, Topology};
 use crate::config::{McnConfig, SystemConfig};
 use crate::outage::{self, DomainStats, Edge, Part};
 use crate::rack::McnRack;
@@ -214,7 +217,7 @@ fn dst_rack_of(frame: &EthernetFrame) -> Option<usize> {
 /// A control command the datacenter coordinator hands to one shard at a
 /// window boundary.
 #[derive(Debug)]
-pub(crate) enum DcCmd {
+pub enum DcCmd {
     /// The switch goes dark: staged frames die, arrivals are dropped.
     Down,
     /// The switch returns (with empty buffers and a cold pipe).
@@ -225,7 +228,7 @@ pub(crate) enum DcCmd {
 /// engine), its fabric ingress pipe, and the latency constants the
 /// emission bounds need.
 #[derive(Debug)]
-struct RackShard {
+pub struct RackShard {
     rack: McnRack,
     /// Fabric → ToR ingress (the agg→rack downlink's share of capacity).
     ingress: Pipe,
@@ -289,7 +292,7 @@ impl Shard for RackShard {
 /// ingress pipe modeling the tier's aggregate capacity, a
 /// store-and-forward stage, and a liveness flag.
 #[derive(Debug)]
-struct SwitchShard {
+pub struct SwitchShard {
     /// Registry name (`pod1.agg0`, `spine2`).
     name: String,
     alive: bool,
@@ -363,9 +366,10 @@ impl Shard for SwitchShard {
 
 /// One outer-level shard: a whole rack or a fabric switch.
 #[derive(Debug)]
-enum DcShard {
-    // Boxed: a rack (whole inner engine) dwarfs a switch shard.
+pub enum DcShard {
+    /// A whole rack (boxed: its inner engine dwarfs a switch shard).
     Rack(Box<RackShard>),
+    /// An aggregation or spine switch.
     Switch(SwitchShard),
 }
 
@@ -423,6 +427,14 @@ impl Shard for DcShard {
     }
 }
 
+impl Member for DcShard {
+    fn account(&self, _blocks: &mut Option<EngineStats>, inner: &mut Vec<(EngineStats, usize)>) {
+        if let DcShard::Rack(r) = self {
+            r.rack.engine_accounting(inner);
+        }
+    }
+}
+
 /// ECMP + fabric routing statistics (deterministic; part of the
 /// byte-identity contract).
 #[derive(Debug, Default)]
@@ -449,7 +461,7 @@ struct DcStats {
 /// The datacenter's coordinator: adjacency from the [`ClosConfig`],
 /// ECMP over alive candidates, and the outage schedule.
 #[derive(Debug)]
-struct ClosFabric {
+pub struct ClosFabric {
     clos: ClosConfig,
     /// Liveness per shard (racks always `true`; switches mirror the
     /// shard-side flag so route-time checks need no shard access).
@@ -573,20 +585,17 @@ impl Fabric<DcShard> for ClosFabric {
     }
 }
 
-/// A Clos datacenter of MCN racks, driven by the outer engine of a
-/// hierarchical quantum-domain scheduler; see the [module docs](self).
-#[derive(Debug)]
-pub struct Datacenter {
-    shards: Vec<DcShard>,
-    now: SimTime,
-    /// The outer (cross-pod) scheduler.
-    sched: ParallelEngine,
-    /// The inner (intra-rack) quantum every rack engine shares.
-    rack_quantum: Quantum,
-    /// The coordinator the outer scheduler routes and applies outages
-    /// through.
-    fabric: ClosFabric,
-}
+/// A Clos datacenter of MCN racks: pods of aggregation switches under a
+/// spine tier, with ECMP flow hashing over alive equal-cost switches.
+///
+/// Racks and fabric switches are the shards of an outer engine that
+/// synchronizes on the spine-hop quantum (ToR forward + fabric latency);
+/// each rack runs its servers with its own inner engine on the ToR-hop
+/// quantum, once per outer batch. The clock and drive methods (`now`,
+/// `quantum`, `next_event`, `all_procs_done`, `run_parallel`,
+/// `run_parallel_until`) are the ones every topology shares; `quantum`
+/// is the outer one. Results are byte-identical at any thread count.
+pub type Datacenter = Topology<DcShard, ClosFabric>;
 
 impl Datacenter {
     /// Builds the fabric of `clos` with every server at optimisation
@@ -626,7 +635,6 @@ impl Datacenter {
             / (clos.oversubscription * clos.oversubscription * clos.spines as f64))
             as u64;
         let mut shards = Vec::with_capacity(n_racks + clos.switches());
-        let mut rack_quantum = None;
         for r in 0..n_racks {
             let rack = McnRack::new_in_dc(
                 sys,
@@ -636,7 +644,6 @@ impl Datacenter {
                 plan,
                 r,
             );
-            rack_quantum.get_or_insert(rack.quantum());
             shards.push(DcShard::Rack(Box::new(RackShard {
                 rack,
                 ingress: Pipe::new(rack_bps, clos.fabric_latency),
@@ -675,21 +682,16 @@ impl Datacenter {
         // The outer quantum: the fastest cross-shard path is one ToR
         // forward stage plus one fabric-hop propagation delay.
         let quantum = Quantum::from_path(tor_fwd, clos.fabric_latency);
-        Datacenter {
-            shards,
-            now: SimTime::ZERO,
-            sched: ParallelEngine::new(quantum),
-            rack_quantum: rack_quantum.expect("at least one rack"),
-            fabric: ClosFabric {
-                clos: clos.clone(),
-                alive,
-                outages: EventQueue::new(),
-                stats: DcStats {
-                    per_switch,
-                    ..DcStats::default()
-                },
+        let coord = ClosFabric {
+            clos: clos.clone(),
+            alive,
+            outages: EventQueue::new(),
+            stats: DcStats {
+                per_switch,
+                ..DcStats::default()
             },
-        }
+        };
+        Topology::assemble(shards, coord, quantum)
     }
 
     /// Installs a hard-outage plan written in the [`outage`] grammar. A
@@ -706,7 +708,7 @@ impl Datacenter {
     /// Panics, naming it, on a component, kind or domain member this
     /// datacenter cannot honour.
     pub fn set_outage_plan(&mut self, plan: &OutagePlan) {
-        let clos = &self.fabric.clos;
+        let clos = &self.coord.clos;
         let aggs =
             (0..clos.pods).flat_map(|p| (0..clos.aggs_per_pod).map(move |a| Part::Agg(p, a)));
         let parts: Vec<Part> = (0..clos.spines)
@@ -714,24 +716,24 @@ impl Datacenter {
             .chain(aggs)
             .chain((0..clos.racks()).map(Part::Rack))
             .collect();
-        let domains = Some(&mut self.fabric.stats.domains);
+        let domains = Some(&mut self.coord.stats.domains);
         for (t, edge) in outage::expand(plan, "datacenter", &parts, domains) {
             match edge {
                 Edge::Down(Part::Rack(r)) => self.rack_mut(r).schedule_every_node(t, Edge::Down),
                 Edge::Up(Part::Rack(r)) => self.rack_mut(r).schedule_every_node(t, Edge::Up),
-                edge => self.fabric.outages.schedule(t, edge),
+                edge => self.coord.outages.schedule(t, edge),
             }
         }
     }
 
     /// The fabric shape.
     pub fn clos(&self) -> &ClosConfig {
-        &self.fabric.clos
+        &self.coord.clos
     }
 
     /// Number of racks.
     pub fn racks(&self) -> usize {
-        self.fabric.clos.racks()
+        self.coord.clos.racks()
     }
 
     /// Access rack `r`.
@@ -773,84 +775,6 @@ impl Datacenter {
     ) -> ProcId {
         self.server_mut(r, s).spawn_host(proc, core)
     }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// The outer (cross-pod) synchronization quantum.
-    pub fn quantum(&self) -> Quantum {
-        self.sched.quantum()
-    }
-
-    /// All processes on all servers finished?
-    pub fn all_procs_done(&self) -> bool {
-        self.shards.iter().all(|s| s.procs_done())
-    }
-
-    /// Earliest pending activity anywhere in the datacenter.
-    pub fn next_event(&mut self) -> Option<SimTime> {
-        let mut t = self.fabric.outages.peek_time();
-        for s in self.shards.iter_mut() {
-            t = match (t, Shard::next_event(s)) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-        }
-        t.map(|x| x.max(self.now))
-    }
-
-    /// Drives the datacenter with the outer windowed scheduler on
-    /// `threads` workers.
-    fn drive(&mut self, target: SimTime, goal: RunGoal, threads: usize) -> RunReport {
-        self.sched.run(
-            &mut self.shards,
-            &mut self.fabric,
-            &mut self.now,
-            target,
-            goal,
-            threads,
-        )
-    }
-
-    /// Runs until every process on every server of every rack finishes,
-    /// or `deadline` passes (returns false). The result — final clock
-    /// and every counter in the registry — is byte-identical at any
-    /// `threads` value.
-    pub fn run_parallel(&mut self, deadline: SimTime, threads: usize) -> bool {
-        self.drive(deadline, RunGoal::ProcsDone, threads).completed
-    }
-
-    /// Runs every event up to `deadline` on `threads` workers, then sets
-    /// the clock to it.
-    pub fn run_parallel_until(&mut self, deadline: SimTime, threads: usize) {
-        self.drive(deadline, RunGoal::Deadline, threads);
-    }
-}
-
-impl Component for Datacenter {
-    fn now(&self) -> SimTime {
-        Datacenter::now(self)
-    }
-    fn next_event(&mut self) -> Option<SimTime> {
-        Datacenter::next_event(self)
-    }
-    fn advance(&mut self, t: SimTime) -> Activity {
-        assert!(t >= self.now, "time must not go backwards");
-        let rep = self.drive(t, RunGoal::Deadline, 1);
-        Activity::from_flag(rep.events > 0)
-    }
-    fn procs_done(&self) -> bool {
-        self.all_procs_done()
-    }
-    fn engine_accounting(&self, out: &mut Vec<(EngineStats, usize)>) {
-        for s in &self.shards {
-            if let DcShard::Rack(rs) = s {
-                rs.rack.engine_accounting(out);
-            }
-        }
-    }
 }
 
 impl Instrumented for Datacenter {
@@ -861,7 +785,7 @@ impl Instrumented for Datacenter {
     /// hierarchical quantum domains under `sched.domain.{cross_pod,
     /// intra_rack}.*` (outer barriers vs accumulated inner windows).
     fn metrics(&self, out: &mut MetricSink) {
-        let stats = &self.fabric.stats;
+        let stats = &self.coord.stats;
         out.counter("now_ps", self.now.as_ps());
         out.scoped("fabric", |out| {
             out.scoped("ecmp", |out| {
@@ -908,10 +832,11 @@ impl Instrumented for Datacenter {
             let mut acc = ShardStats::default();
             for s in &self.shards {
                 if let DcShard::Rack(rs) = s {
-                    acc.accumulate(&rs.rack.engine().stats);
+                    acc.accumulate(&rs.rack.sched.stats);
                 }
             }
-            ParallelEngine::domain_metrics_for("intra_rack", self.rack_quantum, &acc, out);
+            let rack_quantum = self.rack(0).quantum();
+            ParallelEngine::domain_metrics_for("intra_rack", rack_quantum, &acc, out);
         });
     }
 }

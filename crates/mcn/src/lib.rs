@@ -55,9 +55,9 @@ pub mod config;
 pub mod dimm;
 pub mod driver;
 pub mod error;
-pub mod fabric;
+mod fabric;
 pub mod outage;
-pub mod rack;
+mod rack;
 pub mod sram;
 pub mod system;
 
@@ -67,7 +67,7 @@ pub use dimm::McnDimm;
 pub use driver::HostDriver;
 pub use error::{McnError, McnSide};
 pub use fabric::{ClosConfig, Datacenter};
-pub use rack::McnRack;
+pub use rack::{McnRack, RackStats};
 pub use sram::SramBuffer;
 
 /// Re-export of the SRAM module under a bench-friendly name (the module

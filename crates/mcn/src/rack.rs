@@ -1,5 +1,5 @@
 //! A rack of MCN-enabled servers joined by conventional 10GbE NICs and a
-//! top-of-rack switch.
+//! top-of-rack switch, and the ToR coordinator the 10GbE cluster shares.
 //!
 //! The paper's network organisation "supports the communication between
 //! MCN nodes connected to different hosts by having the source host forward
@@ -13,22 +13,24 @@
 //!
 //! # Execution model
 //!
-//! Each server block (the [`McnSystem`], its NIC, and its up/down links)
-//! is one [`Shard`] of the quantum-synchronized scheduler in
-//! [`mcn_sim::shard`] — the generic wrapper lives in `crate::block`
-//! and is shared with the baseline cluster and the Clos fabric. The ToR
-//! switch is the only cross-shard boundary, and any frame leaving a
-//! server pays the switch forwarding latency plus the downlink
-//! propagation latency before it can touch another server — that path is
-//! the synchronization [`Quantum`]. The same windowed algorithm drives
-//! the rack whether [`run_parallel`](McnRack::run_parallel) is given one
-//! thread or many, so serial and parallel runs produce byte-identical
-//! metric snapshots.
+//! [`McnRack`] is the [`Topology`] of server blocks under a [`Tor`]: each
+//! block (the [`McnSystem`], its NIC, and its up/down links) is one
+//! [`EndpointBlock`] shard of the quantum-synchronized scheduler in
+//! [`mcn_sim::shard`]. The ToR switch is the only cross-shard boundary,
+//! and any frame leaving a server pays the switch forwarding latency plus
+//! the downlink propagation latency before it can touch another server —
+//! that path is the synchronization [`Quantum`]. The same windowed
+//! algorithm drives the rack whether `run_parallel` is given one thread
+//! or many, so serial and parallel runs produce byte-identical metric
+//! snapshots. The baseline [`EthernetCluster`](crate::EthernetCluster) is
+//! the same topology over plain nodes: with no outage plan, no partition
+//! and no fabric uplink, the [`Tor`] forwards exactly what a bare
+//! learning switch does.
 //!
 //! # Datacenter mode
 //!
-//! Inside a [`Datacenter`](crate::fabric::Datacenter) the rack gains a
-//! fabric uplink: frames the host stacks resolve to the well-known
+//! Inside a [`Datacenter`](crate::Datacenter) the rack gains a fabric
+//! uplink: frames the host stacks resolve to the well-known
 //! [gateway MAC](McnSystem::GATEWAY_MAC) (remote-rack `192.168.r.x`
 //! addresses, via the `/16` gateway route) are claimed at the ToR and
 //! handed upward instead of being switched locally, and frames arriving
@@ -42,32 +44,14 @@ use mcn_node::{MemorySystem, ProcId, Process};
 use mcn_sim::metrics::{Instrumented, MetricSink};
 use mcn_sim::stats::Counter;
 use mcn_sim::{
-    Activity, Component, EngineStats, EventQueue, Fabric, FaultPlan, OutagePlan, ParallelEngine,
-    Quantum, RunGoal, RunReport, Shard, SimTime, StallReport,
+    Component, ComponentExt, EngineStats, EventQueue, Fabric, FaultPlan, OutagePlan, Quantum,
+    Shard, SimTime, StallReport,
 };
 
-use crate::block::{route_switched, Endpoint, EndpointBlock, SwitchPolicy};
+use crate::block::{BlockCmd, Endpoint, EndpointBlock, Topology};
 use crate::config::{McnConfig, SystemConfig};
 use crate::outage::{self, DomainStats, Edge, Part};
 use crate::system::McnSystem;
-
-/// A control command the coordinator hands to one server block at a
-/// window boundary (the shard-side half of an outage [`Edge`]).
-#[derive(Debug)]
-pub(crate) enum BlockCmd {
-    /// Crash DIMM `d`.
-    DimmCrash(usize),
-    /// Power DIMM `d` back on.
-    DimmPowerOn(usize),
-    /// Uplink carrier lost.
-    LinkDown,
-    /// Uplink carrier restored.
-    LinkUp,
-    /// Uplink down + every DIMM crashes.
-    NodeDown,
-    /// Uplink up + every DIMM powers on.
-    NodeUp,
-}
 
 /// Rack-layer outage statistics.
 #[derive(Debug, Default)]
@@ -98,7 +82,7 @@ pub struct RackStats {
 /// conventional NIC. The wire machinery (links, event pump, emission
 /// bounds) is the shared [`EndpointBlock`].
 #[derive(Debug)]
-pub(crate) struct McnEndpoint {
+pub struct McnEndpoint {
     /// This block's server index (for F4 source addressing).
     id: usize,
     /// This rack's id in the datacenter address plan (0 standalone).
@@ -141,8 +125,6 @@ fn remote_rack_of(ip: std::net::Ipv4Addr, rack_id: usize) -> Option<usize> {
 }
 
 impl Endpoint for McnEndpoint {
-    type Cmd = BlockCmd;
-
     fn wire(&mut self) -> (&mut Nic, &mut MemorySystem) {
         (&mut self.nic, &mut self.sys.host.mem)
     }
@@ -212,25 +194,18 @@ impl Endpoint for McnEndpoint {
         (self.sys.fast_forward(limit), self.sys.now())
     }
 
-    fn apply(&mut self, at: SimTime, cmd: BlockCmd, link_up: &mut bool) {
+    fn apply(&mut self, at: SimTime, cmd: BlockCmd) {
         match cmd {
             BlockCmd::DimmCrash(d) => self.sys.crash_dimm(d, at),
             BlockCmd::DimmPowerOn(d) => self.sys.power_on_dimm(d, at),
-            BlockCmd::LinkDown => *link_up = false,
-            BlockCmd::LinkUp => *link_up = true,
-            BlockCmd::NodeDown => {
-                *link_up = false;
-                for d in 0..self.sys.dimms() {
-                    self.sys.crash_dimm(d, at);
-                }
-            }
-            BlockCmd::NodeUp => {
-                *link_up = true;
-                for d in 0..self.sys.dimms() {
-                    self.sys.power_on_dimm(d, at);
-                }
-            }
+            BlockCmd::NodeDown => (0..self.sys.dimms()).for_each(|d| self.sys.crash_dimm(d, at)),
+            BlockCmd::NodeUp => (0..self.sys.dimms()).for_each(|d| self.sys.power_on_dimm(d, at)),
+            BlockCmd::LinkDown | BlockCmd::LinkUp => {}
         }
+    }
+
+    fn engine_accounting(&self, out: &mut Vec<(EngineStats, usize)>) {
+        self.sys.engine_accounting(out);
     }
 
     fn procs_done(&self) -> bool {
@@ -242,19 +217,22 @@ impl Endpoint for McnEndpoint {
     }
 }
 
-/// The rack's coordinator: the ToR switch, the outage schedule, and the
-/// partition / carrier state routing consults. It is the ToR's
-/// admission policy (partitions, severed uplinks and, in datacenter
-/// mode, the fabric gateway) and the rack engine's [`Fabric`].
+/// The top-of-rack coordinator: the learning switch, the outage
+/// schedule, and the partition / carrier state routing consults. It is
+/// the ToR's admission policy (partitions, severed uplinks and, in
+/// datacenter mode, the fabric gateway) and the rack engine's
+/// [`Fabric`]; the 10GbE cluster uses it with none of these installed.
 #[derive(Debug)]
-struct Tor {
-    switch: Switch,
+pub struct Tor {
+    pub(crate) switch: Switch,
+    /// This rack's id in the datacenter address plan (0 standalone).
+    rack_id: usize,
     /// Installed outage edges (crashes, partitions, reboots).
     outages: EventQueue<Edge>,
     /// Port groups while partitioned (a server in no group is in group
     /// 0; in several, the last one counts); `None` = fully connected.
     partition: Option<Vec<Vec<usize>>>,
-    /// Per-server uplink carrier (false = severed); authoritative copy
+    /// Per-port uplink carrier (false = severed); authoritative copy
     /// for route-time checks, mirrored into the blocks for poll-time.
     link_up: Vec<bool>,
     stats: RackStats,
@@ -264,29 +242,9 @@ struct Tor {
     dc_uplink: Option<Vec<(SimTime, EthernetFrame)>>,
 }
 
-impl SwitchPolicy for Tor {
-    fn switch(&mut self) -> &mut Switch {
-        &mut self.switch
-    }
-
-    fn claim(&mut self, at: SimTime, frame: &EthernetFrame) -> bool {
-        if frame.dst != McnSystem::GATEWAY_MAC {
-            return false;
-        }
-        match &mut self.dc_uplink {
-            Some(up) => {
-                self.stats.fabric_tx.inc();
-                up.push((at, frame.clone()));
-            }
-            None => {
-                // Standalone rack: there is nothing above the ToR; the
-                // frame leaves the simulated world.
-                self.stats.fabric_drops.inc();
-            }
-        }
-        true
-    }
-
+impl Tor {
+    /// Admission check for egress port `to` on a frame that arrived on
+    /// `from`; `false` drops the copy (partition, dead uplink).
     fn admit(&mut self, from: usize, to: usize) -> bool {
         if let Some(groups) = &self.partition {
             let group = |s: usize| groups.iter().rposition(|g| g.contains(&s)).unwrap_or(0);
@@ -305,7 +263,7 @@ impl SwitchPolicy for Tor {
     }
 }
 
-impl Fabric<EndpointBlock<McnEndpoint>> for Tor {
+impl<E: Endpoint> Fabric<EndpointBlock<E>> for Tor {
     fn next_control(&mut self) -> Option<SimTime> {
         self.outages.peek_time()
     }
@@ -347,6 +305,9 @@ impl Fabric<EndpointBlock<McnEndpoint>> for Tor {
         }
     }
 
+    /// Store-and-forward latency, then either the datacenter gateway
+    /// claims the frame (it leaves the rack) or the learning switch picks
+    /// egress ports, each gated by [`admit`](Tor::admit).
     fn route(
         &mut self,
         from: usize,
@@ -354,7 +315,62 @@ impl Fabric<EndpointBlock<McnEndpoint>> for Tor {
         frame: EthernetFrame,
         out: &mut Vec<(usize, SimTime, EthernetFrame)>,
     ) {
-        route_switched(self, from, at, frame, out);
+        let fwd_at = at + self.switch.forward_latency;
+        if frame.dst == McnSystem::GATEWAY_MAC {
+            match &mut self.dc_uplink {
+                Some(up) => {
+                    self.stats.fabric_tx.inc();
+                    up.push((fwd_at, frame));
+                }
+                // Standalone rack: there is nothing above the ToR; the
+                // frame leaves the simulated world.
+                None => self.stats.fabric_drops.inc(),
+            }
+            return;
+        }
+        for p in self.switch.route(&frame, from) {
+            if self.admit(from, p) {
+                out.push((p, fwd_at, frame.clone()));
+            }
+        }
+    }
+}
+
+impl<E: Endpoint> Topology<EndpointBlock<E>, Tor> {
+    /// `machines` on one ToR, each behind its own uplink and downlink at
+    /// the configured 10GbE bandwidth and latency. `dc` opens the
+    /// fabric uplink of rack `rack_id` of a datacenter.
+    pub(crate) fn switched(sys: &SystemConfig, machines: Vec<E>, rack_id: usize, dc: bool) -> Self {
+        let n = machines.len();
+        let switch = Switch::new(n.max(1));
+        // The dist-gem5 quantum: the fastest cross-shard path is switch
+        // store-and-forward plus one downlink propagation delay.
+        let quantum = Quantum::from_path(switch.forward_latency, sys.eth_latency);
+        let tor = Tor {
+            switch,
+            rack_id,
+            outages: EventQueue::new(),
+            partition: None,
+            link_up: vec![true; n],
+            stats: RackStats::default(),
+            dc_uplink: dc.then(Vec::new),
+        };
+        let mk_link = || Link::new(sys.eth_bytes_per_sec, sys.eth_latency);
+        let blocks = machines
+            .into_iter()
+            .map(|m| EndpointBlock::new(m, mk_link(), mk_link()))
+            .collect();
+        Topology::assemble(blocks, tor, quantum)
+    }
+
+    /// Number of machines.
+    pub fn len(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// True for a topology without machines (never constructed).
+    pub fn is_empty(&self) -> bool {
+        self.shards.is_empty()
     }
 }
 
@@ -363,17 +379,10 @@ impl Fabric<EndpointBlock<McnEndpoint>> for Tor {
 /// Shard `s` of the windowed scheduler is the whole per-server block:
 /// the server, its NIC, and its up/down links. The switch and the
 /// outage schedule live on the coordinator and run only at barriers.
-#[derive(Debug)]
-pub struct McnRack {
-    blocks: Vec<EndpointBlock<McnEndpoint>>,
-    now: SimTime,
-    /// The quantum-synchronized scheduler (serial = 1 thread).
-    sched: ParallelEngine,
-    /// The coordinator the scheduler routes and applies outages through.
-    tor: Tor,
-    /// This rack's id in the datacenter address plan (0 standalone).
-    rack_id: usize,
-}
+/// The clock and drive methods (`now`, `quantum`, `next_event`,
+/// `all_procs_done`, `run_parallel`, `run_parallel_until`, `len`) are
+/// the ones every topology shares.
+pub type McnRack = Topology<EndpointBlock<McnEndpoint>, Tor>;
 
 impl McnRack {
     /// Builds `n_servers` servers of `dimms_per_server` DIMMs each at the
@@ -457,42 +466,19 @@ impl McnRack {
                 srv.add_remote_route(gw, gw, gw_mac);
             }
         }
-        let mk_link = || Link::new(sys.eth_bytes_per_sec, sys.eth_latency);
-        let switch = Switch::new(n_servers);
-        // The dist-gem5 quantum: the fastest cross-shard path is switch
-        // store-and-forward plus one downlink propagation delay.
-        let quantum = Quantum::from_path(switch.forward_latency, sys.eth_latency);
-        McnRack {
-            blocks: servers
-                .into_iter()
-                .enumerate()
-                .map(|(id, srv)| {
-                    EndpointBlock::new(
-                        McnEndpoint {
-                            id,
-                            rack_id,
-                            n_servers,
-                            dc_mode: dc,
-                            sys: srv,
-                            nic: Nic::new(NicConfig::default()),
-                        },
-                        mk_link(),
-                        mk_link(),
-                    )
-                })
-                .collect(),
-            now: SimTime::ZERO,
-            sched: ParallelEngine::new(quantum),
-            tor: Tor {
-                switch,
-                outages: EventQueue::new(),
-                partition: None,
-                link_up: vec![true; n_servers],
-                stats: RackStats::default(),
-                dc_uplink: dc.then(Vec::new),
-            },
-            rack_id,
-        }
+        let endpoints = servers
+            .into_iter()
+            .enumerate()
+            .map(|(id, sys)| McnEndpoint {
+                id,
+                rack_id,
+                n_servers,
+                dc_mode: dc,
+                sys,
+                nic: Nic::new(NicConfig::default()),
+            })
+            .collect();
+        Topology::switched(sys, endpoints, rack_id, dc)
     }
 
     /// Installs a hard-outage plan written in the [`outage`] grammar. A
@@ -514,52 +500,31 @@ impl McnRack {
     /// rack cannot honour.
     pub fn set_outage_plan(&mut self, plan: &OutagePlan) {
         let mut parts = Vec::new();
-        for (s, b) in self.blocks.iter().enumerate() {
+        for (s, b) in self.shards.iter().enumerate() {
             parts.extend((0..b.ep.sys.dimms()).map(|d| Part::Dimm(s, d)));
             parts.extend([Part::Link(s), Part::Node(s)]);
         }
         parts.push(Part::Switch);
-        for (t, edge) in outage::expand(plan, "rack", &parts, Some(&mut self.tor.stats.domains)) {
-            self.tor.outages.schedule(t, edge);
+        for (t, edge) in outage::expand(plan, "rack", &parts, Some(&mut self.coord.stats.domains)) {
+            self.coord.outages.schedule(t, edge);
         }
     }
 
     /// Rack-layer outage statistics.
     pub fn stats(&self) -> &RackStats {
-        &self.tor.stats
-    }
-
-    /// Number of servers.
-    pub fn len(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// True for an empty rack (never constructed by [`new`](Self::new)).
-    pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
+        &self.coord.stats
     }
 
     /// Access server `s`.
     pub fn server(&self, s: usize) -> &McnSystem {
-        &self.blocks[s].ep.sys
+        &self.shards[s].ep.sys
     }
 
     /// Mutable access to server `s` (e.g. to spawn work or open sockets).
     /// Clears the server block's cached next event, so the scheduler
     /// re-queries the server before it plans the next window.
     pub fn server_mut(&mut self, s: usize) -> &mut McnSystem {
-        &mut self.blocks[s].ep_mut().sys
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// The synchronization quantum the scheduler derived from the
-    /// switch + downlink latency.
-    pub fn quantum(&self) -> Quantum {
-        self.sched.quantum()
+        &mut self.shards[s].ep_mut().sys
     }
 
     /// Spawns a process on a host core of server `s`.
@@ -578,34 +543,15 @@ impl McnRack {
         self.server_mut(s).spawn_dimm(d, proc, core)
     }
 
-    /// All processes on all servers finished?
-    pub fn all_procs_done(&self) -> bool {
-        self.blocks.iter().all(|b| b.ep.sys.all_procs_done())
-    }
-
-    /// Earliest pending activity in the rack: the earliest block event
-    /// plus the next scheduled outage (a crash or heal is activity even
-    /// when every server is idle).
-    pub fn next_event(&mut self) -> Option<SimTime> {
-        let mut t = self.tor.outages.peek_time();
-        for b in self.blocks.iter_mut() {
-            t = match (t, Shard::next_event(b)) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-        }
-        t.map(|x| x.max(self.now))
-    }
-
     /// A structured snapshot of the whole rack for stall debugging: every
     /// server's [`McnSystem::stall_report`] folded in under a `srv{s}.`
     /// prefix, plus a `wire` section with NIC/link timers.
     pub fn stall_report(&self, title: &str) -> StallReport {
         let mut r = StallReport::new(format!("{title} (rack of {} @ {})", self.len(), self.now));
-        for (s, b) in self.blocks.iter().enumerate() {
+        for (s, b) in self.shards.iter().enumerate() {
             r.absorb(&format!("srv{s}."), &b.ep.sys.stall_report("server"));
         }
-        for (s, b) in self.blocks.iter().enumerate() {
+        for (s, b) in self.shards.iter().enumerate() {
             r.line(
                 "wire",
                 format!(
@@ -617,61 +563,21 @@ impl McnRack {
                 ),
             );
         }
-        if let Some(groups) = &self.tor.partition {
+        if let Some(groups) = &self.coord.partition {
             r.line("wire", format!("switch partitioned: groups={groups:?}"));
         }
-        if !self.tor.outages.is_empty() {
+        if !self.coord.outages.is_empty() {
             r.line(
                 "wire",
-                format!("{} scheduled outages pending", self.tor.outages.len()),
+                format!("{} scheduled outages pending", self.coord.outages.len()),
             );
         }
         r
     }
 
-    /// Who owns `ip` (by the rack address plan)?
-    #[cfg(test)]
-    fn owner_of(&self, ip: std::net::Ipv4Addr) -> Option<usize> {
-        owner_of(ip, self.rack_id, self.blocks.len())
-    }
-
-    /// Drives the rack with the windowed scheduler on `threads` workers.
-    fn drive(&mut self, target: SimTime, goal: RunGoal, threads: usize) -> RunReport {
-        self.sched.run(
-            &mut self.blocks,
-            &mut self.tor,
-            &mut self.now,
-            target,
-            goal,
-            threads,
-        )
-    }
-
-    /// Runs until every process on every server finishes, or `deadline`
-    /// passes (returns false). With `threads >= 2` the server blocks run
-    /// on worker threads under the synchronization quantum; the result —
-    /// final clock and every counter — is byte-identical to `threads = 1`.
-    pub fn run_parallel(&mut self, deadline: SimTime, threads: usize) -> bool {
-        self.drive(deadline, RunGoal::ProcsDone, threads).completed
-    }
-
-    /// Runs every event up to `deadline` on `threads` workers, then sets
-    /// the clock to it — the parallel analogue of
-    /// [`run_until`](mcn_sim::ComponentExt::run_until).
-    pub fn run_parallel_until(&mut self, deadline: SimTime, threads: usize) {
-        self.drive(deadline, RunGoal::Deadline, threads);
-    }
-
-    /// Drives every event up to exactly `end` serially and returns the
-    /// event count — the inner step of a hierarchical quantum domain
-    /// (the datacenter engine calls this once per outer batch).
-    pub(crate) fn drive_window(&mut self, end: SimTime) -> u64 {
-        self.drive(end, RunGoal::Deadline, 1).events
-    }
-
     /// Drains the gateway-claimed frames bound for the Clos fabric.
     pub(crate) fn take_dc_uplink(&mut self) -> Vec<(SimTime, EthernetFrame)> {
-        self.tor
+        self.coord
             .dc_uplink
             .as_mut()
             .map(std::mem::take)
@@ -686,67 +592,30 @@ impl McnRack {
             .ok()
             .map(|p| p.dst)
         else {
-            self.tor.stats.fabric_drops.inc();
+            self.coord.stats.fabric_drops.inc();
             return false;
         };
-        let Some(owner) = owner_of(dst_ip, self.rack_id, self.blocks.len()) else {
-            self.tor.stats.fabric_drops.inc();
+        let rack_id = self.coord.rack_id;
+        let Some(owner) = owner_of(dst_ip, rack_id, self.shards.len()) else {
+            self.coord.stats.fabric_drops.inc();
             return false;
         };
-        if !self.tor.link_up[owner] {
-            self.tor.stats.uplink_drops.inc();
+        if !self.coord.link_up[owner] {
+            self.coord.stats.uplink_drops.inc();
             return false;
         }
         let mut f = frame;
-        f.dst = McnSystem::nic_mac_in(self.rack_id, owner);
-        self.tor.stats.fabric_rx.inc();
-        Shard::deliver(&mut self.blocks[owner], at, f);
+        f.dst = McnSystem::nic_mac_in(rack_id, owner);
+        self.coord.stats.fabric_rx.inc();
+        Shard::deliver(&mut self.shards[owner], at, f);
         true
-    }
-
-    /// The rack's inner scheduler (quantum + per-domain accounting for
-    /// the datacenter's hierarchical metrics).
-    pub(crate) fn engine(&self) -> &ParallelEngine {
-        &self.sched
     }
 
     /// Schedules `edge` of every server's [`Part::Node`] at `at` (the
     /// datacenter's map for a `rack{r}` edge).
     pub(crate) fn schedule_every_node(&mut self, at: SimTime, edge: fn(Part) -> Edge) {
-        for s in 0..self.blocks.len() {
-            self.tor.outages.schedule(at, edge(Part::Node(s)));
-        }
-    }
-
-    /// Event-loop accounting summed over the server blocks.
-    fn summed_stats(&self) -> EngineStats {
-        let mut s = EngineStats::default();
-        for b in &self.blocks {
-            s.accumulate(&b.stats);
-        }
-        s
-    }
-}
-
-impl Component for McnRack {
-    fn now(&self) -> SimTime {
-        McnRack::now(self)
-    }
-    fn next_event(&mut self) -> Option<SimTime> {
-        McnRack::next_event(self)
-    }
-    fn advance(&mut self, t: SimTime) -> Activity {
-        assert!(t >= self.now, "time must not go backwards");
-        let rep = self.drive(t, RunGoal::Deadline, 1);
-        Activity::from_flag(rep.events > 0)
-    }
-    fn procs_done(&self) -> bool {
-        self.all_procs_done()
-    }
-    fn engine_accounting(&self, out: &mut Vec<(EngineStats, usize)>) {
-        out.push((self.summed_stats(), self.blocks.len()));
-        for b in &self.blocks {
-            b.ep.sys.engine_accounting(out);
+        for s in 0..self.shards.len() {
+            self.coord.outages.schedule(at, edge(Part::Node(s)));
         }
     }
 }
@@ -760,10 +629,10 @@ impl Instrumented for McnRack {
     /// (`sched.*`) and the clock.
     fn metrics(&self, out: &mut MetricSink) {
         out.counter("now_ps", self.now.as_ps());
-        let stats = &self.tor.stats;
+        let stats = &self.coord.stats;
         out.scoped("rack", |out| {
             out.counter("partition_drops", stats.partition_drops.get());
-            let block_drops: u64 = self.blocks.iter().map(|b| b.uplink_drops.get()).sum();
+            let block_drops: u64 = self.shards.iter().map(|b| b.uplink_drops.get()).sum();
             out.counter("uplink_drops", stats.uplink_drops.get() + block_drops);
             out.counter("link_downs", stats.link_downs.get());
             out.counter("partitions", stats.partitions.get());
@@ -775,18 +644,18 @@ impl Instrumented for McnRack {
                 out.absorb(&format!("outage.domain.{}", d.name), d);
             }
         });
-        out.absorb("switch", &self.tor.switch);
-        for (s, b) in self.blocks.iter().enumerate() {
+        out.absorb("switch", &self.coord.switch);
+        for (s, b) in self.shards.iter().enumerate() {
             out.absorb(&format!("srv{s}"), &b.ep.sys);
         }
-        for (s, b) in self.blocks.iter().enumerate() {
+        for (s, b) in self.shards.iter().enumerate() {
             out.absorb(&format!("nic{s}"), &b.ep.nic);
             out.scoped(&format!("link{s}"), |out| {
                 out.absorb("up", &b.up);
                 out.absorb("down", &b.down);
             });
         }
-        out.absorb("engine", &self.summed_stats());
+        out.absorb("engine", &self.engine_stats());
         out.absorb("sched", &self.sched);
     }
 }
@@ -812,9 +681,10 @@ mod tests {
                 assert!(all.insert(McnSystem::host_if_ip_for(s, d)));
             }
         }
-        assert_eq!(rack.owner_of(rack.server(2).dimm_ip(1)), Some(2));
-        assert_eq!(rack.owner_of(McnSystem::nic_ip(0)), Some(0));
-        assert_eq!(rack.owner_of(std::net::Ipv4Addr::new(8, 8, 8, 8)), None);
+        let owner = |ip| owner_of(ip, rack.coord.rack_id, rack.len());
+        assert_eq!(owner(rack.server(2).dimm_ip(1)), Some(2));
+        assert_eq!(owner(McnSystem::nic_ip(0)), Some(0));
+        assert_eq!(owner(std::net::Ipv4Addr::new(8, 8, 8, 8)), None);
     }
 
     #[test]
@@ -1144,7 +1014,7 @@ mod tests {
             .is_some());
         assert_eq!(rack.server(0).hdrv.stats.f3_forward.get(), 1);
         assert_eq!(rack.server(0).hdrv.stats.f4_external.get(), 0);
-        assert_eq!(rack.blocks[0].ep.nic.tx_frames.get(), 0, "nothing on the wire");
+        assert_eq!(rack.shards[0].ep.nic.tx_frames.get(), 0, "nothing on the wire");
     }
 }
 

@@ -197,7 +197,7 @@ impl McnSystem {
     }
 
     /// [`with_faults`](Self::with_faults) for server `server_id` of rack
-    /// `rack_id` (see [`crate::rack::McnRack`]): DIMM and host-interface
+    /// `rack_id` (see [`crate::McnRack`]): DIMM and host-interface
     /// addresses (`10.x`) shift per server and are rack-private; the
     /// conventional-NIC address plan shifts per rack
     /// ([`nic_ip_in`](Self::nic_ip_in)) so host NICs stay unique across

@@ -408,8 +408,9 @@ impl Instrumented for EngineStats {
 ///    [`pop_dirty`](Engine::pop_dirty); delivering an effect to a
 ///    component marks it dirty for the *next* round, as does a component
 ///    reporting activity (it may have enabled more of its own work).
-/// 3. After convergence, [`drain_touched`](Engine::drain_touched) lists
-///    every component whose wakeup entry must be refreshed.
+/// 3. After convergence,
+///    [`drain_touched_into`](Engine::drain_touched_into) lists every
+///    component whose wakeup entry must be refreshed.
 ///
 /// External mutation (a test poking a component between calls) is handled
 /// by [`mark_stale`](Engine::mark_stale): stale entries are re-queried at
@@ -451,11 +452,6 @@ impl Engine {
         e
     }
 
-    /// Number of components.
-    pub fn components(&self) -> usize {
-        self.index.len()
-    }
-
     /// Flags `id`'s cached wakeup as untrustworthy (external mutation).
     pub fn mark_stale(&mut self, id: usize) {
         if !self.stale[id] {
@@ -466,14 +462,9 @@ impl Engine {
 
     /// Returns (and clears) the set of stale ids; the owner re-queries
     /// each component and calls [`set_wakeup`](Engine::set_wakeup).
-    pub fn drain_stale(&mut self) -> Vec<usize> {
-        self.drain_stale_into(Vec::new())
-    }
-
-    /// Like [`drain_stale`](Self::drain_stale), but recycles `buf`
-    /// (cleared) as the new backing storage, so steady-state refresh
-    /// loops allocate nothing. The caller hands the returned `Vec` back
-    /// on the next call.
+    /// `buf` (cleared) becomes the new backing storage, so steady-state
+    /// refresh loops allocate nothing: the caller hands the returned
+    /// `Vec` back on the next call.
     pub fn drain_stale_into(&mut self, mut buf: Vec<usize>) -> Vec<usize> {
         for &id in &self.stale_ids {
             self.stale[id] = false;
@@ -549,7 +540,7 @@ impl Engine {
 
     /// Remembers that `id`'s wakeup entry must be refreshed after this
     /// `advance` (without forcing a re-poll).
-    pub fn touch(&mut self, id: usize) {
+    fn touch(&mut self, id: usize) {
         if !self.touched[id] {
             self.touched[id] = true;
             self.touched_ids.push(id);
@@ -581,14 +572,9 @@ impl Engine {
     }
 
     /// Returns (and clears) every component touched during this
-    /// `advance`; the owner refreshes their wakeup index entries.
-    pub fn drain_touched(&mut self) -> Vec<usize> {
-        self.drain_touched_into(Vec::new())
-    }
-
-    /// Like [`drain_touched`](Self::drain_touched), but recycles `buf`
-    /// (cleared) as the new backing storage — the allocation-free
-    /// variant for the per-advance hot path.
+    /// `advance`; the owner refreshes their wakeup index entries. `buf`
+    /// (cleared) becomes the new backing storage, so the per-advance hot
+    /// path allocates nothing.
     pub fn drain_touched_into(&mut self, mut buf: Vec<usize>) -> Vec<usize> {
         for &id in &self.touched_ids {
             self.touched[id] = false;
@@ -717,7 +703,7 @@ mod tests {
     #[test]
     fn engine_dirty_list_dedupes_and_rounds_are_fifo() {
         let mut e = Engine::new(4);
-        e.drain_stale();
+        e.drain_stale_into(Vec::new());
         e.mark_dirty(2);
         e.mark_dirty(0);
         e.mark_dirty(2); // duplicate
@@ -731,16 +717,16 @@ mod tests {
         assert_eq!(e.pop_dirty(), Some(1));
         assert_eq!(e.pop_dirty(), None);
         assert!(!e.start_round());
-        let mut touched = e.drain_touched();
+        let mut touched = e.drain_touched_into(Vec::new());
         touched.sort_unstable();
         assert_eq!(touched, vec![0, 1, 2]);
-        assert!(e.drain_touched().is_empty());
+        assert!(e.drain_touched_into(Vec::new()).is_empty());
     }
 
     #[test]
     fn engine_begin_seeds_from_due_wakeups() {
         let mut e = Engine::new(3);
-        e.drain_stale();
+        e.drain_stale_into(Vec::new());
         e.set_wakeup(0, Some(SimTime::from_ns(10)));
         e.set_wakeup(1, Some(SimTime::from_ns(99)));
         e.set_wakeup(2, Some(SimTime::from_ns(10)));
@@ -761,7 +747,7 @@ mod tests {
         e.begin(t);
         e.start_round();
         let popped: Vec<usize> = std::iter::from_fn(|| e.pop_dirty()).collect();
-        for id in e.drain_touched() {
+        for id in e.drain_touched_into(Vec::new()) {
             let w = after.iter().find(|&&(a, _)| a == id).map(|&(_, w)| w);
             e.set_wakeup(id, w.expect("a wakeup for every popped component"));
         }
@@ -776,7 +762,7 @@ mod tests {
         mut e: Engine,
         tie: SimTime,
     ) -> (String, Vec<Option<SimTime>>, SimTime, Vec<usize>) {
-        let deadlines = (0..e.components()).map(|id| e.index.get(id)).collect();
+        let deadlines = (0..e.index.len()).map(|id| e.index.get(id)).collect();
         let now = e.index.now;
         let order = std::iter::from_fn(|| e.index.pop_due(tie)).collect();
         (format!("{:?}", e.stats), deadlines, now, order)
@@ -791,7 +777,7 @@ mod tests {
         // where it must follow 2.
         let setup = || {
             let mut e = Engine::new(3);
-            e.drain_stale();
+            e.drain_stale_into(Vec::new());
             e.set_wakeup(0, Some(ns(10)));
             e.set_wakeup(1, Some(ns(10)));
             e.set_wakeup(2, Some(ns(70)));
@@ -824,7 +810,7 @@ mod tests {
         // was ahead) leaves the index clock at the popped 15 ns.
         let setup = || {
             let mut e = Engine::new(2);
-            e.drain_stale();
+            e.drain_stale_into(Vec::new());
             e.set_wakeup(0, Some(ns(15)));
             e.set_wakeup(1, Some(ns(40)));
             e
@@ -841,13 +827,13 @@ mod tests {
     #[test]
     fn engine_starts_with_everything_stale() {
         let mut e = Engine::new(3);
-        let mut stale = e.drain_stale();
+        let mut stale = e.drain_stale_into(Vec::new());
         stale.sort_unstable();
         assert_eq!(stale, vec![0, 1, 2]);
-        assert!(e.drain_stale().is_empty());
+        assert!(e.drain_stale_into(Vec::new()).is_empty());
         e.mark_stale(1);
         e.mark_stale(1);
-        assert_eq!(e.drain_stale(), vec![1]);
+        assert_eq!(e.drain_stale_into(Vec::new()), vec![1]);
     }
 
     #[test]

@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use mcn::fabric::ClosConfig;
+use mcn::ClosConfig;
 use mcn::outage::Part;
 use mcn::{
     ComponentExt, Datacenter, EthernetCluster, McnConfig, McnRack, McnSystem, SystemConfig,

@@ -385,7 +385,9 @@ impl Axes {
 
 impl SweepSpec {
     /// The CI mini-sweep: 2 workloads × 2 topologies × 2 fault plans at
-    /// one optimisation setting, smoke scale.
+    /// one optimisation setting, then the 10GbE cluster's iperf (driven
+    /// with `run_parallel`) and allreduce (driven event by event) cells,
+    /// smoke scale.
     pub fn smoke() -> SweepSpec {
         let axes = Axes {
             workloads: vec![Workload::Iperf, Workload::Kv],
@@ -393,7 +395,16 @@ impl SweepSpec {
             faults: vec![FaultAxis::None, FaultAxis::Domains],
             opts: vec![OptFlags { level: 3, threads: 1 }],
         };
-        SweepSpec { seed: 0x5111, scale: Scale::smoke(), cells: axes.expand() }
+        let mut cells = axes.expand();
+        for workload in [Workload::Iperf, Workload::AllReduce] {
+            cells.push(Cell {
+                workload,
+                topology: Topology::Cluster,
+                fault: FaultAxis::None,
+                opt: OptFlags { level: 0, threads: 1 },
+            });
+        }
+        SweepSpec { seed: 0x5111, scale: Scale::smoke(), cells }
     }
 
     /// The paper preset: Fig. 8(a/b/c) and Table III's axis sweeps, the

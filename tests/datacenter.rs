@@ -5,7 +5,7 @@
 //! hierarchical quantum domains doing their job (cross-pod barriers far
 //! rarer than intra-rack windows).
 
-use mcn::fabric::ClosConfig;
+use mcn::ClosConfig;
 use mcn::outage::Part;
 use mcn::{
     Datacenter, Instrumented, McnConfig, McnSystem, MetricSink, MetricsSnapshot, SystemConfig,

@@ -228,7 +228,7 @@ fn datacenter_chaos_mix_is_thread_count_invariant() {
     // cross-pod iperf streams, an agg switch loss, a rack-scale power
     // event and seeded SRAM frame loss on every server — byte-identical
     // at 1, 2, 4 and 8 outer threads.
-    use mcn::fabric::ClosConfig;
+    use mcn::ClosConfig;
     use mcn::{Datacenter, McnSystem};
 
     let mut faults = FaultPlan::new(0xDC0);
