@@ -11,10 +11,28 @@
 //! 5. **Sec. VII future work**: the stack-bypassing direct-message channel
 //!    vs the TCP/ICMP path (one-way latency of a small message).
 use mcn::{ComponentExt, McnConfig, McnSystem, SystemConfig};
-use mcn_bench::{iperf_mcn_custom, McnMode};
 use mcn_dram::{DramConfig, Interleave};
+use mcn_mpi::{IperfClient, IperfReport, IperfServer};
 use mcn_node::mem::{Access, MemorySystem, Transfer};
 use mcn_sim::SimTime;
+
+/// Goodput in Gbit/s of four 6 MiB iperf streams, one from each DIMM of
+/// a 4-DIMM server into its host, metered after a 2 ms warm-up.
+fn iperf_gbps(cfg: &SystemConfig, mcn: McnConfig) -> f64 {
+    let n_dimms = 4;
+    let mut sys = McnSystem::new(cfg, n_dimms, mcn);
+    let srv = IperfReport::shared();
+    let warmup = SimTime::from_ms(2);
+    sys.spawn_host(Box::new(IperfServer::new(5001, n_dimms, warmup, srv.clone())), 0);
+    let dst = sys.host_rank_ip();
+    for d in 0..n_dimms {
+        let client = IperfClient::new(dst, 5001, 6 << 20, IperfReport::shared());
+        sys.spawn_dimm(d, Box::new(client), 1);
+    }
+    assert!(sys.run_until_procs_done(SimTime::from_secs(10)), "iperf {mcn} stalled");
+    let gbps = srv.lock().meter.gbps();
+    gbps
+}
 
 fn stream_bw(il: Interleave) -> f64 {
     let mut ms = MemorySystem::with_interleave(&DramConfig::ddr4_3200(), 1, il);
@@ -47,18 +65,18 @@ fn main() {
             poll_interval: SimTime::from_us(us),
             ..SystemConfig::default()
         };
-        let r = iperf_mcn_custom(&cfg, McnConfig::level(0), McnMode::HostMcn);
-        println!("poll every {us} us: {:.2} Gbps", r.gbps);
+        let gbps = iperf_gbps(&cfg, McnConfig::level(0));
+        println!("poll every {us} us: {gbps:.2} Gbps");
     }
 
     println!("\n== Ablation 3: CPU copies vs MCN-DMA (at 9KB MTU + TSO) ==");
     let cfg = SystemConfig::default();
     let mut c4 = McnConfig::level(4);
-    let r_cpu = iperf_mcn_custom(&cfg, c4, McnMode::HostMcn);
+    let cpu = iperf_gbps(&cfg, c4);
     c4.dma = true;
-    let r_dma = iperf_mcn_custom(&cfg, c4, McnMode::HostMcn);
-    println!("CPU copies: {:.2} Gbps", r_cpu.gbps);
-    println!("MCN-DMA:    {:.2} Gbps  (+{:.0}%)", r_dma.gbps, (r_dma.gbps / r_cpu.gbps - 1.0) * 100.0);
+    let dma = iperf_gbps(&cfg, c4);
+    println!("CPU copies: {cpu:.2} Gbps");
+    println!("MCN-DMA:    {dma:.2} Gbps  (+{:.0}%)", (dma / cpu - 1.0) * 100.0);
 
     println!("\n== Ablation 4: SRAM ring capacity (mcn4) ==");
     for kb in [72usize, 96, 160, 256] {
@@ -66,8 +84,8 @@ fn main() {
             sram_ring_bytes: kb * 1024,
             ..SystemConfig::default()
         };
-        let r = iperf_mcn_custom(&cfg, McnConfig::level(4), McnMode::HostMcn);
-        println!("{kb:>4} KB rings: {:.2} Gbps", r.gbps);
+        let gbps = iperf_gbps(&cfg, McnConfig::level(4));
+        println!("{kb:>4} KB rings: {gbps:.2} Gbps");
     }
     println!("\n== Ablation 5: Sec. VII user-space bypass vs the stack ==");
     let mut sys = McnSystem::new(&SystemConfig::default(), 1, McnConfig::level(1));

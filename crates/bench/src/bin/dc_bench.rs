@@ -26,7 +26,7 @@ use std::time::Instant;
 use mcn::ClosConfig;
 use mcn::outage::Part;
 use mcn::{Datacenter, MetricSink};
-use mcn_bench::{kv_dc_workload, KvDcParams};
+use mcn_sweep::scenarios::{kv_dc_workload, KvDcParams};
 use mcn_serve::ServeReport;
 use mcn_sim::SimTime;
 

@@ -25,7 +25,7 @@
 use std::time::Instant;
 
 use mcn::{ComponentExt, McnRack, MetricSink};
-use mcn_bench::rack_iperf_workload;
+use mcn_sweep::scenarios::rack_iperf_workload;
 use mcn_mpi::IperfReport;
 use mcn_sim::SimTime;
 

@@ -25,7 +25,7 @@
 use std::time::Instant;
 
 use mcn::{McnRack, MetricSink};
-use mcn_bench::{kv_rack_workload, riser, KvRackParams, KvRackChaos};
+use mcn_sweep::scenarios::{kv_rack_workload, riser, KvRackChaos, KvRackParams};
 use mcn_serve::ServeReport;
 use mcn_sim::SimTime;
 

@@ -675,7 +675,7 @@ mod tests {
         let rack = mk(3, 2, 1);
         let mut all = std::collections::HashSet::new();
         for s in 0..3 {
-            assert!(all.insert(McnSystem::nic_ip(s)));
+            assert!(all.insert(McnSystem::nic_ip_in(0, s)));
             for d in 0..2 {
                 assert!(all.insert(rack.server(s).dimm_ip(d)));
                 assert!(all.insert(McnSystem::host_if_ip_for(s, d)));
@@ -683,7 +683,7 @@ mod tests {
         }
         let owner = |ip| owner_of(ip, rack.coord.rack_id, rack.len());
         assert_eq!(owner(rack.server(2).dimm_ip(1)), Some(2));
-        assert_eq!(owner(McnSystem::nic_ip(0)), Some(0));
+        assert_eq!(owner(McnSystem::nic_ip_in(0, 0)), Some(0));
         assert_eq!(owner(std::net::Ipv4Addr::new(8, 8, 8, 8)), None);
     }
 

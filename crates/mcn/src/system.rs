@@ -425,12 +425,6 @@ impl McnSystem {
         ifidx
     }
 
-    /// The conventional NIC's IP for rack server `s`
-    /// ([`nic_ip_in`](Self::nic_ip_in) for rack 0).
-    pub fn nic_ip(s: usize) -> Ipv4Addr {
-        Self::nic_ip_in(0, s)
-    }
-
     /// The conventional NIC's MAC for server `s` of rack `rack`: 0x20
     /// ids per rack keep every NIC distinct (and clear of the DIMM MAC
     /// range) for up to 64 racks of 10 servers.

@@ -44,14 +44,6 @@ impl CpuPool {
         (start, end)
     }
 
-    /// Schedules `work` on the earliest-available core; returns
-    /// `(core, start, end)`.
-    pub fn run_any(&mut self, now: SimTime, work: SimTime) -> (usize, SimTime, SimTime) {
-        let core = self.least_loaded();
-        let (s, e) = self.run_on(core, now, work);
-        (core, s, e)
-    }
-
     /// The core that will become free soonest.
     pub fn least_loaded(&self) -> usize {
         self.free_at
@@ -108,11 +100,12 @@ mod tests {
     }
 
     #[test]
-    fn run_any_balances() {
+    fn least_loaded_balances() {
         let mut p = CpuPool::new(4);
         let mut used = std::collections::HashSet::new();
         for _ in 0..4 {
-            let (core, ..) = p.run_any(SimTime::ZERO, ns(100));
+            let core = p.least_loaded();
+            p.run_on(core, SimTime::ZERO, ns(100));
             used.insert(core);
         }
         assert_eq!(used.len(), 4, "each task should land on a fresh core");

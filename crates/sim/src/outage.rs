@@ -237,35 +237,6 @@ impl OutagePlan {
         self.at(name, at, OutageKind::DomainDown { down_for })
     }
 
-    /// Schedules `count` correlated crashes of domain `name` at
-    /// deterministic random times in `window`, each down for a random
-    /// duration in `down`. Times draw from the domain's own forked stream
-    /// (same scheme as [`random_crashes`](Self::random_crashes)), so domain
-    /// chaos never perturbs any component's independent schedule.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `name` was not [defined](Self::define_domain) first.
-    pub fn random_domain_crashes(
-        &mut self,
-        name: &str,
-        count: usize,
-        window: (SimTime, SimTime),
-        down: (SimTime, SimTime),
-    ) -> &mut Self {
-        assert!(
-            self.domain(name).is_some(),
-            "domain {name:?} not defined; call define_domain first"
-        );
-        let mut rng = DetRng::new(self.seed).fork(stream_of(name));
-        for _ in 0..count {
-            let at = SimTime::from_ps(rng.range(window.0.as_ps(), window.1.as_ps()));
-            let down_for = SimTime::from_ps(rng.range(down.0.as_ps(), down.1.as_ps()));
-            self.at(name, at, OutageKind::DomainDown { down_for });
-        }
-        self
-    }
-
     /// The component names with at least one event.
     pub fn components(&self) -> Vec<&str> {
         let mut names: Vec<&str> = self
@@ -481,38 +452,6 @@ mod tests {
         plan.define_domain("rack.pdu0", &["server0"]);
         assert_eq!(plan.domains().len(), 1);
         assert_eq!(plan.domain("rack.pdu0").unwrap().members, vec!["server0"]);
-    }
-
-    #[test]
-    fn random_domain_crashes_replay_and_fork_independently() {
-        let mk = |seed| {
-            let mut plan = OutagePlan::new(seed);
-            plan.define_domain("pdu", &["a", "b"]);
-            plan.random_domain_crashes(
-                "pdu",
-                3,
-                (SimTime::from_ms(1), SimTime::from_ms(10)),
-                (SimTime::from_us(100), SimTime::from_ms(1)),
-            );
-            // A component's independent stream is untouched by domain chaos.
-            plan.random_crashes(
-                "a",
-                2,
-                (SimTime::from_ms(1), SimTime::from_ms(10)),
-                (SimTime::from_us(100), SimTime::from_ms(1)),
-            );
-            plan
-        };
-        let times = |p: &OutagePlan, c: &str| p.schedule(c).pop_due(SimTime::from_secs(1));
-        let p1 = mk(5);
-        let p2 = mk(5);
-        assert_eq!(times(&p1, "pdu"), times(&p2, "pdu"), "same seed replays");
-        assert_ne!(times(&p1, "pdu"), times(&p1, "a"), "independent streams");
-        let p3 = mk(6);
-        assert_ne!(times(&p1, "pdu"), times(&p3, "pdu"), "seed changes schedule");
-        assert!(times(&p1, "pdu")
-            .iter()
-            .all(|(_, k)| matches!(k, OutageKind::DomainDown { .. })));
     }
 
     #[test]

@@ -105,11 +105,6 @@ impl<E> EventQueue<E> {
         self.heap.push(Reverse(Entry { time, seq, payload }));
     }
 
-    /// Schedules `payload` to fire `delay` after [`now`](Self::now).
-    pub fn schedule_in(&mut self, delay: SimTime, payload: E) {
-        self.schedule(self.now + delay, payload);
-    }
-
     /// Removes and returns the next event `(time, payload)`, advancing
     /// [`now`](Self::now) to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
@@ -189,12 +184,12 @@ mod tests {
     }
 
     #[test]
-    fn now_advances_and_schedule_in() {
+    fn now_advances_with_pops() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_ns(10), "a");
         q.pop();
         assert_eq!(q.now(), SimTime::from_ns(10));
-        q.schedule_in(SimTime::from_ns(5), "b");
+        q.schedule(q.now() + SimTime::from_ns(5), "b");
         assert_eq!(q.pop(), Some((SimTime::from_ns(15), "b")));
         assert_eq!(q.delivered(), 2);
     }

@@ -226,7 +226,10 @@ mod tests {
 
     fn tiny_spec(seed: u64) -> SweepSpec {
         let axes = Axes {
-            workloads: vec![Workload::Iperf, Workload::Ping { dimm_to_dimm: false }],
+            workloads: vec![
+                Workload::Iperf { server_on_dimm: false },
+                Workload::Ping { dimm_to_dimm: false, payload: 64 },
+            ],
             topologies: vec![Topology::Single],
             faults: vec![FaultAxis::None],
             opts: vec![OptFlags { level: 3, threads: 1 }],

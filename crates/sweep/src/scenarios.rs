@@ -1,17 +1,11 @@
-//! Shared scenario constructors — one function per experiment — plus
-//! [`run_cell`], the dispatcher that turns a sweep [`Cell`] into a
-//! sealed metrics snapshot.
-//!
-//! The figure-family helpers ([`iperf_mcn`], [`workload_mcn`], …) are
-//! what the `fig*`/`table*` binaries of `mcn-bench` run (the bench
-//! crate re-exports them). Sweep cells do not call them: [`run_cell`]
-//! dispatches to private per-cell functions that seed and meter
-//! differently (DESIGN.md §4g), so a figure row and its cell can
-//! differ. The parameterised rack/datacenter KV builders
-//! ([`kv_rack_workload`], [`kv_dc_workload`]) and the rack iperf mix
-//! ([`rack_iperf_workload`]) are shared: `serving_bench`, `dc_bench`
-//! and `engine_bench` run them, and so do the rack and datacenter
-//! cells.
+//! The sweep's scenarios: [`run_cell`] turns a [`Cell`] into a sealed
+//! metrics snapshot through one private function per scenario, and the
+//! rack and datacenter builders those functions share with the bench
+//! binaries are here too: the KV fleets ([`kv_rack_workload`],
+//! [`kv_dc_workload`]) that `serving_bench` and `dc_bench` run, and the
+//! rack iperf mix ([`rack_iperf_workload`]) that `engine_bench` runs.
+//! The paper's figures are renderings of these cells (the `fig*`
+//! binaries of `mcn-bench` read them back from `sweep.json`).
 //!
 //! Every cell snapshot carries the same layout:
 //!
@@ -48,381 +42,7 @@ use mcn_sim::{MetricSink, MetricsSnapshot, OutageKind, OutagePlan, SimTime};
 
 use crate::spec::{Cell, FaultAxis, Scale, Topology, Workload};
 
-/// Which ends of the MCN network a microbenchmark exercises (Fig. 8's
-/// `host-mcn` and `mcn-mcn` configurations).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum McnMode {
-    /// Server on the host, clients on the MCN DIMMs.
-    HostMcn,
-    /// Server on MCN DIMM 0, clients on the host and the remaining DIMMs.
-    McnMcn,
-}
-
-/// Result of one iperf run.
-#[derive(Debug, Clone, Copy)]
-pub struct IperfResult {
-    /// Aggregate goodput at the server in Gbit/s (after warm-up).
-    pub gbps: f64,
-    /// Simulated completion time.
-    pub took: SimTime,
-}
-
 const IPERF_PORT: u16 = 5001;
-const IPERF_BYTES_PER_CLIENT: u64 = 6 << 20;
-const IPERF_WARMUP: SimTime = SimTime::from_ms(2);
-const IPERF_DEADLINE: SimTime = SimTime::from_secs(10);
-
-/// Paper Fig. 8(a): iperf with one server and four clients over MCN at the
-/// given optimisation level.
-pub fn iperf_mcn(level: u32, mode: McnMode) -> IperfResult {
-    iperf_mcn_custom(&SystemConfig::default(), McnConfig::level(level), mode)
-}
-
-/// [`iperf_mcn`] with explicit system and MCN configurations (used by the
-/// ablation harness for non-cumulative configs).
-pub fn iperf_mcn_custom(cfg: &SystemConfig, mcn: McnConfig, mode: McnMode) -> IperfResult {
-    let n_dimms = 4;
-    let mut sys = McnSystem::new(cfg, n_dimms, mcn);
-    let srv = IperfReport::shared();
-    match mode {
-        McnMode::HostMcn => {
-            sys.spawn_host(
-                Box::new(IperfServer::new(IPERF_PORT, n_dimms, IPERF_WARMUP, srv.clone())),
-                0,
-            );
-            let dst = sys.host_rank_ip();
-            for d in 0..n_dimms {
-                let rep = IperfReport::shared();
-                sys.spawn_dimm(
-                    d,
-                    Box::new(IperfClient::new(dst, IPERF_PORT, IPERF_BYTES_PER_CLIENT, rep)),
-                    1,
-                );
-            }
-        }
-        McnMode::McnMcn => {
-            sys.spawn_dimm(
-                0,
-                Box::new(IperfServer::new(IPERF_PORT, n_dimms, IPERF_WARMUP, srv.clone())),
-                1,
-            );
-            let dst = sys.dimm_ip(0);
-            let rep = IperfReport::shared();
-            sys.spawn_host(
-                Box::new(IperfClient::new(dst, IPERF_PORT, IPERF_BYTES_PER_CLIENT, rep)),
-                0,
-            );
-            for d in 1..n_dimms {
-                let rep = IperfReport::shared();
-                sys.spawn_dimm(
-                    d,
-                    Box::new(IperfClient::new(dst, IPERF_PORT, IPERF_BYTES_PER_CLIENT, rep)),
-                    1,
-                );
-            }
-        }
-    }
-    let finished = sys.run_until_procs_done(IPERF_DEADLINE);
-    assert!(finished, "iperf {mcn} {mode:?} stalled at {}", sys.now());
-    let r = srv.lock();
-    IperfResult {
-        gbps: r.meter.gbps(),
-        took: sys.now(),
-    }
-}
-
-/// Paper Fig. 8(a) baseline: iperf with one server node and four client
-/// nodes over 10GbE.
-pub fn iperf_10gbe() -> IperfResult {
-    let cfg = SystemConfig::default();
-    let clients = 4;
-    let mut c = EthernetCluster::new(&cfg, clients + 1);
-    let srv = IperfReport::shared();
-    c.spawn(
-        0,
-        Box::new(IperfServer::new(IPERF_PORT, clients, IPERF_WARMUP, srv.clone())),
-        0,
-    );
-    for i in 0..clients {
-        let rep = IperfReport::shared();
-        c.spawn(
-            i + 1,
-            Box::new(IperfClient::new(
-                EthernetCluster::ip_of(0),
-                IPERF_PORT,
-                IPERF_BYTES_PER_CLIENT,
-                rep,
-            )),
-            1,
-        );
-    }
-    let finished = c.run_until_procs_done(IPERF_DEADLINE);
-    assert!(finished, "iperf 10gbe stalled at {}", c.now());
-    let r = srv.lock();
-    IperfResult {
-        gbps: r.meter.gbps(),
-        took: c.now(),
-    }
-}
-
-/// Mean ping RTT over MCN: host↔DIMM (Fig. 8b) or DIMM↔DIMM via the host
-/// forwarding engine (Fig. 8c).
-pub fn ping_mcn(level: u32, mode: McnMode, payload: usize, count: u16) -> SimTime {
-    let cfg = SystemConfig::default();
-    let mut sys = McnSystem::new(&cfg, 2, McnConfig::level(level));
-    let rep = PingReport::shared();
-    match mode {
-        McnMode::HostMcn => {
-            let dst = sys.dimm_ip(0);
-            sys.spawn_host(Box::new(Pinger::new(dst, payload, count, 1, rep.clone())), 0);
-        }
-        McnMode::McnMcn => {
-            let dst = sys.dimm_ip(1);
-            sys.spawn_dimm(0, Box::new(Pinger::new(dst, payload, count, 1, rep.clone())), 1);
-        }
-    }
-    let ok = sys.run_until_procs_done(SimTime::from_secs(1));
-    assert!(ok, "ping mcn{level} {mode:?} stalled at {}", sys.now());
-    let r = rep.lock();
-    assert_eq!(r.replies as u16, count, "lost pings");
-    r.rtts.mean().expect("recorded")
-}
-
-/// Mean ping RTT between two 10GbE nodes (the Fig. 8b/c normalisation
-/// baseline).
-pub fn ping_10gbe(payload: usize, count: u16) -> SimTime {
-    let cfg = SystemConfig::default();
-    let mut c = EthernetCluster::new(&cfg, 2);
-    let rep = PingReport::shared();
-    c.spawn(
-        0,
-        Box::new(Pinger::new(
-            EthernetCluster::ip_of(1),
-            payload,
-            count,
-            1,
-            rep.clone(),
-        )),
-        1,
-    );
-    let ok = c.run_until_procs_done(SimTime::from_secs(1));
-    assert!(ok, "ping 10gbe stalled at {}", c.now());
-    let r = rep.lock();
-    assert_eq!(r.replies as u16, count);
-    r.rtts.mean().expect("recorded")
-}
-
-/// One row of Table III: mean per-packet latency components in
-/// nanoseconds.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LatencyBreakdown {
-    /// Driver transmit work.
-    pub driver_tx_ns: f64,
-    /// DMA from DRAM to the NIC (10GbE only).
-    pub dma_tx_ns: f64,
-    /// PCIe + serialization + wire + switch (10GbE only).
-    pub phy_ns: f64,
-    /// DMA from the NIC to DRAM (10GbE only).
-    pub dma_rx_ns: f64,
-    /// Driver receive work (interrupt/poll → stack delivery).
-    pub driver_rx_ns: f64,
-}
-
-impl LatencyBreakdown {
-    /// Sum of the components.
-    pub fn total_ns(&self) -> f64 {
-        self.driver_tx_ns + self.dma_tx_ns + self.phy_ns + self.dma_rx_ns + self.driver_rx_ns
-    }
-}
-
-/// Table III: one-way component breakdown for a TCP packet of `payload`
-/// bytes over 10GbE, measured from the NIC's histograms plus the wire
-/// model's known constants.
-pub fn table3_10gbe(payload: u64) -> LatencyBreakdown {
-    let cfg = SystemConfig::default();
-    let mut c = EthernetCluster::new(&cfg, 2);
-    let srv = IperfReport::shared();
-    c.spawn(0, Box::new(IperfServer::new(IPERF_PORT, 1, SimTime::ZERO, srv.clone())), 0);
-    let rep = IperfReport::shared();
-    c.spawn(
-        1,
-        Box::new(IperfClient::new(EthernetCluster::ip_of(0), IPERF_PORT, payload, rep)),
-        1,
-    );
-    assert!(c.run_until_procs_done(SimTime::from_secs(1)));
-    let tx = &c.node(1).nic.breakdown;
-    let rx = &c.node(0).nic.breakdown;
-    let wire = payload.min(1514) + 50; // one MTU frame on the wire
-    let ser = SimTime::for_bytes(wire, cfg.eth_bytes_per_sec);
-    let phy = SimTime::from_ns(600) // PCIe out
-        + ser
-        + cfg.eth_latency
-        + SimTime::from_ns(500) // switch
-        + ser
-        + cfg.eth_latency;
-    LatencyBreakdown {
-        driver_tx_ns: tx.driver_tx.mean().unwrap_or(SimTime::ZERO).as_ns_f64(),
-        dma_tx_ns: tx.dma_tx.mean().unwrap_or(SimTime::ZERO).as_ns_f64(),
-        phy_ns: phy.as_ns_f64(),
-        dma_rx_ns: rx.dma_rx.mean().unwrap_or(SimTime::ZERO).as_ns_f64(),
-        driver_rx_ns: rx.driver_rx.mean().unwrap_or(SimTime::ZERO).as_ns_f64(),
-    }
-}
-
-/// Table III: one-way component breakdown for a TCP packet of `payload`
-/// bytes over MCN at optimisation level `level` (DMA and PHY are zero by
-/// construction; that *is* the result).
-pub fn table3_mcn(payload: u64, level: u32) -> LatencyBreakdown {
-    let cfg = SystemConfig::default();
-    let mut sys = McnSystem::new(&cfg, 1, McnConfig::level(level));
-    let srv = IperfReport::shared();
-    sys.spawn_host(Box::new(IperfServer::new(IPERF_PORT, 1, SimTime::ZERO, srv.clone())), 0);
-    let dst = sys.host_rank_ip();
-    let rep = IperfReport::shared();
-    sys.spawn_dimm(0, Box::new(IperfClient::new(dst, IPERF_PORT, payload, rep)), 1);
-    assert!(sys.run_until_procs_done(SimTime::from_secs(1)));
-    LatencyBreakdown {
-        driver_tx_ns: sys
-            .dimm(0)
-            .stats
-            .driver_tx
-            .mean()
-            .unwrap_or(SimTime::ZERO)
-            .as_ns_f64(),
-        dma_tx_ns: 0.0,
-        phy_ns: 0.0,
-        dma_rx_ns: 0.0,
-        driver_rx_ns: sys
-            .hdrv
-            .stats
-            .driver_rx
-            .mean()
-            .unwrap_or(SimTime::ZERO)
-            .as_ns_f64(),
-    }
-}
-
-/// Result of one workload run.
-#[derive(Debug, Clone, Copy)]
-pub struct WorkloadResult {
-    /// Completion time of the slowest rank.
-    pub completion: SimTime,
-    /// Aggregate DRAM traffic (all channels, all nodes) in bytes.
-    pub dram_bytes: u64,
-    /// Aggregate bandwidth = traffic / completion, bytes per second.
-    pub agg_bw: f64,
-    /// Total energy in joules over the run.
-    pub energy_j: f64,
-    /// Numerical verification passed.
-    pub verified: bool,
-}
-
-fn finish_workload(
-    completion: SimTime,
-    dram_bytes: u64,
-    energy_j: f64,
-    report: &Arc<Mutex<mcn_mpi::WorkloadReport>>,
-) -> WorkloadResult {
-    let r = report.lock();
-    WorkloadResult {
-        completion,
-        dram_bytes,
-        agg_bw: if completion == SimTime::ZERO {
-            0.0
-        } else {
-            dram_bytes as f64 / completion.as_secs_f64()
-        },
-        energy_j,
-        verified: r.verified,
-    }
-}
-
-/// Runs `spec` on an MCN-enabled server with `n_dimms` DIMMs at level
-/// `level`: `host_ranks` ranks on the host plus `per_dimm` per DIMM.
-pub fn workload_mcn(
-    spec: WorkloadSpec,
-    n_dimms: usize,
-    level: u32,
-    host_ranks: usize,
-    per_dimm: usize,
-) -> WorkloadResult {
-    workload_mcn_cfg(&SystemConfig::default(), spec, n_dimms, level, host_ranks, per_dimm)
-}
-
-/// [`workload_mcn`] with an explicit system configuration (Fig. 11 uses a
-/// 4-core host).
-pub fn workload_mcn_cfg(
-    cfg: &SystemConfig,
-    spec: WorkloadSpec,
-    n_dimms: usize,
-    level: u32,
-    host_ranks: usize,
-    per_dimm: usize,
-) -> WorkloadResult {
-    let mut sys = McnSystem::new(cfg, n_dimms, McnConfig::level(level));
-    let report = spawn_on_mcn(&mut sys, spec, host_ranks, per_dimm, 0xC0FFEE);
-    let ok = sys.run_until_procs_done(SimTime::from_secs(30));
-    assert!(
-        ok,
-        "workload {} on {n_dimms}-DIMM mcn{level} stalled at {}",
-        spec.name,
-        sys.now()
-    );
-    let completion = report.lock().completion().expect("all finished");
-    let dram_bytes: u64 = sys.host.mem.total_bytes()
-        + (0..n_dimms).map(|d| sys.dimm(d).node.mem.total_bytes()).sum::<u64>();
-    let energy = mcn_energy::mcn_system_energy(
-        &mcn_energy::PowerParams::default(),
-        &sys,
-        completion,
-    )
-    .total();
-    finish_workload(completion, dram_bytes, energy, &report)
-}
-
-/// Runs `spec` on a conventional server: all ranks on one node (also the
-/// Fig. 9 normalisation baseline, where aggregate bandwidth is whatever the
-/// host channels deliver alone).
-pub fn workload_conventional(spec: WorkloadSpec, ranks: usize) -> WorkloadResult {
-    workload_mcn(spec, 0, 0, ranks, 0)
-}
-
-/// Runs `spec` on a scale-up server with `cores` cores and `ranks` ranks
-/// over loopback (the Fig. 11 baseline).
-pub fn workload_scaleup(spec: WorkloadSpec, cores: usize, ranks: usize) -> WorkloadResult {
-    let cfg = SystemConfig {
-        host_cores: cores,
-        ..SystemConfig::default()
-    };
-    let mut sys = McnSystem::new(&cfg, 0, McnConfig::level(0));
-    let report = spawn_on_mcn(&mut sys, spec, ranks, 0, 0xC0FFEE);
-    let ok = sys.run_until_procs_done(SimTime::from_secs(30));
-    assert!(ok, "scale-up {} stalled at {}", spec.name, sys.now());
-    let completion = report.lock().completion().expect("all finished");
-    let dram_bytes = sys.host.mem.total_bytes();
-    let energy = mcn_energy::mcn_system_energy(
-        &mcn_energy::PowerParams::default(),
-        &sys,
-        completion,
-    )
-    .total();
-    finish_workload(completion, dram_bytes, energy, &report)
-}
-
-/// Runs `spec` on an `nodes`-node 10GbE cluster with `per_node` ranks per
-/// node (the Fig. 10 baseline).
-pub fn workload_cluster(spec: WorkloadSpec, nodes: usize, per_node: usize) -> WorkloadResult {
-    let cfg = SystemConfig::default();
-    let mut c = EthernetCluster::new(&cfg, nodes);
-    let report = spawn_on_cluster(&mut c, spec, per_node, 0xC0FFEE);
-    let ok = c.run_until_procs_done(SimTime::from_secs(30));
-    assert!(ok, "cluster {} stalled at {}", spec.name, c.now());
-    let completion = report.lock().completion().expect("all finished");
-    let dram_bytes: u64 = (0..nodes).map(|i| c.node(i).node.mem.total_bytes()).sum();
-    let energy =
-        mcn_energy::cluster_energy(&mcn_energy::PowerParams::default(), &c, completion).total();
-    finish_workload(completion, dram_bytes, energy, &report)
-}
 
 /// A shared KV fleet report.
 pub type KvReport = Arc<Mutex<ServeReport>>;
@@ -815,13 +435,17 @@ pub fn run_cell(cell: &Cell, scale: &Scale, seed: u64) -> MetricsSnapshot {
     sink.counter("meta.seed", seed);
 
     let run = match (&cell.workload, cell.topology) {
-        (Workload::Iperf, Topology::Single) => iperf_single_cell(cell, scale, seed, &mut sink),
-        (Workload::Iperf, Topology::Rack) => iperf_rack_cell(cell, scale, &mut sink),
-        (Workload::Iperf, Topology::Cluster) => iperf_cluster_cell(cell, scale, &mut sink),
-        (Workload::Ping { dimm_to_dimm }, Topology::Single) => {
-            ping_single_cell(cell, scale, *dimm_to_dimm, &mut sink)
+        (Workload::Iperf { server_on_dimm }, Topology::Single) => {
+            iperf_single_cell(cell, scale, seed, *server_on_dimm, &mut sink)
         }
-        (Workload::Ping { .. }, Topology::Cluster) => ping_cluster_cell(cell, scale, &mut sink),
+        (Workload::Iperf { .. }, Topology::Rack) => iperf_rack_cell(cell, scale, &mut sink),
+        (Workload::Iperf { .. }, Topology::Cluster) => iperf_cluster_cell(cell, scale, &mut sink),
+        (Workload::Ping { dimm_to_dimm, payload }, Topology::Single) => {
+            ping_single_cell(cell, scale, *dimm_to_dimm, *payload, &mut sink)
+        }
+        (Workload::Ping { payload, .. }, Topology::Cluster) => {
+            ping_cluster_cell(cell, scale, *payload, &mut sink)
+        }
         (Workload::AllReduce, Topology::Single) => mpi_single_cell(
             cell,
             scale,
@@ -839,30 +463,18 @@ pub fn run_cell(cell: &Cell, scale: &Scale, seed: u64) -> MetricsSnapshot {
         (Workload::Kv, Topology::Rack) => kv_rack_cell(cell, scale, &mut sink),
         (Workload::Kv, Topology::Dc) => kv_dc_cell(cell, scale, &mut sink),
         (Workload::Npb { name, dimms, host_ranks, per_dimm }, Topology::Single) => {
-            let spec = WorkloadSpec::by_name(name)
-                .unwrap_or_else(|| panic!("unknown workload {name:?}"));
+            // One host core per host rank (see `Workload::Npb`).
+            let cfg = SystemConfig { host_cores: *host_ranks, ..SystemConfig::default() };
             mpi_single_cell(
-                cell,
-                scale,
-                seed,
-                spec,
-                *dimms,
-                *host_ranks,
-                *per_dimm,
-                &SystemConfig::default(),
-                &mut sink,
+                cell, scale, seed, npb_spec(name), *dimms, *host_ranks, *per_dimm, &cfg, &mut sink,
             )
         }
-        (Workload::NpbScaleUp { name, cores, ranks }, Topology::Single) => {
-            let spec = WorkloadSpec::by_name(name)
-                .unwrap_or_else(|| panic!("unknown workload {name:?}"));
+        (Workload::NpbScaleUp { name, cores }, Topology::Single) => {
             let cfg = SystemConfig { host_cores: *cores, ..SystemConfig::default() };
-            mpi_single_cell(cell, scale, seed, spec, 0, *ranks, 0, &cfg, &mut sink)
+            mpi_single_cell(cell, scale, seed, npb_spec(name), 0, *cores, 0, &cfg, &mut sink)
         }
         (Workload::NpbCluster { name, nodes, per_node }, Topology::Cluster) => {
-            let spec = WorkloadSpec::by_name(name)
-                .unwrap_or_else(|| panic!("unknown workload {name:?}"));
-            mpi_cluster_cell(scale, seed, spec, *nodes, *per_node, &mut sink)
+            mpi_cluster_cell(scale, seed, npb_spec(name), *nodes, *per_node, &mut sink)
         }
         (w, t) => panic!("no scenario for {w:?} on {t:?} (supported() let it through)"),
     };
@@ -888,7 +500,19 @@ fn power() -> PowerParams {
     PowerParams::default()
 }
 
-fn iperf_single_cell(cell: &Cell, scale: &Scale, seed: u64, sink: &mut MetricSink) -> CellRun {
+fn npb_spec(name: &str) -> WorkloadSpec {
+    WorkloadSpec::by_name(name).unwrap_or_else(|| panic!("unknown workload {name:?}"))
+}
+
+/// Four iperf streams into one server: on the host from every DIMM
+/// (host-mcn), or on DIMM 0 from the host and DIMMs 1–3 (mcn-mcn).
+fn iperf_single_cell(
+    cell: &Cell,
+    scale: &Scale,
+    seed: u64,
+    server_on_dimm: bool,
+    sink: &mut MetricSink,
+) -> CellRun {
     let n_dimms = 4;
     let mcn = McnConfig::level(cell.opt.level);
     let plan = match cell.fault {
@@ -899,14 +523,23 @@ fn iperf_single_cell(cell: &Cell, scale: &Scale, seed: u64, sink: &mut MetricSin
     let srv = IperfReport::shared();
     // Zero warm-up: the meter must account every payload byte so that
     // requests (delivered KiB) and energy-per-request stay honest.
-    sys.spawn_host(Box::new(IperfServer::new(IPERF_PORT, n_dimms, SimTime::ZERO, srv.clone())), 0);
-    let dst = sys.host_rank_ip();
-    for d in 0..n_dimms {
-        sys.spawn_dimm(
-            d,
-            Box::new(IperfClient::new(dst, IPERF_PORT, scale.iperf_bytes, IperfReport::shared())),
-            1,
-        );
+    let server = Box::new(IperfServer::new(IPERF_PORT, n_dimms, SimTime::ZERO, srv.clone()));
+    let client = |dst| {
+        Box::new(IperfClient::new(dst, IPERF_PORT, scale.iperf_bytes, IperfReport::shared()))
+    };
+    if server_on_dimm {
+        sys.spawn_dimm(0, server, 1);
+        let dst = sys.dimm_ip(0);
+        sys.spawn_host(client(dst), 0);
+        for d in 1..n_dimms {
+            sys.spawn_dimm(d, client(dst), 1);
+        }
+    } else {
+        sys.spawn_host(server, 0);
+        let dst = sys.host_rank_ip();
+        for d in 0..n_dimms {
+            sys.spawn_dimm(d, client(dst), 1);
+        }
     }
     assert!(sys.run_until_procs_done(scale.deadline), "cell {cell} stalled at {}", sys.now());
     let elapsed = sys.now();
@@ -1001,16 +634,18 @@ fn ping_single_cell(
     cell: &Cell,
     scale: &Scale,
     dimm_to_dimm: bool,
+    payload: usize,
     sink: &mut MetricSink,
 ) -> CellRun {
     let mut sys = McnSystem::new(&SystemConfig::default(), 2, McnConfig::level(cell.opt.level));
     let rep = PingReport::shared();
+    let pinger = |dst| Box::new(Pinger::new(dst, payload, scale.ping_count, 1, rep.clone()));
     if dimm_to_dimm {
         let dst = sys.dimm_ip(1);
-        sys.spawn_dimm(0, Box::new(Pinger::new(dst, 64, scale.ping_count, 1, rep.clone())), 1);
+        sys.spawn_dimm(0, pinger(dst), 1);
     } else {
         let dst = sys.dimm_ip(0);
-        sys.spawn_host(Box::new(Pinger::new(dst, 64, scale.ping_count, 1, rep.clone())), 0);
+        sys.spawn_host(pinger(dst), 0);
     }
     assert!(sys.run_until_procs_done(scale.deadline), "cell {cell} stalled at {}", sys.now());
     let elapsed = sys.now();
@@ -1031,14 +666,11 @@ fn ping_single_cell(
     }
 }
 
-fn ping_cluster_cell(cell: &Cell, scale: &Scale, sink: &mut MetricSink) -> CellRun {
+fn ping_cluster_cell(cell: &Cell, scale: &Scale, payload: usize, sink: &mut MetricSink) -> CellRun {
     let mut c = EthernetCluster::new(&SystemConfig::default(), 2);
     let rep = PingReport::shared();
-    c.spawn(
-        0,
-        Box::new(Pinger::new(EthernetCluster::ip_of(1), 64, scale.ping_count, 1, rep.clone())),
-        1,
-    );
+    let dst = EthernetCluster::ip_of(1);
+    c.spawn(0, Box::new(Pinger::new(dst, payload, scale.ping_count, 1, rep.clone())), 1);
     assert!(
         c.run_parallel(scale.deadline, cell.opt.threads),
         "cell {cell} stalled at {}",
@@ -1256,13 +888,15 @@ mod tests {
     use super::*;
     use crate::spec::OptFlags;
 
+    const HOST_MCN_IPERF: Workload = Workload::Iperf { server_on_dimm: false };
+
     fn cell(workload: Workload, topology: Topology, fault: FaultAxis, level: u32) -> Cell {
         Cell { workload, topology, fault, opt: OptFlags { level, threads: 1 } }
     }
 
     #[test]
     fn iperf_single_cell_is_deterministic() {
-        let c = cell(Workload::Iperf, Topology::Single, FaultAxis::None, 3);
+        let c = cell(HOST_MCN_IPERF, Topology::Single, FaultAxis::None, 3);
         let scale = Scale::smoke();
         let a = run_cell(&c, &scale, 42).to_json();
         let b = run_cell(&c, &scale, 42).to_json();
@@ -1275,7 +909,7 @@ mod tests {
 
     #[test]
     fn cell_snapshot_carries_the_contracted_layout() {
-        let c = cell(Workload::Iperf, Topology::Single, FaultAxis::None, 3);
+        let c = cell(HOST_MCN_IPERF, Topology::Single, FaultAxis::None, 3);
         let snap = run_cell(&c, &Scale::smoke(), 7);
         for path in [
             "meta.workload",
@@ -1301,8 +935,26 @@ mod tests {
     }
 
     #[test]
+    fn mcn_mcn_iperf_and_payload_pings_complete_and_repeat() {
+        let scale = Scale::smoke();
+        let clean = |workload, topology, level| cell(workload, topology, FaultAxis::None, level);
+        let ping = |dimm_to_dimm| Workload::Ping { dimm_to_dimm, payload: 4096 };
+        let (kib, replies) = (4 * (scale.iperf_bytes >> 10), u64::from(scale.ping_count));
+        let cells = [
+            (clean(Workload::Iperf { server_on_dimm: true }, Topology::Single, 5), kib),
+            (clean(ping(true), Topology::Single, 1), replies),
+            (clean(ping(false), Topology::Cluster, 0), replies),
+        ];
+        for (c, delivered) in cells {
+            let snap = run_cell(&c, &scale, 11);
+            assert_eq!(snap.get_u64("requests"), delivered, "{c}");
+            assert_eq!(snap.to_json(), run_cell(&c, &scale, 11).to_json(), "{c} differs on repeat");
+        }
+    }
+
+    #[test]
     fn faulted_iperf_still_delivers_every_byte() {
-        let c = cell(Workload::Iperf, Topology::Single, FaultAxis::Faults, 1);
+        let c = cell(HOST_MCN_IPERF, Topology::Single, FaultAxis::Faults, 1);
         let snap = run_cell(&c, &Scale::smoke(), 0xFA57);
         // The byte-completeness assert inside the arm already ran; the
         // injected faults must also be visible in the counters.

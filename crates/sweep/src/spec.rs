@@ -4,8 +4,8 @@
 //! expanded from four axes (workload × topology × fault plan ×
 //! optimisation flags) plus any number of explicit extra cells the
 //! presets append for the figure families that need parameters beyond
-//! the axes (Fig. 9's DIMM counts, Fig. 10's cluster sizes, Fig. 11's
-//! scale-up cores).
+//! the axes (Fig. 8's mcn-mcn layouts and ping payloads, Fig. 9's DIMM
+//! counts, Fig. 10's equal-core pairs, Fig. 11's scale-up cores).
 //!
 //! Everything here is pure data: deterministic ids, seeds derived from
 //! the sweep seed by FNV-1a over the cell id, and a config hash that
@@ -32,27 +32,40 @@ pub fn fnv1a64(state: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// The workload axis. The first four variants are the sweepable axis
-/// values; the parameterised variants are appended by the presets for
-/// the figure families (they never appear in a parsed axis list).
+/// The workload axis. The parsed axis values are `iperf`, `ping`,
+/// `pingmm`, `allreduce` and `kv`; the other parameter values are
+/// appended by the presets for the figure families.
+///
+/// Every parameter reaches the id token ([`Workload::token`]): a
+/// done-marker is keyed by id, seed and scale only, so a cell whose
+/// workload changed under an old id would resume from a stale marker.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Workload {
     /// Fig. 8(a): one iperf server, four client streams.
-    Iperf,
+    Iperf {
+        /// Fig. 8(a)'s mcn-mcn layout: the server on DIMM 0, clients on
+        /// the host and DIMMs 1–3 (instead of the server on the host and
+        /// a client on every DIMM).
+        server_on_dimm: bool,
+    },
     /// Fig. 8(b)/(c): ping RTT, host↔DIMM or DIMM↔DIMM.
     Ping {
         /// DIMM↔DIMM through the host forwarding engine (Fig. 8c)
         /// instead of host↔DIMM (Fig. 8b).
         dimm_to_dimm: bool,
+        /// ICMP payload bytes (the parsed axis value pings with 64).
+        payload: usize,
     },
     /// A communication-dominated MPI all-reduce microbenchmark.
     AllReduce,
     /// Replicated memcached-style KV serving with a resilient open-loop
     /// client fleet.
     Kv,
-    /// Fig. 9/10: a named [`mcn_mpi::WorkloadSpec`] on an MCN server
-    /// with `dimms` DIMMs (`dimms == 0` is the conventional-server
-    /// baseline that runs every rank on the host).
+    /// Fig. 9/10/11: a named [`mcn_mpi::WorkloadSpec`] on an MCN
+    /// server with `dimms` DIMMs (`dimms == 0` is the conventional-server
+    /// baseline that runs every rank on the host). The host has one core
+    /// per host rank: Table II's 8 cores at 8 ranks, Fig. 11's 4-core
+    /// host at 4.
     Npb {
         /// Workload name (`WorkloadSpec::by_name`).
         name: String,
@@ -74,30 +87,44 @@ pub enum Workload {
         per_node: usize,
     },
     /// Fig. 11 baseline: the named workload on a scale-up host with
-    /// `cores` cores and `ranks` ranks over loopback.
+    /// `cores` cores, one rank per core over loopback.
     NpbScaleUp {
         /// Workload name.
         name: String,
-        /// Host core count.
+        /// Host core count (and rank count).
         cores: usize,
-        /// Rank count.
-        ranks: usize,
     },
 }
 
 impl Workload {
     /// Dot-free id token (hyphen-separated tokens form the cell id).
+    /// The short forms name their default parameters (64-byte pings,
+    /// Fig. 9's 8 host ranks plus 3 per DIMM); any other value is
+    /// spelled out.
     pub fn token(&self) -> String {
         match self {
-            Workload::Iperf => "iperf".into(),
-            Workload::Ping { dimm_to_dimm: false } => "ping".into(),
-            Workload::Ping { dimm_to_dimm: true } => "pingmm".into(),
+            Workload::Iperf { server_on_dimm: false } => "iperf".into(),
+            Workload::Iperf { server_on_dimm: true } => "iperfmm".into(),
+            Workload::Ping { dimm_to_dimm, payload } => {
+                let mode = if *dimm_to_dimm { "pingmm" } else { "ping" };
+                match payload {
+                    64 => mode.into(),
+                    _ => format!("{mode}_b{payload}"),
+                }
+            }
             Workload::AllReduce => "allreduce".into(),
             Workload::Kv => "kv".into(),
-            Workload::Npb { name, dimms: 0, .. } => format!("conv_{name}"),
-            Workload::Npb { name, dimms, .. } => format!("npb_{name}_d{dimms}"),
-            Workload::NpbCluster { name, nodes, .. } => format!("clus_{name}_n{nodes}"),
-            Workload::NpbScaleUp { name, cores, .. } => format!("scaleup_{name}_c{cores}"),
+            Workload::Npb { name, dimms: 0, host_ranks: 8, per_dimm: 0 } => format!("conv_{name}"),
+            Workload::Npb { name, dimms, host_ranks: 8, per_dimm: 3 } if *dimms > 0 => {
+                format!("npb_{name}_d{dimms}")
+            }
+            Workload::Npb { name, dimms, host_ranks, per_dimm } => {
+                format!("npb_{name}_d{dimms}_h{host_ranks}r{per_dimm}")
+            }
+            Workload::NpbCluster { name, nodes, per_node } => {
+                format!("clus_{name}_n{nodes}r{per_node}")
+            }
+            Workload::NpbScaleUp { name, cores } => format!("scaleup_{name}_c{cores}"),
         }
     }
 }
@@ -305,7 +332,7 @@ impl Cell {
         }
         let topo_ok = matches!(
             (&self.workload, self.topology),
-            (W::Iperf, T::Single | T::Rack | T::Cluster)
+            (W::Iperf { .. }, T::Single | T::Rack | T::Cluster)
                 | (W::Ping { .. }, T::Single | T::Cluster)
                 | (W::AllReduce, T::Single | T::Cluster)
                 | (W::Kv, T::Rack | T::Dc)
@@ -315,17 +342,21 @@ impl Cell {
         if !topo_ok {
             return Err("workload has no scenario on this topology");
         }
-        if matches!(self.workload, W::Ping { dimm_to_dimm: true }) && self.topology != T::Single {
-            return Err("DIMM-to-DIMM ping needs the host forwarding engine (single only)");
+        let mcn_mcn = matches!(
+            self.workload,
+            W::Ping { dimm_to_dimm: true, .. } | W::Iperf { server_on_dimm: true }
+        );
+        if mcn_mcn && self.topology != T::Single {
+            return Err("mcn-mcn traffic needs the host forwarding engine (single only)");
         }
         match self.fault {
             F::None => Ok(()),
             F::Faults => match (&self.workload, self.topology) {
-                (W::Iperf | W::AllReduce, T::Single) => Ok(()),
+                (W::Iperf { .. } | W::AllReduce, T::Single) => Ok(()),
                 _ => Err("rate faults are wired for single-system iperf/allreduce only"),
             },
             F::Outages => match (&self.workload, self.topology) {
-                (W::Iperf, T::Rack) | (W::Kv, T::Rack | T::Dc) => Ok(()),
+                (W::Iperf { .. }, T::Rack) | (W::Kv, T::Rack | T::Dc) => Ok(()),
                 _ => Err("outage scenarios exist for rack iperf and rack/dc KV only"),
             },
             F::Domains => match (&self.workload, self.topology) {
@@ -390,13 +421,13 @@ impl SweepSpec {
     /// smoke scale.
     pub fn smoke() -> SweepSpec {
         let axes = Axes {
-            workloads: vec![Workload::Iperf, Workload::Kv],
+            workloads: vec![Workload::Iperf { server_on_dimm: false }, Workload::Kv],
             topologies: vec![Topology::Single, Topology::Rack],
             faults: vec![FaultAxis::None, FaultAxis::Domains],
             opts: vec![OptFlags { level: 3, threads: 1 }],
         };
         let mut cells = axes.expand();
-        for workload in [Workload::Iperf, Workload::AllReduce] {
+        for workload in [Workload::Iperf { server_on_dimm: false }, Workload::AllReduce] {
             cells.push(Cell {
                 workload,
                 topology: Topology::Cluster,
@@ -407,44 +438,49 @@ impl SweepSpec {
         SweepSpec { seed: 0x5111, scale: Scale::smoke(), cells }
     }
 
-    /// The paper preset: Fig. 8(a/b/c) and Table III's axis sweeps, the
-    /// Fig. 9/10/11 workload families, and the serving and datacenter
-    /// scenarios, at paper scale.
+    /// The paper preset at paper scale: every cell the figure renderers
+    /// read (Fig. 8(a/b/c), 9, 10 and 11), the resilience column, and
+    /// the serving and datacenter scenarios.
     pub fn paper() -> SweepSpec {
         let mut cells = Vec::new();
         let t1 = |level| OptFlags { level, threads: 1 };
-        // Fig. 8(a): iperf at every optimisation level, plus the 10GbE
-        // baseline. Fig. 8(b)/(c): ping at mcn0 and mcn5 ends.
-        for level in 0..=5 {
-            cells.push(Cell {
-                workload: Workload::Iperf,
-                topology: Topology::Single,
-                fault: FaultAxis::None,
-                opt: t1(level),
-            });
-        }
-        cells.push(Cell {
-            workload: Workload::Iperf,
-            topology: Topology::Cluster,
+        let clean = |workload, topology, level| Cell {
+            workload,
+            topology,
             fault: FaultAxis::None,
-            opt: t1(0),
-        });
-        for dimm_to_dimm in [false, true] {
-            for level in [0, 5] {
-                cells.push(Cell {
-                    workload: Workload::Ping { dimm_to_dimm },
-                    topology: Topology::Single,
-                    fault: FaultAxis::None,
-                    opt: t1(level),
-                });
+            opt: t1(level),
+        };
+        // Fig. 8(a): iperf at every optimisation level, host-mcn then
+        // mcn-mcn, plus the 10GbE baseline.
+        for server_on_dimm in [false, true] {
+            for level in 0..=5 {
+                cells.push(clean(Workload::Iperf { server_on_dimm }, Topology::Single, level));
             }
         }
-        cells.push(Cell {
-            workload: Workload::Ping { dimm_to_dimm: false },
-            topology: Topology::Cluster,
-            fault: FaultAxis::None,
-            opt: t1(0),
-        });
+        cells.push(clean(Workload::Iperf { server_on_dimm: false }, Topology::Cluster, 0));
+        // Fig. 8(b)/(c): 64-byte pings at the mcn0 and mcn5 ends, then
+        // the payload ladders at mcn0/1/5 and over 10GbE.
+        for dimm_to_dimm in [false, true] {
+            for level in [0, 5] {
+                let ping = Workload::Ping { dimm_to_dimm, payload: 64 };
+                cells.push(clean(ping, Topology::Single, level));
+            }
+        }
+        let ping = Workload::Ping { dimm_to_dimm: false, payload: 64 };
+        cells.push(clean(ping, Topology::Cluster, 0));
+        let payloads = [16, 256, 1024, 4096, 8192];
+        for dimm_to_dimm in [false, true] {
+            for payload in payloads {
+                for level in [0, 1, 5] {
+                    let ping = Workload::Ping { dimm_to_dimm, payload };
+                    cells.push(clean(ping, Topology::Single, level));
+                }
+            }
+        }
+        for payload in payloads {
+            let ping = Workload::Ping { dimm_to_dimm: false, payload };
+            cells.push(clean(ping, Topology::Cluster, 0));
+        }
         // Resilience column: iperf under rate faults and a rack switch
         // partition; the serving tier clean, under a replica crash and
         // under the riser-domain breaker drill; the datacenter clean
@@ -461,7 +497,7 @@ impl SweepSpec {
         // (iperf's clean level-1 baseline is already in the Fig. 8(a)
         // column above, so only the faulted variant is added here.)
         cells.push(Cell {
-            workload: Workload::Iperf,
+            workload: Workload::Iperf { server_on_dimm: false },
             topology: Topology::Single,
             fault: FaultAxis::Faults,
             opt: t1(1),
@@ -469,7 +505,7 @@ impl SweepSpec {
         for threads in [1, 2] {
             for fault in [FaultAxis::None, FaultAxis::Outages] {
                 cells.push(Cell {
-                    workload: Workload::Iperf,
+                    workload: Workload::Iperf { server_on_dimm: false },
                     topology: Topology::Rack,
                     fault,
                     opt: OptFlags { level: 3, threads },
@@ -492,64 +528,38 @@ impl SweepSpec {
                 });
             }
         }
+        let npb = |name: &str, dimms, host_ranks, per_dimm| Workload::Npb {
+            name: name.into(),
+            dimms,
+            host_ranks,
+            per_dimm,
+        };
         // Fig. 9: every workload of the mix on 2/4/6/8 DIMMs at mcn3
         // (8 host ranks + 3 per DIMM) against the conventional server.
-        let mix: Vec<&str> = mcn_mpi::WorkloadSpec::all().iter().map(|s| s.name).collect();
-        for name in &mix {
-            cells.push(Cell {
-                workload: Workload::Npb {
-                    name: (*name).into(),
-                    dimms: 0,
-                    host_ranks: 8,
-                    per_dimm: 0,
-                },
-                topology: Topology::Single,
-                fault: FaultAxis::None,
-                opt: t1(0),
-            });
-            for dimms in [2usize, 4, 6, 8] {
-                cells.push(Cell {
-                    workload: Workload::Npb {
-                        name: (*name).into(),
-                        dimms,
-                        host_ranks: 8,
-                        per_dimm: 3,
-                    },
-                    topology: Topology::Single,
-                    fault: FaultAxis::None,
-                    opt: t1(3),
-                });
+        for spec in mcn_mpi::WorkloadSpec::all() {
+            cells.push(clean(npb(spec.name, 0, 8, 0), Topology::Single, 0));
+            for dimms in [2, 4, 6, 8] {
+                cells.push(clean(npb(spec.name, dimms, 8, 3), Topology::Single, 3));
             }
         }
-        // Fig. 10: MCN servers against equal-core 10GbE clusters
-        // (cluster of n nodes ≈ server with n DIMMs at 4 ranks each).
-        for (nodes, per_node) in [(2usize, 2usize), (4, 3), (6, 4), (8, 5)] {
-            for name in ["cg", "mg", "sort"] {
-                cells.push(Cell {
-                    workload: Workload::NpbCluster {
-                        name: name.into(),
-                        nodes,
-                        per_node,
-                    },
-                    topology: Topology::Cluster,
-                    fault: FaultAxis::None,
-                    opt: t1(0),
-                });
+        // Fig. 10: MCN servers (8 host ranks + 4 per DIMM) against 10GbE
+        // clusters of 8-rank nodes with the same rank count.
+        for name in ["cg", "mg", "sort"] {
+            for (dimms, nodes) in [(2, 2), (4, 3), (6, 4), (8, 5)] {
+                cells.push(clean(npb(name, dimms, 8, 4), Topology::Single, 3));
+                let cluster = Workload::NpbCluster { name: name.into(), nodes, per_node: 8 };
+                cells.push(clean(cluster, Topology::Cluster, 0));
             }
         }
-        // Fig. 11: scale-up hosts vs MCN growth from a 4-core host.
+        // Fig. 11: scale-up hosts against MCN growth from a 4-core host
+        // (4 host ranks + 4 per DIMM).
         for name in ["ep", "cg", "mg"] {
-            for cores in [8usize, 12, 16] {
-                cells.push(Cell {
-                    workload: Workload::NpbScaleUp {
-                        name: name.into(),
-                        cores,
-                        ranks: cores,
-                    },
-                    topology: Topology::Single,
-                    fault: FaultAxis::None,
-                    opt: t1(0),
-                });
+            for cores in [4, 8, 12, 16] {
+                let scaleup = Workload::NpbScaleUp { name: name.into(), cores };
+                cells.push(clean(scaleup, Topology::Single, 0));
+            }
+            for dimms in 1..=3 {
+                cells.push(clean(npb(name, dimms, 4, 4), Topology::Single, 3));
             }
         }
         SweepSpec { seed: 0x9a9e12, scale: Scale::paper(), cells }
@@ -607,9 +617,9 @@ impl SweepSpec {
                 "workloads" => {
                     for v in list() {
                         axes.workloads.push(match v {
-                            "iperf" => Workload::Iperf,
-                            "ping" => Workload::Ping { dimm_to_dimm: false },
-                            "pingmm" => Workload::Ping { dimm_to_dimm: true },
+                            "iperf" => Workload::Iperf { server_on_dimm: false },
+                            "ping" => Workload::Ping { dimm_to_dimm: false, payload: 64 },
+                            "pingmm" => Workload::Ping { dimm_to_dimm: true, payload: 64 },
                             "allreduce" => Workload::AllReduce,
                             "kv" => Workload::Kv,
                             other => return Err(err(format!("unknown workload {other:?}"))),
@@ -702,6 +712,45 @@ mod tests {
         assert_eq!(ids.len(), n, "paper preset has duplicate cell ids");
     }
 
+    /// Done-markers are keyed by id, seed and scale only: a cell whose
+    /// workload changed but kept its id (say an 8-rank-per-node cluster
+    /// under a 2-rank cell's id) would resume from the stale marker.
+    #[test]
+    fn every_workload_parameter_reaches_the_id() {
+        fn variants(w: &Workload) -> Vec<Workload> {
+            use Workload as W;
+            match w.clone() {
+                W::Iperf { server_on_dimm } => vec![W::Iperf { server_on_dimm: !server_on_dimm }],
+                W::Ping { dimm_to_dimm, payload } => vec![
+                    W::Ping { dimm_to_dimm: !dimm_to_dimm, payload },
+                    W::Ping { dimm_to_dimm, payload: payload + 1 },
+                ],
+                W::AllReduce | W::Kv => vec![],
+                W::Npb { name, dimms, host_ranks, per_dimm } => vec![
+                    W::Npb { name: format!("{name}x"), dimms, host_ranks, per_dimm },
+                    W::Npb { name: name.clone(), dimms: dimms + 1, host_ranks, per_dimm },
+                    W::Npb { name: name.clone(), dimms, host_ranks: host_ranks + 1, per_dimm },
+                    W::Npb { name, dimms, host_ranks, per_dimm: per_dimm + 1 },
+                ],
+                W::NpbCluster { name, nodes, per_node } => vec![
+                    W::NpbCluster { name: format!("{name}x"), nodes, per_node },
+                    W::NpbCluster { name: name.clone(), nodes: nodes + 1, per_node },
+                    W::NpbCluster { name, nodes, per_node: per_node + 1 },
+                ],
+                W::NpbScaleUp { name, cores } => vec![
+                    W::NpbScaleUp { name: format!("{name}x"), cores },
+                    W::NpbScaleUp { name, cores: cores + 1 },
+                ],
+            }
+        }
+        for cell in SweepSpec::paper().cells {
+            for workload in variants(&cell.workload) {
+                let other = Cell { workload, ..cell.clone() };
+                assert_ne!(other.id(), cell.id(), "{other:?} reuses the id of {cell:?}");
+            }
+        }
+    }
+
     #[test]
     fn seeds_differ_per_cell_and_follow_sweep_seed() {
         let spec = SweepSpec::smoke();
@@ -715,7 +764,7 @@ mod tests {
     #[test]
     fn config_hash_tracks_scale_and_seed() {
         let cell = Cell {
-            workload: Workload::Iperf,
+            workload: Workload::Iperf { server_on_dimm: false },
             topology: Topology::Single,
             fault: FaultAxis::None,
             opt: OptFlags { level: 3, threads: 1 },
@@ -759,13 +808,16 @@ mod tests {
             fault,
             opt: OptFlags { level, threads },
         };
-        assert!(mk(Workload::Iperf, Topology::Single, FaultAxis::None, 5, 1).supported().is_ok());
+        let iperf = |server_on_dimm| Workload::Iperf { server_on_dimm };
+        assert!(mk(iperf(false), Topology::Single, FaultAxis::None, 5, 1).supported().is_ok());
+        assert!(mk(iperf(true), Topology::Single, FaultAxis::None, 5, 1).supported().is_ok());
         assert!(mk(Workload::Kv, Topology::Rack, FaultAxis::Domains, 3, 2).supported().is_ok());
         assert!(mk(Workload::Kv, Topology::Dc, FaultAxis::Outages, 3, 2).supported().is_ok());
         // And the documented holes.
         assert!(mk(Workload::Kv, Topology::Single, FaultAxis::None, 3, 1).supported().is_err());
-        assert!(mk(Workload::Iperf, Topology::Single, FaultAxis::None, 3, 2).supported().is_err());
-        assert!(mk(Workload::Iperf, Topology::Cluster, FaultAxis::None, 3, 1).supported().is_err());
+        assert!(mk(iperf(false), Topology::Single, FaultAxis::None, 3, 2).supported().is_err());
+        assert!(mk(iperf(false), Topology::Cluster, FaultAxis::None, 3, 1).supported().is_err());
+        assert!(mk(iperf(true), Topology::Rack, FaultAxis::None, 3, 1).supported().is_err());
         assert!(mk(Workload::Kv, Topology::Dc, FaultAxis::Domains, 3, 1).supported().is_err());
     }
 }

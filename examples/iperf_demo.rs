@@ -8,7 +8,8 @@
 //! — Table I's ladder. The printout shows each MCN level's bandwidth as
 //! a multiple of the 10GbE run, the paper's Fig. 8(a) normalisation.
 //! The full figure (1 server + 4 clients, every level, host↔MCN and
-//! MCN↔MCN) is `cargo run --release -p mcn-bench --bin fig8a`.
+//! MCN↔MCN) comes from the paper sweep's cells: `cargo run --release -p
+//! mcn-bench --bin sweep -- --preset paper`, then `--bin fig8a` renders it.
 //!
 //! Run with: `cargo run --release --example iperf_demo`
 

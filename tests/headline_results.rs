@@ -1,6 +1,6 @@
 //! Cross-crate integration tests asserting the *directions* of the paper's
 //! headline results at test-friendly scales (the full-size numbers come
-//! from the `fig*` binaries in `mcn-bench`).
+//! from the paper sweep's cells, which the `fig*` binaries render).
 
 use mcn::{ComponentExt, EthernetCluster, McnConfig, McnSystem, SystemConfig};
 use mcn_mpi::placement::spawn_on_mcn;

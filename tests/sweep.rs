@@ -20,7 +20,7 @@ fn tmp_dir(tag: &str) -> PathBuf {
 /// and both a clean and a chaos fault plan, at smoke scale.
 fn spec() -> SweepSpec {
     let axes = Axes {
-        workloads: vec![Workload::Iperf, Workload::Kv],
+        workloads: vec![Workload::Iperf { server_on_dimm: false }, Workload::Kv],
         topologies: vec![Topology::Single, Topology::Rack],
         faults: vec![FaultAxis::None, FaultAxis::Domains],
         opts: vec![OptFlags { level: 3, threads: 1 }],
@@ -132,7 +132,7 @@ fn every_cell_reports_nonzero_energy_figures() {
 #[test]
 fn energy_grows_with_request_count() {
     let cell = Cell {
-        workload: Workload::Iperf,
+        workload: Workload::Iperf { server_on_dimm: false },
         topology: Topology::Single,
         fault: FaultAxis::None,
         opt: OptFlags { level: 3, threads: 1 },
