@@ -1,8 +1,12 @@
 //! Table III: end-to-end latency breakdown for transmitting/receiving a
-//! single TCP packet (1.5KB and 9KB), 10GbE vs MCN-0, components
-//! normalized to the 10GbE total.
+//! single TCP packet (1.5KB and 9KB), 10GbE vs MCN, components
+//! normalized to the 10GbE total. Each MCN row names its level: MCN-0
+//! for the 1.5KB packet, and MCN-3 (the first level with the 9 KB jumbo
+//! MTU) for the 9KB packet, so that each packet is one frame.
 use mcn::{ComponentExt, EthernetCluster, McnConfig, McnSystem, SystemConfig};
 use mcn_mpi::{IperfClient, IperfReport, IperfServer};
+use mcn_net::link::Switch;
+use mcn_node::nic::PCIE_LATENCY;
 use mcn_sim::SimTime;
 
 /// Mean one-way latency components of one packet, in nanoseconds.
@@ -27,7 +31,7 @@ impl LatencyBreakdown {
 }
 
 /// One TCP packet of `payload` bytes over 10GbE, measured from the
-/// NIC's histograms plus the wire model's known constants.
+/// NIC's histograms plus the NIC, link and switch models' latencies.
 fn breakdown_10gbe(payload: u64) -> LatencyBreakdown {
     let cfg = SystemConfig::default();
     let mut c = EthernetCluster::new(&cfg, 2);
@@ -40,10 +44,10 @@ fn breakdown_10gbe(payload: u64) -> LatencyBreakdown {
     let rx = &c.node(0).nic.breakdown;
     let wire = payload.min(1514) + 50; // one MTU frame on the wire
     let ser = SimTime::for_bytes(wire, cfg.eth_bytes_per_sec);
-    let phy = SimTime::from_ns(600) // PCIe out
+    let phy = PCIE_LATENCY
         + ser
         + cfg.eth_latency
-        + SimTime::from_ns(500) // switch
+        + Switch::new(2).forward_latency
         + ser
         + cfg.eth_latency;
     LatencyBreakdown {
@@ -92,7 +96,7 @@ fn main() {
         );
         println!(
             "{label:<6} {:<7} {:>10.3} {:>8.3} {:>8.3} {:>8.3} {:>10.3} {:>8.3}",
-            "MCN-0",
+            format!("MCN-{mcn_level}"),
             n(mcn.driver_tx_ns), 0.0, 0.0, 0.0, n(mcn.driver_rx_ns),
             n(mcn.total_ns())
         );

@@ -19,8 +19,6 @@
 //! | Fig 10   | cells `npb_<w>_d<dimms>_h8r4-*`, `clus_<w>_n<nodes>r8-*` | `fig10` |
 //! | Fig 11   | cells `scaleup_<w>_c<cores>-*`, `npb_<w>_d<dimms>_h4r4-*` | `fig11` |
 //! | every cell above + serving + datacenter | [`mcn_sweep::run_sweep`] | `sweep` |
-//!
-//! Criterion micro-benchmarks of the substrates live in `benches/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

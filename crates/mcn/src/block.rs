@@ -25,7 +25,7 @@
 
 use mcn_net::link::Link;
 use mcn_net::EthernetFrame;
-use mcn_node::nic::{Nic, NicEvent};
+use mcn_node::nic::{Nic, NicEvent, PCIE_LATENCY};
 use mcn_node::MemorySystem;
 use mcn_sim::stats::Counter;
 use mcn_sim::{
@@ -412,12 +412,11 @@ impl<E: Endpoint> Shard for EndpointBlock<E> {
         // and the uplink first. Under-estimating is always sound (it
         // only shortens coarsened windows).
         let up_lat = self.up.latency();
-        let pcie = self.ep.nic().pcie_latency();
         let staged = self.ep.nic().earliest_tx_staged();
         [
             self.up.next_arrival(),
             staged.map(|t| t + up_lat),
-            Shard::next_event(self).map(|t| t + pcie + up_lat),
+            Shard::next_event(self).map(|t| t + PCIE_LATENCY + up_lat),
         ]
         .into_iter()
         .flatten()
@@ -428,7 +427,7 @@ impl<E: Endpoint> Shard for EndpointBlock<E> {
         // A delivered frame pays downlink propagation, one PCIe
         // crossing, and uplink propagation before any response it
         // causes can reach the switch.
-        self.down.latency() + self.ep.nic().pcie_latency() + self.up.latency()
+        self.down.latency() + PCIE_LATENCY + self.up.latency()
     }
 
     fn apply(&mut self, at: SimTime, cmd: BlockCmd) {

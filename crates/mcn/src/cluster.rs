@@ -20,7 +20,7 @@ use std::net::Ipv4Addr;
 use mcn_net::link::Link;
 use mcn_net::tcp::TcpConfig;
 use mcn_net::{EthernetFrame, MacAddr, NetConfig};
-use mcn_node::nic::{Nic, NicConfig, NIC_WAITER};
+use mcn_node::nic::{Nic, NIC_WAITER};
 use mcn_node::{CostModel, MemorySystem, Node, ProcId, Process};
 use mcn_sim::metrics::{Instrumented, MetricSink};
 use mcn_sim::{ComponentExt, SimTime, StallReport, Wakeup};
@@ -105,16 +105,10 @@ pub type EthernetCluster = Topology<EndpointBlock<ClusterNode>, Tor>;
 impl EthernetCluster {
     /// Builds a cluster of `n` Table-II-class nodes on one switch.
     pub fn new(sys: &SystemConfig, n: usize) -> Self {
-        Self::with_cores(sys, n, sys.host_cores)
-    }
-
-    /// Builds a cluster whose nodes have `cores` cores each (the Fig. 11
-    /// scale-up baseline uses a single node with 4–16 cores).
-    pub fn with_cores(sys: &SystemConfig, n: usize, cores: usize) -> Self {
         let mut nodes = Vec::new();
         for i in 0..n {
             let mut node = Node::new(
-                cores,
+                sys.host_cores,
                 CostModel::host(),
                 &sys.host_dram,
                 sys.host_channels,
@@ -140,7 +134,7 @@ impl EthernetCluster {
             );
             nodes.push(ClusterNode {
                 node,
-                nic: Nic::new(NicConfig::default()),
+                nic: Nic::new(),
             });
         }
         // Static neighbor tables (ARP substitute): everyone knows everyone.

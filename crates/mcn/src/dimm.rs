@@ -137,8 +137,6 @@ pub struct McnDimm {
     scratch: u64,
     /// Received direct messages (Sec. VII bypass path): (arrival, payload).
     pub direct_rx: VecDeque<(SimTime, bytes::Bytes)>,
-    /// (Retained for layout stability; flow steering is hash-based.)
-    rx_steer: usize,
     /// Whether the device is powered. A crashed DIMM is frozen: it takes no
     /// interrupts, schedules nothing, and reports no deadlines until
     /// [`power_on`](Self::power_on).
@@ -226,7 +224,6 @@ impl McnDimm {
             signals: Vec::new(),
             scratch: 0,
             direct_rx: VecDeque::new(),
-            rx_steer: 0,
             alive: true,
             faults: FaultInjector::none(),
             stats: DimmDriverStats::default(),
@@ -639,7 +636,6 @@ impl McnDimm {
                             } else {
                                 0
                             };
-                            let _ = self.rx_steer;
                             let (_, end) = self.node.cpus.run_on(proto_core, handoff, proto);
                             self.stats.driver_rx.record(end.saturating_sub(started));
                             self.staged.push((end, Staged::Deliver(frame)));

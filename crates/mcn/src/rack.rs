@@ -39,7 +39,7 @@
 
 use mcn_net::link::{Link, Switch};
 use mcn_net::EthernetFrame;
-use mcn_node::nic::{Nic, NicConfig, NIC_WAITER};
+use mcn_node::nic::{Nic, NIC_WAITER};
 use mcn_node::{MemorySystem, ProcId, Process};
 use mcn_sim::metrics::{Instrumented, MetricSink};
 use mcn_sim::stats::Counter;
@@ -475,7 +475,7 @@ impl McnRack {
                 n_servers,
                 dc_mode: dc,
                 sys,
-                nic: Nic::new(NicConfig::default()),
+                nic: Nic::new(),
             })
             .collect();
         Topology::switched(sys, endpoints, rack_id, dc)

@@ -1421,7 +1421,6 @@ impl McnSystem {
                 self.effects.schedule(now, Effect::DimmKick { dimm: d });
                 let host_macs = self.hdrv.host_macs();
                 let dimm_macs: Vec<MacAddr> = self.dimms.iter().map(|x| x.mac()).collect();
-                let sw_csum = !self.cfg.checksum_bypass;
                 for msg in msgs {
                     let Ok(frame) = EthernetFrame::decode(&msg) else {
                         // Undecodable ring message (possible under injected
@@ -1467,7 +1466,6 @@ impl McnSystem {
                             self.external_out.push(frame);
                         }
                     }
-                    let _ = sw_csum;
                 }
                 self.hdrv.ports[port].rx_busy = false;
                 if self.dimms[d].sram.poll_flag(Dir::Tx) {

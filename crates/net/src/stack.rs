@@ -474,7 +474,7 @@ impl NetStack {
         let conn = Box::new(TcpConn::connect((local_ip, lport), (dst, dport), cfg, isn, now));
         let id = self.alloc_sock(Socket::Tcp { conn, ifidx });
         self.conn_map.insert((local_ip, lport, dst, dport), id.0);
-        self.flush_conn(id.0, now);
+        self.flush_conn(id.0);
         self.drain_loopback(now);
         Ok(id)
     }
@@ -506,7 +506,7 @@ impl NetStack {
     /// [`StackError::BadSocket`] for non-TCP handles.
     pub fn tcp_send(&mut self, sock: SockId, data: &[u8], now: SimTime) -> Result<usize, StackError> {
         let n = self.tcp_conn(sock)?.send(data, now);
-        self.flush_conn(sock.0, now);
+        self.flush_conn(sock.0);
         self.drain_loopback(now);
         Ok(n)
     }
@@ -523,7 +523,7 @@ impl NetStack {
         now: SimTime,
     ) -> Result<usize, StackError> {
         let n = self.tcp_conn(sock)?.recv(buf, now);
-        self.flush_conn(sock.0, now);
+        self.flush_conn(sock.0);
         self.drain_loopback(now);
         Ok(n)
     }
@@ -532,7 +532,7 @@ impl NetStack {
     pub fn tcp_close(&mut self, sock: SockId, now: SimTime) {
         if let Ok(c) = self.tcp_conn(sock) {
             c.close(now);
-            self.flush_conn(sock.0, now);
+            self.flush_conn(sock.0);
             self.drain_loopback(now);
         }
     }
@@ -719,7 +719,7 @@ impl NetStack {
         let with_csum = self.ifaces[ifidx].cfg.tx_checksum;
         let dg = UdpDatagram::new(sport, dport, data);
         let payload = Bytes::from(dg.encode(src, dst, with_csum));
-        let r = self.send_ip(src, dst, IpProto::Udp, payload, now);
+        let r = self.send_ip(src, dst, IpProto::Udp, payload);
         self.drain_loopback(now);
         r
     }
@@ -751,7 +751,7 @@ impl NetStack {
         let route = self.route(dst)?;
         let src = self.ifaces[route.ifidx].cfg.ip;
         let msg = IcmpMessage::request(ident, seq, payload);
-        let r = self.send_ip(src, dst, IpProto::Icmp, Bytes::from(msg.encode()), now);
+        let r = self.send_ip(src, dst, IpProto::Icmp, Bytes::from(msg.encode()));
         self.drain_loopback(now);
         r
     }
@@ -799,14 +799,14 @@ impl NetStack {
             return;
         }
         match pkt.proto {
-            IpProto::Icmp => self.deliver_icmp(ifidx, &pkt, now),
+            IpProto::Icmp => self.deliver_icmp(ifidx, &pkt),
             IpProto::Tcp => self.deliver_tcp(ifidx, &pkt, now),
             IpProto::Udp => self.deliver_udp(ifidx, &pkt, now),
             IpProto::Other(_) => {}
         }
     }
 
-    fn deliver_icmp(&mut self, ifidx: usize, pkt: &Ipv4Packet, now: SimTime) {
+    fn deliver_icmp(&mut self, ifidx: usize, pkt: &Ipv4Packet) {
         let Ok(msg) = IcmpMessage::decode(&pkt.payload) else {
             self.stats.malformed.inc();
             return;
@@ -819,13 +819,7 @@ impl NetStack {
             IcmpKind::EchoRequest => {
                 let reply = IcmpMessage::reply_to(&msg);
                 self.stats.echo_replies.inc();
-                let _ = self.send_ip(
-                    pkt.dst,
-                    pkt.src,
-                    IpProto::Icmp,
-                    Bytes::from(reply.encode()),
-                    now,
-                );
+                let _ = self.send_ip(pkt.dst, pkt.src, IpProto::Icmp, Bytes::from(reply.encode()));
             }
             IcmpKind::EchoReply => {
                 self.events
@@ -871,7 +865,7 @@ impl NetStack {
             if let Socket::Tcp { conn, .. } = &mut self.sockets[idx] {
                 conn.on_segment(&seg, now);
                 self.events.push(SocketEvent::Activity(SockId(idx)));
-                self.flush_conn(idx, now);
+                self.flush_conn(idx);
                 self.reap(idx, key);
                 return;
             }
@@ -892,7 +886,7 @@ impl NetStack {
                     // Refuse fast with RST so the client can shed load
                     // instead of burning its SYN-retransmission budget.
                     self.stats.accept_overflows.inc();
-                    self.refuse_with_rst(ifidx, pkt, &seg, now);
+                    self.refuse_with_rst(ifidx, pkt, &seg);
                     return;
                 }
                 let half_open = self
@@ -930,19 +924,19 @@ impl NetStack {
                     pending.push_back(id);
                 }
                 self.events.push(SocketEvent::Activity(SockId(lidx)));
-                self.flush_conn(id.0, now);
+                self.flush_conn(id.0);
                 return;
             }
         }
         // No socket: answer non-RST segments with RST.
         if !seg.flags.rst {
             self.stats.drop_no_socket.inc();
-            self.refuse_with_rst(ifidx, pkt, &seg, now);
+            self.refuse_with_rst(ifidx, pkt, &seg);
         }
     }
 
     /// Stages an RST answering `seg` (which reached no live connection).
-    fn refuse_with_rst(&mut self, ifidx: usize, pkt: &Ipv4Packet, seg: &TcpSegment, now: SimTime) {
+    fn refuse_with_rst(&mut self, ifidx: usize, pkt: &Ipv4Packet, seg: &TcpSegment) {
         let rst = TcpSegment {
             src_port: seg.dst_port,
             dst_port: seg.src_port,
@@ -957,7 +951,7 @@ impl NetStack {
         };
         let verify_tx = self.ifaces[ifidx].cfg.tx_checksum;
         let bytes = Bytes::from(rst.encode(pkt.dst, pkt.src, verify_tx));
-        let _ = self.send_ip(pkt.dst, pkt.src, IpProto::Tcp, bytes, now);
+        let _ = self.send_ip(pkt.dst, pkt.src, IpProto::Tcp, bytes);
     }
 
     /// Removes fully closed connections from the demux map, and recycles
@@ -1003,7 +997,7 @@ impl NetStack {
 
     /// Wraps staged TCP segments of connection `idx` into IP/Ethernet and
     /// queues them on the interface.
-    fn flush_conn(&mut self, idx: usize, now: SimTime) {
+    fn flush_conn(&mut self, idx: usize) {
         let (segs, ifidx, local, remote) = match &mut self.sockets[idx] {
             Socket::Tcp { conn, ifidx } => (
                 conn.take_output(),
@@ -1016,7 +1010,7 @@ impl NetStack {
         let with_csum = self.ifaces[ifidx].cfg.tx_checksum;
         for seg in segs {
             let bytes = Bytes::from(seg.encode(local.0, remote.0, with_csum));
-            let _ = self.send_ip(local.0, remote.0, IpProto::Tcp, bytes, now);
+            let _ = self.send_ip(local.0, remote.0, IpProto::Tcp, bytes);
         }
     }
 
@@ -1026,7 +1020,6 @@ impl NetStack {
         dst: Ipv4Addr,
         proto: IpProto,
         payload: Bytes,
-        now: SimTime,
     ) -> Result<(), StackError> {
         let ident = self.next_ident;
         self.next_ident = self.next_ident.wrapping_add(1);
@@ -1055,7 +1048,6 @@ impl NetStack {
         // TSO: oversize TCP packets pass unfragmented; the device slices
         // (or MCN carries them whole). Everything else fragments to MTU.
         let tso = proto == IpProto::Tcp && iface.tso;
-        let _ = now;
         // Fast path (the overwhelmingly common case): the packet rides
         // one frame, so no fragment `Vec` is ever built.
         if tso || pkt.wire_len() <= mtu_total {
@@ -1113,7 +1105,7 @@ impl NetStack {
 
     /// Releases a socket slot. TCP connections are aborted if still open;
     /// listeners and UDP binds release their port.
-    pub fn sock_drop(&mut self, sock: SockId, now: SimTime) {
+    pub fn sock_drop(&mut self, sock: SockId) {
         self.timer.set(None);
         let Some(slot) = self.sockets.get_mut(sock.0) else {
             return;
@@ -1139,7 +1131,7 @@ impl NetStack {
                     // Keep tcp_totals monotone across the drop.
                     self.dead_tcp.merge(conn.stats());
                 }
-                self.flush_conn(sock.0, now);
+                self.flush_conn(sock.0);
                 self.conn_map.remove(&key);
             }
             Socket::Closed => return,
@@ -1188,7 +1180,7 @@ impl NetStack {
                     conn.on_timer(now);
                 }
                 self.events.push(SocketEvent::Activity(SockId(idx)));
-                self.flush_conn(idx, now);
+                self.flush_conn(idx);
             }
         }
         self.reap_all();
@@ -1652,8 +1644,8 @@ mod drop_tests {
         ));
         let l = a.tcp_listen(80).unwrap();
         let u = a.udp_bind(53).unwrap();
-        a.sock_drop(l, SimTime::ZERO);
-        a.sock_drop(u, SimTime::ZERO);
+        a.sock_drop(l);
+        a.sock_drop(u);
         // Ports are free again.
         a.tcp_listen(80).unwrap();
         a.udp_bind(53).unwrap();
@@ -1671,7 +1663,7 @@ mod drop_tests {
         a.add_neighbor(ip_b, MacAddr::from_id(2));
         let c = a.tcp_connect(ip_b, 80, SimTime::ZERO).unwrap();
         let _syn = a.poll_output(0).unwrap();
-        a.sock_drop(c, SimTime::ZERO);
+        a.sock_drop(c);
         let rst_frame = a.poll_output(0).expect("RST staged");
         let pkt = Ipv4Packet::decode(&rst_frame.payload).unwrap();
         let seg = TcpSegment::decode(&pkt.payload, pkt.src, pkt.dst, true).unwrap();

@@ -41,6 +41,6 @@ pub mod proc;
 pub use cost::CostModel;
 pub use cpu::CpuPool;
 pub use mem::{Access, JobId, MemorySystem, Transfer, WaiterId};
-pub use nic::{Nic, NicConfig};
+pub use nic::Nic;
 pub use node::Node;
 pub use proc::{ProcCtx, ProcId, ProcRunner, Process, Poll, Wake};

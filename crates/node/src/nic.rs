@@ -35,35 +35,24 @@ use crate::mem::{JobId, MemorySystem, Pattern, Transfer, WaiterId};
 /// Waiter-id namespace for NIC DMA jobs (distinct from process waiters).
 pub const NIC_WAITER: WaiterId = 1 << 40;
 
-/// NIC tunables.
-#[derive(Debug, Clone)]
-pub struct NicConfig {
-    /// One-way PCIe traversal (doorbell, DMA engine launch, frame handoff).
-    pub pcie_latency: SimTime,
-    /// Interrupt moderation: a freshly-idle NIC waits this long before
-    /// raising the RX interrupt (the `rx-usecs` ethtool knob; the reason a
-    /// 10GbE ping RTT is tens of microseconds while the wire takes two).
-    /// NAPI polling is unaffected, so bandwidth does not suffer.
-    pub irq_delay: SimTime,
-    /// Core that takes interrupts and runs the receive softirq.
-    pub irq_core: usize,
-    /// Base physical address of the NIC's TX/RX ring buffers.
-    pub buf_base: u64,
-    /// Ring region size in bytes (addresses rotate within it).
-    pub buf_len: u64,
-}
+/// One-way PCIe traversal (doorbell, DMA engine launch, frame handoff).
+pub const PCIE_LATENCY: SimTime = SimTime::from_ns(600);
 
-impl Default for NicConfig {
-    fn default() -> Self {
-        NicConfig {
-            pcie_latency: SimTime::from_ns(600),
-            irq_delay: SimTime::from_us(8),
-            irq_core: 0,
-            buf_base: 1 << 30, // 1 GiB mark, well inside every config
-            buf_len: 4 << 20,
-        }
-    }
-}
+/// Interrupt moderation: a freshly-idle NIC waits this long before
+/// raising the RX interrupt (the `rx-usecs` ethtool knob; the reason a
+/// 10GbE ping RTT is tens of microseconds while the wire takes two).
+/// NAPI polling is unaffected, so bandwidth does not suffer.
+const IRQ_DELAY: SimTime = SimTime::from_us(8);
+
+/// Core that takes interrupts and runs the receive softirq.
+const IRQ_CORE: usize = 0;
+
+/// Base physical address of the NIC's TX/RX ring buffers (the 1 GiB
+/// mark, well inside every config).
+const BUF_BASE: u64 = 1 << 30;
+
+/// Ring region size in bytes (addresses rotate within it).
+const BUF_LEN: u64 = 4 << 20;
 
 /// Per-direction latency component histograms (Table III).
 #[derive(Debug, Default)]
@@ -96,9 +85,8 @@ pub enum NicEvent {
 }
 
 /// The NIC model; see the module docs.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Nic {
-    cfg: NicConfig,
     /// Driver handoffs waiting for their charged driver time to elapse
     /// before DMA starts.
     tx_pending: VecDeque<Staged>,
@@ -125,32 +113,17 @@ pub struct Nic {
 }
 
 impl Nic {
-    /// Creates a NIC.
-    pub fn new(cfg: NicConfig) -> Self {
-        Nic {
-            cfg,
-            tx_pending: VecDeque::new(),
-            tx_dma: HashMap::new(),
-            tx_wire: Vec::new(),
-            rx_dma: HashMap::new(),
-            rx_deliver: Vec::new(),
-            napi_busy_until: SimTime::ZERO,
-            buf_cursor: 0,
-            staged_scratch: Vec::new(),
-            breakdown: NicBreakdown::default(),
-            tx_frames: Counter::default(),
-            rx_frames: Counter::default(),
-            fcs_drops: Counter::default(),
-            irqs: Counter::default(),
-        }
+    /// Creates an idle NIC.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     fn ring_addr(&mut self, len: u64) -> u64 {
         let lines = len.div_ceil(mcn_dram::LINE_BYTES);
-        if self.buf_cursor + lines * mcn_dram::LINE_BYTES > self.cfg.buf_len {
+        if self.buf_cursor + lines * mcn_dram::LINE_BYTES > BUF_LEN {
             self.buf_cursor = 0;
         }
-        let addr = self.cfg.buf_base + self.buf_cursor;
+        let addr = BUF_BASE + self.buf_cursor;
         self.buf_cursor += lines * mcn_dram::LINE_BYTES;
         addr
     }
@@ -207,7 +180,7 @@ impl Nic {
         if let Some((started, frame)) = self.tx_dma.remove(&job) {
             self.breakdown.dma_tx.record(now - started);
             self.tx_wire.push(Staged {
-                at: now + self.cfg.pcie_latency,
+                at: now + PCIE_LATENCY,
                 frame,
             });
             return;
@@ -219,24 +192,15 @@ impl Nic {
             let mut t = now;
             if now >= self.napi_busy_until {
                 self.irqs.inc();
-                let (_, end) = cpus.run_on(
-                    self.cfg.irq_core,
-                    now + self.cfg.irq_delay,
-                    cost.irq() + cost.softirq(),
-                );
+                let (_, end) = cpus.run_on(IRQ_CORE, now + IRQ_DELAY, cost.irq() + cost.softirq());
                 t = end;
             }
             let proto = rx_protocol_cost(cost, &frame, rx_sw_checksum);
-            let (_, end) = cpus.run_on(self.cfg.irq_core, t, cost.driver_rx() + proto);
+            let (_, end) = cpus.run_on(IRQ_CORE, t, cost.driver_rx() + proto);
             self.breakdown.driver_rx.record(end - now);
             self.napi_busy_until = self.napi_busy_until.max(end);
             self.rx_deliver.push(Staged { at: end, frame });
         }
-    }
-
-    /// One-way PCIe traversal latency configured for this NIC.
-    pub fn pcie_latency(&self) -> SimTime {
-        self.cfg.pcie_latency
     }
 
     /// Lower bound on the earliest time any *currently staged* TX frame
@@ -250,7 +214,7 @@ impl Nic {
     /// [`Shard::next_emission`]: mcn_sim::shard::Shard::next_emission
     pub fn earliest_tx_staged(&self) -> Option<SimTime> {
         let wire = self.tx_wire.iter().map(|s| s.at).min();
-        let pend = self.tx_pending.iter().map(|s| s.at + self.cfg.pcie_latency).min();
+        let pend = self.tx_pending.iter().map(|s| s.at + PCIE_LATENCY).min();
         [wire, pend].into_iter().flatten().min()
     }
 
@@ -428,7 +392,7 @@ mod tests {
 
     fn fixtures() -> (Nic, CpuPool, MemorySystem, CostModel) {
         (
-            Nic::new(NicConfig::default()),
+            Nic::new(),
             CpuPool::new(4),
             MemorySystem::new(&DramConfig::ddr4_3200(), 2),
             CostModel::host(),
@@ -483,7 +447,7 @@ mod tests {
         let (t, ev) = &evs[0];
         assert!(matches!(ev, NicEvent::TxWire(_)));
         // Must be at least driver + pcie; DMA adds on top.
-        assert!(*t >= cost.driver_tx() + SimTime::from_ns(600), "t = {t}");
+        assert!(*t >= cost.driver_tx() + PCIE_LATENCY, "t = {t}");
         assert_eq!(nic.tx_frames.get(), 1);
         assert_eq!(nic.breakdown.driver_tx.count(), 1);
         assert_eq!(nic.breakdown.dma_tx.count(), 1);
@@ -531,10 +495,10 @@ mod tests {
         let first = nic.ring_addr(1536);
         for _ in 0..10_000 {
             let a = nic.ring_addr(1536);
-            assert!(a >= nic.cfg.buf_base);
-            assert!(a + 1536 <= nic.cfg.buf_base + nic.cfg.buf_len);
+            assert!(a >= BUF_BASE);
+            assert!(a + 1536 <= BUF_BASE + BUF_LEN);
         }
-        assert_eq!(first, nic.cfg.buf_base);
+        assert_eq!(first, BUF_BASE);
     }
 
     #[test]

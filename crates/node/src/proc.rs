@@ -220,7 +220,7 @@ impl ProcCtx<'_> {
     /// aborts if still open and releases the slot immediately.
     pub fn tcp_drop(&mut self, sock: SockId) {
         self.charge(self.cost.syscall());
-        self.stack.sock_drop(sock, self.now);
+        self.stack.sock_drop(sock);
     }
 
     /// Sends an ICMP echo request; the reply arrives as a

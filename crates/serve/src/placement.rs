@@ -149,6 +149,21 @@ impl ReplicaMap {
         Ok(ReplicaMap { backends, ranges })
     }
 
+    /// A one-backend map: every key lives on the server at
+    /// `addr:port`, so a request has no other replica to fail over to.
+    pub fn single(addr: Ipv4Addr, port: u16) -> Self {
+        let backend = Backend {
+            addr,
+            port,
+            domain: String::new(),
+            rack: 0,
+        };
+        ReplicaMap {
+            backends: vec![backend],
+            ranges: vec![vec![0]],
+        }
+    }
+
     /// The range `key` belongs to.
     pub fn range_of(&self, key: u32) -> usize {
         key as usize % self.ranges.len()
@@ -273,6 +288,17 @@ mod tests {
         for key in 0..16u32 {
             let reps = map.replicas_of(key);
             assert_ne!(map.backend(reps[0]).domain, map.backend(reps[1]).domain);
+        }
+    }
+
+    #[test]
+    fn single_backend_map_holds_every_key() {
+        let addr = Ipv4Addr::new(10, 1, 0, 2);
+        let map = ReplicaMap::single(addr, 11211);
+        assert_eq!((map.len(), map.n_ranges(), map.replication()), (1, 1, 1));
+        assert_eq!((map.backend(0).addr, map.backend(0).port), (addr, 11211));
+        for key in [0, 1, 7, u32::MAX] {
+            assert_eq!(map.replicas_of(key), &[0]);
         }
     }
 }

@@ -56,9 +56,9 @@ pub struct ServeReport {
     /// Clients that finished their request budget.
     pub completed_clients: u64,
 
-    // --- resilient-fleet accounting (ResilientKvClient) ---
-    /// Requests issued by resilient clients (the denominator for the
-    /// accounting identity `issued == answered + gave_up`).
+    // --- fleet accounting (ResilientKvClient) ---
+    /// Requests issued (the denominator for the accounting identity
+    /// `issued == answered + gave_up`).
     pub issued: u64,
     /// Requests re-sent to a replica after the serving backend failed
     /// (connection death, breaker-open, or request timeout).
@@ -127,7 +127,7 @@ impl ServeReport {
     }
 
     /// Declares the planned outage interval so subsequent
-    /// [`note_issued`](Self::note_issued) / [`record_at`](Self::record_at)
+    /// [`note_issued`](Self::note_issued) / [`record`](Self::record)
     /// calls classify requests into in-window vs steady state.
     pub fn set_fault_window(&mut self, start: SimTime, end: SimTime) {
         assert!(start <= end, "fault window must not be inverted");
@@ -140,7 +140,7 @@ impl ServeReport {
             .is_some_and(|(s, e)| t >= s && t < e)
     }
 
-    /// Records one issued request (resilient clients call this at the
+    /// Records one issued request (the client calls this at the
     /// scheduled arrival so `issued == answered + gave_up` holds at the
     /// end of the run).
     pub fn note_issued(&mut self, sched: SimTime) {
@@ -150,9 +150,11 @@ impl ServeReport {
         }
     }
 
-    /// Records one completed request: latency from its scheduled arrival,
-    /// whether it succeeded, and the response payload size.
-    pub fn record(&mut self, latency: SimTime, ok: bool, bytes: u64) {
+    /// Records one answered request scheduled at `sched` and answered at
+    /// `now`: its latency, whether it succeeded, the response payload
+    /// size, and its fault-window class (by `sched`).
+    pub fn record(&mut self, sched: SimTime, now: SimTime, ok: bool, bytes: u64) {
+        let latency = now - sched;
         self.latency.record(latency);
         if ok {
             self.ok += 1;
@@ -161,12 +163,6 @@ impl ServeReport {
                 self.under_slo += 1;
             }
         }
-    }
-
-    /// [`record`](Self::record) plus fault-window classification by the
-    /// request's scheduled arrival time `sched`.
-    pub fn record_at(&mut self, sched: SimTime, latency: SimTime, ok: bool, bytes: u64) {
-        self.record(latency, ok, bytes);
         if self.in_fault_window(sched) {
             self.fault_answered += 1;
             self.fault_latency.record(latency);
@@ -177,7 +173,7 @@ impl ServeReport {
 
     /// Records one abandoned request (never silent: the accounting
     /// identity counts it against `issued`).
-    pub fn give_up_at(&mut self, _sched: SimTime) {
+    pub fn give_up(&mut self) {
         self.gave_up += 1;
     }
 
@@ -205,7 +201,7 @@ impl ServeReport {
 
 impl Instrumented for ServeReport {
     /// Request counters plus the latency histogram (whose expansion carries
-    /// `p50_ps`/`p99_ps`/`p999_ps`). The resilient-fleet and fault-window
+    /// `p50_ps`/`p99_ps`/`p999_ps`). The recovery and fault-window
     /// metrics are always present (zero when unused) so registry shape
     /// never depends on the scenario.
     fn metrics(&self, out: &mut MetricSink) {

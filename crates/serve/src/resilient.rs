@@ -1,9 +1,19 @@
-//! The resilient replicated KV client.
+//! The open-loop KV client.
 //!
-//! [`ResilientKvClient`] is the fault-domain-aware grown-up of
-//! [`KvClient`](crate::KvClient): it speaks to a whole
-//! [`ReplicaMap`] of backends instead of one server
-//! and survives a failure domain dying mid-run. Its toolkit:
+//! Each [`ResilientKvClient`] is one load generator: requests *arrive* on
+//! a seeded heavy-tailed schedule regardless of how the servers are
+//! doing (open loop), so server slowdowns show up as queueing delay in
+//! the measured latency rather than as a politely reduced offered load.
+//! Keys are drawn from a quadratically skewed distribution over the
+//! keyspace (a few hot keys, a long cold tail), in integer arithmetic
+//! off a [`DetRng`].
+//!
+//! The client speaks to a whole [`ReplicaMap`] of backends. Over a
+//! one-backend map with hedging off it is a plain client of one server:
+//! a refused, reset or keepalive-reaped connection is reconnected after
+//! a backoff, and its requests are re-sent until they are answered or
+//! their hard deadline passes. Over a replicated map it survives a
+//! failure domain dying mid-run. Its toolkit:
 //!
 //! * **Failover** — a request whose backend dies (RTO give-up, RST,
 //!   keepalive give-up, EOF with work in flight) or times out is re-sent
@@ -32,6 +42,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use mcn_net::tcp::TcpState;
 use mcn_net::SockId;
 use mcn_node::{Poll, ProcCtx, Process, Wake};
 use mcn_sim::{DetRng, SimTime};
@@ -355,11 +366,6 @@ impl ResilientKvClient {
         }
     }
 
-    /// Requests issued so far.
-    pub fn issued(&self) -> u64 {
-        self.issued
-    }
-
     /// Encodes one attempt's wire bytes into backend `b`'s tx queue and
     /// registers it on the response FIFO.
     fn enqueue_attempt(&mut self, req_idx: usize, b: usize, hedge: bool, now: SimTime) {
@@ -441,7 +447,7 @@ impl ResilientKvClient {
             return;
         }
         req.done = true;
-        self.report.lock().give_up_at(req.sched);
+        self.report.lock().give_up();
     }
 
     /// Handles a dead backend connection: every attempt queued on it
@@ -507,7 +513,7 @@ impl ResilientKvClient {
             if !req.done {
                 req.done = true;
                 let mut rep = self.report.lock();
-                rep.record_at(req.sched, now - req.sched, ok, body as u64);
+                rep.record(req.sched, now, ok, body as u64);
                 if busy {
                     rep.busy += 1;
                 }
@@ -712,11 +718,17 @@ impl Process for ResilientKvClient {
         // Compact the open list.
         self.open.retain(|&i| !self.reqs[i].done);
 
-        // Completion: budget spent and nothing open.
+        // Completion: budget spent and nothing open. A connect still in
+        // SYN-SENT has no FIN to send, so it is dropped rather than left
+        // retransmitting its SYN after the client is gone.
         if self.issued >= self.cfg.n_requests && self.open.is_empty() {
             for b in 0..self.backends.len() {
                 if let Some(sock) = self.backends[b].sock.take() {
-                    ctx.tcp_close(sock);
+                    if ctx.stack.tcp_state(sock) == TcpState::SynSent {
+                        ctx.tcp_drop(sock);
+                    } else {
+                        ctx.tcp_close(sock);
+                    }
                 }
             }
             self.report.lock().completed_clients += 1;

@@ -1,19 +1,25 @@
 //! Serving quickstart: a memcached-style KV server on an MCN DIMM under
 //! an open-loop client fleet, with the overload machinery visible.
 //!
-//! Three acts:
+//! Three acts, each ending with the accounting identity
+//! `issued == answered + gave_up` asserted:
 //!
-//! 1. **Comfortable load** — three clients, heavy-tailed arrivals and
-//!    skewed keys, against a default-budget server: everything is
-//!    answered, latency percentiles come from the shared `ServeReport`.
-//! 2. **Overload** — the same fleet against a server with a tiny
-//!    in-flight budget: excess requests are shed with `B\n` (counted
-//!    server-side as `shed_requests`, observed client-side as `busy`)
-//!    instead of queueing without bound, and the fleet still finishes.
+//! 1. **Comfortable load** — three clients of one DIMM's server
+//!    (`ResilientKvClient` over a one-backend `ReplicaMap`, hedging
+//!    off), heavy-tailed arrivals and skewed keys, against a
+//!    default-budget server: everything is answered, and the latency
+//!    percentiles come from the shared `ServeReport`.
+//! 2. **Overload** — six clients against a server with a tiny
+//!    connection and in-flight budget: excess requests are shed with
+//!    `B\n` (counted server-side as `shed_requests`, observed
+//!    client-side as `busy`) instead of queueing without bound, refused
+//!    connections open the clients' breakers, requests that cannot get
+//!    through by their deadline are counted `gave_up`, and the fleet
+//!    still finishes.
 //! 3. **Domain crash** — a replicated tier (R=2 across two DIMM-riser
-//!    failure domains) loses a whole riser mid-run: resilient clients
-//!    fail over, hedge, and spend retry budget; every request is
-//!    answered or loudly abandoned, never silently lost.
+//!    failure domains) loses a whole riser mid-run: the clients fail
+//!    over, hedge, and spend retry budget; every request is answered or
+//!    loudly abandoned, never silently lost.
 //!
 //! Run with: `cargo run --release --example serving`
 
@@ -21,8 +27,8 @@ use mcn::{
     outage::Part, ComponentExt, McnConfig, McnRack, McnSystem, MetricsSnapshot, SystemConfig,
 };
 use mcn_serve::{
-    Backend, KvClient, KvClientConfig, KvServer, KvServerConfig, ReplicaMap,
-    ResilientClientConfig, ResilientKvClient, ServeReport,
+    Backend, KvServer, KvServerConfig, ReplicaMap, ResilientClientConfig, ResilientKvClient,
+    ServeReport,
 };
 use mcn_sim::{OutageKind, OutagePlan, SimTime};
 
@@ -40,19 +46,16 @@ fn run_fleet(
     let dimm = sys.dimm_ip(0);
     sys.spawn_dimm(0, Box::new(KvServer::new(server, report.clone())), 0);
     for i in 0..n {
+        // One backend: a hedge could only re-send to the same server.
+        let mut cfg = ResilientClientConfig::new(ReplicaMap::single(dimm, 11211));
+        cfg.seed = 0xFEED + i;
+        cfg.n_requests = 200;
+        cfg.mean_gap = gap;
+        cfg.set_pct = 20;
+        cfg.pipeline = pipeline;
+        cfg.hedge_delay = None;
         sys.spawn_host(
-            Box::new(KvClient::new(
-                KvClientConfig {
-                    server: dimm,
-                    seed: 0xFEED + i,
-                    n_requests: 200,
-                    mean_gap: gap,
-                    set_pct: 20,
-                    pipeline,
-                    ..KvClientConfig::default()
-                },
-                report.clone(),
-            )),
+            Box::new(ResilientKvClient::new(cfg, report.clone())),
             (i % 2) as usize,
         );
     }
@@ -60,7 +63,9 @@ fn run_fleet(
     let snap = {
         let r = report.lock();
         ServeReportSnapshot {
+            issued: r.issued,
             answered: r.latency.count(),
+            gave_up: r.gave_up,
             ok: r.ok,
             miss: r.miss,
             busy: r.busy,
@@ -75,7 +80,9 @@ fn run_fleet(
 
 /// The handful of report fields the demo prints.
 struct ServeReportSnapshot {
+    issued: u64,
     answered: u64,
+    gave_up: u64,
     ok: u64,
     miss: u64,
     busy: u64,
@@ -85,11 +92,17 @@ struct ServeReportSnapshot {
     p99: SimTime,
 }
 
+/// Prints the act's report and asserts its accounting identity.
 fn print_report(tag: &str, r: &ServeReportSnapshot) {
     println!("{tag}:");
-    println!("  answered {} (ok {}, miss {}, busy {})", r.answered, r.ok, r.miss, r.busy);
+    println!(
+        "  issued {} = answered {} (ok {}, miss {}, busy {}) + gave_up {}",
+        r.issued, r.answered, r.ok, r.miss, r.busy, r.gave_up
+    );
     println!("  latency p50 {} / p99 {}", r.p50, r.p99);
     println!("  clients finished: {}", r.completed_clients);
+    assert!(r.issued > 0, "the fleet issued nothing");
+    assert_eq!(r.issued, r.answered + r.gave_up, "silent loss");
 }
 
 fn main() {
@@ -105,7 +118,9 @@ fn main() {
         accept_backlog: 2,
         ..KvServerConfig::default()
     };
-    let (sys, hard) = run_fleet(tight, 6, SimTime::from_us(5), 16, 60);
+    // Refused connections open breakers and spend retry budgets, so the
+    // last requests wait out the 30 ms give-up: drive well past it.
+    let (sys, hard) = run_fleet(tight, 6, SimTime::from_us(5), 16, 200);
     print_report("\ntight budgets (2 conns, 2 in flight), 6 clients", &hard);
     println!("  requests shed with B\\n: {}", hard.shed_requests);
 
@@ -237,6 +252,7 @@ fn main() {
         snap.get_u64("rack.outage.domain.riser0.crashes"),
         snap.get_u64("rack.outage.domain.riser0.heals")
     );
+    assert!(r.issued > 0, "the fleet issued nothing");
     assert_eq!(r.issued, r.latency.count() + r.gave_up, "silent loss");
     assert!(r.failovers > 0, "the crash must have engaged failover");
     assert_eq!(r.completed_clients, 4, "the resilient fleet must drain");

@@ -1,10 +1,11 @@
-//! Overload-resilience of the serving tier (ISSUE 6 acceptance tests).
+//! Overload resilience and recovery of the serving tier.
 //!
 //! The paper sells MCN DIMMs as *servers* for "heavy traffic from
 //! millions of users"; a server that melts under a connection flood or
 //! leaks a socket slot per churned connection proves nothing. These
-//! tests put the KV-on-DIMM serving tier ([`KvServer`] / [`KvClient`])
-//! and the stack's admission machinery under deliberate abuse:
+//! tests put the KV-on-DIMM serving tier ([`KvServer`] driven by
+//! [`ResilientKvClient`] fleets) and the stack's admission machinery
+//! under deliberate abuse:
 //!
 //! * a SYN flood against a bounded listener — drops are *counted*
 //!   (`tcp.syn_drops`), the listener keeps serving, nothing panics,
@@ -19,7 +20,14 @@
 //!   keepalive (`tcp.keepalive_giveups`), not leaked,
 //! * the full chaos mix under `run_parallel` — byte-identical
 //!   full-registry snapshots at 1 and 2 threads, including the shared
-//!   [`ServeReport`] (whose fields are all commutative by contract).
+//!   [`ServeReport`] (whose fields are all commutative by contract),
+//! * a zero-window stall and a replicated tier losing a failure domain
+//!   — the client's failover, retry budget and breakers engage only
+//!   when a backend is really gone.
+//!
+//! The first four fleets talk to one KV server each, over a one-backend
+//! [`ReplicaMap`] with hedging off. Every test that runs a fleet ends
+//! with the accounting identity `issued == answered + gave_up`.
 
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -35,8 +43,8 @@ use mcn_net::{
 };
 use mcn_node::{Poll, ProcCtx, Process, Wake};
 use mcn_serve::{
-    parse_request, Backend, KvClient, KvClientConfig, KvServer, KvServerConfig, ReplicaMap,
-    Request, ResilientClientConfig, ResilientKvClient, ServeReport,
+    parse_request, Backend, KvServer, KvServerConfig, ReplicaMap, Request, ResilientClientConfig,
+    ResilientKvClient, ServeReport,
 };
 use mcn_sim::{OutageKind, OutagePlan, SimTime};
 use parking_lot::Mutex;
@@ -172,53 +180,64 @@ fn syn_flood_leaves_listener_serving_within_backlog_bounds() {
 // ---------------------------------------------------------------------------
 // KV-on-DIMM harness.
 
-/// One MCN system with a [`KvServer`] on DIMM 0 and the given client
-/// fleet on the host, all reporting into `report`.
+/// A client of the one KV server at `server`. Its map has one backend,
+/// so hedging is off: a hedge could only re-send to the same server.
+fn client_of(server: Ipv4Addr, seed: u64) -> ResilientClientConfig {
+    let mut cfg = ResilientClientConfig::new(ReplicaMap::single(server, 11211));
+    cfg.seed = seed;
+    cfg.hedge_delay = None;
+    cfg
+}
+
+/// One MCN system with a [`KvServer`] on DIMM 0 and `clients` clients
+/// of it on the host (client `i` on core `i % 2`, configured by
+/// `tune(i, cfg)`), all reporting into `report`.
 fn kv_system(
     server_cfg: KvServerConfig,
-    clients: Vec<KvClientConfig>,
+    clients: u64,
     report: &Arc<Mutex<ServeReport>>,
+    tune: impl Fn(u64, &mut ResilientClientConfig),
 ) -> McnSystem {
     let mut sys = McnSystem::new(&SystemConfig::default(), 1, McnConfig::level(3));
+    let dimm = sys.dimm_ip(0);
     sys.spawn_dimm(0, Box::new(KvServer::new(server_cfg, report.clone())), 0);
-    for (i, cfg) in clients.into_iter().enumerate() {
-        sys.spawn_host(Box::new(KvClient::new(cfg, report.clone())), i % 2);
+    for i in 0..clients {
+        let mut cfg = client_of(dimm, 0);
+        tune(i, &mut cfg);
+        sys.spawn_host(
+            Box::new(ResilientKvClient::new(cfg, report.clone())),
+            (i % 2) as usize,
+        );
     }
     sys
+}
+
+/// The accounting identity: the fleet issued requests, and every one
+/// was answered or loudly abandoned.
+fn assert_accounted(rep: &ServeReport) {
+    assert!(rep.issued > 0, "the fleet issued nothing");
+    assert_eq!(
+        rep.issued,
+        rep.latency.count() + rep.gave_up,
+        "silent request loss: issued != answered + gave_up"
+    );
 }
 
 #[test]
 fn kv_churn_reaps_time_wait_and_recycles_slots() {
     let report = ServeReport::shared(SimTime::from_us(500));
-    let mut sys = McnSystem::new(&SystemConfig::default(), 1, McnConfig::level(3));
-    let dimm = sys.dimm_ip(0);
-    sys.spawn_dimm(
-        0,
-        Box::new(KvServer::new(KvServerConfig::default(), report.clone())),
-        0,
-    );
     // Staggered short-lived clients: connect, a handful of requests,
     // close — the churny end of a memcached front line. Each close walks
     // the full active-close lifecycle on the host (FIN → TIME_WAIT →
     // 2MSL expiry) and the passive close on the DIMM.
     const CLIENTS: u64 = 12;
-    for i in 0..CLIENTS {
-        sys.spawn_host(
-            Box::new(KvClient::new(
-                KvClientConfig {
-                    server: dimm,
-                    seed: 0x1000 + i,
-                    n_requests: 8,
-                    mean_gap: SimTime::from_us(10),
-                    set_pct: 25,
-                    start_at: SimTime::from_us(300 * i),
-                    ..KvClientConfig::default()
-                },
-                report.clone(),
-            )),
-            (i % 2) as usize,
-        );
-    }
+    let mut sys = kv_system(KvServerConfig::default(), CLIENTS, &report, |i, cfg| {
+        cfg.seed = 0x1000 + i;
+        cfg.n_requests = 8;
+        cfg.mean_gap = SimTime::from_us(10);
+        cfg.set_pct = 25;
+        cfg.start_at = SimTime::from_us(300 * i);
+    });
     sys.run_until(SimTime::from_ms(25));
 
     let rep = report.lock();
@@ -226,6 +245,7 @@ fn kv_churn_reaps_time_wait_and_recycles_slots() {
     assert_eq!(rep.conn_failures, 0);
     assert!(rep.ok > 0, "some GET/SET traffic must have succeeded");
     assert_eq!(rep.latency.count(), rep.ok + rep.miss);
+    assert_accounted(&rep);
     drop(rep);
 
     // Lifecycle hygiene: every churned connection's slot was recycled on
@@ -259,26 +279,19 @@ fn overload_sheds_requests_and_connections_instead_of_collapsing() {
         inflight_budget: 2,
         ..KvServerConfig::default()
     };
-    let clients = (0..6)
-        .map(|i| KvClientConfig {
-            server: Ipv4Addr::UNSPECIFIED, // patched below
-            seed: 0x51 + i,
-            n_requests: 40,
-            mean_gap: SimTime::from_us(2),
-            pipeline: 16,
-            val_len: 1024,
-            set_pct: 25,
-            reconnect_backoff: SimTime::from_us(50),
-            ..KvClientConfig::default()
-        })
-        .collect::<Vec<_>>();
-    let mut sys = kv_system(server, Vec::new(), &report);
-    let dimm = sys.dimm_ip(0);
-    for (i, mut cfg) in clients.into_iter().enumerate() {
-        cfg.server = dimm;
-        sys.spawn_host(Box::new(KvClient::new(cfg, report.clone())), i % 2);
-    }
-    sys.run_until(SimTime::from_ms(60));
+    let mut sys = kv_system(server, 6, &report, |i, cfg| {
+        cfg.seed = 0x51 + i;
+        cfg.n_requests = 40;
+        cfg.mean_gap = SimTime::from_us(2);
+        cfg.pipeline = 16;
+        cfg.val_len = 1024;
+        cfg.set_pct = 25;
+        cfg.reconnect_backoff = SimTime::from_us(50);
+    });
+    // Refused connections open the clients' breakers and spend their
+    // retry budgets; the last requests wait out the 30 ms give-up, so
+    // the drive outlasts it with room to spare.
+    sys.run_until(SimTime::from_ms(200));
 
     let snap = MetricsSnapshot::collect(&sys);
     let rep = report.lock();
@@ -293,32 +306,28 @@ fn overload_sheds_requests_and_connections_instead_of_collapsing() {
         rep.shed_conns + snap.get_u64("dimm0.stack.tcp.accept_overflows") > 0,
         "connection-level admission control must have fired"
     );
+    assert_accounted(&rep);
 }
 
 #[test]
 fn dimm_crash_half_open_connections_are_reaped_by_keepalive() {
-    // Two clients finish their budgets and linger on idle connections;
-    // then the DIMM crashes and never comes back. Nothing will ever send
-    // a FIN or RST for those connections — only keepalive can tell the
-    // hosts their peer is gone. Without it, the sockets leak forever.
+    // Two clients, one request each before the crash: each connection
+    // then sits idle through a long arrival gap while the DIMM crashes
+    // and never comes back. Nothing will ever send a FIN or RST for those
+    // connections — only keepalive can tell the host its peer is gone.
+    // Without it, the sockets leak forever. The second request of each
+    // client finds the DIMM dark: its reconnect never gets past
+    // SYN-SENT, the request is abandoned at its 10 ms deadline (inside
+    // the drive), and the finished client must not leave that
+    // half-made connection behind either.
     let report = ServeReport::shared(SimTime::from_us(500));
-    let clients = (0..2)
-        .map(|i| KvClientConfig {
-            server: Ipv4Addr::UNSPECIFIED, // patched below
-            seed: 7 + i,
-            n_requests: 5,
-            mean_gap: SimTime::from_us(10),
-            linger: true,
-            keepalive: Some((SimTime::from_ms(2), SimTime::from_us(500), 3)),
-            ..KvClientConfig::default()
-        })
-        .collect::<Vec<_>>();
-    let mut sys = kv_system(KvServerConfig::default(), Vec::new(), &report);
-    let dimm = sys.dimm_ip(0);
-    for (i, mut cfg) in clients.into_iter().enumerate() {
-        cfg.server = dimm;
-        sys.spawn_host(Box::new(KvClient::new(cfg, report.clone())), i % 2);
-    }
+    let mut sys = kv_system(KvServerConfig::default(), 2, &report, |i, cfg| {
+        cfg.seed = 7 + i;
+        cfg.n_requests = 2;
+        cfg.mean_gap = SimTime::from_ms(12);
+        cfg.give_up_after = SimTime::from_ms(10);
+        cfg.keepalive = Some((SimTime::from_ms(2), SimTime::from_us(500), 3));
+    });
     let mut plan = OutagePlan::new(0xDEAD);
     plan.at(
         &Part::Dimm(0, 0).to_string(),
@@ -342,7 +351,9 @@ fn dimm_crash_half_open_connections_are_reaped_by_keepalive() {
     );
     let rep = report.lock();
     assert_eq!(rep.conn_failures, 2, "both clients must report the reap");
-    assert_eq!(rep.completed_clients, 2, "lingering clients still terminate");
+    assert_eq!(rep.completed_clients, 2, "both clients still terminate");
+    assert_eq!(rep.gave_up, 2, "each second request finds the DIMM dark");
+    assert_accounted(&rep);
     assert!(
         sys.host.stack.socket_states().is_empty(),
         "reaped connections must not leak host socket slots"
@@ -390,22 +401,12 @@ fn chaos_mix_serving_is_thread_count_invariant() {
         for s in 0..2 {
             for d in 0..2 {
                 let ip = rack.server(s).dimm_ip(d);
-                rack.spawn_host(
-                    s,
-                    Box::new(KvClient::new(
-                        KvClientConfig {
-                            server: ip,
-                            seed: 0xA0 + (s * 2 + d) as u64,
-                            n_requests: 30,
-                            mean_gap: SimTime::from_us(20),
-                            set_pct: 20,
-                            keepalive: Some((SimTime::from_ms(2), SimTime::from_us(500), 3)),
-                            ..KvClientConfig::default()
-                        },
-                        report.clone(),
-                    )),
-                    d,
-                );
+                let mut cfg = client_of(ip, 0xA0 + (s * 2 + d) as u64);
+                cfg.n_requests = 30;
+                cfg.mean_gap = SimTime::from_us(20);
+                cfg.set_pct = 20;
+                cfg.keepalive = Some((SimTime::from_ms(2), SimTime::from_us(500), 3));
+                rack.spawn_host(s, Box::new(ResilientKvClient::new(cfg, report.clone())), d);
             }
         }
         rack.set_outage_plan(&plan);
@@ -417,6 +418,7 @@ fn chaos_mix_serving_is_thread_count_invariant() {
         sink.absorb("root", &rack);
         sink.absorb("serve", &*report.lock());
         let rep = report.lock();
+        assert_accounted(&rep);
         (rack.now(), sink.finish().to_json(), rep.ok, rep.completed_clients)
     };
 
@@ -440,7 +442,7 @@ fn chaos_mix_serving_is_thread_count_invariant() {
 }
 
 // ---------------------------------------------------------------------------
-// Resilient replicated serving (ISSUE 8).
+// Backpressure and replicated failover.
 
 /// A KV server that accepts connections but reads *nothing* until
 /// `resume_at`: its receive buffer fills and TCP advertises a zero window
@@ -528,18 +530,7 @@ fn zero_window_stall_waits_on_persist_probes_without_spurious_failover() {
         Box::new(StallServer::new(7000, SimTime::from_ms(300))),
         0,
     );
-    let map = ReplicaMap::new(
-        vec![Backend {
-            addr: dimm_ip,
-            port: 7000,
-            domain: "riser0".into(),
-            rack: 0,
-        }],
-        1,
-        1,
-    )
-    .expect("placement");
-    let mut cfg = ResilientClientConfig::new(map);
+    let mut cfg = ResilientClientConfig::new(ReplicaMap::single(dimm_ip, 7000));
     cfg.seed = 0x5A;
     cfg.n_requests = 8;
     cfg.mean_gap = SimTime::from_us(20);
@@ -580,11 +571,7 @@ fn zero_window_stall_waits_on_persist_probes_without_spurious_failover() {
     assert_eq!(rep.retry_budget_spent, 0, "no retry tokens spent");
     assert_eq!(rep.gave_up, 0, "every request completes after the drain");
     assert_eq!(rep.conn_failures, 0, "the connection never died");
-    assert_eq!(
-        rep.issued,
-        rep.latency.count(),
-        "accounting identity: everything issued was answered"
-    );
+    assert_accounted(&rep);
 }
 
 #[test]
@@ -666,13 +653,8 @@ fn replicated_failover_is_thread_count_invariant() {
         sink.absorb("root", &rack);
         sink.absorb("serve", &*report.lock());
         let rep = report.lock();
-        (
-            rack.now(),
-            sink.finish().to_json(),
-            rep.failovers,
-            rep.issued,
-            rep.latency.count() + rep.gave_up,
-        )
+        assert_accounted(&rep);
+        (rack.now(), sink.finish().to_json(), rep.failovers)
     };
 
     let serial = run(1);
@@ -687,10 +669,6 @@ fn replicated_failover_is_thread_count_invariant() {
     assert!(
         serial.2 > 0,
         "the domain crash must have engaged failover (serve.failovers)"
-    );
-    assert_eq!(
-        serial.3, serial.4,
-        "silent request loss: issued != answered + gave_up"
     );
     assert!(
         serial.1.contains("\"root.rack.outage.domain.riser0.crashes\": 1"),
