@@ -1,33 +1,28 @@
-//! Engine bench-smoke: drives a fig9-style iperf mix on a 4-DIMM rack
-//! (2 servers x 2 DIMMs), first on one worker thread and then on
-//! `--threads N` (default 2) workers of the quantum-synchronized
-//! parallel engine, and reports:
+//! Engine bench-smoke: a Fig. 8(a)-style iperf mix (4 local streams and
+//! 1 cross-server stream at mcn3) on a 4-DIMM rack (2 servers x 2 DIMMs),
+//! driven by the shared smoke driver ([`mcn_bench::smoke`]): one build on
+//! one worker, another on `--threads N` (default 2), gated on a
+//! byte-identical rack registry and clock, written to `BENCH_engine.json`.
 //!
-//! * how much polling the windowed scheduler avoided versus the old
-//!   scan-everything run loops (the poll ratio), the serial engine's
-//!   polls and simulated seconds per wall second, and how many
-//!   memory-only server steps the blocks fast-forwarded per step they
-//!   took themselves, and
-//! * the parallel wall-clock speedup, after asserting that the parallel
-//!   run's metrics snapshot and final clock are byte-identical to the
-//!   serial run's.
+//! The headline reports how much polling the windowed scheduler avoided
+//! versus the old scan-everything run loops (the poll ratio), the serial
+//! engine's polls and simulated seconds per wall second, how many
+//! memory-only server steps the blocks fast-forwarded per step they took
+//! themselves, and the parallel wall-clock speedup.
 //!
-//! Writes `BENCH_engine.json` into the working directory and exits
-//! nonzero if the poll ratio (scan-equivalent / actual) drops below 2x,
-//! the serial poll rate regresses below its floor, the parallel run
-//! diverges from the serial run, or either of the scheduler's lookahead
-//! and batching counters stays at zero (the machinery the speedup
-//! depends on must demonstrably engage). The speedup target
-//! (1.5x) is a hard gate when the host has at least two cores and the
-//! run used at least two workers; on single-core hosts it degrades to a
-//! warning, because two workers on one core cannot beat serial.
+//! Besides the identity gate, it exits nonzero if the poll ratio (scan-
+//! equivalent / actual) drops below 2x, the serial poll rate regresses
+//! below its floor, or either of the scheduler's lookahead and batching
+//! counters stays at zero (the machinery the speedup depends on must
+//! demonstrably engage). The speedup target (1.5x) is a hard gate when
+//! the host has at least two cores and the run used at least two
+//! workers; on single-core hosts it degrades to a warning, because two
+//! workers on one core cannot beat serial.
 
-use std::time::Instant;
-
-use mcn::{ComponentExt, McnRack, MetricSink};
-use mcn_sweep::scenarios::rack_iperf_workload;
-use mcn_mpi::IperfReport;
+use mcn::{ComponentExt, MetricSink};
+use mcn_bench::smoke::Smoke;
 use mcn_sim::SimTime;
+use mcn_sweep::scenarios::rack_iperf_workload;
 
 const BYTES_PER_STREAM: u64 = 1 << 20;
 const MIN_RATIO: f64 = 2.0;
@@ -41,145 +36,76 @@ const MIN_SERIAL_POLLS_PER_SEC: f64 = 500_000.0;
 /// Scheduler counters that must be nonzero after any run: coarsened
 /// windows and batched dispatch rounds. These hold at any thread count
 /// because the coordinator computes them from the same deterministic
-/// schedule serial and parallel runs share.
+/// schedule serial and parallel runs share, so zero means broken, not
+/// "host too small".
 const REQUIRED_SCHED_COUNTERS: [&str; 2] = [
     "rack.sched.lookahead.windows_coalesced",
     "rack.sched.batch.jobs",
 ];
 
-type Report = std::sync::Arc<parking_lot::Mutex<IperfReport>>;
-
-/// Builds the benchmark workload via the shared sweep scenario
-/// constructor: 4 local iperf streams plus 1 cross-server stream at
-/// mcn3, no mid-run partition.
-fn build_workload() -> (McnRack, Report, Report) {
-    let (rack, (srv0, srv1)) = rack_iperf_workload(3, BYTES_PER_STREAM, None);
-    (rack, srv0, srv1)
-}
-
-/// Runs the workload to completion on `threads` workers and returns the
-/// rack plus the wall-clock seconds it took.
-fn run_workload(rack: &mut McnRack, threads: usize) -> f64 {
-    let wall = Instant::now();
-    assert!(
-        rack.run_parallel(SimTime::from_secs(10), threads),
-        "engine bench workload stalled at {}\n{}",
-        rack.now(),
-        rack.stall_report("engine bench stalled")
-    );
-    wall.elapsed().as_secs_f64()
-}
-
-/// The rack's full counter tree as canonical JSON — the byte-identity
-/// witness between the serial and parallel runs.
-fn rack_snapshot(rack: &McnRack) -> String {
-    let mut sink = MetricSink::new();
-    sink.absorb("rack", rack);
-    sink.finish().to_json()
-}
-
 fn main() {
-    let mut threads = 2usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--threads" => {
-                threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .expect("--threads needs a positive integer");
-            }
-            other => panic!("unknown argument {other:?} (supported: --threads N)"),
-        }
+    let run = Smoke {
+        file: "BENCH_engine.json",
+        build: || rack_iperf_workload(3, BYTES_PER_STREAM, None),
+        drive: |(rack, _), threads| {
+            assert!(
+                rack.run_parallel(SimTime::from_secs(10), threads),
+                "engine bench workload stalled at {}\n{}",
+                rack.now(),
+                rack.stall_report("engine bench stalled")
+            );
+        },
+        registry: |(rack, _), sink| sink.absorb("rack", rack),
+        now: |(rack, _)| rack.now(),
     }
+    .run();
+    let (rack, (srv0, srv1)) = &run.workload;
+    let (threads, speedup) = (run.threads, run.speedup());
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-
-    // Serial reference run: the poll-ratio gate and the goodput figure
-    // come from here.
-    let (mut rack, srv0, srv1) = build_workload();
-    let serial_wall_s = run_workload(&mut rack, 1);
-    let serial_snap = rack_snapshot(&rack);
-    let serial_now = rack.now();
-
-    // Parallel run on a fresh, identically-built rack.
-    let (mut prack, _, _) = build_workload();
-    let parallel_wall_s = run_workload(&mut prack, threads);
-    let parallel_snap = rack_snapshot(&prack);
-
-    if prack.now() != serial_now || parallel_snap != serial_snap {
-        eprintln!(
-            "FAIL: parallel run ({threads} threads) diverged from serial \
-             (now {} vs {})",
-            prack.now(),
-            serial_now
-        );
-        for (s, p) in serial_snap.lines().zip(parallel_snap.lines()) {
-            if s != p {
-                eprintln!("  serial:   {s}\n  parallel: {p}");
-            }
-        }
-        std::process::exit(1);
-    }
-    let speedup = serial_wall_s / parallel_wall_s.max(1e-9);
 
     let sim_s = rack.now().as_secs_f64();
     let (actual, scan) = rack.poll_accounting();
     let ratio = scan as f64 / actual.max(1) as f64;
     let rk = rack.engine_stats();
-    let rounds_per_advance = rk.rounds.get() as f64 / rk.advances.get().max(1) as f64;
-    let fast_forwarded_per_advance =
-        rk.fast_forwarded.get() as f64 / rk.advances.get().max(1) as f64;
-    let polls_per_wall_s = actual as f64 / serial_wall_s.max(1e-9);
-    let goodput_gbps = srv0.lock().meter.gbps() + srv1.lock().meter.gbps();
+    let per_advance = |n: u64| n as f64 / rk.advances.get().max(1) as f64;
+    let polls_per_wall_s = actual as f64 / run.wall_seconds.max(1e-9);
 
-    // One registry feeds both outputs: the bench's derived headline
-    // numbers plus the rack's entire counter tree under `rack.*`, all
-    // rendered by the shared deterministic JSON renderer.
     let mut sink = MetricSink::new();
-    sink.text("workload", "rack 2x2 iperf (4 local + 1 cross-server stream)");
+    sink.text(
+        "workload",
+        "rack 2x2 iperf (4 local + 1 cross-server stream)",
+    );
     sink.value("sim_seconds", sim_s);
-    sink.value("wall_seconds", serial_wall_s);
     sink.value("serial_polls_per_sec", polls_per_wall_s);
     sink.value("min_serial_polls_per_sec", MIN_SERIAL_POLLS_PER_SEC);
-    sink.value("sim_seconds_per_wall_second", sim_s / serial_wall_s.max(1e-9));
-    sink.value("fast_forwarded_per_advance", fast_forwarded_per_advance);
-    sink.value("advance_rounds_per_step", rounds_per_advance);
-    sink.value("component_polls_per_sim_sec", actual as f64 / sim_s.max(1e-12));
+    sink.value(
+        "sim_seconds_per_wall_second",
+        sim_s / run.wall_seconds.max(1e-9),
+    );
+    sink.value(
+        "fast_forwarded_per_advance",
+        per_advance(rk.fast_forwarded.get()),
+    );
+    sink.value("advance_rounds_per_step", per_advance(rk.rounds.get()));
+    sink.value(
+        "component_polls_per_sim_sec",
+        actual as f64 / sim_s.max(1e-12),
+    );
     sink.value(
         "scan_equivalent_polls_per_sim_sec",
         scan as f64 / sim_s.max(1e-12),
     );
     sink.value("poll_ratio", ratio);
     sink.value("min_ratio", MIN_RATIO);
+    let goodput_gbps = srv0.lock().meter.gbps() + srv1.lock().meter.gbps();
     sink.value("aggregate_goodput_gbps", goodput_gbps);
-    sink.counter("parallel_threads", threads as u64);
     sink.counter("host_cores", cores as u64);
-    sink.value("parallel_wall_seconds", parallel_wall_s);
-    sink.value("parallel_speedup", speedup);
     sink.value("min_speedup", MIN_SPEEDUP);
-    sink.absorb("rack", &rack);
-    let snap = sink.finish();
-    std::fs::write("BENCH_engine.json", snap.to_json()).expect("write BENCH_engine.json");
-    for (path, value) in snap.iter().filter(|(p, _)| !p.starts_with("rack.")) {
-        println!("{path} = {value}");
-    }
+    let snap = run.write(sink);
 
-    println!("OK: {threads}-thread run byte-identical to serial ({} metrics)", {
-        serial_snap.lines().count()
-    });
-
-    // The scheduler machinery the speedup rests on must demonstrably
-    // engage regardless of core count: coalesced windows, batched
-    // dispatch, and recycled frame buffers are all computed on the
-    // coordinator from deterministic data, so zero means broken, not
-    // "host too small".
     let mut failed = false;
     for path in REQUIRED_SCHED_COUNTERS {
-        let got = snap
-            .iter()
-            .find(|(p, _)| *p == path)
-            .map_or(0.0, |(_, v)| v.as_f64());
+        let got = snap.get(path).map_or(0.0, |v| v.as_f64());
         if got > 0.0 {
             println!("OK: {path} = {got}");
         } else {
@@ -187,7 +113,6 @@ fn main() {
             failed = true;
         }
     }
-
     if polls_per_wall_s < MIN_SERIAL_POLLS_PER_SEC {
         eprintln!(
             "FAIL: serial rate {polls_per_wall_s:.0} polls/s < \
@@ -195,11 +120,8 @@ fn main() {
         );
         failed = true;
     }
-
-    // The speedup gate is hard only where it is provable: at least two
-    // workers with at least two cores to put them on. A single-core
-    // host time-slices both workers onto one core and can never beat
-    // serial, so there the measured number is recorded and warned.
+    // Hard only where provable: a single-core host time-slices both
+    // workers onto one core and can never beat serial.
     if speedup >= MIN_SPEEDUP {
         println!("OK: {threads}-thread speedup {speedup:.2}x on {cores} cores");
     } else if cores >= 2 && threads >= 2 {
@@ -216,7 +138,6 @@ fn main() {
              number is the measured one"
         );
     }
-
     if ratio < MIN_RATIO {
         eprintln!(
             "FAIL: poll ratio {ratio:.2} < {MIN_RATIO} — engine is polling \

@@ -19,9 +19,16 @@
 //! | Fig 10   | cells `npb_<w>_d<dimms>_h8r4-*`, `clus_<w>_n<nodes>r8-*` | `fig10` |
 //! | Fig 11   | cells `scaleup_<w>_c<cores>-*`, `npb_<w>_d<dimms>_h4r4-*` | `fig11` |
 //! | every cell above + serving + datacenter | [`mcn_sweep::run_sweep`] | `sweep` |
+//!
+//! The three CI smoke benches, `engine_bench`, `serving_bench` and
+//! `dc_bench`, share one driver, [`smoke`]: it runs each workload on one
+//! worker and on `--threads N`, gates on byte-identical registries and
+//! writes the bench's `BENCH_*.json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod smoke;
 
 use std::process::exit;
 

@@ -125,24 +125,6 @@ impl DramConfig {
         }
     }
 
-    /// LPDDR4-class local channel used on the MCN DIMM itself (Snapdragon
-    /// 835 in the paper has two 1866 MHz LPDDR4 channels). Modelled as a
-    /// narrower/slower DDR channel: 3733 MT/s × 4 B ≈ 14.9 GB/s.
-    ///
-    /// We keep the 64-bit-channel transaction framing (one line per burst)
-    /// and stretch the clock so that the *data bus occupancy per line*
-    /// matches a 32-bit LPDDR4-3733 channel: 64 B / 14.9 GB/s ≈ 4.3 ns.
-    pub fn lpddr4_local() -> Self {
-        let mut c = Self::ddr4_3200();
-        // 64B line over a 32-bit @ 3733MT/s channel = 16 beats at 536ps/beat
-        // ≈ 4.28 ns. With bl/2 = 4 command cycles per line, tCK = 1072 ps.
-        c.tck_ps = 1072;
-        c.ranks = 1;
-        c.t_rfc = 330; // shorter at this clock; value in cycles
-        c.t_refi = 7_280;
-        c
-    }
-
     /// Converts a cycle count to simulated time.
     #[inline]
     pub fn cycles(&self, n: u64) -> SimTime {
@@ -224,7 +206,6 @@ mod tests {
     #[test]
     fn presets_validate() {
         DramConfig::ddr4_3200().validate().unwrap();
-        DramConfig::lpddr4_local().validate().unwrap();
     }
 
     #[test]
@@ -233,15 +214,6 @@ mod tests {
         // 64 B per 4 cycles of 625 ps = 25.6 GB/s.
         let peak = c.peak_bytes_per_sec();
         assert!((peak - 25.6e9).abs() / 25.6e9 < 1e-9, "peak {peak}");
-    }
-
-    #[test]
-    fn lpddr4_peak_is_mobile_class() {
-        let peak = DramConfig::lpddr4_local().peak_bytes_per_sec();
-        assert!(
-            (13.0e9..16.0e9).contains(&peak),
-            "LPDDR4 local peak {peak} should be ~14.9 GB/s"
-        );
     }
 
     #[test]

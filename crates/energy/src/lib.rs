@@ -31,6 +31,7 @@ use serde::{Deserialize, Serialize};
 
 use mcn::{Datacenter, EthernetCluster, McnRack, McnSystem};
 use mcn_dram::ChannelStats;
+use mcn_node::Node;
 use mcn_sim::SimTime;
 
 /// Component power/energy constants. All powers in watts, energies in
@@ -147,22 +148,28 @@ fn cores_energy(
     active_w * busy_s + idle_w * idle_s
 }
 
+/// Adds one host-class machine's cores, uncore and DRAM channels (each
+/// channel at its own rank count) over `elapsed` to `r`: the MCN server's
+/// host and every 10GbE cluster node are priced here.
+fn add_host(r: &mut EnergyReport, p: &PowerParams, host: &Node, elapsed: SimTime) {
+    r.cpu_j += cores_energy(
+        p.host_core_active_w,
+        p.host_core_idle_w,
+        host.cpus.total_busy(),
+        host.cpus.cores(),
+        elapsed,
+    );
+    r.uncore_j += p.host_uncore_w * elapsed.as_secs_f64();
+    for ch in host.mem.channels() {
+        r.dram_j += dram_channel_energy(p, ch.stats(), ch.config().ranks, elapsed);
+    }
+}
+
 /// Energy of an MCN-enabled server over `elapsed` of simulated time.
 pub fn mcn_system_energy(p: &PowerParams, sys: &McnSystem, elapsed: SimTime) -> EnergyReport {
     let mut r = EnergyReport::default();
     let cfg = sys.system_config();
-    // Host.
-    r.cpu_j += cores_energy(
-        p.host_core_active_w,
-        p.host_core_idle_w,
-        sys.host.cpus.total_busy(),
-        sys.host.cpus.cores(),
-        elapsed,
-    );
-    r.uncore_j += p.host_uncore_w * elapsed.as_secs_f64();
-    for ch in sys.host.mem.channels() {
-        r.dram_j += dram_channel_energy(p, ch.stats(), cfg.host_dram.ranks, elapsed);
-    }
+    add_host(&mut r, p, &sys.host, elapsed);
     // DIMMs.
     for d in 0..sys.dimms() {
         let dimm = sys.dimm(d);
@@ -268,23 +275,10 @@ pub fn efficiency(
 pub fn cluster_energy(p: &PowerParams, c: &EthernetCluster, elapsed: SimTime) -> EnergyReport {
     let mut r = EnergyReport::default();
     for i in 0..c.len() {
-        let node = c.node(i);
-        r.cpu_j += cores_energy(
-            p.host_core_active_w,
-            p.host_core_idle_w,
-            node.node.cpus.total_busy(),
-            node.node.cpus.cores(),
-            elapsed,
-        );
-        r.uncore_j += p.host_uncore_w * elapsed.as_secs_f64();
-        for ch in node.node.mem.channels() {
-            r.dram_j += dram_channel_energy(p, ch.stats(), 2, elapsed);
-        }
+        add_host(&mut r, p, &c.node(i).node, elapsed);
         r.network_j += (p.nic_w + p.switch_port_w) * elapsed.as_secs_f64();
     }
-    let mut sum = EnergyReport::default();
-    sum.add(r);
-    sum
+    r
 }
 
 #[cfg(test)]

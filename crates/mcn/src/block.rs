@@ -30,7 +30,7 @@ use mcn_node::MemorySystem;
 use mcn_sim::stats::Counter;
 use mcn_sim::{
     Activity, Component, EngineStats, Fabric, Outbox, ParallelEngine, Quantum, RunGoal, RunReport,
-    Shard, SimTime, Wakeup,
+    Shard, SimTime,
 };
 
 /// A [`Shard`] a [`Topology`] can hold: the scheduler's contract plus
@@ -270,9 +270,9 @@ impl<E: Endpoint> EndpointBlock<E> {
     /// Earliest pending NIC or link event.
     fn wire_wakeup(&self) -> Option<SimTime> {
         [
-            self.ep.nic().next_wakeup(),
-            Wakeup::next_wakeup(&self.up),
-            Wakeup::next_wakeup(&self.down),
+            self.ep.nic().next_event(),
+            self.up.next_arrival(),
+            self.down.next_arrival(),
         ]
         .into_iter()
         .flatten()

@@ -23,7 +23,7 @@ use mcn_net::{EthernetFrame, MacAddr, NetConfig};
 use mcn_node::nic::{Nic, NIC_WAITER};
 use mcn_node::{CostModel, MemorySystem, Node, ProcId, Process};
 use mcn_sim::metrics::{Instrumented, MetricSink};
-use mcn_sim::{ComponentExt, SimTime, StallReport, Wakeup};
+use mcn_sim::{ComponentExt, SimTime, StallReport};
 
 use crate::block::{Endpoint, EndpointBlock, Topology};
 use crate::config::SystemConfig;
@@ -82,7 +82,7 @@ impl Endpoint for ClusterNode {
     }
 
     fn next_wakeup(&mut self) -> Option<SimTime> {
-        self.node.next_wakeup()
+        self.node.next_event()
     }
 
     fn procs_done(&self) -> bool {

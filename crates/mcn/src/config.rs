@@ -189,7 +189,7 @@ impl SystemConfig {
              Cores (# cores, freq): MCN/Host | ({}, 2.45GHz)/({}, 3.4GHz)\n\
              Host memory channels           | {}\n\
              MCN local memory channels      | {}\n\
-             DRAM                           | DDR4-{}MHz (host), LPDDR4-class (MCN)\n\
+             DRAM                           | DDR4-{}MHz (host), DDR4-{}MHz (MCN)\n\
              Network                        | {:.0}GbE/{} link latency\n\
              Polling interval (mcn0)        | {}\n\
              SRAM ring capacity             | {} KB per direction\n",
@@ -198,6 +198,7 @@ impl SystemConfig {
             self.host_channels,
             self.mcn_channels,
             2_000_000 / self.host_dram.tck_ps, // MT/s from tCK
+            2_000_000 / self.mcn_dram.tck_ps,
             self.eth_bytes_per_sec * 8.0 / 1e9,
             self.eth_latency,
             self.poll_interval,
@@ -254,7 +255,7 @@ mod tests {
         assert!(t1.contains("mcn5 | mcn4 + enabling MCN-DMA"));
         let t2 = SystemConfig::default().render_table2();
         assert!(t2.contains("(4, 2.45GHz)/(8, 3.4GHz)"));
-        assert!(t2.contains("DDR4-3200MHz"));
+        assert!(t2.contains("DDR4-3200MHz (host), DDR4-3200MHz (MCN)"));
         assert!(t2.contains("10GbE"));
     }
 }

@@ -1,7 +1,7 @@
 //! The MCN DIMM: an MCN node and its MCN-side driver.
 //!
 //! An MCN DIMM couples a small mobile-class processor (4 cores), its own
-//! local LPDDR channels, and the interface [`SramBuffer`] shared with the
+//! local DDR4 channels, and the interface [`SramBuffer`] shared with the
 //! host. The **MCN-side driver** implemented here is interrupt-driven
 //! (paper Sec. III-A: the MCN interface raises an IRQ when a packet lands
 //! in the SRAM RX buffer) and symmetric to the host-side driver:
@@ -52,6 +52,10 @@ const DRV_CORE: usize = 0;
 /// xmit path execute on the *sending application's* core, which placement
 /// puts on core 1 (core 0 is reserved for the driver when possible).
 const TX_CORE: usize = 1;
+
+/// MAC id of the neighbor a DIMM's stack falls back to for unknown
+/// destinations: the host classifies such frames F4 (external).
+pub(crate) const F4_FALLBACK_MAC: u16 = 0xFFFE;
 
 /// Signals the DIMM reports to the system layer after an
 /// [`advance`](McnDimm::advance).
@@ -206,7 +210,7 @@ impl McnDimm {
             None,
         );
         node.stack.add_neighbor(host_ip, host_mac);
-        node.stack.set_fallback_neighbor(MacAddr::from_id(0xFFFE));
+        node.stack.set_fallback_neighbor(MacAddr::from_id(F4_FALLBACK_MAC));
         McnDimm {
             node,
             sram: SramBuffer::new(sys.sram_ring_bytes),
@@ -242,8 +246,9 @@ impl McnDimm {
         Self::ip_for(0, index)
     }
 
-    /// Rack addressing: server `s` uses second-octet block `s*24`
-    /// (up to 10 servers of up to 23 DIMMs without collisions).
+    /// Rack addressing: server `s` uses second octets `24s+1 ..= 24s+24`
+    /// (up to 10 servers of up to 24 DIMMs, the limits the rack and
+    /// server constructors assert).
     pub fn ip_for(server: usize, index: usize) -> Ipv4Addr {
         Ipv4Addr::new(10, (server * 24 + index + 1) as u8, 0, 2)
     }
@@ -665,13 +670,6 @@ impl McnDimm {
     }
 }
 
-impl mcn_sim::Wakeup for McnDimm {
-    /// Earliest staged driver deadline or node-level event.
-    fn next_wakeup(&self) -> Option<SimTime> {
-        self.next_event()
-    }
-}
-
 impl Instrumented for DimmDriverStats {
     fn metrics(&self, out: &mut MetricSink) {
         out.counter("tx_frames", self.tx_frames.get());
@@ -792,7 +790,7 @@ mod tests {
         let f = EthernetFrame::decode(&msg).unwrap();
         // 10.9.0.2 matches no neighbor: the frame carries the "external"
         // fallback MAC, which the host forwarding engine classifies as F4.
-        assert_eq!(f.dst, MacAddr::from_id(0xFFFE));
+        assert_eq!(f.dst, MacAddr::from_id(F4_FALLBACK_MAC));
         assert_eq!(d.stats.tx_frames.get(), 1);
     }
 

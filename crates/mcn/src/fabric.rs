@@ -765,6 +765,25 @@ impl Datacenter {
         self.rack_mut(r).server_mut(s)
     }
 
+    /// Checks the ECMP accounting identity: every routed frame took
+    /// exactly one fabric switch, so `fabric.ecmp.routed` equals the sum
+    /// of `fabric.ecmp.path.*`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the broken identity, naming both counts.
+    pub fn check_ecmp(&self) -> Result<(), String> {
+        let stats = &self.coord.stats;
+        let paths: u64 = stats.per_switch.iter().map(Counter::get).sum();
+        let routed = stats.routed.get();
+        if routed == paths {
+            return Ok(());
+        }
+        Err(format!(
+            "ECMP accounting broken: routed {routed} != per-path sum {paths}"
+        ))
+    }
+
     /// Spawns a process on a host core of server `s` in rack `r`.
     pub fn spawn_host(
         &mut self,
@@ -907,6 +926,9 @@ mod tests {
         assert!(dc.server_mut(3, 0).host.stack.tcp_accept(lst).is_some());
         let snap = MetricsSnapshot::collect(&dc);
         assert!(snap.get_u64("fabric.ecmp.routed") > 0, "ECMP engaged");
+        dc.check_ecmp().unwrap();
+        dc.coord.stats.routed.inc(); // a decision no path counted
+        assert!(dc.check_ecmp().unwrap_err().contains("routed"));
         assert!(snap.get_u64("fabric.cross_pod") > 0, "spine tier crossed");
         assert!(
             snap.get_u64("sched.domain.cross_pod.barriers")

@@ -18,7 +18,7 @@
 //! * [`SramBuffer`] — the interface SRAM of Fig. 4, with `tx-start` /
 //!   `tx-end` / `tx-poll` / `rx-*` control words and the two circular
 //!   message rings stored in *real bytes*,
-//! * [`McnDimm`] — an MCN node: 4 cores, local LPDDR channels, its own
+//! * [`McnDimm`] — an MCN node: 4 cores, local DDR4 channels, its own
 //!   network stack and the MCN-side driver (interrupt-driven),
 //! * [`HostDriver`] — the host-side driver: one virtual interface per
 //!   DIMM, the polling agent (HR-timer `mcn0` or ALERT_N interrupt

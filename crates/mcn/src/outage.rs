@@ -181,7 +181,7 @@ pub(crate) fn expand(
                     })
             })
             .collect();
-        for (t, kind) in plan.schedule(&dom.name).pop_due(SimTime::MAX) {
+        for (t, kind) in plan.schedule(&dom.name) {
             let OutageKind::DomainDown { down_for } = kind else {
                 panic!("failure domain '{}' cannot take {kind:?}", dom.name);
             };
@@ -207,7 +207,7 @@ pub(crate) fn expand(
         .collect();
     named.sort_by_key(|&(i, ..)| i);
     for (_, part, name) in named {
-        for (t, kind) in plan.schedule(name).pop_due(SimTime::MAX) {
+        for (t, kind) in plan.schedule(name) {
             match (part, kind) {
                 (Part::Switch, OutageKind::SwitchPartition { groups, heal_at }) => {
                     edges.push((t, Edge::Partition(groups)));

@@ -663,8 +663,11 @@ impl Instrumented for McnRack {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dimm::{McnDimm, F4_FALLBACK_MAC};
     use bytes::Bytes;
+    use mcn_net::MacAddr;
     use mcn_sim::{ComponentExt, OutageKind};
+    use std::collections::HashSet;
 
     fn mk(servers: usize, dimms: usize, level: u32) -> McnRack {
         McnRack::new(&SystemConfig::default(), servers, dimms, McnConfig::level(level))
@@ -672,36 +675,64 @@ mod tests {
 
     #[test]
     fn address_plan_is_disjoint() {
-        let rack = mk(3, 2, 1);
-        let mut all = std::collections::HashSet::new();
-        for s in 0..3 {
-            assert!(all.insert(McnSystem::nic_ip_in(0, s)));
-            for d in 0..2 {
-                assert!(all.insert(rack.server(s).dimm_ip(d)));
-                assert!(all.insert(McnSystem::host_if_ip_for(s, d)));
+        // The whole envelope the constructors allow: 10 servers of 24
+        // DIMMs. Every address is unique in the rack and owned by its
+        // server.
+        let (servers, dimms) = (10, 24);
+        let mut ips = HashSet::new();
+        for s in 0..servers {
+            let nic = McnSystem::nic_ip_in(0, s);
+            assert!(ips.insert(nic));
+            assert_eq!(owner_of(nic, 0, servers), Some(s));
+            // Each server's memory channel is one L2 segment: its
+            // host-interface and DIMM MACs, and the DIMMs' F4 fallback.
+            let mut channel_macs = HashSet::from([MacAddr::from_id(F4_FALLBACK_MAC)]);
+            for d in 0..dimms {
+                for ip in [McnDimm::ip_for(s, d), McnSystem::host_if_ip_for(s, d)] {
+                    assert!(ips.insert(ip), "{ip} handed out twice");
+                    assert_eq!(owner_of(ip, 0, servers), Some(s), "owner of {ip}");
+                }
+                assert!(
+                    channel_macs.insert(McnDimm::mac_for(s, d)),
+                    "dimm mac {s}/{d}"
+                );
+                assert!(
+                    channel_macs.insert(McnSystem::host_if_mac_for(s, d)),
+                    "host mac {s}/{d}"
+                );
             }
         }
-        let owner = |ip| owner_of(ip, rack.coord.rack_id, rack.len());
-        assert_eq!(owner(rack.server(2).dimm_ip(1)), Some(2));
-        assert_eq!(owner(McnSystem::nic_ip_in(0, 0)), Some(0));
-        assert_eq!(owner(std::net::Ipv4Addr::new(8, 8, 8, 8)), None);
+        let outside = std::net::Ipv4Addr::new(8, 8, 8, 8);
+        assert_eq!(owner_of(outside, 0, servers), None);
+        // A built rack hands out exactly these addresses.
+        let rack = mk(3, 2, 1);
+        assert_eq!(rack.server(2).dimm_ip(1), McnDimm::ip_for(2, 1));
+        assert_eq!(rack.server(2).dimm(1).mac(), McnDimm::mac_for(2, 1));
     }
 
     #[test]
     fn dc_address_plan_is_disjoint_across_racks() {
-        let mut ips = std::collections::HashSet::new();
-        let mut macs = std::collections::HashSet::new();
-        for r in 0..8 {
-            for s in 0..8 {
-                assert!(ips.insert(McnSystem::nic_ip_in(r, s)), "nic ip {r}/{s}");
-                assert!(macs.insert(McnSystem::nic_mac_in(r, s).0), "nic mac {r}/{s}");
+        // The whole envelope the constructors allow: 64 racks of 10
+        // servers.
+        let mut ips = HashSet::new();
+        let mut fabric_macs = HashSet::new();
+        for r in 0..64 {
+            // Each ToR is one L2 segment: its NIC MACs and the gateway.
+            let mut tor_macs = HashSet::from([McnSystem::GATEWAY_MAC]);
+            for s in 0..10 {
+                let (ip, mac) = (McnSystem::nic_ip_in(r, s), McnSystem::nic_mac_in(r, s));
+                assert!(ips.insert(ip), "nic ip {r}/{s}");
+                assert!(tor_macs.insert(mac), "nic mac {r}/{s} on its ToR");
+                // The fabric carries every rack's NIC MACs.
+                assert!(fabric_macs.insert(mac), "nic mac {r}/{s} in the fabric");
+                assert_eq!(owner_of(ip, r, 10), Some(s));
+                // Remote-rack addresses are owned by nobody locally but
+                // resolve to their rack for the gateway escape.
+                assert_eq!(owner_of(ip, (r + 1) % 64, 10), None);
+                assert_eq!(remote_rack_of(ip, (r + 1) % 64), Some(r));
+                assert_eq!(remote_rack_of(ip, r), None);
             }
         }
-        // Remote-rack addresses are owned by nobody locally but resolve
-        // to their rack for the gateway escape.
-        assert_eq!(owner_of(McnSystem::nic_ip_in(3, 2), 1, 8), None);
-        assert_eq!(remote_rack_of(McnSystem::nic_ip_in(3, 2), 1), Some(3));
-        assert_eq!(remote_rack_of(McnSystem::nic_ip_in(1, 2), 1), None);
         assert_eq!(remote_rack_of(McnSystem::GATEWAY_IP, 1), None);
     }
 

@@ -33,7 +33,7 @@ use mcn_node::{CostModel, JobId, Node, ProcId, Process};
 use mcn_sim::fault::{FaultInjector, FaultKind, FaultPlan};
 use mcn_sim::metrics::{Instrumented, MetricSink};
 use mcn_sim::{
-    Activity, Component, Engine, EngineStats, EventQueue, OutagePlan, SimTime, StallReport, Wakeup,
+    Activity, Component, Engine, EngineStats, EventQueue, OutagePlan, SimTime, StallReport,
 };
 
 use crate::config::{McnConfig, SystemConfig};
@@ -202,6 +202,12 @@ impl McnSystem {
     /// conventional-NIC address plan shifts per rack
     /// ([`nic_ip_in`](Self::nic_ip_in)) so host NICs stay unique across
     /// a whole datacenter.
+    ///
+    /// # Panics
+    ///
+    /// Panics on more than 24 DIMMs: each server owns 24 second octets
+    /// of `10.x`, and a 25th DIMM would take the next server's first
+    /// address.
     pub fn with_faults_in_dc(
         sys: &SystemConfig,
         n_dimms: usize,
@@ -210,6 +216,7 @@ impl McnSystem {
         server_id: usize,
         plan: &FaultPlan,
     ) -> Self {
+        assert!(n_dimms <= 24, "address plan supports 0-24 DIMMs per server");
         let tcp = TcpConfig {
             mss: cfg.mtu() - mcn_net::IPV4_HEADER_BYTES - mcn_net::TCP_HEADER_BYTES,
             ..TcpConfig::default()
@@ -245,7 +252,7 @@ impl McnSystem {
         }
         for d in 0..n_dimms {
             let channel = (d as u32) % sys.host_channels;
-            let mac = MacAddr::from_id(0x0100 + (server_id as u16) * 0x40 + d as u16);
+            let mac = Self::host_if_mac_for(server_id, d);
             let ip = Self::host_if_ip_for(server_id, d);
             let ifidx = host.stack.add_interface(NetConfig {
                 mac,
@@ -426,8 +433,11 @@ impl McnSystem {
     }
 
     /// The conventional NIC's MAC for server `s` of rack `rack`: 0x20
-    /// ids per rack keep every NIC distinct (and clear of the DIMM MAC
-    /// range) for up to 64 racks of 10 servers.
+    /// ids per rack keep every NIC distinct for up to 64 racks of 10
+    /// servers. The ids overlap the memory-channel MACs
+    /// (`nic_mac_in(0, 0)` is [`McnDimm::mac_for(8, 0)`](McnDimm::mac_for)),
+    /// which is harmless: a memory channel is its own L2 segment, and F4
+    /// rewrites both MACs of a forwarded frame before it reaches the NIC.
     pub fn nic_mac_in(rack: usize, s: usize) -> MacAddr {
         MacAddr::from_id(0x0400 + rack as u16 * 0x20 + s as u16)
     }
@@ -482,6 +492,12 @@ impl McnSystem {
     /// Rack variant of [`host_if_ip`](Self::host_if_ip).
     pub fn host_if_ip_for(server: usize, i: usize) -> Ipv4Addr {
         Ipv4Addr::new(10, (server * 24 + i + 1) as u8, 0, 1)
+    }
+
+    /// MAC of server `server`'s host-side interface `i`, the peer of
+    /// [`McnDimm::mac_for`] on the same memory channel.
+    pub(crate) fn host_if_mac_for(server: usize, i: usize) -> MacAddr {
+        MacAddr::from_id(0x0100 + (server as u16) * 0x40 + i as u16)
     }
 
     /// This server's id within its rack (0 standalone).
@@ -650,9 +666,9 @@ impl McnSystem {
     /// The wakeup of engine component `id`, queried live.
     fn wakeup_of(&self, id: usize) -> Option<SimTime> {
         if id == HOST_ID {
-            self.host.next_wakeup()
+            self.host.next_event()
         } else {
-            self.dimms[id - 1 - HOST_ID].next_wakeup()
+            self.dimms[id - 1 - HOST_ID].next_event()
         }
     }
 
@@ -1615,6 +1631,13 @@ mod tests {
         assert_eq!(sys.dimm(0).channel(), 0);
         assert_eq!(sys.dimm(1).channel(), 1);
         assert_eq!(sys.dimm(2).channel(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "address plan supports 0-24 DIMMs per server")]
+    fn more_than_24_dimms_are_rejected() {
+        // DIMM 24 of server 0 would be 10.25.0.2, server 1's DIMM 0.
+        mk(25, 0);
     }
 
     #[test]

@@ -254,13 +254,6 @@ impl Switch {
     }
 }
 
-impl mcn_sim::Wakeup for Link {
-    /// The earliest in-flight frame arrival.
-    fn next_wakeup(&self) -> Option<SimTime> {
-        self.next_arrival()
-    }
-}
-
 impl Instrumented for Link {
     fn metrics(&self, out: &mut MetricSink) {
         out.counter("sent", self.sent.get());

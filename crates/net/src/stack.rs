@@ -1188,17 +1188,6 @@ impl NetStack {
     }
 }
 
-impl mcn_sim::Wakeup for NetStack {
-    /// Queued output frames need a driver *now*; otherwise the earliest
-    /// TCP retransmit/zero-window timer is the stack's next deadline.
-    fn next_wakeup(&self) -> Option<SimTime> {
-        if self.has_output() {
-            return Some(SimTime::ZERO);
-        }
-        self.next_timer()
-    }
-}
-
 impl Instrumented for NetStack {
     /// The stack's own drop/deliver counters plus the TCP totals of every
     /// socket (live and closed) under `tcp.*`.

@@ -361,15 +361,6 @@ pub fn tx_protocol_cost(cost: &CostModel, frame: &EthernetFrame, sw_checksum: bo
     }
 }
 
-impl mcn_sim::Wakeup for Nic {
-    /// Earliest staged pipeline deadline (TX handoffs, wire serialisation,
-    /// RX delivery). DMA job completions live in the owning node's memory
-    /// system, not here.
-    fn next_wakeup(&self) -> Option<SimTime> {
-        self.next_event()
-    }
-}
-
 impl Instrumented for Nic {
     fn metrics(&self, out: &mut MetricSink) {
         out.counter("tx_frames", self.tx_frames.get());

@@ -123,15 +123,6 @@ impl Node {
     }
 }
 
-impl mcn_sim::Wakeup for Node {
-    /// See [`Node::next_event`]: memory jobs, stack timers, runnable or
-    /// timer-blocked processes, and `ZERO` when output frames wait for a
-    /// driver.
-    fn next_wakeup(&self) -> Option<SimTime> {
-        self.next_event()
-    }
-}
-
 impl Instrumented for Node {
     /// Everything a node can report: CPU busy time, per-channel memory
     /// counters and the whole network stack (including TCP totals).

@@ -177,6 +177,25 @@ impl ServeReport {
         self.gave_up += 1;
     }
 
+    /// Checks the accounting identity `issued == answered + gave_up`:
+    /// every issued request was answered or loudly abandoned.
+    ///
+    /// # Errors
+    ///
+    /// Returns the broken identity, naming all three counts, when a
+    /// request went missing.
+    pub fn check_accounting(&self) -> Result<(), String> {
+        let answered = self.latency.count();
+        if self.issued == answered + self.gave_up {
+            return Ok(());
+        }
+        Err(format!(
+            "accounting identity broken: issued {} != answered {answered} + gave_up {} \
+             — silent request loss",
+            self.issued, self.gave_up
+        ))
+    }
+
     /// Answered fraction over requests scheduled inside the fault window
     /// (1.0 when no request fell in the window).
     pub fn fault_availability(&self) -> f64 {
@@ -228,5 +247,23 @@ impl Instrumented for ServeReport {
         out.counter("fault_answered", self.fault_answered);
         out.histogram("fault_latency", &self.fault_latency);
         out.histogram("steady_latency", &self.steady_latency);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accounting_check_names_a_silent_loss() {
+        let report = ServeReport::shared(SimTime::from_us(100));
+        let mut r = report.lock();
+        r.note_issued(SimTime::ZERO);
+        r.note_issued(SimTime::ZERO);
+        r.record(SimTime::ZERO, SimTime::from_us(5), true, 8);
+        let err = r.check_accounting().unwrap_err();
+        assert!(err.contains("issued 2 != answered 1 + gave_up 0"), "{err}");
+        r.give_up();
+        r.check_accounting().unwrap();
     }
 }

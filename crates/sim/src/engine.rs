@@ -7,8 +7,6 @@
 //! * [`Component`] / [`ComponentExt`] — the single implementation of
 //!   `step` / `run_until` / `run_until_procs_done` shared by every
 //!   orchestrator (system, rack, cluster),
-//! * [`Wakeup`] — a passive source of pending work (a node, NIC or link)
-//!   that reports its earliest internal deadline,
 //! * [`WakeupIndex`] — a flat per-component deadline index: one
 //!   `(deadline, schedule stamp)` slot per component, scanned in place
 //!   (orchestrators own at most a handful of components),
@@ -86,17 +84,6 @@ impl Activity {
     pub fn is_active(self) -> bool {
         matches!(self, Activity::Active)
     }
-}
-
-/// A passive source of pending work: something that can say *when* it next
-/// needs attention but is advanced by its owner (a node, a NIC pipeline, a
-/// link's in-flight frames, TCP retransmit timers).
-///
-/// `SimTime::ZERO` means "work is ready right now"; drivers clamp it to
-/// their own clock.
-pub trait Wakeup {
-    /// Earliest pending internal deadline, `None` when fully idle.
-    fn next_wakeup(&self) -> Option<SimTime>;
 }
 
 /// A drivable simulated system: owns a clock, can report its next event

@@ -46,10 +46,10 @@ pub mod shard;
 pub mod stats;
 
 pub use diag::StallReport;
-pub use engine::{Activity, Component, ComponentExt, Engine, EngineStats, Wakeup, WakeupIndex};
+pub use engine::{Activity, Component, ComponentExt, Engine, EngineStats, WakeupIndex};
 pub use fault::{FaultInjector, FaultKind, FaultPlan};
 pub use metrics::{Instrumented, MetricSink, MetricValue, MetricsSnapshot};
-pub use outage::{Backoff, FailureDomain, OutageKind, OutagePlan, OutageSchedule};
+pub use outage::{Backoff, FailureDomain, OutageKind, OutagePlan};
 pub use shard::{Fabric, Outbox, ParallelEngine, Quantum, RunGoal, RunReport, Shard, ShardStats};
 pub use queue::EventQueue;
 pub use rng::DetRng;

@@ -11,27 +11,21 @@
 //! two runs of the same plan produce identical chaos.
 //!
 //! System crates pull a component's slice of the plan with
-//! [`schedule`](OutagePlan::schedule) and fold the resulting
-//! [`OutageSchedule`] into their event loop: `next_at` participates in the
-//! wakeup computation, `pop_due` yields the events to apply.
+//! [`schedule`](OutagePlan::schedule), a time-sorted list, and install
+//! every event of it into their own event queue up front.
 //!
 //! ```
 //! use mcn_sim::outage::{OutageKind, OutagePlan};
 //! use mcn_sim::SimTime;
 //!
 //! let mut plan = OutagePlan::new(42);
-//! plan.at("dimm0", SimTime::from_ms(2), OutageKind::DimmCrash {
-//!     down_for: SimTime::from_ms(1),
-//! });
-//! let mut sched = plan.schedule("dimm0");
-//! assert_eq!(sched.next_at(), Some(SimTime::from_ms(2)));
-//! assert!(sched.pop_due(SimTime::from_ms(1)).is_empty());
-//! assert_eq!(sched.pop_due(SimTime::from_ms(3)).len(), 1);
-//! assert!(sched.is_empty());
+//! let crash = OutageKind::DimmCrash { down_for: SimTime::from_ms(1) };
+//! plan.at("dimm0", SimTime::from_ms(2), crash.clone());
+//! assert_eq!(plan.schedule("dimm0"), vec![(SimTime::from_ms(2), crash)]);
+//! assert!(plan.schedule("dimm1").is_empty());
 //! ```
 
 use std::collections::HashMap;
-use std::collections::VecDeque;
 
 use crate::{DetRng, SimTime};
 
@@ -182,13 +176,10 @@ impl OutagePlan {
 
     /// Carves out the schedule for `component`, sorted by time (ties keep
     /// declaration order). Calling twice yields identical schedules.
-    pub fn schedule(&self, component: &str) -> OutageSchedule {
-        let mut events: Vec<(SimTime, OutageKind)> =
-            self.events.get(component).cloned().unwrap_or_default();
+    pub fn schedule(&self, component: &str) -> Vec<(SimTime, OutageKind)> {
+        let mut events = self.events.get(component).cloned().unwrap_or_default();
         events.sort_by_key(|(t, _)| *t);
-        OutageSchedule {
-            events: events.into(),
-        }
+        events
     }
 
     /// Defines (or redefines) a correlated [`FailureDomain`]: `members`
@@ -250,50 +241,12 @@ impl OutagePlan {
     }
 }
 
-/// A component's slice of an [`OutagePlan`]: a time-ordered queue of hard
-/// events. Fold [`next_at`](Self::next_at) into the component's wakeup and
-/// apply what [`pop_due`](Self::pop_due) returns.
-#[derive(Debug, Clone, Default)]
-pub struct OutageSchedule {
-    events: VecDeque<(SimTime, OutageKind)>,
-}
-
-impl OutageSchedule {
-    /// An empty schedule (no outages ever).
-    pub fn none() -> Self {
-        Self::default()
-    }
-
-    /// When the next event is due, if any.
-    pub fn next_at(&self) -> Option<SimTime> {
-        self.events.front().map(|(t, _)| *t)
-    }
-
-    /// Pops every event due at or before `now`, in time order.
-    pub fn pop_due(&mut self, now: SimTime) -> Vec<(SimTime, OutageKind)> {
-        let mut due = Vec::new();
-        while self.events.front().is_some_and(|&(t, _)| t <= now) {
-            due.push(self.events.pop_front().expect("peeked"));
-        }
-        due
-    }
-
-    /// True once every event has been consumed.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Events still pending.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-}
-
-/// Bounded exponential retry/backoff: the workspace's one implementation of
-/// "try, wait a doubling delay, give up after N attempts". The host driver's
-/// DIMM re-init handshake uses it for probe retries, and tests use it (via
+/// Bounded exponential retry/backoff: "try, wait a doubling delay, give up
+/// after N attempts". Tests drive systems through it (via
 /// [`ComponentExt::run_with_backoff`](crate::ComponentExt::run_with_backoff))
-/// instead of hand-rolled guard-counter loops.
+/// instead of hand-rolled guard-counter loops. The host driver's DIMM
+/// re-init handshake does not use it: `McnSystem` doubles its own probe
+/// interval per attempt.
 #[derive(Debug, Clone)]
 pub struct Backoff {
     initial: SimTime,
@@ -352,7 +305,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn events_pop_in_time_order() {
+    fn schedules_are_time_sorted() {
         let mut plan = OutagePlan::new(1);
         plan.at(
             "c",
@@ -368,14 +321,11 @@ mod tests {
                 down_for: SimTime::from_us(2),
             },
         );
-        let mut s = plan.schedule("c");
+        let s = plan.schedule("c");
         assert_eq!(s.len(), 2);
-        let due = s.pop_due(SimTime::from_us(7));
-        assert_eq!(due.len(), 1);
-        assert!(matches!(due[0].1, OutageKind::DimmCrash { .. }));
-        assert_eq!(s.next_at(), Some(SimTime::from_us(10)));
-        assert_eq!(s.pop_due(SimTime::from_secs(1)).len(), 1);
-        assert!(s.is_empty());
+        assert_eq!(s[0].0, SimTime::from_us(5));
+        assert!(matches!(s[0].1, OutageKind::DimmCrash { .. }));
+        assert_eq!(s[1].0, SimTime::from_us(10));
     }
 
     #[test]
@@ -398,18 +348,14 @@ mod tests {
         };
         let p1 = mk(7);
         let p2 = mk(7);
-        let times = |p: &OutagePlan, c: &str| {
-            let mut s = p.schedule(c);
-            s.pop_due(SimTime::from_secs(1))
-        };
-        assert_eq!(times(&p1, "a"), times(&p2, "a"), "same seed replays");
+        assert_eq!(p1.schedule("a"), p2.schedule("a"), "same seed replays");
         assert_ne!(
-            times(&p1, "a"),
-            times(&p1, "b"),
+            p1.schedule("a"),
+            p1.schedule("b"),
             "components draw independent streams"
         );
         let p3 = mk(8);
-        assert_ne!(times(&p1, "a"), times(&p3, "a"), "seed changes schedule");
+        assert_ne!(p1.schedule("a"), p3.schedule("a"), "seed changes schedule");
         assert!(!p1.is_empty());
         assert_eq!(p1.components(), vec!["a", "b"]);
     }
@@ -418,9 +364,7 @@ mod tests {
     fn inert_plan_has_empty_schedules() {
         let plan = OutagePlan::new(9);
         assert!(plan.is_empty());
-        let s = plan.schedule("anything");
-        assert!(s.is_empty());
-        assert_eq!(s.next_at(), None);
+        assert!(plan.schedule("anything").is_empty());
     }
 
     #[test]
@@ -433,8 +377,7 @@ mod tests {
             vec!["server0".to_string(), "server1".to_string()]
         );
         assert!(plan.domain("other").is_none());
-        let mut s = plan.schedule("rack.pdu0");
-        let due = s.pop_due(SimTime::from_secs(1));
+        let due = plan.schedule("rack.pdu0");
         assert_eq!(due.len(), 1);
         assert_eq!(
             due[0],

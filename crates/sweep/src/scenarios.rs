@@ -785,11 +785,8 @@ fn kv_rack_cell(cell: &Cell, scale: &Scale, sink: &mut MetricSink) -> CellRun {
             2 * scale.kv_clients,
             "cell {cell}: fleet did not drain"
         );
-        assert_eq!(
-            rep.issued,
-            answered + rep.gave_up,
-            "cell {cell}: accounting identity broken — silent request loss"
-        );
+        rep.check_accounting()
+            .unwrap_or_else(|e| panic!("cell {cell}: {e}"));
         if chaos.is_some() {
             assert!(rep.fault_issued > 0, "cell {cell}: chaos never engaged");
         }
@@ -831,6 +828,8 @@ fn kv_dc_cell(cell: &Cell, scale: &Scale, sink: &mut MetricSink) -> CellRun {
     // the datacenter bench's 80 ms horizon instead of the scale
     // deadline.
     dc.run_parallel(SimTime::from_ms(80), cell.opt.threads);
+    dc.check_ecmp()
+        .unwrap_or_else(|e| panic!("cell {cell}: {e}"));
     let elapsed = dc.now();
     let mut answered = 0u64;
     for (name, report) in [("intra", &intra), ("cross", &cross)] {
@@ -840,11 +839,8 @@ fn kv_dc_cell(cell: &Cell, scale: &Scale, sink: &mut MetricSink) -> CellRun {
             rep.completed_clients, scale.kv_clients,
             "cell {cell}: {name} fleet did not drain"
         );
-        assert_eq!(
-            rep.issued,
-            fleet_answered + rep.gave_up,
-            "cell {cell}: {name} accounting identity broken"
-        );
+        rep.check_accounting()
+            .unwrap_or_else(|e| panic!("cell {cell}: {name} {e}"));
         let us = |t: SimTime| t.as_ps() as f64 / 1e6;
         sink.value(
             &format!("kv.{name}.p50_us"),

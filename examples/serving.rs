@@ -32,6 +32,8 @@ use mcn_serve::{
 };
 use mcn_sim::{OutageKind, OutagePlan, SimTime};
 
+type Report = std::sync::Arc<parking_lot::Mutex<ServeReport>>;
+
 /// Builds a 1-DIMM system with a KV server on the DIMM and `n` clients
 /// on host cores, then runs it for `sim_ms` simulated milliseconds.
 fn run_fleet(
@@ -40,7 +42,7 @@ fn run_fleet(
     gap: SimTime,
     pipeline: usize,
     sim_ms: u64,
-) -> (McnSystem, ServeReportSnapshot) {
+) -> (McnSystem, Report) {
     let report = ServeReport::shared(SimTime::from_us(200));
     let mut sys = McnSystem::new(&SystemConfig::default(), 1, McnConfig::level(3));
     let dimm = sys.dimm_ip(0);
@@ -60,54 +62,32 @@ fn run_fleet(
         );
     }
     sys.run_until(SimTime::from_ms(sim_ms));
-    let snap = {
-        let r = report.lock();
-        ServeReportSnapshot {
-            issued: r.issued,
-            answered: r.latency.count(),
-            gave_up: r.gave_up,
-            ok: r.ok,
-            miss: r.miss,
-            busy: r.busy,
-            shed_requests: r.shed_requests,
-            completed_clients: r.completed_clients,
-            p50: r.latency.percentile(50.0).unwrap_or(SimTime::ZERO),
-            p99: r.latency.percentile(99.0).unwrap_or(SimTime::ZERO),
-        }
-    };
-    (sys, snap)
-}
-
-/// The handful of report fields the demo prints.
-struct ServeReportSnapshot {
-    issued: u64,
-    answered: u64,
-    gave_up: u64,
-    ok: u64,
-    miss: u64,
-    busy: u64,
-    shed_requests: u64,
-    completed_clients: u64,
-    p50: SimTime,
-    p99: SimTime,
+    (sys, report)
 }
 
 /// Prints the act's report and asserts its accounting identity.
-fn print_report(tag: &str, r: &ServeReportSnapshot) {
+fn print_report(tag: &str, r: &ServeReport) {
+    let pct = |p| r.latency.percentile(p).unwrap_or(SimTime::ZERO);
     println!("{tag}:");
     println!(
         "  issued {} = answered {} (ok {}, miss {}, busy {}) + gave_up {}",
-        r.issued, r.answered, r.ok, r.miss, r.busy, r.gave_up
+        r.issued,
+        r.latency.count(),
+        r.ok,
+        r.miss,
+        r.busy,
+        r.gave_up
     );
-    println!("  latency p50 {} / p99 {}", r.p50, r.p99);
+    println!("  latency p50 {} / p99 {}", pct(50.0), pct(99.0));
     println!("  clients finished: {}", r.completed_clients);
     assert!(r.issued > 0, "the fleet issued nothing");
-    assert_eq!(r.issued, r.answered + r.gave_up, "silent loss");
+    r.check_accounting().expect("silent request loss");
 }
 
 fn main() {
     // --- Act 1: comfortable load ---------------------------------------
     let (_, easy) = run_fleet(KvServerConfig::default(), 3, SimTime::from_us(25), 4, 40);
+    let easy = easy.lock();
     print_report("default budgets, 3 clients x 200 requests", &easy);
     assert_eq!(easy.busy, 0, "no shedding expected at this load");
 
@@ -121,6 +101,7 @@ fn main() {
     // Refused connections open breakers and spend retry budgets, so the
     // last requests wait out the 30 ms give-up: drive well past it.
     let (sys, hard) = run_fleet(tight, 6, SimTime::from_us(5), 16, 200);
+    let hard = hard.lock();
     print_report("\ntight budgets (2 conns, 2 in flight), 6 clients", &hard);
     println!("  requests shed with B\\n: {}", hard.shed_requests);
 
@@ -253,7 +234,7 @@ fn main() {
         snap.get_u64("rack.outage.domain.riser0.heals")
     );
     assert!(r.issued > 0, "the fleet issued nothing");
-    assert_eq!(r.issued, r.latency.count() + r.gave_up, "silent loss");
+    r.check_accounting().expect("silent request loss");
     assert!(r.failovers > 0, "the crash must have engaged failover");
     assert_eq!(r.completed_clients, 4, "the resilient fleet must drain");
 }

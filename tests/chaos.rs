@@ -340,8 +340,7 @@ fn chaos_mix_snapshot(seed: u64) -> String {
     // land while the rack is partitioned shift timings without moving any
     // final counter, so the schedule itself is part of the chaos history.
     let mut snap = String::new();
-    let mut sched = plan.schedule(&Part::Dimm(1, 0).to_string());
-    for (t, kind) in sched.pop_due(SimTime::MAX) {
+    for (t, kind) in plan.schedule(&Part::Dimm(1, 0).to_string()) {
         use std::fmt::Write;
         writeln!(snap, "SNAP|plan srv1.dimm0 at={t} {kind:?}").unwrap();
     }
