@@ -588,12 +588,12 @@ impl McnDimm {
                 // (transport recovers) or an ECC-escaped bit flip.
                 self.tx_busy = false;
                 self.staged.push((now, Staged::TryTx));
-                if self.faults.fires(FaultKind::Drop, now) {
+                if self.faults.fires(FaultKind::Drop) {
                     self.stats.frames_dropped.inc();
                     return Ok(());
                 }
                 let mut encoded = frame.encode();
-                if self.faults.fires(FaultKind::BitFlip, now) {
+                if self.faults.fires(FaultKind::BitFlip) {
                     self.faults.flip_bit(&mut encoded);
                     self.stats.ecc_escapes.inc();
                 }

@@ -55,13 +55,13 @@ use mcn_node::{ProcId, Process};
 use mcn_sim::metrics::{Instrumented, MetricSink};
 use mcn_sim::stats::Counter;
 use mcn_sim::{
-    Component, EngineStats, EventQueue, Fabric, FaultPlan, OutagePlan, Outbox, ParallelEngine,
+    fnv1a64, Component, EngineStats, EventQueue, Fabric, FaultPlan, Outbox, ParallelEngine,
     Quantum, Shard, ShardStats, SimTime,
 };
 
 use crate::block::{Member, Topology};
 use crate::config::{McnConfig, SystemConfig};
-use crate::outage::{self, DomainStats, Edge, Part};
+use crate::outage::{self, DomainStats, Edge, OutagePlan, Part};
 use crate::rack::McnRack;
 use crate::system::McnSystem;
 
@@ -174,36 +174,20 @@ impl Instrumented for Pipe {
 /// function of frame bytes, so the same flow always picks the same
 /// equal-cost path at any thread count.
 fn flow_hash(frame: &EthernetFrame) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    fn eat(h: u64, b: u8) -> u64 {
-        (h ^ b as u64).wrapping_mul(PRIME)
-    }
-    let mut h = OFFSET;
+    let mut key = Vec::with_capacity(13);
     match mcn_net::Ipv4Packet::decode(&frame.payload) {
         Ok(p) => {
-            for b in p.src.octets() {
-                h = eat(h, b);
-            }
-            for b in p.dst.octets() {
-                h = eat(h, b);
-            }
             let proto = p.proto.to_u8();
-            h = eat(h, proto);
+            key.extend(p.src.octets().into_iter().chain(p.dst.octets()));
+            key.push(proto);
             if proto == 6 || proto == 17 {
                 // TCP/UDP: the first four payload bytes are the ports.
-                for &b in p.payload.iter().take(4) {
-                    h = eat(h, b);
-                }
+                key.extend(p.payload.iter().take(4));
             }
         }
-        Err(_) => {
-            for &b in frame.src.0.iter().chain(frame.dst.0.iter()) {
-                h = eat(h, b);
-            }
-        }
+        Err(_) => key.extend(frame.src.0.iter().chain(frame.dst.0.iter())),
     }
-    h
+    fnv1a64(0, &key)
 }
 
 /// The destination rack a fabric frame is headed for (third octet of
@@ -694,19 +678,19 @@ impl Datacenter {
         Topology::assemble(shards, coord, quantum)
     }
 
-    /// Installs a hard-outage plan written in the [`outage`] grammar. A
-    /// datacenter honours `spine{j}` and `pod{p}.agg{a}` (the fabric
-    /// switch goes dark and ECMP re-hashes flows onto the survivors) and
-    /// `rack{r}` (every server of the rack reboots at once, through the
-    /// rack's own schedule), plus failure domains over these — e.g. a
+    /// Installs a hard-outage [plan](OutagePlan). A datacenter has
+    /// [`Part::Spine`] and [`Part::Agg`] (the fabric switch goes dark and
+    /// ECMP re-hashes flows onto the survivors) and [`Part::Rack`] (every
+    /// server of the rack reboots at once, through the rack's own
+    /// schedule), plus failure domains over these — e.g. a
     /// pod breaker felling both aggs and a rack — counted under
     /// `fabric.outage.domain.<name>.*`. Chaos inside one rack goes
     /// through [`McnRack::set_outage_plan`] on [`rack_mut`](Self::rack_mut).
     ///
     /// # Panics
     ///
-    /// Panics, naming it, on a component, kind or domain member this
-    /// datacenter cannot honour.
+    /// Panics, naming it, on a part or domain member this datacenter does
+    /// not have.
     pub fn set_outage_plan(&mut self, plan: &OutagePlan) {
         let clos = &self.coord.clos;
         let aggs =
@@ -863,7 +847,7 @@ impl Instrumented for Datacenter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcn_sim::{MetricsSnapshot, OutageKind};
+    use mcn_sim::MetricsSnapshot;
 
     fn mk(clos: &ClosConfig) -> Datacenter {
         Datacenter::new(&SystemConfig::default(), McnConfig::level(3), clos)
@@ -942,11 +926,7 @@ mod tests {
         let clos = ClosConfig::default();
         let mut dc = mk(&clos);
         let mut plan = OutagePlan::new(3);
-        plan.at(
-            &Part::Spine(0).to_string(),
-            SimTime::ZERO,
-            OutageKind::SwitchDown { down_for: SimTime::from_ms(50) },
-        );
+        plan.down(Part::Spine(0), SimTime::ZERO, SimTime::from_ms(50));
         dc.set_outage_plan(&plan);
         let dst_ip = McnSystem::nic_ip_in(2, 1);
         dc.server_mut(2, 1).host.stack.tcp_listen(9100).unwrap();
@@ -969,11 +949,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "names no component")]
+    #[should_panic(expected = "member 'spine9' names no component of this datacenter")]
     fn domain_with_unknown_member_panics_at_install() {
         let mut dc = mk(&ClosConfig::default());
         let mut plan = OutagePlan::new(5);
-        plan.define_domain("bogus", &["spine9"]);
+        plan.define_domain("bogus", &[Part::Spine(9)]);
         plan.domain_crash("bogus", SimTime::from_us(1), SimTime::from_us(1));
         dc.set_outage_plan(&plan);
     }

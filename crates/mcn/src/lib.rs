@@ -31,8 +31,10 @@
 //!   deterministic event loop,
 //! * [`EthernetCluster`] — the 10GbE scale-out baseline (N conventional
 //!   nodes, NICs, links, a switch) every figure compares against,
-//! * [`outage`] — the one component grammar every topology reads an
-//!   [`OutagePlan`](mcn_sim::OutagePlan) through.
+//! * [`outage`] — hard outages: an [`OutagePlan`](outage::OutagePlan)
+//!   takes [`Part`](outage::Part)s (DIMMs, uplinks, servers, switches,
+//!   racks) down on a seeded schedule, and every topology installs it
+//!   with `set_outage_plan`.
 //!
 //! ## Quick start
 //!

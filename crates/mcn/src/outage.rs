@@ -1,52 +1,58 @@
-//! The one outage grammar of the MCN topologies.
+//! Hard outages of the MCN topologies.
 //!
-//! An [`OutagePlan`] names components with free-form strings. Every
-//! topology of this crate — a standalone [`McnSystem`](crate::McnSystem),
-//! an [`McnRack`](crate::McnRack) and a [`Datacenter`](crate::Datacenter)
-//! — spells them with [`Part`]'s `Display` and reads them back with
-//! [`Part::parse`], so one name means the same part everywhere. A
-//! failure domain's members use the same names (any part but the
-//! `switch`, whose partition needs port groups), and the domain's own
-//! name takes [`OutageKind::DomainDown`]. Each topology lists the parts
-//! it honours, lets one installer expand a plan into time-stamped
-//! down/up edges, and maps each edge to its own command; a name, kind
-//! or domain it cannot honour panics at install time, naming it.
+//! Where [`FaultPlan`](mcn_sim::FaultPlan) models *transient* faults a
+//! component rolls for on its hot path, an [`OutagePlan`] takes a
+//! [`Part`] away at a known simulated time and brings it back later; the
+//! part implies what going away means. A failure domain groups parts
+//! that fail together. Every topology of this crate — a standalone
+//! [`McnSystem`](crate::McnSystem), an [`McnRack`](crate::McnRack) and a
+//! [`Datacenter`](crate::Datacenter) — lists the parts it has, lets one
+//! installer expand a plan into time-stamped down/up edges, and maps each
+//! edge to its own command; a part or domain member it does not have
+//! panics at install time, naming it.
 //!
-//! The spellings are part of the determinism contract:
-//! [`OutagePlan::random_crashes`] forks its stream from the component
-//! name, and the agg and spine names are registry paths.
+//! [`Part`]'s spellings are part of the determinism contract:
+//! [`OutagePlan::random_crashes`] forks its stream from them, and the agg
+//! and spine spellings are registry paths.
 //!
 //! ```
-//! use mcn::outage::Part;
+//! use mcn::outage::{Event, OutagePlan, Part};
+//! use mcn_sim::SimTime;
 //!
 //! assert_eq!(Part::Dimm(1, 0).to_string(), "server1.dimm0");
-//! assert_eq!(Part::parse("pod0.agg1"), Some(Part::Agg(0, 1)));
-//! assert_eq!(Part::parse("srv0.dimm0"), None);
+//! let (at, down_for) = (SimTime::from_ms(2), SimTime::from_ms(1));
+//! let mut plan = OutagePlan::new(42);
+//! plan.down(Part::Dimm(0, 0), at, down_for);
+//! assert_eq!(plan.schedule(Part::Dimm(0, 0)), vec![(at, Event::Down { down_for })]);
+//! assert!(plan.schedule(Part::Dimm(0, 1)).is_empty());
 //! ```
 
 use std::fmt;
 
 use mcn_sim::metrics::{Instrumented, MetricSink};
 use mcn_sim::stats::Counter;
-use mcn_sim::{OutageKind, OutagePlan, SimTime};
+use mcn_sim::{fnv1a64, DetRng, SimTime};
 
-/// A component an [`OutagePlan`] can name, with its spelling and the
-/// kind it takes.
+/// A component an [`OutagePlan`] can take down, with its spelling and
+/// what going down means for it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Part {
-    /// DIMM `.1` of server `.0`, `server{s}.dimm{d}`: [`OutageKind::DimmCrash`].
+    /// DIMM `.1` of server `.0`, `server{s}.dimm{d}`: it crashes, and the
+    /// host re-initialises it once power returns.
     Dimm(usize, usize),
-    /// Server `.0`'s ToR uplink, `server{s}.link`: [`OutageKind::LinkDown`].
+    /// Server `.0`'s ToR uplink, `server{s}.link`: it goes dark.
     Link(usize),
-    /// Server `.0` as a whole, `server{s}`: [`OutageKind::NodeReboot`].
+    /// Server `.0` as a whole, `server{s}`: it reboots (uplink dark,
+    /// every DIMM crashed).
     Node(usize),
-    /// The rack's top-of-rack switch, `switch`: [`OutageKind::SwitchPartition`].
+    /// The rack's top-of-rack switch, `switch`: it
+    /// [partitions](OutagePlan::partition) its ports.
     Switch,
-    /// Aggregation switch `.1` of pod `.0`, `pod{p}.agg{a}`: [`OutageKind::SwitchDown`].
+    /// Aggregation switch `.1` of pod `.0`, `pod{p}.agg{a}`: it goes dark.
     Agg(usize, usize),
-    /// Spine switch `.0`, `spine{j}`: [`OutageKind::SwitchDown`].
+    /// Spine switch `.0`, `spine{j}`: it goes dark.
     Spine(usize),
-    /// Every server of rack `.0` at once, `rack{r}`: [`OutageKind::NodeReboot`].
+    /// Every server of rack `.0` at once, `rack{r}`: they reboot.
     Rack(usize),
 }
 
@@ -64,37 +70,166 @@ impl fmt::Display for Part {
     }
 }
 
-impl Part {
-    /// The part `name` spells, or `None` when it is not exactly some
-    /// part's `Display` output.
-    pub fn parse(name: &str) -> Option<Part> {
-        let n = |s: &str| s.parse::<usize>().ok();
-        let part = if name == "switch" {
-            Part::Switch
-        } else if let Some(rest) = name.strip_prefix("server") {
-            match rest.split_once('.') {
-                None => Part::Node(n(rest)?),
-                Some((s, "link")) => Part::Link(n(s)?),
-                Some((s, d)) => Part::Dimm(n(s)?, n(d.strip_prefix("dimm")?)?),
-            }
-        } else if let Some(rest) = name.strip_prefix("pod") {
-            let (p, a) = rest.split_once(".agg")?;
-            Part::Agg(n(p)?, n(a)?)
-        } else if let Some(j) = name.strip_prefix("spine") {
-            Part::Spine(n(j)?)
-        } else {
-            Part::Rack(n(name.strip_prefix("rack")?)?)
+/// One event of a part's [schedule](OutagePlan::schedule).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Event {
+    /// The part goes down and comes back `down_for` later.
+    Down {
+        /// How long the part stays down.
+        down_for: SimTime,
+    },
+    /// The ToR switch splits its ports into isolated groups; forwarding
+    /// between groups drops until `heal_at`.
+    Partition {
+        /// Port groups; forwarding is allowed only within a group. A
+        /// port in no group counts as group 0.
+        groups: Vec<Vec<usize>>,
+        /// Absolute simulated time the partition heals.
+        heal_at: SimTime,
+    },
+}
+
+/// A named set of parts that fail together.
+#[derive(Debug, Clone)]
+struct Domain {
+    name: String,
+    members: Vec<Part>,
+    /// `(at, down_for)` per crash, in declaration order.
+    crashes: Vec<(SimTime, SimTime)>,
+}
+
+/// A seeded, declarative schedule of hard failures for a whole topology.
+///
+/// Declare events against [`Part`]s, group parts into failure domains
+/// with [`define_domain`](Self::define_domain), and hand the plan to the
+/// topology's `set_outage_plan`.
+#[derive(Debug, Clone, Default)]
+pub struct OutagePlan {
+    seed: u64,
+    /// `(part, at, event)` in declaration order.
+    events: Vec<(Part, SimTime, Event)>,
+    /// In declaration order; a redefinition keeps its place.
+    domains: Vec<Domain>,
+}
+
+impl OutagePlan {
+    /// An empty (inert) plan with the given seed.
+    pub fn new(seed: u64) -> Self {
+        OutagePlan {
+            seed,
+            ..OutagePlan::default()
+        }
+    }
+
+    /// Takes `part` down at absolute time `at`; it comes back `down_for`
+    /// later.
+    ///
+    /// # Panics
+    ///
+    /// Panics on [`Part::Switch`], which takes a
+    /// [`partition`](Self::partition) instead.
+    pub fn down(&mut self, part: Part, at: SimTime, down_for: SimTime) -> &mut Self {
+        assert!(part != Part::Switch, "the switch only partitions");
+        self.events.push((part, at, Event::Down { down_for }));
+        self
+    }
+
+    /// Partitions the ToR switch into port `groups` at `at` until
+    /// `heal_at` (an absolute time; never before `at`).
+    pub fn partition(
+        &mut self,
+        at: SimTime,
+        groups: Vec<Vec<usize>>,
+        heal_at: SimTime,
+    ) -> &mut Self {
+        let event = Event::Partition { groups, heal_at };
+        self.events.push((Part::Switch, at, event));
+        self
+    }
+
+    /// Takes `part` down `count` times at deterministic random times in
+    /// `window`, each for a random duration in `down`. Times and
+    /// durations come from a stream forked from the plan's seed by the
+    /// part's spelling, so schedules of different parts are independent
+    /// and replayable.
+    ///
+    /// # Panics
+    ///
+    /// Panics on [`Part::Switch`], as [`down`](Self::down) does.
+    pub fn random_crashes(
+        &mut self,
+        part: Part,
+        count: usize,
+        window: (SimTime, SimTime),
+        down: (SimTime, SimTime),
+    ) -> &mut Self {
+        let mut rng = DetRng::new(self.seed).fork(fnv1a64(0, part.to_string().as_bytes()));
+        for _ in 0..count {
+            let at = SimTime::from_ps(rng.range(window.0.as_ps(), window.1.as_ps()));
+            let down_for = SimTime::from_ps(rng.range(down.0.as_ps(), down.1.as_ps()));
+            self.down(part, at, down_for);
+        }
+        self
+    }
+
+    /// The events declared against `part` itself (not through a domain),
+    /// sorted by time; ties keep declaration order.
+    pub fn schedule(&self, part: Part) -> Vec<(SimTime, Event)> {
+        let mut events: Vec<_> = (self.events.iter())
+            .filter(|(p, ..)| *p == part)
+            .map(|(_, at, event)| (*at, event.clone()))
+            .collect();
+        events.sort_by_key(|(at, _)| *at);
+        events
+    }
+
+    /// Defines (or redefines, keeping its crashes) the failure domain
+    /// `name`: `members` fail together when the domain
+    /// [crashes](Self::domain_crash). A topology counts each domain's
+    /// crashes and heals under `outage.domain.<name>`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty membership and on a [`Part::Switch`] member,
+    /// which only partitions.
+    pub fn define_domain(&mut self, name: &str, members: &[Part]) -> &mut Self {
+        assert!(!members.is_empty(), "empty failure domain {name:?}");
+        assert!(
+            !members.contains(&Part::Switch),
+            "failure domain {name:?}: the switch only partitions"
+        );
+        let members = members.to_vec();
+        match self.domains.iter_mut().find(|d| d.name == name) {
+            Some(d) => d.members = members,
+            None => self.domains.push(Domain {
+                name: name.to_string(),
+                members,
+                crashes: Vec::new(),
+            }),
+        }
+        self
+    }
+
+    /// Crashes every member of domain `name` at `at`; all heal together
+    /// `down_for` later.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `name` was not [defined](Self::define_domain) first.
+    pub fn domain_crash(&mut self, name: &str, at: SimTime, down_for: SimTime) -> &mut Self {
+        let Some(domain) = self.domains.iter_mut().find(|d| d.name == name) else {
+            panic!("domain {name:?} not defined; call define_domain first");
         };
-        // Rejects non-canonical numbers (`server01`, `spine+1`).
-        (part.to_string() == name).then_some(part)
+        domain.crashes.push((at, down_for));
+        self
     }
 }
 
 /// One edge of an installed outage plan.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) enum Edge {
-    /// Failure domain `.0` (index into [`OutagePlan::domains`]) goes
-    /// down; its members' `Down` edges follow at the same instant.
+    /// Failure domain `.0` (in declaration order) goes down; its
+    /// members' `Down` edges follow at the same instant.
     DomainDown(usize),
     /// Failure domain `.0` comes back; its members' `Up` edges follow.
     DomainUp(usize),
@@ -124,103 +259,75 @@ impl Instrumented for DomainStats {
     }
 }
 
-/// Expands `plan` for a topology that honours exactly `parts`, listed
-/// in the topology's enumeration order. `scope` names the topology in
-/// panic messages; `domains` receives one [`DomainStats`] per domain not
-/// yet counted, or is `None` for a topology without failure domains.
+/// Expands `plan` for a topology that has exactly `parts`, in its
+/// enumeration order. `scope` names the topology in panic messages;
+/// `domains` receives one [`DomainStats`] per domain not yet counted, or
+/// is `None` for a topology without failure domains.
 ///
-/// Edges come back in insertion order, and the order matters because
-/// simultaneous edges apply first in, first out. Domains come first:
-/// per `DomainDown` event, the domain's down and up markers, then each
-/// member's down and up edge. The parts follow in `parts` order: per
-/// event, the down edge and then the up edge. A partition heals at
-/// `heal_at` (never before it starts); every other kind comes back
-/// `down_for` after it goes down.
+/// Simultaneous edges apply first in, first out, so the order is part of
+/// the results: domains first, each crash (by time) giving the domain's
+/// down and up markers and then each member's down and up edge; then each
+/// part's events in `parts` order, by time (ties in declaration order),
+/// each giving a down and an up edge. A partition heals at `heal_at`,
+/// never before it starts.
 ///
 /// # Panics
 ///
-/// Panics, naming the offender, on a component name that is not in
-/// `parts`, a kind its part cannot take, a domain member that is not in
-/// `parts` (or is the `switch`), an event other than `DomainDown` on a
-/// domain, and any domain when `domains` is `None`.
+/// Panics, naming the offender, on a part or a domain member that is not
+/// in `parts`, and on any domain when `domains` is `None`.
 pub(crate) fn expand(
     plan: &OutagePlan,
     scope: &str,
     parts: &[Part],
     domains: Option<&mut Vec<DomainStats>>,
 ) -> Vec<(SimTime, Edge)> {
-    let mut edges = Vec::new();
-    if let Some(dom) = plan.domains().first() {
-        assert!(
-            domains.is_some(),
-            "a {scope} has no failure domains: cannot install '{}'",
-            dom.name
-        );
+    if let (None, Some(dom)) = (&domains, plan.domains.first()) {
+        let name = &dom.name;
+        panic!("a {scope} has no failure domains: cannot install '{name}'");
     }
     if let Some(stats) = domains {
-        for dom in &plan.domains()[stats.len().min(plan.domains().len())..] {
+        for dom in plan.domains.iter().skip(stats.len()) {
             stats.push(DomainStats {
                 name: dom.name.clone(),
                 ..DomainStats::default()
             });
         }
     }
-    for (i, dom) in plan.domains().iter().enumerate() {
-        let members: Vec<Part> = dom
-            .members
-            .iter()
-            .map(|m| {
-                Part::parse(m)
-                    .filter(|p| *p != Part::Switch && parts.contains(p))
-                    .unwrap_or_else(|| {
-                        panic!(
-                            "failure domain '{}': member '{m}' names no component of this \
-                             {scope} that a domain can take down",
-                            dom.name
-                        )
-                    })
-            })
-            .collect();
-        for (t, kind) in plan.schedule(&dom.name) {
-            let OutageKind::DomainDown { down_for } = kind else {
-                panic!("failure domain '{}' cannot take {kind:?}", dom.name);
-            };
-            edges.push((t, Edge::DomainDown(i)));
-            edges.push((t + down_for, Edge::DomainUp(i)));
-            for &m in &members {
-                edges.push((t, Edge::Down(m)));
-                edges.push((t + down_for, Edge::Up(m)));
+    let position = |part: &Part| parts.iter().position(|p| p == part);
+    let mut edges = Vec::new();
+    for (i, dom) in plan.domains.iter().enumerate() {
+        if let Some(m) = dom.members.iter().find(|m| position(m).is_none()) {
+            let name = &dom.name;
+            panic!("failure domain '{name}': member '{m}' names no component of this {scope}");
+        }
+        let mut crashes = dom.crashes.clone();
+        crashes.sort_by_key(|&(at, _)| at);
+        for (at, down_for) in crashes {
+            edges.push((at, Edge::DomainDown(i)));
+            edges.push((at + down_for, Edge::DomainUp(i)));
+            for &m in &dom.members {
+                edges.push((at, Edge::Down(m)));
+                edges.push((at + down_for, Edge::Up(m)));
             }
         }
     }
-    let mut named: Vec<(usize, Part, &str)> = plan
-        .components()
-        .into_iter()
-        .filter(|name| plan.domain(name).is_none())
-        .map(|name| {
-            Part::parse(name)
-                .and_then(|p| Some((parts.iter().position(|q| *q == p)?, p, name)))
-                .unwrap_or_else(|| {
-                    panic!("outage component '{name}' names no component of this {scope}")
-                })
-        })
-        .collect();
-    named.sort_by_key(|&(i, ..)| i);
-    for (_, part, name) in named {
-        for (t, kind) in plan.schedule(name) {
-            match (part, kind) {
-                (Part::Switch, OutageKind::SwitchPartition { groups, heal_at }) => {
-                    edges.push((t, Edge::Partition(groups)));
-                    edges.push((heal_at.max(t), Edge::Up(part)));
-                }
-                (Part::Dimm(..), OutageKind::DimmCrash { down_for })
-                | (Part::Link(_), OutageKind::LinkDown { down_for })
-                | (Part::Node(_) | Part::Rack(_), OutageKind::NodeReboot { down_for })
-                | (Part::Agg(..) | Part::Spine(_), OutageKind::SwitchDown { down_for }) => {
-                    edges.push((t, Edge::Down(part)));
-                    edges.push((t + down_for, Edge::Up(part)));
-                }
-                (_, kind) => panic!("outage component '{name}' cannot take {kind:?}"),
+    let mut events = Vec::new();
+    for (part, at, event) in &plan.events {
+        let Some(i) = position(part) else {
+            panic!("outage part '{part}' names no component of this {scope}");
+        };
+        events.push((i, *at, *part, event));
+    }
+    events.sort_by_key(|&(i, at, ..)| (i, at));
+    for (_, at, part, event) in events {
+        match event {
+            Event::Down { down_for } => {
+                edges.push((at, Edge::Down(part)));
+                edges.push((at + *down_for, Edge::Up(part)));
+            }
+            Event::Partition { groups, heal_at } => {
+                edges.push((at, Edge::Partition(groups.clone())));
+                edges.push(((*heal_at).max(at), Edge::Up(part)));
             }
         }
     }
@@ -232,7 +339,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parsing_each_spelling_returns_its_part() {
+    fn each_part_has_its_spelling() {
         let cases = [
             (Part::Dimm(3, 7), "server3.dimm7"),
             (Part::Link(9), "server9.link"),
@@ -244,43 +351,136 @@ mod tests {
         ];
         for (part, name) in cases {
             assert_eq!(part.to_string(), name);
-            assert_eq!(Part::parse(name), Some(part), "{name}");
         }
-        for bad in [
-            "srv0.dimm0",
-            "server01",
-            "server0.dimm",
-            "server0.nic",
-            "pod0",
-            "spine+1",
-            "rack",
-            "",
-        ] {
-            assert_eq!(Part::parse(bad), None, "{bad:?}");
-        }
+    }
+
+    #[test]
+    fn schedules_are_time_sorted() {
+        let us = SimTime::from_us;
+        let mut plan = OutagePlan::new(1);
+        plan.down(Part::Link(0), us(10), us(1));
+        plan.down(Part::Link(0), us(5), us(2));
+        plan.down(Part::Link(0), us(10), us(3));
+        let down = |down_for| Event::Down { down_for };
+        assert_eq!(
+            plan.schedule(Part::Link(0)),
+            vec![
+                (us(5), down(us(2))),
+                (us(10), down(us(1))),
+                (us(10), down(us(3)))
+            ],
+            "by time, ties in declaration order"
+        );
+    }
+
+    #[test]
+    fn random_schedules_replay_and_are_independent() {
+        let ms = SimTime::from_ms;
+        let (a, b) = (Part::Dimm(0, 0), Part::Dimm(0, 1));
+        let mk = |seed| {
+            let mut plan = OutagePlan::new(seed);
+            let (window, down) = ((ms(1), ms(10)), (SimTime::from_us(100), ms(1)));
+            plan.random_crashes(a, 3, window, down);
+            plan.random_crashes(b, 3, window, down);
+            plan
+        };
+        let p1 = mk(7);
+        assert_eq!(p1.schedule(a), mk(7).schedule(a), "same seed replays");
+        assert_ne!(
+            p1.schedule(a),
+            p1.schedule(b),
+            "parts draw independent streams"
+        );
+        assert_ne!(p1.schedule(a), mk(8).schedule(a), "seed changes schedule");
+        assert_eq!(p1.schedule(a).len(), 3);
+    }
+
+    #[test]
+    fn random_crashes_fork_their_stream_from_the_spelling() {
+        let ms = SimTime::from_ms;
+        // The draws of the chaos snapshot's `server1.dimm0` at its seed.
+        let mut plan = OutagePlan::new(0x5EED_CAFE);
+        plan.random_crashes(Part::Dimm(1, 0), 2, (ms(1), ms(80)), (ms(5), ms(20)));
+        let ps = SimTime::from_ps;
+        let down = |down_for| Event::Down { down_for };
+        assert_eq!(
+            plan.schedule(Part::Dimm(1, 0)),
+            vec![
+                (ps(9_844_325_482), down(ps(15_679_040_204))),
+                (ps(51_564_608_993), down(ps(14_042_858_981))),
+            ]
+        );
+    }
+
+    #[test]
+    fn inert_plan_has_empty_schedules() {
+        let plan = OutagePlan::new(9);
+        assert!(plan.schedule(Part::Switch).is_empty());
+        assert!(expand(&plan, "test", &[], None).is_empty());
+        assert!(expand(&plan, "test", &[Part::Node(0)], Some(&mut Vec::new())).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "the switch only partitions")]
+    fn down_on_the_switch_panics() {
+        let ms = SimTime::from_ms;
+        OutagePlan::new(1).down(Part::Switch, ms(1), ms(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "failure domain \"tor\": the switch only partitions")]
+    fn a_switch_in_a_domain_panics_at_declaration() {
+        OutagePlan::new(1).define_domain("tor", &[Part::Node(0), Part::Switch]);
+    }
+
+    #[test]
+    fn domain_events_schedule_against_the_domain_name() {
+        let ms = SimTime::from_ms;
+        let mut plan = OutagePlan::new(3);
+        plan.define_domain("rack.pdu0", &[Part::Node(0), Part::Node(1)]);
+        plan.domain_crash("rack.pdu0", ms(1), ms(2));
+        // Members have no events of their own: installing expands the
+        // membership.
+        assert!(plan.schedule(Part::Node(0)).is_empty());
+        // Redefinition replaces the membership in place; the crash stays.
+        plan.define_domain("rack.pdu0", &[Part::Node(1)]);
+        let mut stats = Vec::new();
+        let parts = [Part::Node(0), Part::Node(1)];
+        assert_eq!(
+            expand(&plan, "test", &parts, Some(&mut stats)),
+            vec![
+                (ms(1), Edge::DomainDown(0)),
+                (ms(3), Edge::DomainUp(0)),
+                (ms(1), Edge::Down(Part::Node(1))),
+                (ms(3), Edge::Up(Part::Node(1))),
+            ]
+        );
+        assert_eq!(stats.len(), 1);
+        assert_eq!(stats[0].name, "rack.pdu0");
+    }
+
+    #[test]
+    #[should_panic(expected = "not defined")]
+    fn domain_crash_requires_definition() {
+        let ms = SimTime::from_ms;
+        OutagePlan::new(1).domain_crash("ghost", ms(1), ms(1));
     }
 
     #[test]
     fn edges_keep_domains_first_then_parts_in_enumeration_order() {
         let ms = SimTime::from_ms;
         let mut plan = OutagePlan::new(1);
-        plan.at(
-            &Part::Node(0).to_string(),
-            ms(5),
-            OutageKind::NodeReboot { down_for: ms(1) },
-        );
-        plan.at(
-            &Part::Dimm(1, 0).to_string(),
-            ms(5),
-            OutageKind::DimmCrash { down_for: ms(2) },
-        );
-        plan.define_domain("d", &[&Part::Link(1).to_string()]);
+        plan.down(Part::Node(0), ms(5), ms(1));
+        plan.down(Part::Dimm(1, 0), ms(5), ms(2));
+        plan.partition(ms(6), vec![vec![0], vec![1]], ms(4));
+        plan.define_domain("d", &[Part::Link(1)]);
         plan.domain_crash("d", ms(5), ms(3));
         let parts = [
             Part::Dimm(0, 0),
             Part::Node(0),
             Part::Dimm(1, 0),
             Part::Link(1),
+            Part::Switch,
         ];
         let mut stats = Vec::new();
         let edges = expand(&plan, "test", &parts, Some(&mut stats));
@@ -295,6 +495,8 @@ mod tests {
                 (ms(6), Edge::Up(Part::Node(0))),
                 (ms(5), Edge::Down(Part::Dimm(1, 0))),
                 (ms(7), Edge::Up(Part::Dimm(1, 0))),
+                (ms(6), Edge::Partition(vec![vec![0], vec![1]])),
+                (ms(6), Edge::Up(Part::Switch)),
             ]
         );
         assert_eq!(stats.len(), 1);
@@ -303,24 +505,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "'server0.dimm0' cannot take LinkDown")]
-    fn a_kind_the_part_cannot_take_panics() {
-        let mut plan = OutagePlan::new(1);
-        plan.at(
-            &Part::Dimm(0, 0).to_string(),
-            SimTime::ZERO,
-            OutageKind::LinkDown {
-                down_for: SimTime::from_us(1),
-            },
-        );
-        expand(&plan, "test", &[Part::Dimm(0, 0)], None);
-    }
-
-    #[test]
     #[should_panic(expected = "cannot install 'riser'")]
     fn a_domain_where_none_exist_panics() {
         let mut plan = OutagePlan::new(1);
-        plan.define_domain("riser", &[&Part::Dimm(0, 0).to_string()]);
+        plan.define_domain("riser", &[Part::Dimm(0, 0)]);
         expand(&plan, "test", &[Part::Dimm(0, 0)], None);
     }
 }

@@ -44,13 +44,13 @@ use mcn_node::{MemorySystem, ProcId, Process};
 use mcn_sim::metrics::{Instrumented, MetricSink};
 use mcn_sim::stats::Counter;
 use mcn_sim::{
-    Component, ComponentExt, EngineStats, EventQueue, Fabric, FaultPlan, OutagePlan, Quantum,
-    Shard, SimTime, StallReport,
+    Component, ComponentExt, EngineStats, EventQueue, Fabric, FaultPlan, Quantum, Shard, SimTime,
+    StallReport,
 };
 
 use crate::block::{BlockCmd, Endpoint, EndpointBlock, Topology};
 use crate::config::{McnConfig, SystemConfig};
-use crate::outage::{self, DomainStats, Edge, Part};
+use crate::outage::{self, DomainStats, Edge, OutagePlan, Part};
 use crate::system::McnSystem;
 
 /// Rack-layer outage statistics.
@@ -152,7 +152,7 @@ impl Endpoint for McnEndpoint {
         // F4 frames → NIC transmit, addressed to the owning server (or
         // to the datacenter gateway when the owner lives in another
         // rack and a fabric exists to carry the frame there).
-        for mut frame in self.sys.take_external() {
+        for mut frame in std::mem::take(&mut self.sys.external_out) {
             changed = true;
             let Some(dst_ip) = mcn_net::Ipv4Packet::decode(&frame.payload)
                 .ok()
@@ -481,13 +481,13 @@ impl McnRack {
         Topology::switched(sys, endpoints, rack_id, dc)
     }
 
-    /// Installs a hard-outage plan written in the [`outage`] grammar. A
-    /// rack honours `server{s}.dimm{d}` (the host↔DIMM re-init handshake
-    /// heals a crashed DIMM), `server{s}.link` (the ToR uplink is
-    /// severed), `server{s}` (uplink down and every DIMM crashed) and
-    /// `switch` (servers reach only their own partition group until
-    /// `heal_at`; a server in no group counts as group 0), plus failure
-    /// domains over all of these but `switch`.
+    /// Installs a hard-outage [plan](OutagePlan). A rack has
+    /// [`Part::Dimm`] (the host↔DIMM re-init handshake heals a crashed
+    /// DIMM), [`Part::Link`] (the ToR uplink is severed), [`Part::Node`]
+    /// (uplink down and every DIMM crashed) and [`Part::Switch`] (servers
+    /// reach only their own partition group until `heal_at`; a server in
+    /// no group counts as group 0), plus failure domains over all of
+    /// these but the switch.
     ///
     /// Edges land at window boundaries on the coordinator, so a domain
     /// flips atomically and deterministically at any thread count.
@@ -496,8 +496,8 @@ impl McnRack {
     ///
     /// # Panics
     ///
-    /// Panics, naming it, on a component, kind or domain member this
-    /// rack cannot honour.
+    /// Panics, naming it, on a part or domain member this rack does not
+    /// have.
     pub fn set_outage_plan(&mut self, plan: &OutagePlan) {
         let mut parts = Vec::new();
         for (s, b) in self.shards.iter().enumerate() {
@@ -666,7 +666,7 @@ mod tests {
     use crate::dimm::{McnDimm, F4_FALLBACK_MAC};
     use bytes::Bytes;
     use mcn_net::MacAddr;
-    use mcn_sim::{ComponentExt, OutageKind};
+    use mcn_sim::ComponentExt;
     use std::collections::HashSet;
 
     fn mk(servers: usize, dimms: usize, level: u32) -> McnRack {
@@ -853,14 +853,7 @@ mod tests {
     fn partition_blocks_cross_group_traffic_until_heal() {
         let mut rack = mk(2, 1, 1);
         let mut plan = OutagePlan::new(1);
-        plan.at(
-            &Part::Switch.to_string(),
-            SimTime::ZERO,
-            OutageKind::SwitchPartition {
-                groups: vec![vec![0], vec![1]],
-                heal_at: SimTime::from_ms(1),
-            },
-        );
+        plan.partition(SimTime::ZERO, vec![vec![0], vec![1]], SimTime::from_ms(1));
         rack.set_outage_plan(&plan);
         let dst_ip = rack.server(1).dimm_ip(0);
         let u0 = rack
@@ -916,13 +909,7 @@ mod tests {
     fn scheduled_node_reboot_heals_itself() {
         let mut rack = mk(2, 1, 1);
         let mut plan = OutagePlan::new(11);
-        plan.at(
-            &Part::Node(1).to_string(),
-            SimTime::from_us(100),
-            OutageKind::NodeReboot {
-                down_for: SimTime::from_us(300),
-            },
-        );
+        plan.down(Part::Node(1), SimTime::from_us(100), SimTime::from_us(300));
         rack.set_outage_plan(&plan);
         rack.run_until(SimTime::from_us(200));
         assert!(!rack.server(1).dimm(0).alive(), "node down at 100us");
@@ -936,12 +923,8 @@ mod tests {
     fn domain_crash_fells_and_heals_all_members_atomically() {
         let mut rack = mk(2, 2, 1);
         let mut plan = OutagePlan::new(7);
-        plan.define_domain("riser0", &[&Part::Dimm(0, 0).to_string(), &Part::Dimm(0, 1).to_string()]);
-        plan.domain_crash(
-            "riser0",
-            SimTime::from_us(100),
-            SimTime::from_us(300),
-        );
+        plan.define_domain("riser0", &[Part::Dimm(0, 0), Part::Dimm(0, 1)]);
+        plan.domain_crash("riser0", SimTime::from_us(100), SimTime::from_us(300));
         rack.set_outage_plan(&plan);
         rack.run_until(SimTime::from_us(200));
         // Both members fell at the same boundary; the other server's
@@ -962,53 +945,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "names no component")]
+    #[should_panic(expected = "member 'server9.dimm0' names no component of this rack")]
     fn domain_with_unknown_member_panics_at_install() {
         let mut rack = mk(2, 1, 1);
         let mut plan = OutagePlan::new(7);
-        plan.define_domain("bogus", &["server9.dimm0"]);
+        plan.define_domain("bogus", &[Part::Dimm(9, 0)]);
         plan.domain_crash("bogus", SimTime::from_us(1), SimTime::from_us(1));
         rack.set_outage_plan(&plan);
-    }
-
-    /// Installs a one-event plan on a 2x1 rack.
-    fn install(component: &str, kind: OutageKind) {
-        let mut plan = OutagePlan::new(7);
-        plan.at(component, SimTime::from_us(1), kind);
-        mk(2, 1, 1).set_outage_plan(&plan);
-    }
-
-    #[test]
-    #[should_panic(expected = "'srv0.dimm0' names no component of this rack")]
-    fn the_old_server_spelling_panics_at_install() {
-        install(
-            "srv0.dimm0",
-            OutageKind::DimmCrash {
-                down_for: SimTime::from_us(1),
-            },
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "'server0.dimm0' cannot take LinkDown")]
-    fn a_link_outage_on_a_dimm_panics_at_install() {
-        install(
-            "server0.dimm0",
-            OutageKind::LinkDown {
-                down_for: SimTime::from_us(1),
-            },
-        );
     }
 
     #[test]
     #[should_panic(expected = "'spine0' names no component of this rack")]
     fn a_datacenter_part_on_a_rack_panics_at_install() {
-        install(
-            "spine0",
-            OutageKind::SwitchDown {
-                down_for: SimTime::from_us(1),
-            },
-        );
+        let mut plan = OutagePlan::new(7);
+        plan.down(Part::Spine(0), SimTime::from_us(1), SimTime::from_us(1));
+        mk(2, 1, 1).set_outage_plan(&plan);
     }
 
     #[test]

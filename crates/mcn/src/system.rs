@@ -32,9 +32,7 @@ use mcn_node::nic::{rx_protocol_cost, tx_protocol_cost};
 use mcn_node::{CostModel, JobId, Node, ProcId, Process};
 use mcn_sim::fault::{FaultInjector, FaultKind, FaultPlan};
 use mcn_sim::metrics::{Instrumented, MetricSink};
-use mcn_sim::{
-    Activity, Component, Engine, EngineStats, EventQueue, OutagePlan, SimTime, StallReport,
-};
+use mcn_sim::{Activity, Component, Engine, EngineStats, EventQueue, SimTime, StallReport};
 
 use crate::config::{McnConfig, SystemConfig};
 use crate::dimm::{DimmSignal, McnDimm};
@@ -42,7 +40,7 @@ use crate::driver::{
     classify, sram_window, ForwardClass, HostDriver, HostOp, Port, PortLink, HOST_DRV_WAITER,
 };
 use crate::error::{McnError, McnSide};
-use crate::outage::{self, Edge, Part};
+use crate::outage::{self, Edge, OutagePlan, Part};
 use crate::sram::Dir;
 
 /// Watchdog retry budget before a stalled MCN-DMA transfer degrades to the
@@ -130,15 +128,16 @@ pub struct McnSystem {
     /// Interface index of the conventional NIC (rack servers only).
     nic_ifidx: Option<usize>,
     /// Host memory-job completions owned by devices outside this system
-    /// (the rack's NIC DMA); drained by the orchestrator.
-    pub foreign_jobs: Vec<(mcn_node::WaiterId, JobId)>,
+    /// (the rack's NIC DMA); drained by the rack.
+    pub(crate) foreign_jobs: Vec<(mcn_node::WaiterId, JobId)>,
     /// Received direct (stack-bypassing) messages on the host side:
     /// (arrival time, source DIMM, payload). Sec. VII future work.
     pub direct_rx: Vec<(SimTime, usize, bytes::Bytes)>,
-    /// Frames the forwarding engine classified F4 (external): destined for
-    /// the conventional NIC. A rack orchestrator drains these; a standalone
-    /// server counts them in `hdrv.stats.f4_external` and drops them here.
-    pub external_out: Vec<EthernetFrame>,
+    /// Frames bound for the conventional NIC, drained by the rack: host
+    /// stack output on the NIC interface and F4 (external) frames of the
+    /// forwarding engine. A standalone server has no NIC and drops F4
+    /// frames after counting them in `hdrv.stats.f4_external`.
+    pub(crate) external_out: Vec<EthernetFrame>,
     /// ALERT_N edge faults (drop/delay).
     alert_faults: FaultInjector,
     /// MCN-DMA descriptor faults (stall).
@@ -358,15 +357,14 @@ impl McnSystem {
         }
     }
 
-    /// Installs a hard-outage plan written in the [`outage`] grammar: a
-    /// server honours only its own DIMMs, `server{s}.dimm{d}` with `s`
-    /// its [`server_id`](Self::server_id), each crash becoming a timed
+    /// Installs a hard-outage [plan](OutagePlan): a server has only its
+    /// own DIMMs, [`Part::Dimm`]`(s, d)` with `s` its
+    /// [`server_id`](Self::server_id), each crash becoming a timed
     /// crash/power-on pair in the effect queue.
     ///
     /// # Panics
     ///
-    /// Panics, naming it, on any other component, on a kind other than
-    /// `DimmCrash`, and on any failure domain.
+    /// Panics, naming it, on any other part and on any failure domain.
     pub fn set_outage_plan(&mut self, plan: &OutagePlan) {
         let parts: Vec<Part> = (0..self.dimms.len())
             .map(|d| Part::Dimm(self.server_id, d))
@@ -908,7 +906,7 @@ impl McnSystem {
             match sig {
                 DimmSignal::TxPollRaised(at) => {
                     if self.cfg.alert_interrupt {
-                        if self.alert_faults.fires(FaultKind::Drop, t) {
+                        if self.alert_faults.fires(FaultKind::Drop) {
                             // Lost interrupt edge: nothing is scheduled;
                             // the fallback poller (armed iff alert faults
                             // are active) finds the pending ring data
@@ -917,7 +915,7 @@ impl McnSystem {
                             continue;
                         }
                         let mut latency = self.sys.alert_latency;
-                        if self.alert_faults.fires(FaultKind::Delay, t) {
+                        if self.alert_faults.fires(FaultKind::Delay) {
                             self.hdrv.stats.alerts_delayed.inc();
                             latency +=
                                 SimTime::from_us(1 + self.alert_faults.rng().next_below(4));
@@ -1184,10 +1182,7 @@ impl McnSystem {
     /// path; the watchdog re-enters with higher attempts, and once the
     /// retry budget is spent the transfer degrades to a CPU copy.
     fn issue_tx_copy(&mut self, port: usize, frame: EthernetFrame, now: SimTime, attempt: u32) {
-        if self.cfg.dma
-            && attempt < DMA_MAX_ATTEMPTS
-            && self.dma_faults.fires(FaultKind::Stall, now)
-        {
+        if self.cfg.dma && attempt < DMA_MAX_ATTEMPTS && self.dma_faults.fires(FaultKind::Stall) {
             self.hdrv.stats.dma_stalls.inc();
             let key = self.stall_seq;
             self.stall_seq += 1;
@@ -1313,10 +1308,7 @@ impl McnSystem {
     /// `rx_busy` must already be held), parking it behind the watchdog on
     /// a DMA stall — same retry/degrade policy as the transmit side.
     fn issue_rx_copy(&mut self, port: usize, now: SimTime, attempt: u32) {
-        if self.cfg.dma
-            && attempt < DMA_MAX_ATTEMPTS
-            && self.dma_faults.fires(FaultKind::Stall, now)
-        {
+        if self.cfg.dma && attempt < DMA_MAX_ATTEMPTS && self.dma_faults.fires(FaultKind::Stall) {
             self.hdrv.stats.dma_stalls.inc();
             let key = self.stall_seq;
             self.stall_seq += 1;
@@ -1410,12 +1402,12 @@ impl McnSystem {
                 // ECC-escaped bit flip landing in ring *data* bytes (the
                 // checksum-bypass exposure; the 4-byte length prefix is
                 // written by the ring itself and stays intact).
-                if self.sram_faults[d].fires(FaultKind::Drop, now) {
+                if self.sram_faults[d].fires(FaultKind::Drop) {
                     self.hdrv.stats.frames_dropped.inc();
                     return Ok(());
                 }
                 let mut encoded = frame.encode();
-                if self.sram_faults[d].fires(FaultKind::BitFlip, now) {
+                if self.sram_faults[d].fires(FaultKind::BitFlip) {
                     self.sram_faults[d].flip_bit(&mut encoded);
                     self.hdrv.stats.ecc_escapes.inc();
                 }
@@ -1476,10 +1468,11 @@ impl McnSystem {
                         }
                         ForwardClass::External => {
                             // F4: out the conventional NIC (paper
-                            // `dev_queue_xmit`). A rack orchestrator drains
-                            // `external_out`; standalone servers drop.
+                            // `dev_queue_xmit`), if the server has one.
                             self.hdrv.stats.f4_external.inc();
-                            self.external_out.push(frame);
+                            if self.nic_ifidx.is_some() {
+                                self.external_out.push(frame);
+                            }
                         }
                     }
                 }
@@ -1528,11 +1521,6 @@ impl McnSystem {
                 .schedule(now, Effect::HostDeliver { ifidx, frame: f });
         }
         self.advance(now);
-    }
-
-    /// Drains frames the forwarding engine sent to the conventional NIC.
-    pub fn take_external(&mut self) -> Vec<EthernetFrame> {
-        std::mem::take(&mut self.external_out)
     }
 
     fn deliver_to_host(
@@ -2042,15 +2030,12 @@ mod tests {
 
     #[test]
     fn outage_plan_schedules_crash_and_reboot() {
-        use mcn_sim::OutagePlan;
         let mut plan = OutagePlan::new(7);
-        // The rack's spelling: a standalone server is server 0.
-        plan.at(
-            "server0.dimm0",
+        // The rack's numbering: a standalone server is server 0.
+        plan.down(
+            Part::Dimm(0, 0),
             SimTime::from_us(50),
-            mcn_sim::OutageKind::DimmCrash {
-                down_for: SimTime::from_us(200),
-            },
+            SimTime::from_us(200),
         );
         let mut sys = mk(1, 1);
         sys.set_outage_plan(&plan);
@@ -2064,24 +2049,30 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "'srv0.dimm0' names no component of this server")]
-    fn outage_plan_rejects_names_outside_the_grammar() {
-        let mut plan = mcn_sim::OutagePlan::new(7);
-        plan.at(
-            "srv0.dimm0",
-            SimTime::from_us(50),
-            mcn_sim::OutageKind::DimmCrash {
-                down_for: SimTime::from_us(200),
-            },
+    fn a_standalone_server_counts_and_drops_f4_frames() {
+        let mut sys = mk(1, 1);
+        let sock = sys.dimm_mut(0).node.stack.udp_bind(7000).unwrap();
+        let outside = Ipv4Addr::new(8, 8, 8, 8);
+        for _ in 0..5 {
+            let payload = Bytes::from(vec![0xF4u8; 200]);
+            let stack = &mut sys.dimm_mut(0).node.stack;
+            stack
+                .udp_send(sock, outside, 53, payload, SimTime::ZERO)
+                .unwrap();
+        }
+        sys.run_until(SimTime::from_ms(1));
+        assert_eq!(sys.hdrv.stats.f4_external.get(), 5);
+        assert!(
+            sys.external_out.is_empty(),
+            "no NIC: nothing keeps the frames"
         );
-        mk(1, 1).set_outage_plan(&plan);
     }
 
     #[test]
     #[should_panic(expected = "a server has no failure domains: cannot install 'riser0'")]
     fn outage_plan_rejects_failure_domains() {
-        let mut plan = mcn_sim::OutagePlan::new(7);
-        plan.define_domain("riser0", &["server0.dimm0"]);
+        let mut plan = OutagePlan::new(7);
+        plan.define_domain("riser0", &[Part::Dimm(0, 0)]);
         mk(1, 1).set_outage_plan(&plan);
     }
 

@@ -129,17 +129,17 @@ impl Link {
     pub fn send(&mut self, frame: EthernetFrame, now: SimTime) {
         self.sent.inc();
         self.bytes.add(frame.wire_len() as u64);
-        if self.faults.fires(FaultKind::Drop, now) {
+        if self.faults.fires(FaultKind::Drop) {
             self.dropped.inc();
             return;
         }
-        let frame = if self.faults.fires(FaultKind::BitFlip, now) {
+        let frame = if self.faults.fires(FaultKind::BitFlip) {
             self.corrupted.inc();
             self.corrupt(frame)
         } else {
             frame
         };
-        let extra = if self.faults.fires(FaultKind::Delay, now) {
+        let extra = if self.faults.fires(FaultKind::Delay) {
             self.delayed.inc();
             // 1–8 µs of extra propagation, drawn from the fault stream.
             SimTime::from_us(1 + self.faults.rng().next_below(8))

@@ -55,10 +55,6 @@ impl NetConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SockId(pub usize);
 
-/// One row of [`NetStack::debug_conns`]: `(local port, remote port, state,
-/// cwnd, in_flight, snd_wnd, unsent, readable)`.
-pub type ConnDebug = (u16, u16, TcpState, u64, u32, u32, usize, usize);
-
 /// Activity notification for the owner of a socket; the node layer uses
 /// these to wake blocked processes. Spurious notifications are allowed —
 /// consumers re-check their condition.
@@ -315,11 +311,6 @@ impl NetStack {
     /// Sets the MAC used when no neighbor entry matches the next hop.
     pub fn set_fallback_neighbor(&mut self, mac: MacAddr) {
         self.fallback_neighbor = Some(mac);
-    }
-
-    /// The interface's configuration.
-    pub fn iface(&self, ifidx: usize) -> &NetConfig {
-        &self.ifaces[ifidx].cfg
     }
 
     fn is_local(&self, ip: Ipv4Addr) -> bool {
@@ -635,27 +626,6 @@ impl NetStack {
             }
         }
         total
-    }
-
-    /// Debug dump of every TCP connection:
-    /// `(local port, remote port, state, cwnd, in_flight, snd_wnd, unsent, readable)`.
-    pub fn debug_conns(&self) -> Vec<ConnDebug> {
-        self.sockets
-            .iter()
-            .filter_map(|s| match s {
-                Socket::Tcp { conn, .. } => Some((
-                    conn.local().1,
-                    conn.remote().1,
-                    conn.state(),
-                    conn.cwnd(),
-                    conn.in_flight(),
-                    conn.snd_wnd(),
-                    conn.unsent(),
-                    conn.readable(),
-                )),
-                _ => None,
-            })
-            .collect()
     }
 
     /// Per-connection statistics.

@@ -33,8 +33,7 @@ pub enum Wake {
     AnyPing,
     /// An absolute time.
     Timer(SimTime),
-    /// Completion of a memory job started via [`ProcCtx::mem_stream`] /
-    /// [`ProcCtx::mem_job`].
+    /// Completion of a memory job started via [`ProcCtx::mem_stream`].
     Job(JobId),
 }
 
@@ -108,11 +107,6 @@ impl ProcCtx<'_> {
             self.waiter,
             self.now,
         )
-    }
-
-    /// Starts an arbitrary memory job owned by this process.
-    pub fn mem_job(&mut self, spec: Transfer) -> JobId {
-        self.mem.start(spec, self.waiter, self.now)
     }
 
     /// `listen(2)` wrapper.

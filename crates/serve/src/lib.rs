@@ -18,7 +18,7 @@
 //!   map (with hedging off) it is a plain client of one server; over a
 //!   map whose [`placement`] puts each key range's replicas in distinct
 //!   correlated-outage domains, it rides a whole domain dying
-//!   ([`mcn_sim::outage`]'s `DomainDown`) out with failover rotation,
+//!   (`mcn::outage::OutagePlan::domain_crash`) out with failover rotation,
 //!   per-backend circuit breakers ([`CircuitBreaker`]), token-bucket
 //!   retry budgets ([`RetryBudget`]) and deterministic hedged GETs.
 //! * [`ServeReport`] — the shared measurement cell. Every request the

@@ -3,10 +3,10 @@
 //! A [`ReplicaMap`] spreads each key range across `R` backends placed in
 //! *distinct failure domains* (a domain is whatever crashes together: the
 //! DIMMs behind one server, one rack power feed — see
-//! [`mcn_sim::FailureDomain`]). A correlated outage then takes out at most
-//! one replica of any range, which is what lets the resilient client
-//! ([`crate::ResilientKvClient`]) answer every request across a mid-run
-//! domain crash.
+//! `mcn::outage::OutagePlan::define_domain`). A correlated outage then
+//! takes out at most one replica of any range, which is what lets the
+//! resilient client ([`crate::ResilientKvClient`]) answer every request
+//! across a mid-run domain crash.
 //!
 //! Placement is a pure function of the backend list and the range count —
 //! no RNG — so every client computes the identical map and the whole fleet
@@ -30,8 +30,9 @@ pub struct Backend {
     pub addr: Ipv4Addr,
     /// Server port.
     pub port: u16,
-    /// Failure-domain name (matches the domain defined on the
-    /// [`OutagePlan`](mcn_sim::OutagePlan) so chaos and placement agree).
+    /// Failure-domain name (matches the name given to
+    /// `mcn::outage::OutagePlan::define_domain`, so chaos and placement
+    /// agree).
     pub domain: String,
     /// Rack the backend lives in (0 for a single-rack deployment).
     pub rack: usize,

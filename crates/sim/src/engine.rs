@@ -174,7 +174,7 @@ pub trait ComponentExt: Component {
     /// `done` holds, returning `false` (instead of hanging or panicking)
     /// once the attempt budget is exhausted. The replacement for ad-hoc
     /// guard-counter loops in tests that wait for a condition under loss.
-    fn run_with_backoff<F>(&mut self, backoff: &mut crate::Backoff, mut done: F) -> bool
+    fn run_with_backoff<F>(&mut self, backoff: &mut Backoff, mut done: F) -> bool
     where
         F: FnMut(&mut Self) -> bool,
     {
@@ -218,6 +218,64 @@ pub trait ComponentExt: Component {
 }
 
 impl<C: Component + ?Sized> ComponentExt for C {}
+
+/// Bounded exponential retry/backoff: "try, wait a doubling delay, give up
+/// after N attempts". Tests drive systems through it (via
+/// [`ComponentExt::run_with_backoff`]) instead of hand-rolled
+/// guard-counter loops. The host driver's DIMM re-init handshake does not
+/// use it: `McnSystem` doubles its own probe interval per attempt.
+#[derive(Debug, Clone)]
+pub struct Backoff {
+    initial: SimTime,
+    max_delay: SimTime,
+    max_attempts: u32,
+    attempts: u32,
+}
+
+impl Backoff {
+    /// A policy starting at `initial`, doubling per attempt up to
+    /// `max_delay`, allowing at most `max_attempts` delays.
+    pub fn new(initial: SimTime, max_delay: SimTime, max_attempts: u32) -> Self {
+        Backoff {
+            initial,
+            max_delay,
+            max_attempts,
+            attempts: 0,
+        }
+    }
+
+    /// The delay before the next attempt, or `None` once the attempt budget
+    /// is exhausted. Each call consumes one attempt.
+    pub fn next_delay(&mut self) -> Option<SimTime> {
+        if self.attempts >= self.max_attempts {
+            return None;
+        }
+        let shift = self.attempts.min(20);
+        self.attempts += 1;
+        let delay = SimTime::from_ps(
+            self.initial
+                .as_ps()
+                .saturating_mul(1u64 << shift)
+                .min(self.max_delay.as_ps()),
+        );
+        Some(delay)
+    }
+
+    /// Attempts consumed so far.
+    pub fn attempts(&self) -> u32 {
+        self.attempts
+    }
+
+    /// Whether the attempt budget is exhausted.
+    pub fn exhausted(&self) -> bool {
+        self.attempts >= self.max_attempts
+    }
+
+    /// Resets the policy to attempt zero (e.g. after a success).
+    pub fn reset(&mut self) {
+        self.attempts = 0;
+    }
+}
 
 /// A per-component deadline index: one `(deadline, schedule stamp)`
 /// slot per component id, so setting a deadline is a slot write and the
@@ -863,5 +921,19 @@ mod tests {
         // Engine-less components report zeros, not a panic.
         assert_eq!(ticker(1).poll_accounting(), (0, 0));
         assert_eq!(ticker(1).engine_stats().rounds.get(), 0);
+    }
+
+    #[test]
+    fn backoff_doubles_caps_and_exhausts() {
+        let mut b = Backoff::new(SimTime::from_us(10), SimTime::from_us(35), 4);
+        assert_eq!(b.next_delay(), Some(SimTime::from_us(10)));
+        assert_eq!(b.next_delay(), Some(SimTime::from_us(20)));
+        assert_eq!(b.next_delay(), Some(SimTime::from_us(35)), "capped");
+        assert_eq!(b.next_delay(), Some(SimTime::from_us(35)));
+        assert_eq!(b.attempts(), 4);
+        assert!(b.exhausted());
+        assert_eq!(b.next_delay(), None);
+        b.reset();
+        assert_eq!(b.next_delay(), Some(SimTime::from_us(10)));
     }
 }

@@ -1,41 +1,38 @@
 //! Deterministic fault injection.
 //!
 //! A [`FaultPlan`] is a declarative description of every fault a run should
-//! experience: per-component *rates* (a Bernoulli probability rolled each
-//! time the component reaches an injection point) and *scheduled one-shot
-//! events* (a fault that fires the first time the component passes an
-//! injection point at or after a given simulated time). Components receive
-//! a [`FaultInjector`] handle carved out of the plan and query it on their
+//! experience: per-component *rates*, a Bernoulli probability rolled each
+//! time the component reaches an injection point. Components receive a
+//! [`FaultInjector`] handle carved out of the plan and query it on their
 //! hot paths.
 //!
 //! Everything is reproducible from the plan's single seed:
 //!
 //! * each component's random stream is derived as
-//!   `DetRng::new(seed).fork(hash(component))`, so streams are independent
-//!   of each other and of the order in which injectors are created, and
+//!   `DetRng::new(seed).fork(fnv1a64(0, component))`, so streams are
+//!   independent of each other and of the order in which injectors are
+//!   created, and
 //! * a rate of zero never consumes a draw ([`DetRng::chance`] short-cuts),
 //!   so an *inert* plan is behaviourally identical to no plan at all —
 //!   the determinism tests that compare instrumented and plain runs hold.
 //!
 //! ```
 //! use mcn_sim::fault::{FaultKind, FaultPlan};
-//! use mcn_sim::SimTime;
 //!
 //! let mut plan = FaultPlan::new(42);
 //! plan.rate("link.up0", FaultKind::Drop, 0.01);
-//! plan.at("alert", FaultKind::Drop, SimTime::from_us(5));
-//! let mut link = plan.injector("link.up0");
+//! plan.rate("alert", FaultKind::Drop, 1.0);
 //! let mut alert = plan.injector("alert");
-//! assert!(!alert.fires(FaultKind::Drop, SimTime::ZERO));
-//! assert!(alert.fires(FaultKind::Drop, SimTime::from_us(7))); // one-shot due
-//! assert!(!alert.fires(FaultKind::Drop, SimTime::from_us(7))); // consumed
-//! let _ = link.fires(FaultKind::Drop, SimTime::ZERO); // 1% roll
+//! assert!(alert.fires(FaultKind::Drop)); // a certain fault
+//! assert!(!alert.fires(FaultKind::Stall)); // no rate declared
+//! // Two injectors for one name replay the same 1% rolls.
+//! let (mut a, mut b) = (plan.injector("link.up0"), plan.injector("link.up0"));
+//! assert!((0..100).all(|_| a.fires(FaultKind::Drop) == b.fires(FaultKind::Drop)));
 //! ```
 
 use std::collections::HashMap;
-use std::collections::VecDeque;
 
-use crate::{DetRng, SimTime};
+use crate::{fnv1a64, DetRng};
 
 /// The kinds of faults a plan can inject. What each kind *means* is up to
 /// the component: a link interprets `Drop` as frame loss, an interrupt line
@@ -73,24 +70,13 @@ impl FaultKind {
 
 /// A seeded, declarative fault schedule for a whole system.
 ///
-/// Build one, declare rates and one-shot events against *component names*
-/// (free-form strings; system crates document the names they query), then
-/// hand each component an injector with [`injector`](Self::injector).
+/// Build one, declare rates against *component names* (free-form
+/// strings; system crates document the names they query), then hand each
+/// component an injector with [`injector`](Self::injector).
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     seed: u64,
     rates: HashMap<(String, FaultKind), f64>,
-    oneshots: HashMap<String, Vec<(SimTime, FaultKind)>>,
-}
-
-/// FNV-1a; stable component-name → fork-stream mapping.
-fn stream_of(name: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in name.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 impl FaultPlan {
@@ -99,7 +85,6 @@ impl FaultPlan {
         FaultPlan {
             seed,
             rates: HashMap::new(),
-            oneshots: HashMap::new(),
         }
     }
 
@@ -116,16 +101,6 @@ impl FaultPlan {
         self
     }
 
-    /// Schedules a one-shot `kind` fault: it fires the first time
-    /// `component` queries that kind at or after `at`.
-    pub fn at(&mut self, component: &str, kind: FaultKind, at: SimTime) -> &mut Self {
-        self.oneshots
-            .entry(component.to_string())
-            .or_default()
-            .push((at, kind));
-        self
-    }
-
     /// Carves out the injector for `component`. Calling twice with the same
     /// name yields injectors with identical streams (replay), and the
     /// stream does not depend on what other components exist.
@@ -136,29 +111,19 @@ impl FaultPlan {
                 rates[kind.idx()] = p;
             }
         }
-        let mut oneshots: [VecDeque<SimTime>; 4] = Default::default();
-        if let Some(evs) = self.oneshots.get(component) {
-            let mut evs = evs.clone();
-            evs.sort();
-            for (at, kind) in evs {
-                oneshots[kind.idx()].push_back(at);
-            }
-        }
         FaultInjector {
-            rng: DetRng::new(self.seed).fork(stream_of(component)),
+            rng: DetRng::new(self.seed).fork(fnv1a64(0, component.as_bytes())),
             rates,
-            oneshots,
         }
     }
 }
 
 /// A component's handle into a [`FaultPlan`]: owns the component's derived
-/// random stream and its slice of the schedule.
+/// random stream and its rates.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     rng: DetRng,
     rates: [f64; 4],
-    oneshots: [VecDeque<SimTime>; 4],
 }
 
 impl Default for FaultInjector {
@@ -174,27 +139,19 @@ impl FaultInjector {
         FaultInjector {
             rng: DetRng::new(0),
             rates: [0.0; 4],
-            oneshots: Default::default(),
         }
     }
 
-    /// `true` if this injector can ever fire (any nonzero rate or pending
-    /// one-shot). Systems use this to decide whether to arm recovery
-    /// machinery (e.g. a fallback poller) without perturbing fault-free
-    /// baselines.
+    /// `true` if this injector can ever fire (any nonzero rate). Systems
+    /// use this to decide whether to arm recovery machinery (e.g. a
+    /// fallback poller) without perturbing fault-free baselines.
     pub fn is_active(&self) -> bool {
-        self.rates.iter().any(|&p| p > 0.0) || self.oneshots.iter().any(|q| !q.is_empty())
+        self.rates.iter().any(|&p| p > 0.0)
     }
 
-    /// Should a `kind` fault fire at this injection point? Consumes at most
-    /// one due one-shot; otherwise rolls the declared rate. A zero rate
-    /// consumes no randomness.
-    pub fn fires(&mut self, kind: FaultKind, now: SimTime) -> bool {
-        let q = &mut self.oneshots[kind.idx()];
-        if q.front().is_some_and(|&at| at <= now) {
-            q.pop_front();
-            return true;
-        }
+    /// Should a `kind` fault fire at this injection point? Rolls the
+    /// declared rate; a zero rate consumes no randomness.
+    pub fn fires(&mut self, kind: FaultKind) -> bool {
         self.rng.chance(self.rates[kind.idx()])
     }
 
@@ -228,10 +185,7 @@ mod tests {
         let mut a = plan.injector("x");
         let mut b = plan.injector("x");
         for _ in 0..1000 {
-            assert_eq!(
-                a.fires(FaultKind::Drop, SimTime::ZERO),
-                b.fires(FaultKind::Drop, SimTime::ZERO)
-            );
+            assert_eq!(a.fires(FaultKind::Drop), b.fires(FaultKind::Drop));
         }
     }
 
@@ -241,12 +195,12 @@ mod tests {
         plan.rate("a", FaultKind::Drop, 0.5);
         plan.rate("b", FaultKind::Drop, 0.5);
         let mut a1 = plan.injector("a");
-        let seq_a1: Vec<bool> = (0..64).map(|_| a1.fires(FaultKind::Drop, SimTime::ZERO)).collect();
+        let seq_a1: Vec<bool> = (0..64).map(|_| a1.fires(FaultKind::Drop)).collect();
         // Recreate "a" *after* "b" — its stream must be unchanged.
         let mut b = plan.injector("b");
         let mut a2 = plan.injector("a");
-        let seq_b: Vec<bool> = (0..64).map(|_| b.fires(FaultKind::Drop, SimTime::ZERO)).collect();
-        let seq_a2: Vec<bool> = (0..64).map(|_| a2.fires(FaultKind::Drop, SimTime::ZERO)).collect();
+        let seq_b: Vec<bool> = (0..64).map(|_| b.fires(FaultKind::Drop)).collect();
+        let seq_a2: Vec<bool> = (0..64).map(|_| a2.fires(FaultKind::Drop)).collect();
         assert_eq!(seq_a1, seq_a2);
         assert_ne!(seq_a1, seq_b, "distinct components see distinct streams");
     }
@@ -257,28 +211,9 @@ mod tests {
         plan.rate("l", FaultKind::BitFlip, 0.25);
         let mut inj = plan.injector("l");
         let hits = (0..10_000)
-            .filter(|_| inj.fires(FaultKind::BitFlip, SimTime::ZERO))
+            .filter(|_| inj.fires(FaultKind::BitFlip))
             .count();
         assert!((2_200..2_800).contains(&hits), "hits {hits}");
-    }
-
-    #[test]
-    fn oneshots_fire_once_in_time_order() {
-        let mut plan = FaultPlan::new(1);
-        plan.at("c", FaultKind::Stall, SimTime::from_us(10));
-        plan.at("c", FaultKind::Stall, SimTime::from_us(5));
-        plan.at("c", FaultKind::Drop, SimTime::from_us(1));
-        let mut inj = plan.injector("c");
-        assert!(inj.is_active());
-        // Not due yet.
-        assert!(!inj.fires(FaultKind::Stall, SimTime::from_us(4)));
-        // Both stalls now due; consumed one query at a time.
-        assert!(inj.fires(FaultKind::Stall, SimTime::from_us(20)));
-        assert!(inj.fires(FaultKind::Stall, SimTime::from_us(20)));
-        assert!(!inj.fires(FaultKind::Stall, SimTime::from_us(20)));
-        // Kinds are independent queues.
-        assert!(inj.fires(FaultKind::Drop, SimTime::from_us(20)));
-        assert!(!inj.fires(FaultKind::Drop, SimTime::from_us(20)));
     }
 
     #[test]
@@ -288,7 +223,7 @@ mod tests {
         assert!(!inj.is_active());
         let before = inj.rng.clone().next_u64();
         for _ in 0..100 {
-            assert!(!inj.fires(FaultKind::Drop, SimTime::from_ms(1)));
+            assert!(!inj.fires(FaultKind::Drop));
         }
         assert_eq!(inj.rng.next_u64(), before, "zero rates must not draw");
     }

@@ -41,16 +41,14 @@ pub mod diag;
 pub mod engine;
 pub mod fault;
 pub mod metrics;
-pub mod outage;
 pub mod shard;
 pub mod stats;
 
 pub use diag::StallReport;
-pub use engine::{Activity, Component, ComponentExt, Engine, EngineStats, WakeupIndex};
+pub use engine::{Activity, Backoff, Component, ComponentExt, Engine, EngineStats, WakeupIndex};
 pub use fault::{FaultInjector, FaultKind, FaultPlan};
 pub use metrics::{Instrumented, MetricSink, MetricValue, MetricsSnapshot};
-pub use outage::{Backoff, FailureDomain, OutageKind, OutagePlan};
 pub use shard::{Fabric, Outbox, ParallelEngine, Quantum, RunGoal, RunReport, Shard, ShardStats};
 pub use queue::EventQueue;
-pub use rng::DetRng;
+pub use rng::{fnv1a64, DetRng};
 pub use time::SimTime;

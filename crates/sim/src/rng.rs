@@ -145,6 +145,24 @@ impl DetRng {
     }
 }
 
+/// FNV-1a over `bytes`, folded into `state` (`0` starts from the offset
+/// basis). The one stable name → number map of the workspace: fault and
+/// outage plans fork their streams from a component's name with it, the
+/// sweep derives cell seeds and marker hashes, and the datacenter picks
+/// ECMP paths by flow. Stable across platforms and releases.
+pub fn fnv1a64(state: u64, bytes: &[u8]) -> u64 {
+    let mut h = if state == 0 {
+        0xcbf2_9ce4_8422_2325
+    } else {
+        state
+    };
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

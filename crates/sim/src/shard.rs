@@ -301,8 +301,8 @@ pub trait Shard: Send {
 }
 
 /// The coordinator-side boundary logic: scheduled control events (e.g.
-/// an [`OutagePlan`](crate::outage::OutagePlan)) and frame routing
-/// between shards (e.g. the ToR switch). Runs only at barriers, on the
+/// the down and up edges of an `mcn::outage::OutagePlan`) and frame
+/// routing between shards (e.g. the ToR switch). Runs only at barriers, on the
 /// coordinator thread, in deterministic merged order — which is what
 /// keeps stateful boundary components (a learning switch, a partition
 /// filter) byte-identical across thread counts.

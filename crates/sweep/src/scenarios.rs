@@ -23,10 +23,10 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use mcn::ClosConfig;
-use mcn::outage::Part;
+use mcn::outage::{OutagePlan, Part};
 use mcn::{
-    ComponentExt, Datacenter, EthernetCluster, McnConfig, McnRack, McnSystem, SystemConfig,
+    ClosConfig, ComponentExt, Datacenter, EthernetCluster, McnConfig, McnRack, McnSystem,
+    SystemConfig,
 };
 use mcn_energy::{efficiency, EnergyReport, PowerParams};
 use mcn_mpi::placement::{spawn_on_cluster, spawn_on_mcn};
@@ -38,7 +38,7 @@ use mcn_serve::{
     ServeReport,
 };
 use mcn_sim::fault::{FaultKind, FaultPlan};
-use mcn_sim::{MetricSink, MetricsSnapshot, OutageKind, OutagePlan, SimTime};
+use mcn_sim::{MetricSink, MetricsSnapshot, SimTime};
 
 use crate::spec::{Cell, FaultAxis, Scale, Topology, Workload};
 
@@ -122,32 +122,17 @@ pub fn kv_rack_workload(p: &KvRackParams) -> (McnRack, KvReport) {
 
     if let Some(chaos) = p.chaos {
         let mut plan = OutagePlan::new(0xD0);
-        plan.define_domain(
-            &riser(0),
-            &[
-                &Part::Dimm(0, 0).to_string(),
-                &Part::Dimm(0, 1).to_string(),
-            ],
-        );
-        plan.define_domain(
-            &riser(1),
-            &[
-                &Part::Dimm(1, 0).to_string(),
-                &Part::Dimm(1, 1).to_string(),
-            ],
-        );
+        for s in 0..SERVERS {
+            plan.define_domain(&riser(s), &[Part::Dimm(s, 0), Part::Dimm(s, 1)]);
+        }
         match chaos {
             KvRackChaos::DomainCrash { at, down_for } => {
                 report.lock().set_fault_window(at, at + down_for);
-                plan.at(&riser(0), at, OutageKind::DomainDown { down_for });
+                plan.domain_crash(&riser(0), at, down_for);
             }
             KvRackChaos::ReplicaCrash { at, down_for } => {
                 report.lock().set_fault_window(at, at + down_for);
-                plan.at(
-                    &Part::Dimm(0, 0).to_string(),
-                    at,
-                    OutageKind::DimmCrash { down_for },
-                );
+                plan.down(Part::Dimm(0, 0), at, down_for);
             }
         }
         rack.set_outage_plan(&plan);
@@ -245,11 +230,7 @@ pub fn kv_dc_workload(p: &KvDcParams) -> (Datacenter, KvReport, KvReport) {
     let cross = ServeReport::shared(p.slo);
     if let Some((at, down_for)) = p.spine_outage {
         let mut plan = OutagePlan::new(0xDCB);
-        plan.at(
-            &Part::Spine(0).to_string(),
-            at,
-            OutageKind::SwitchDown { down_for },
-        );
+        plan.down(Part::Spine(0), at, down_for);
         dc.set_outage_plan(&plan);
         cross.lock().set_fault_window(at, at + down_for);
     }
@@ -305,14 +286,7 @@ pub fn rack_iperf_workload(
     let mut rack = McnRack::new(&SystemConfig::default(), 2, 2, McnConfig::level(level));
     if let Some((at, heal_at)) = partition {
         let mut plan = OutagePlan::new(0xAB);
-        plan.at(
-            &Part::Switch.to_string(),
-            at,
-            OutageKind::SwitchPartition {
-                groups: vec![vec![0], vec![1]],
-                heal_at,
-            },
-        );
+        plan.partition(at, vec![vec![0], vec![1]], heal_at);
         rack.set_outage_plan(&plan);
     }
     let srv0 = IperfReport::shared();

@@ -14,23 +14,12 @@
 
 use std::fmt;
 
-use mcn_sim::SimTime;
+use mcn_sim::{fnv1a64, SimTime};
 
 /// Bumped whenever the per-cell metric layout changes incompatibly;
 /// part of every config hash, so old done-markers are re-run rather
 /// than merged.
 pub const FORMAT_VERSION: u32 = 1;
-
-/// FNV-1a over `bytes`, folded into `state` (used for per-cell seeds
-/// and config hashes; stable across platforms and releases).
-pub fn fnv1a64(state: u64, bytes: &[u8]) -> u64 {
-    let mut h = if state == 0 { 0xcbf2_9ce4_8422_2325 } else { state };
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// The workload axis. The parsed axis values are `iperf`, `ping`,
 /// `pingmm`, `allreduce` and `kv`; the other parameter values are

@@ -14,13 +14,13 @@
 //! full [`MetricsSnapshot`] of the system (plus the iperf report under
 //! `iperf_server.*`) is emitted instead of the human-readable summary.
 
+use mcn::outage::{OutagePlan, Part};
 use mcn::{
-    outage::Part, ComponentExt, Instrumented, McnConfig, McnSystem, MetricSink, MetricsSnapshot,
-    SystemConfig,
+    ComponentExt, Instrumented, McnConfig, McnSystem, MetricSink, MetricsSnapshot, SystemConfig,
 };
 use mcn_mpi::{IperfClient, IperfReport, IperfServer};
 use mcn_sim::fault::{FaultKind, FaultPlan};
-use mcn_sim::{OutageKind, OutagePlan, SimTime};
+use mcn_sim::SimTime;
 
 const BYTES: u64 = 1 << 20;
 
@@ -63,13 +63,7 @@ fn main() {
     let mut sys = McnSystem::with_faults(&SystemConfig::default(), 1, cfg, &plan);
     if outage {
         let mut oplan = OutagePlan::new(seed);
-        oplan.at(
-            &Part::Dimm(0, 0).to_string(),
-            SimTime::from_ms(1),
-            OutageKind::DimmCrash {
-                down_for: SimTime::from_ms(5),
-            },
-        );
+        oplan.down(Part::Dimm(0, 0), SimTime::from_ms(1), SimTime::from_ms(5));
         sys.set_outage_plan(&oplan);
     }
     let srv = IperfReport::shared();

@@ -23,14 +23,13 @@
 //!
 //! Run with: `cargo run --release --example serving`
 
-use mcn::{
-    outage::Part, ComponentExt, McnConfig, McnRack, McnSystem, MetricsSnapshot, SystemConfig,
-};
+use mcn::outage::{OutagePlan, Part};
+use mcn::{ComponentExt, McnConfig, McnRack, McnSystem, MetricsSnapshot, SystemConfig};
 use mcn_serve::{
     Backend, KvServer, KvServerConfig, ReplicaMap, ResilientClientConfig, ResilientKvClient,
     ServeReport,
 };
-use mcn_sim::{OutageKind, OutagePlan, SimTime};
+use mcn_sim::SimTime;
 
 type Report = std::sync::Arc<parking_lot::Mutex<ServeReport>>;
 
@@ -128,21 +127,9 @@ fn main() {
     let mut rack = McnRack::new(&SystemConfig::default(), 2, 2, McnConfig::level(3));
     let mut plan = OutagePlan::new(0xACE);
     for s in 0..2 {
-        plan.define_domain(
-            &format!("riser{s}"),
-            &[
-                &Part::Dimm(s, 0).to_string(),
-                &Part::Dimm(s, 1).to_string(),
-            ],
-        );
+        plan.define_domain(&format!("riser{s}"), &[Part::Dimm(s, 0), Part::Dimm(s, 1)]);
     }
-    plan.at(
-        "riser0",
-        SimTime::from_ms(2),
-        OutageKind::DomainDown {
-            down_for: SimTime::from_ms(5),
-        },
-    );
+    plan.domain_crash("riser0", SimTime::from_ms(2), SimTime::from_ms(5));
     rack.set_outage_plan(&plan);
 
     let mut backends = Vec::new();

@@ -1,4 +1,7 @@
-//! Facade crate: re-exports the MCN reproduction workspace crates.
+//! Facade crate: re-exports the MCN reproduction workspace crates. The
+//! README below is its documentation, so `cargo test` compiles and runs
+//! every Rust snippet in it.
+#![doc = include_str!("../README.md")]
 #![forbid(unsafe_code)]
 pub use mcn;
 pub use mcn_dram as dram;

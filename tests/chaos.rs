@@ -18,15 +18,14 @@
 //!   rack; `chaos_smoke_snapshot` prints them as `SNAP|`-prefixed lines so
 //!   CI can diff two invocations).
 
-use mcn::{
-    outage::Part, ComponentExt, McnConfig, McnRack, McnSystem, MetricsSnapshot, SystemConfig,
-};
+use mcn::outage::{Event, OutagePlan, Part};
+use mcn::{ComponentExt, McnConfig, McnRack, McnSystem, MetricsSnapshot, SystemConfig};
 use mcn_mpi::mpi::MpiRank;
 use mcn_mpi::placement::{spawn_on_mcn, MPI_BASE_PORT};
 use mcn_mpi::workloads::{RankProgram, WorkloadReport};
 use mcn_mpi::{CommPattern, MpiError, WorkloadSpec};
 use mcn_net::tcp::{TcpError, TcpState};
-use mcn_sim::{Backoff, OutageKind, OutagePlan, SimTime};
+use mcn_sim::{Backoff, SimTime};
 
 /// Fixed per-slice pacing: a [`Backoff`] whose delay never grows.
 fn pace(slice: SimTime, attempts: u32) -> Backoff {
@@ -40,12 +39,10 @@ fn dimm_crash_and_reboot_keeps_tcp_byte_complete() {
     // probe → ring-reset → MAC-announce handshake and TCP retransmission
     // repairs the stream. The application sees a hiccup, not data loss.
     let mut plan = OutagePlan::new(0xD1);
-    plan.at(
-        &Part::Dimm(0, 0).to_string(),
+    plan.down(
+        Part::Dimm(0, 0),
         SimTime::from_us(1500),
-        OutageKind::DimmCrash {
-            down_for: SimTime::from_ms(30),
-        },
+        SimTime::from_ms(30),
     );
     let mut sys = McnSystem::new(&SystemConfig::default(), 1, McnConfig::level(3));
     sys.set_outage_plan(&plan);
@@ -124,13 +121,10 @@ fn switch_partition_heals_and_stream_completes() {
     // stream and heals at 250 ms. Frames the switch refuses are counted;
     // after the heal, retransmission completes the stream byte-exact.
     let mut plan = OutagePlan::new(0xAB);
-    plan.at(
-        &Part::Switch.to_string(),
+    plan.partition(
         SimTime::from_us(2500),
-        OutageKind::SwitchPartition {
-            groups: vec![vec![0], vec![1]],
-            heal_at: SimTime::from_ms(250),
-        },
+        vec![vec![0], vec![1]],
+        SimTime::from_ms(250),
     );
     let mut rack = McnRack::new(&SystemConfig::default(), 2, 1, McnConfig::level(3));
     rack.set_outage_plan(&plan);
@@ -323,26 +317,32 @@ fn dead_rank_yields_rank_failed_not_a_hang() {
 fn chaos_mix_snapshot(seed: u64) -> String {
     let mut plan = OutagePlan::new(seed);
     plan.random_crashes(
-        &Part::Dimm(1, 0).to_string(),
+        Part::Dimm(1, 0),
         2,
         (SimTime::from_ms(1), SimTime::from_ms(80)),
         (SimTime::from_ms(5), SimTime::from_ms(20)),
     );
-    plan.at(
-        &Part::Switch.to_string(),
+    plan.partition(
         SimTime::from_ms(2),
-        OutageKind::SwitchPartition {
-            groups: vec![vec![0], vec![1]],
-            heal_at: SimTime::from_ms(230),
-        },
+        vec![vec![0], vec![1]],
+        SimTime::from_ms(230),
     );
     // The snapshot opens with the schedule the seed drew: crashes that
     // land while the rack is partitioned shift timings without moving any
     // final counter, so the schedule itself is part of the chaos history.
+    // The lines keep their `DimmCrash` spelling so snapshots stay
+    // comparable across versions.
     let mut snap = String::new();
-    for (t, kind) in plan.schedule(&Part::Dimm(1, 0).to_string()) {
+    for (t, event) in plan.schedule(Part::Dimm(1, 0)) {
         use std::fmt::Write;
-        writeln!(snap, "SNAP|plan srv1.dimm0 at={t} {kind:?}").unwrap();
+        let Event::Down { down_for } = event else {
+            unreachable!("a DIMM only goes down")
+        };
+        writeln!(
+            snap,
+            "SNAP|plan srv1.dimm0 at={t} DimmCrash {{ down_for: {down_for:?} }}"
+        )
+        .unwrap();
     }
 
     let mut rack = McnRack::new(&SystemConfig::default(), 2, 1, McnConfig::level(3));

@@ -5,13 +5,13 @@
 //! hierarchical quantum domains doing their job (cross-pod barriers far
 //! rarer than intra-rack windows).
 
-use mcn::ClosConfig;
-use mcn::outage::Part;
+use mcn::outage::{OutagePlan, Part};
 use mcn::{
-    Datacenter, Instrumented, McnConfig, McnSystem, MetricSink, MetricsSnapshot, SystemConfig,
+    ClosConfig, Datacenter, Instrumented, McnConfig, McnSystem, MetricSink, MetricsSnapshot,
+    SystemConfig,
 };
 use mcn_mpi::{IperfClient, IperfReport, IperfServer};
-use mcn_sim::{OutageKind, OutagePlan, SimTime};
+use mcn_sim::SimTime;
 
 /// Full-registry JSON of a component tree: the byte-identity witness.
 fn snapshot(root: &dyn Instrumented) -> String {
@@ -70,11 +70,7 @@ fn spine_loss_is_thread_count_invariant_at_64_servers() {
     // Spine 0 goes dark mid-transfer for 2 ms: in-flight frames die,
     // ECMP re-hashes the affected flows onto spine 1, TCP retransmits.
     let mut plan = OutagePlan::new(0xD0C);
-    plan.at(
-        &Part::Spine(0).to_string(),
-        SimTime::from_us(300),
-        OutageKind::SwitchDown { down_for: SimTime::from_ms(2) },
-    );
+    plan.down(Part::Spine(0), SimTime::from_us(300), SimTime::from_ms(2));
 
     let run = |threads: usize| {
         let mut dc = iperf_datacenter(96 * 1024);
@@ -187,12 +183,8 @@ fn pod_scale_domain_outage_fells_aggs_and_rack_together() {
     let clos = ClosConfig::default();
     let mut dc = Datacenter::new(&SystemConfig::default(), McnConfig::level(3), &clos);
     let mut plan = OutagePlan::new(0xBAD);
-    let (a0, a1, r0) = (
-        Part::Agg(0, 0).to_string(),
-        Part::Agg(0, 1).to_string(),
-        Part::Rack(0).to_string(),
-    );
-    plan.define_domain("pod0.breaker", &[a0.as_str(), a1.as_str(), r0.as_str()]);
+    let members = [Part::Agg(0, 0), Part::Agg(0, 1), Part::Rack(0)];
+    plan.define_domain("pod0.breaker", &members);
     plan.domain_crash("pod0.breaker", SimTime::from_us(150), SimTime::from_ms(3));
     dc.set_outage_plan(&plan);
 

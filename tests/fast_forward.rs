@@ -10,11 +10,12 @@
 //! engine work counter — apart from `engine.fast_forwarded` itself,
 //! which must show the fast path was taken.
 
+use mcn::outage::{OutagePlan, Part};
 use mcn::{ComponentExt, McnConfig, McnSystem, MetricsSnapshot, SystemConfig};
 use mcn_mpi::apps::{IperfClient, IperfReport, IperfServer};
 use mcn_mpi::placement::spawn_on_mcn;
 use mcn_mpi::{CommPattern, WorkloadSpec};
-use mcn_sim::{OutageKind, OutagePlan, SimTime};
+use mcn_sim::SimTime;
 use mcn_sweep::diff::RegistryDiff;
 use mcn_sweep::scenarios::sweep_fault_plan;
 
@@ -131,12 +132,10 @@ fn dimm_crash_mid_stream_matches_the_per_event_drive() {
     // catches up at its first poll after power-on.
     let reg = assert_fast_forward_is_invisible(|| {
         let mut plan = OutagePlan::new(5);
-        plan.at(
-            "server0.dimm0",
+        plan.down(
+            Part::Dimm(0, 0),
             SimTime::from_us(300),
-            OutageKind::DimmCrash {
-                down_for: SimTime::from_us(400),
-            },
+            SimTime::from_us(400),
         );
         let mut sys = McnSystem::new(&SystemConfig::default(), 4, McnConfig::level(3));
         sys.set_outage_plan(&plan);

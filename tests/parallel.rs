@@ -14,13 +14,13 @@
 //! dropped ALERT_N edges, stalled DMA), and impaired 10GbE uplinks —
 //! and diff the snapshots of 1-, 2-, 4- and 8-thread runs.
 
+use mcn::outage::{OutagePlan, Part};
 use mcn::{
-    outage::Part, ComponentExt, EthernetCluster, Instrumented, McnConfig, McnRack, MetricSink,
-    SystemConfig,
+    ComponentExt, EthernetCluster, Instrumented, McnConfig, McnRack, MetricSink, SystemConfig,
 };
 use mcn_mpi::{IperfClient, IperfReport, IperfServer};
 use mcn_sim::fault::{FaultKind, FaultPlan};
-use mcn_sim::{OutageKind, OutagePlan, SimTime};
+use mcn_sim::SimTime;
 
 /// Full-registry JSON of a component tree: the byte-identity witness.
 fn snapshot(root: &dyn Instrumented) -> String {
@@ -72,20 +72,11 @@ fn rack_chaos_mix_is_thread_count_invariant() {
     // and the ToR switch partitions the two servers for 2 ms while the
     // cross-server stream is in flight.
     let mut plan = OutagePlan::new(0xC0FFEE);
-    plan.at(
-        &Part::Dimm(1, 0).to_string(),
-        SimTime::from_us(800),
-        OutageKind::DimmCrash {
-            down_for: SimTime::from_ms(5),
-        },
-    );
-    plan.at(
-        &Part::Switch.to_string(),
+    plan.down(Part::Dimm(1, 0), SimTime::from_us(800), SimTime::from_ms(5));
+    plan.partition(
         SimTime::from_ms(1),
-        OutageKind::SwitchPartition {
-            groups: vec![vec![0], vec![1]],
-            heal_at: SimTime::from_ms(3),
-        },
+        vec![vec![0], vec![1]],
+        SimTime::from_ms(3),
     );
 
     let run = |threads: usize| {
@@ -238,16 +229,8 @@ fn datacenter_chaos_mix_is_thread_count_invariant() {
         0.01,
     );
     let mut plan = OutagePlan::new(0xDC1);
-    plan.at(
-        &Part::Agg(0, 0).to_string(),
-        SimTime::from_us(200),
-        OutageKind::SwitchDown { down_for: SimTime::from_ms(1) },
-    );
-    plan.at(
-        &Part::Rack(3).to_string(),
-        SimTime::from_us(400),
-        OutageKind::NodeReboot { down_for: SimTime::from_ms(1) },
-    );
+    plan.down(Part::Agg(0, 0), SimTime::from_us(200), SimTime::from_ms(1));
+    plan.down(Part::Rack(3), SimTime::from_us(400), SimTime::from_ms(1));
 
     let run = |threads: usize| {
         let clos = ClosConfig {

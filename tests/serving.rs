@@ -15,7 +15,7 @@
 //! * overload — requests beyond the in-flight budget are shed with
 //!   `B\n` instead of queueing without bound, connections beyond the
 //!   accept budget are refused fast, and the fleet still finishes,
-//! * a [`DimmCrash`](OutageKind::DimmCrash) that never heals — the
+//! * a DIMM [crash](OutagePlan::down) that never heals — the
 //!   half-open connections it leaves behind are reaped by TCP
 //!   keepalive (`tcp.keepalive_giveups`), not leaked,
 //! * the full chaos mix under `run_parallel` — byte-identical
@@ -34,8 +34,8 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use mcn::{
-    outage::Part, ComponentExt, McnConfig, McnRack, McnSystem, MetricSink, MetricsSnapshot,
-    SystemConfig,
+    outage::{OutagePlan, Part},
+    ComponentExt, McnConfig, McnRack, McnSystem, MetricSink, MetricsSnapshot, SystemConfig,
 };
 use mcn_net::tcp::{TcpConfig, TcpState};
 use mcn_net::{
@@ -46,7 +46,7 @@ use mcn_serve::{
     parse_request, Backend, KvServer, KvServerConfig, ReplicaMap, Request, ResilientClientConfig,
     ResilientKvClient, ServeReport,
 };
-use mcn_sim::{OutageKind, OutagePlan, SimTime};
+use mcn_sim::SimTime;
 use parking_lot::Mutex;
 
 // ---------------------------------------------------------------------------
@@ -325,13 +325,8 @@ fn dimm_crash_half_open_connections_are_reaped_by_keepalive() {
         cfg.keepalive = Some((SimTime::from_ms(2), SimTime::from_us(500), 3));
     });
     let mut plan = OutagePlan::new(0xDEAD);
-    plan.at(
-        &Part::Dimm(0, 0).to_string(),
-        SimTime::from_ms(2),
-        OutageKind::DimmCrash {
-            down_for: SimTime::from_secs(5), // never returns within the run
-        },
-    );
+    // Five seconds: the DIMM never returns within the run.
+    plan.down(Part::Dimm(0, 0), SimTime::from_ms(2), SimTime::from_secs(5));
     sys.set_outage_plan(&plan);
     sys.run_until(SimTime::from_ms(30));
 
@@ -365,20 +360,11 @@ fn chaos_mix_serving_is_thread_count_invariant() {
     // snapshot (including the shared ServeReport, whose fields are all
     // commutative) at any run_parallel thread count.
     let mut plan = OutagePlan::new(0xC0DE);
-    plan.at(
-        &Part::Dimm(1, 0).to_string(),
-        SimTime::from_us(800),
-        OutageKind::DimmCrash {
-            down_for: SimTime::from_ms(5),
-        },
-    );
-    plan.at(
-        &Part::Switch.to_string(),
+    plan.down(Part::Dimm(1, 0), SimTime::from_us(800), SimTime::from_ms(5));
+    plan.partition(
         SimTime::from_ms(1),
-        OutageKind::SwitchPartition {
-            groups: vec![vec![0], vec![1]],
-            heal_at: SimTime::from_ms(3),
-        },
+        vec![vec![0], vec![1]],
+        SimTime::from_ms(3),
     );
 
     let run = |threads: usize| {
@@ -582,21 +568,9 @@ fn replicated_failover_is_thread_count_invariant() {
     let riser = |s: usize| format!("riser{s}");
     let mut plan = OutagePlan::new(0xFA11);
     for s in 0..2 {
-        plan.define_domain(
-            &riser(s),
-            &[
-                &Part::Dimm(s, 0).to_string(),
-                &Part::Dimm(s, 1).to_string(),
-            ],
-        );
+        plan.define_domain(&riser(s), &[Part::Dimm(s, 0), Part::Dimm(s, 1)]);
     }
-    plan.at(
-        &riser(0),
-        SimTime::from_ms(2),
-        OutageKind::DomainDown {
-            down_for: SimTime::from_ms(4),
-        },
-    );
+    plan.domain_crash(&riser(0), SimTime::from_ms(2), SimTime::from_ms(4));
 
     let run = |threads: usize| {
         let report = ServeReport::shared(SimTime::from_us(500));
