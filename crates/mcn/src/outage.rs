@@ -228,10 +228,12 @@ impl OutagePlan {
 /// One edge of an installed outage plan.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) enum Edge {
-    /// Failure domain `.0` (in declaration order) goes down; its
-    /// members' `Down` edges follow at the same instant.
+    /// The failure domain counted in slot `.0` of the topology's
+    /// [`DomainStats`] goes down; its members' `Down` edges follow at the
+    /// same instant.
     DomainDown(usize),
-    /// Failure domain `.0` comes back; its members' `Up` edges follow.
+    /// The failure domain in slot `.0` comes back; its members' `Up`
+    /// edges follow.
     DomainUp(usize),
     /// The part goes dark.
     Down(Part),
@@ -261,8 +263,9 @@ impl Instrumented for DomainStats {
 
 /// Expands `plan` for a topology that has exactly `parts`, in its
 /// enumeration order. `scope` names the topology in panic messages;
-/// `domains` receives one [`DomainStats`] per domain not yet counted, or
-/// is `None` for a topology without failure domains.
+/// `domains` receives one [`DomainStats`] per domain name not yet
+/// counted, and each domain's edges index its name's slot; it is `None`
+/// for a topology without failure domains.
 ///
 /// Simultaneous edges apply first in, first out, so the order is part of
 /// the results: domains first, each crash (by time) giving the domain's
@@ -285,17 +288,27 @@ pub(crate) fn expand(
         let name = &dom.name;
         panic!("a {scope} has no failure domains: cannot install '{name}'");
     }
-    if let Some(stats) = domains {
-        for dom in plan.domains.iter().skip(stats.len()) {
-            stats.push(DomainStats {
-                name: dom.name.clone(),
-                ..DomainStats::default()
-            });
-        }
-    }
+    // Each domain counts in the slot named after it, added when new.
+    let slots: Vec<usize> = match domains {
+        Some(stats) => plan
+            .domains
+            .iter()
+            .map(|dom| match stats.iter().position(|d| d.name == dom.name) {
+                Some(i) => i,
+                None => {
+                    stats.push(DomainStats {
+                        name: dom.name.clone(),
+                        ..DomainStats::default()
+                    });
+                    stats.len() - 1
+                }
+            })
+            .collect(),
+        None => Vec::new(),
+    };
     let position = |part: &Part| parts.iter().position(|p| p == part);
     let mut edges = Vec::new();
-    for (i, dom) in plan.domains.iter().enumerate() {
+    for (dom, &i) in plan.domains.iter().zip(&slots) {
         if let Some(m) = dom.members.iter().find(|m| position(m).is_none()) {
             let name = &dom.name;
             panic!("failure domain '{name}': member '{m}' names no component of this {scope}");

@@ -94,6 +94,11 @@ pub struct McnEndpoint {
     dc_mode: bool,
     pub(crate) sys: McnSystem,
     pub(crate) nic: Nic,
+    /// F4 frames the NIC never saw: undecodable, or addressed outside
+    /// the rack and its fabric.
+    f4_unroutable: Counter,
+    /// Frames the NIC delivered whose payload is not an IPv4 packet.
+    rx_undecodable: Counter,
 }
 
 /// Who owns `ip` under the rack address plan? Remote racks' NIC
@@ -158,6 +163,7 @@ impl Endpoint for McnEndpoint {
                 .ok()
                 .map(|p| p.dst)
             else {
+                self.f4_unroutable.inc();
                 continue;
             };
             let dst_mac = match owner_of(dst_ip, self.rack_id, self.n_servers) {
@@ -165,7 +171,11 @@ impl Endpoint for McnEndpoint {
                 None if self.dc_mode && remote_rack_of(dst_ip, self.rack_id).is_some() => {
                     McnSystem::GATEWAY_MAC
                 }
-                None => continue, // truly external: leaves the world (dropped)
+                None => {
+                    // Truly external: leaves the world (dropped).
+                    self.f4_unroutable.inc();
+                    continue;
+                }
             };
             frame.dst = dst_mac;
             frame.src = McnSystem::nic_mac_in(self.rack_id, self.id);
@@ -183,7 +193,9 @@ impl Endpoint for McnEndpoint {
     }
 
     fn rx(&mut self, frame: EthernetFrame, t: SimTime) {
-        self.sys.ingress_external(frame, t);
+        if !self.sys.ingress_external(frame, t) {
+            self.rx_undecodable.inc();
+        }
     }
 
     fn next_wakeup(&mut self) -> Option<SimTime> {
@@ -476,6 +488,8 @@ impl McnRack {
                 dc_mode: dc,
                 sys,
                 nic: Nic::new(),
+                f4_unroutable: Counter::default(),
+                rx_undecodable: Counter::default(),
             })
             .collect();
         Topology::switched(sys, endpoints, rack_id, dc)
@@ -640,6 +654,9 @@ impl Instrumented for McnRack {
             out.counter("fabric_tx", stats.fabric_tx.get());
             out.counter("fabric_rx", stats.fabric_rx.get());
             out.counter("fabric_drops", stats.fabric_drops.get());
+            let eps = || self.shards.iter().map(|b| &b.ep);
+            out.counter("f4_unroutable", eps().map(|e| e.f4_unroutable.get()).sum());
+            out.counter("rx_undecodable", eps().map(|e| e.rx_undecodable.get()).sum());
             for d in &stats.domains {
                 out.absorb(&format!("outage.domain.{}", d.name), d);
             }
@@ -942,6 +959,23 @@ mod tests {
         let snap = mcn_sim::MetricsSnapshot::collect(&rack);
         assert_eq!(snap.get_u64("rack.outage.domain.riser0.crashes"), 1);
         assert_eq!(snap.get_u64("rack.outage.domain.riser0.heals"), 1);
+    }
+
+    #[test]
+    fn a_second_plan_counts_its_domains_under_their_own_names() {
+        let mut rack = mk(2, 2, 1);
+        let mut first = OutagePlan::new(7);
+        first.define_domain("riser0", &[Part::Dimm(0, 0), Part::Dimm(0, 1)]);
+        rack.set_outage_plan(&first);
+        let mut second = OutagePlan::new(7);
+        second.define_domain("pdu1", &[Part::Node(1)]);
+        second.domain_crash("pdu1", SimTime::from_us(100), SimTime::from_us(300));
+        rack.set_outage_plan(&second);
+        rack.run_until(SimTime::from_ms(1));
+        let snap = mcn_sim::MetricsSnapshot::collect(&rack);
+        assert_eq!(snap.get_u64("rack.outage.domain.riser0.crashes"), 0);
+        assert_eq!(snap.get_u64("rack.outage.domain.pdu1.crashes"), 1);
+        assert_eq!(snap.get_u64("rack.outage.domain.pdu1.heals"), 1);
     }
 
     #[test]

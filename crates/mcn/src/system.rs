@@ -1494,12 +1494,13 @@ impl McnSystem {
     /// Delivers a frame that arrived from outside (another server's host,
     /// via the conventional NIC): routed by destination IP — to a local
     /// DIMM through the normal T1–T3 transmit path, or up the host stack.
-    /// Receive-side NIC costs are the caller's (rack) business.
-    pub fn ingress_external(&mut self, frame: EthernetFrame, now: SimTime) {
+    /// Receive-side NIC costs are the caller's (rack) business. Returns
+    /// false, dropping the frame, when its payload is not an IPv4 packet.
+    pub fn ingress_external(&mut self, frame: EthernetFrame, now: SimTime) -> bool {
         assert!(now >= self.now, "ingress in the past");
         self.now = self.now.max(now);
         let Ok(pkt) = mcn_net::Ipv4Packet::decode(&frame.payload) else {
-            return;
+            return false;
         };
         if let Some(port) = self
             .dimms
@@ -1521,6 +1522,7 @@ impl McnSystem {
                 .schedule(now, Effect::HostDeliver { ifidx, frame: f });
         }
         self.advance(now);
+        true
     }
 
     fn deliver_to_host(

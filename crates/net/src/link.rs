@@ -217,6 +217,9 @@ pub struct Switch {
     pub forwarded: Counter,
     /// Frames flooded (unknown destination or broadcast).
     pub flooded: Counter,
+    /// Frames discarded because their destination was learned on the
+    /// port they arrived on (hairpin).
+    pub hairpins: Counter,
 }
 
 impl Switch {
@@ -229,6 +232,7 @@ impl Switch {
             forward_latency: SimTime::from_ns(500),
             forwarded: Counter::default(),
             flooded: Counter::default(),
+            hairpins: Counter::default(),
         }
     }
 
@@ -246,7 +250,8 @@ impl Switch {
                     self.forwarded.inc();
                     return vec![p];
                 }
-                return Vec::new(); // hairpin: already on the right segment
+                self.hairpins.inc(); // already on the right segment
+                return Vec::new();
             }
         }
         self.flooded.inc();
@@ -268,6 +273,7 @@ impl Instrumented for Switch {
     fn metrics(&self, out: &mut MetricSink) {
         out.counter("forwarded", self.forwarded.get());
         out.counter("flooded", self.flooded.get());
+        out.counter("hairpins", self.hairpins.get());
     }
 }
 

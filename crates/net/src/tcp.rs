@@ -192,6 +192,10 @@ pub struct TcpConn {
     rcv_nxt: u32,
     rcv_buf: VecDeque<u8>,
     ooo: BTreeMap<u32, Bytes>,
+    /// Sequence number of the peer's FIN once one arrived at or beyond
+    /// `rcv_nxt`: it is accepted when `rcv_nxt` reaches it, even if the
+    /// segment carrying it overtook data.
+    rcv_fin: Option<u32>,
     fin_rcvd: bool,
 
     // --- congestion control ---
@@ -279,6 +283,11 @@ pub struct TcpStats {
     /// Segments discarded while sitting in TIME_WAIT (stale data or ACKs
     /// from the old incarnation; retransmitted FINs are re-ACKed instead).
     pub time_wait_rejects: u64,
+    /// Data segments that arrived beyond `rcv_nxt` and were stashed out
+    /// of order (reordering or loss upstream).
+    pub ooo_segs_in: u64,
+    /// Duplicate ACKs received (the fast-retransmit trigger).
+    pub dup_acks_in: u64,
 }
 
 impl TcpStats {
@@ -298,6 +307,8 @@ impl TcpStats {
         self.keepalive_probes_out += other.keepalive_probes_out;
         self.keepalive_giveups += other.keepalive_giveups;
         self.time_wait_rejects += other.time_wait_rejects;
+        self.ooo_segs_in += other.ooo_segs_in;
+        self.dup_acks_in += other.dup_acks_in;
     }
 }
 
@@ -316,6 +327,8 @@ impl Instrumented for TcpStats {
         out.counter("keepalive_probes_out", self.keepalive_probes_out);
         out.counter("keepalive_giveups", self.keepalive_giveups);
         out.counter("time_wait_rejects", self.time_wait_rejects);
+        out.counter("ooo_segs_in", self.ooo_segs_in);
+        out.counter("dup_acks_in", self.dup_acks_in);
     }
 }
 
@@ -409,6 +422,7 @@ impl TcpConn {
             rcv_nxt: 0,
             rcv_buf: VecDeque::new(),
             ooo: BTreeMap::new(),
+            rcv_fin: None,
             fin_rcvd: false,
             cwnd,
             ssthresh: f64::INFINITY,
@@ -1062,6 +1076,7 @@ impl TcpConn {
                 && seg.payload.is_empty()
                 && !seg.flags.fin
             {
+                self.stats.dup_acks_in += 1;
                 self.dupacks += 1;
                 if self.dupacks == 3 {
                     self.stats.fast_retransmits += 1;
@@ -1083,22 +1098,26 @@ impl TcpConn {
         // --- FIN side ---
         if seg.flags.fin {
             let fin_seq = seg.seq.wrapping_add(seg.payload.len() as u32);
-            if fin_seq == self.rcv_nxt && !self.fin_rcvd {
-                self.rcv_nxt = self.rcv_nxt.wrapping_add(1);
-                self.fin_rcvd = true;
-                self.need_ack_now = true;
-                self.state = match self.state {
-                    TcpState::Established => TcpState::CloseWait,
-                    TcpState::FinWait1 => TcpState::Closing,
-                    TcpState::FinWait2 => {
-                        self.enter_time_wait(now);
-                        TcpState::TimeWait
-                    }
-                    s => s,
-                };
-            } else if seq_lt(fin_seq, self.rcv_nxt) {
+            if seq_lt(fin_seq, self.rcv_nxt) {
                 self.need_ack_now = true; // retransmitted FIN
+            } else if !self.fin_rcvd {
+                self.rcv_fin = Some(fin_seq);
             }
+        }
+        if self.rcv_fin == Some(self.rcv_nxt) {
+            self.rcv_fin = None;
+            self.rcv_nxt = self.rcv_nxt.wrapping_add(1);
+            self.fin_rcvd = true;
+            self.need_ack_now = true;
+            self.state = match self.state {
+                TcpState::Established => TcpState::CloseWait,
+                TcpState::FinWait1 => TcpState::Closing,
+                TcpState::FinWait2 => {
+                    self.enter_time_wait(now);
+                    TcpState::TimeWait
+                }
+                s => s,
+            };
         }
     }
 
@@ -1187,6 +1206,7 @@ impl TcpConn {
         } else {
             // Out of order: stash and send an immediate duplicate ACK so the
             // sender's fast-retransmit counter advances.
+            self.stats.ooo_segs_in += 1;
             self.ooo.entry(seq).or_insert(payload);
             self.need_ack_now = true;
         }
@@ -1572,6 +1592,38 @@ mod tests {
         );
         // TimeWait expires.
         h.run_until(|h| h.a.state() == TcpState::Closed, 50);
+    }
+
+    #[test]
+    fn a_fin_that_overtakes_the_last_data_segment_is_kept() {
+        let mut h = Harness::new(TcpConfig::default(), SimTime::from_us(10), 0.0);
+        h.run_until(|h| h.a.state() == TcpState::Established, 50);
+        assert_eq!(h.a.send(&[7u8; 3000], h.now), 3000);
+        h.pump();
+        h.a.close(h.now);
+        h.pump();
+        // Swap the arrival stamps of the last data segment and the bare
+        // FIN behind it, so the FIN arrives first.
+        let last = |h: &Harness, fin: bool| {
+            h.in_flight
+                .iter()
+                .enumerate()
+                .filter(|(_, (_, _, from_a, seg))| *from_a && seg.flags.fin == fin)
+                .max_by_key(|(_, (at, s, ..))| (*at, *s))
+                .map(|(i, _)| i)
+                .expect("segment in flight")
+        };
+        let (data, fin) = (last(&h, false), last(&h, true));
+        assert!(h.in_flight[fin].3.payload.is_empty(), "the FIN is bare");
+        let stamp = (h.in_flight[data].0, h.in_flight[data].1);
+        (h.in_flight[data].0, h.in_flight[data].1) = (h.in_flight[fin].0, h.in_flight[fin].1);
+        (h.in_flight[fin].0, h.in_flight[fin].1) = stamp;
+        h.run_until(
+            |h| h.b.state() == TcpState::CloseWait && h.a.state() == TcpState::FinWait2,
+            100,
+        );
+        assert_eq!(h.a.stats().timeouts, 0);
+        assert!(h.now < SimTime::from_ms(1), "closed at {}", h.now);
     }
 
     #[test]

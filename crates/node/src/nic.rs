@@ -13,6 +13,13 @@
 //!   sk_buff and pushes the packet up the stack (`Driver-RX`, which the
 //!   paper measures as *half* the 10GbE end-to-end latency).
 //!
+//! Both descriptor rings are FIFO. A DMA completion only marks its
+//! descriptor done; frames leave from the head of the ring, in posting
+//! order, so a short frame never overtakes the long one posted before
+//! it. `DMA-TX` and `DMA-RX` run from DMA start to the descriptor's
+//! write-back at release: a frame's wait behind the ring's head counts
+//! in its DMA stage, and `PHY` stays PCIe + wire + switch.
+//!
 //! Hardware checksum offload is on (standard for 10GbE-class NICs), so the
 //! stack is configured not to charge software checksums; wire integrity is
 //! covered by the Ethernet FCS, and the MAC drops bad-FCS frames here.
@@ -20,7 +27,7 @@
 //! The per-component times are recorded in [`NicBreakdown`] histograms —
 //! the `table3` harness reads them directly.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use mcn_dram::{MemKind, Target};
 use mcn_net::EthernetFrame;
@@ -74,6 +81,53 @@ struct Staged {
     frame: EthernetFrame,
 }
 
+/// Pops the head of `q` if its deadline has passed.
+fn pop_due(q: &mut VecDeque<Staged>, now: SimTime) -> Option<Staged> {
+    if q.front()?.at > now {
+        return None;
+    }
+    q.pop_front()
+}
+
+/// One posted DMA descriptor.
+#[derive(Debug)]
+struct Desc {
+    job: JobId,
+    /// DMA start: the stage is charged from here to release.
+    started: SimTime,
+    done: bool,
+    frame: EthernetFrame,
+}
+
+/// A FIFO descriptor ring (one per direction): descriptors in posting
+/// order, released only from the head once its DMA is done.
+#[derive(Debug, Default)]
+struct Ring(VecDeque<Desc>);
+
+impl Ring {
+    fn post(&mut self, job: JobId, started: SimTime, frame: EthernetFrame) {
+        self.0.push_back(Desc { job, started, done: false, frame });
+    }
+
+    /// Marks `job`'s descriptor done; false if this ring does not hold it.
+    fn complete(&mut self, job: JobId) -> bool {
+        let Some(d) = self.0.iter_mut().find(|d| d.job == job) else {
+            return false;
+        };
+        d.done = true;
+        true
+    }
+
+    /// Writes back the head descriptor if its DMA is done: its DMA start
+    /// and its frame.
+    fn release(&mut self) -> Option<(SimTime, EthernetFrame)> {
+        if !self.0.front()?.done {
+            return None;
+        }
+        self.0.pop_front().map(|d| (d.started, d.frame))
+    }
+}
+
 /// Events the NIC hands back to the system layer.
 #[derive(Debug)]
 pub enum NicEvent {
@@ -90,16 +144,17 @@ pub struct Nic {
     /// Driver handoffs waiting for their charged driver time to elapse
     /// before DMA starts.
     tx_pending: VecDeque<Staged>,
-    tx_dma: HashMap<JobId, (SimTime, EthernetFrame)>,
-    tx_wire: Vec<Staged>,
-    rx_dma: HashMap<JobId, (SimTime, EthernetFrame)>,
-    rx_deliver: Vec<Staged>,
+    tx_dma: Ring,
+    /// Released TX frames crossing PCIe, in release (= deadline) order.
+    tx_wire: VecDeque<Staged>,
+    rx_dma: Ring,
+    /// Released RX frames in softirq processing, in release (= deadline)
+    /// order: the IRQ core runs them one after another.
+    rx_deliver: VecDeque<Staged>,
     /// End of the last scheduled softirq processing (NAPI active until
     /// then: arrivals before it pay no interrupt).
     napi_busy_until: SimTime,
     buf_cursor: u64,
-    /// Recycled compaction buffer for the advance hot path.
-    staged_scratch: Vec<Staged>,
     /// Latency component histograms.
     pub breakdown: NicBreakdown,
     /// Frames transmitted.
@@ -164,11 +219,12 @@ impl Nic {
             NIC_WAITER,
             now,
         );
-        self.rx_dma.insert(job, (now, frame));
+        self.rx_dma.post(job, now, frame);
     }
 
     /// Routes a completed DMA job (system layer calls this for completions
-    /// whose waiter is [`NIC_WAITER`]).
+    /// whose waiter is [`NIC_WAITER`]) and releases every done frame at
+    /// the head of its ring.
     pub fn on_job_done(
         &mut self,
         job: JobId,
@@ -177,15 +233,20 @@ impl Nic {
         cost: &CostModel,
         rx_sw_checksum: bool,
     ) {
-        if let Some((started, frame)) = self.tx_dma.remove(&job) {
-            self.breakdown.dma_tx.record(now - started);
-            self.tx_wire.push(Staged {
-                at: now + PCIE_LATENCY,
-                frame,
-            });
+        if self.tx_dma.complete(job) {
+            while let Some((started, frame)) = self.tx_dma.release() {
+                self.breakdown.dma_tx.record(now - started);
+                self.tx_wire.push_back(Staged {
+                    at: now + PCIE_LATENCY,
+                    frame,
+                });
+            }
             return;
         }
-        if let Some((started, frame)) = self.rx_dma.remove(&job) {
+        if !self.rx_dma.complete(job) {
+            return;
+        }
+        while let Some((started, frame)) = self.rx_dma.release() {
             self.breakdown.dma_rx.record(now - started);
             // Interrupt unless NAPI polling is still chewing on the ring;
             // a fresh interrupt waits out the moderation timer first.
@@ -199,39 +260,33 @@ impl Nic {
             let (_, end) = cpus.run_on(IRQ_CORE, t, cost.driver_rx() + proto);
             self.breakdown.driver_rx.record(end - now);
             self.napi_busy_until = self.napi_busy_until.max(end);
-            self.rx_deliver.push(Staged { at: end, frame });
+            debug_assert!(self.rx_deliver.back().is_none_or(|s| s.at <= end));
+            self.rx_deliver.push_back(Staged { at: end, frame });
         }
     }
 
     /// Lower bound on the earliest time any *currently staged* TX frame
     /// can reach the wire: wire-stage deadlines as-is, driver handoffs
-    /// plus one PCIe crossing. In-flight TX DMA is excluded on purpose —
-    /// its completion arrives as a memory event, so it is already
-    /// covered by the owner's next-event bound. Used by the windowed
+    /// plus one PCIe crossing. Descriptors still in the TX ring are
+    /// excluded on purpose — each leaves at a DMA completion, which
+    /// arrives as a memory event, so it is already covered by the owner's
+    /// next-event bound. Used by the windowed
     /// scheduler's lookahead ([`Shard::next_emission`]); soundness only
     /// requires never over-estimating.
     ///
     /// [`Shard::next_emission`]: mcn_sim::shard::Shard::next_emission
     pub fn earliest_tx_staged(&self) -> Option<SimTime> {
-        let wire = self.tx_wire.iter().map(|s| s.at).min();
+        let wire = self.tx_wire.front().map(|s| s.at);
         let pend = self.tx_pending.iter().map(|s| s.at + PCIE_LATENCY).min();
         [wire, pend].into_iter().flatten().min()
     }
 
     /// Earliest internal deadline.
     pub fn next_event(&self) -> Option<SimTime> {
-        let mut t: Option<SimTime> = None;
-        let mut fold = |x: SimTime| t = Some(t.map_or(x, |c: SimTime| c.min(x)));
-        if let Some(s) = self.tx_pending.front() {
-            fold(s.at);
-        }
-        for s in &self.tx_wire {
-            fold(s.at);
-        }
-        for s in &self.rx_deliver {
-            fold(s.at);
-        }
-        t
+        [&self.tx_pending, &self.tx_wire, &self.rx_deliver]
+            .into_iter()
+            .filter_map(|q| q.front().map(|s| s.at))
+            .min()
     }
 
     /// Progresses internal pipelines to `now`; returns due events.
@@ -242,8 +297,7 @@ impl Nic {
     }
 
     /// Like [`advance`](Self::advance), but appends due events into a
-    /// caller-owned buffer and compacts the staged queues through one
-    /// recycled scratch, so the per-tick hot path allocates nothing.
+    /// caller-owned buffer, so the per-tick hot path allocates nothing.
     /// Returns the number of events produced.
     pub fn advance_into(
         &mut self,
@@ -253,11 +307,7 @@ impl Nic {
     ) -> usize {
         let before = out.len();
         // Start DMA for driver handoffs whose charge completed.
-        while let Some(s) = self.tx_pending.front() {
-            if s.at > now {
-                break;
-            }
-            let s = self.tx_pending.pop_front().expect("peeked");
+        while let Some(s) = pop_due(&mut self.tx_pending, now) {
             let addr = self.ring_addr(s.frame.wire_len() as u64);
             let job = mem.start(
                 Transfer::Single {
@@ -272,38 +322,25 @@ impl Nic {
                 NIC_WAITER,
                 now,
             );
-            self.tx_dma.insert(job, (now, s.frame));
+            self.tx_dma.post(job, now, s.frame);
         }
-        let mut kept = std::mem::take(&mut self.staged_scratch);
-        debug_assert!(kept.is_empty());
-        for s in self.tx_wire.drain(..) {
-            if s.at <= now {
-                self.tx_frames.inc();
-                out.push(NicEvent::TxWire(s.frame));
-            } else {
-                kept.push(s);
-            }
+        while let Some(s) = pop_due(&mut self.tx_wire, now) {
+            self.tx_frames.inc();
+            out.push(NicEvent::TxWire(s.frame));
         }
-        std::mem::swap(&mut self.tx_wire, &mut kept);
-        for s in self.rx_deliver.drain(..) {
-            if s.at <= now {
-                self.rx_frames.inc();
-                out.push(NicEvent::RxDeliver(s.frame));
-            } else {
-                kept.push(s);
-            }
+        while let Some(s) = pop_due(&mut self.rx_deliver, now) {
+            self.rx_frames.inc();
+            out.push(NicEvent::RxDeliver(s.frame));
         }
-        std::mem::swap(&mut self.rx_deliver, &mut kept);
-        self.staged_scratch = kept;
         out.len() - before
     }
 
     /// True while anything is staged or in DMA.
     pub fn busy(&self) -> bool {
         !self.tx_pending.is_empty()
-            || !self.tx_dma.is_empty()
+            || !self.tx_dma.0.is_empty()
             || !self.tx_wire.is_empty()
-            || !self.rx_dma.is_empty()
+            || !self.rx_dma.0.is_empty()
             || !self.rx_deliver.is_empty()
     }
 }
@@ -466,6 +503,35 @@ mod tests {
             nic.irqs.get()
         );
         assert_eq!(nic.breakdown.driver_rx.count(), 8);
+    }
+
+    #[test]
+    fn rings_release_frames_in_posting_order() {
+        // The 64 B frame's DMA finishes first in each direction, but it
+        // waits in the ring behind the 8,960 B frame posted before it.
+        let (mut nic, mut cpus, mut mem, cost) = fixtures();
+        nic.xmit(frame(8960), SimTime::ZERO, 1, &mut cpus, &cost);
+        nic.xmit(frame(64), SimTime::ZERO, 2, &mut cpus, &cost);
+        nic.wire_rx(frame(8960), SimTime::ZERO, &mut mem);
+        nic.wire_rx(frame(64), SimTime::ZERO, &mut mem);
+        let evs = drive(&mut nic, &mut mem, &mut cpus, &cost);
+        let order = |tx: bool| -> Vec<(SimTime, usize)> {
+            evs.iter()
+                .filter_map(|(t, ev)| match (ev, tx) {
+                    (NicEvent::TxWire(f), true) | (NicEvent::RxDeliver(f), false) => {
+                        Some((*t, f.payload.len()))
+                    }
+                    _ => None,
+                })
+                .collect()
+        };
+        let tx = order(true);
+        assert_eq!(tx.iter().map(|&(_, len)| len).collect::<Vec<_>>(), [8960, 64]);
+        assert_eq!(tx[0].0, tx[1].0, "both leave at the long frame's write-back");
+        let rx: Vec<usize> = order(false).into_iter().map(|(_, len)| len).collect();
+        assert_eq!(rx, [8960, 64]);
+        assert_eq!(nic.breakdown.dma_tx.count(), 2);
+        assert_eq!(nic.breakdown.dma_rx.count(), 2);
     }
 
     #[test]

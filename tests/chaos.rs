@@ -159,11 +159,15 @@ fn switch_partition_heals_and_stream_completes() {
         .unwrap();
 
     // ~1.7 ms of cross-rack traffic: the 2.5 ms partition interrupts it.
+    // The receiver reads every 20 µs, so the window stays open and data
+    // is in flight when the partition starts (a reader that wakes once
+    // per ms leaves the sender in a zero-window stall with nothing to
+    // lose, and the stream then recovers through persist probes alone).
     let data: Vec<u8> = (0..2 * 1024 * 1024u32).map(|i| (i % 247) as u8).collect();
     let mut sent = 0;
     let mut got = Vec::new();
     let mut buf = vec![0u8; 32768];
-    let mut pacing = pace(SimTime::from_ms(1), 20_000);
+    let mut pacing = pace(SimTime::from_us(20), 60_000);
     let done = rack.run_with_backoff(&mut pacing, |rack| {
         let now = rack.now();
         if sent < data.len() {

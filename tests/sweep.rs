@@ -1,13 +1,15 @@
 //! Contract tests for the declarative sweep runner (DESIGN.md §4g):
 //! byte-identical output across reruns, worker counts, and
 //! kill-and-resume splits, and against the committed smoke sweep, plus
-//! the energy-figure invariants every cell reports.
+//! the energy-figure invariants every cell reports and the lossless
+//! paths of the rack and 10GbE scenarios, which must never retransmit.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use mcn_sim::{MetricsSnapshot, SimTime};
 use mcn_sweep::runner::{run_sweep, SweepConfig};
-use mcn_sweep::scenarios::run_cell;
+use mcn_sweep::scenarios::{rack_iperf_workload, run_cell};
 use mcn_sweep::spec::{Axes, Cell, FaultAxis, OptFlags, Scale, SweepSpec, Topology, Workload};
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -150,4 +152,54 @@ fn energy_grows_with_request_count() {
         energy(&a),
         energy(&b)
     );
+}
+
+/// Every TCP stack in `snap` that retransmitted, timed out or stashed a
+/// segment out of order, and how many stacks were checked.
+fn lossy_stacks(snap: &MetricsSnapshot) -> (Vec<String>, usize) {
+    let mut lossy = Vec::new();
+    let mut stacks = 0;
+    for stack in snap.iter().filter_map(|(p, _)| p.strip_suffix(".stack.tcp.retransmits")) {
+        stacks += 1;
+        for field in ["retransmits", "timeouts", "ooo_segs_in"] {
+            let path = format!("{stack}.stack.tcp.{field}");
+            let n = snap.get_u64(&path);
+            if n > 0 {
+                lossy.push(format!("{path} = {n}"));
+            }
+        }
+    }
+    (lossy, stacks)
+}
+
+/// The rack iperf mix (4 local streams and 1 DIMM → remote-host stream
+/// through both NICs and the ToR) with no fault plan is lossless: no
+/// stack retransmits, times out or sees a segment out of order, so no
+/// run ends on a retransmission timeout.
+#[test]
+fn lossless_rack_iperf_never_retransmits() {
+    for mib in [1, 2, 6, 8] {
+        let (mut rack, _) = rack_iperf_workload(3, mib << 20, None);
+        assert!(rack.run_parallel(SimTime::from_secs(10), 1), "{mib} MiB stalled");
+        let (lossy, stacks) = lossy_stacks(&MetricsSnapshot::collect(&rack));
+        assert_eq!(stacks, 6, "2 hosts and 4 DIMMs");
+        assert!(lossy.is_empty(), "{mib} MiB per stream: {lossy:?}");
+        assert!(rack.now() < SimTime::from_ms(20), "{mib} MiB ended at {}", rack.now());
+    }
+}
+
+/// The Fig. 8(a) 10GbE anchor cell, 4 clients streaming into one server
+/// over plain NICs and a switch, is lossless too.
+#[test]
+fn lossless_10gbe_iperf_cell_never_retransmits() {
+    let cell = Cell {
+        workload: Workload::Iperf { server_on_dimm: false },
+        topology: Topology::Cluster,
+        fault: FaultAxis::None,
+        opt: OptFlags { level: 0, threads: 1 },
+    };
+    assert_eq!(cell.id(), "iperf-cluster-none-mcn0_t1");
+    let (lossy, stacks) = lossy_stacks(&run_cell(&cell, &Scale::smoke(), SweepSpec::smoke().seed));
+    assert_eq!(stacks, 5, "1 server and 4 clients");
+    assert!(lossy.is_empty(), "{lossy:?}");
 }
