@@ -23,13 +23,19 @@ fn iperf_gbps(cfg: &SystemConfig, mcn: McnConfig) -> f64 {
     let mut sys = McnSystem::new(cfg, n_dimms, mcn);
     let srv = IperfReport::shared();
     let warmup = SimTime::from_ms(2);
-    sys.spawn_host(Box::new(IperfServer::new(5001, n_dimms, warmup, srv.clone())), 0);
+    sys.spawn_host(
+        Box::new(IperfServer::new(5001, n_dimms, warmup, srv.clone())),
+        0,
+    );
     let dst = sys.host_rank_ip();
     for d in 0..n_dimms {
         let client = IperfClient::new(dst, 5001, 6 << 20, IperfReport::shared());
         sys.spawn_dimm(d, Box::new(client), 1);
     }
-    assert!(sys.run_until_procs_done(SimTime::from_secs(10)), "iperf {mcn} stalled");
+    assert!(
+        sys.run_until_procs_done(SimTime::from_secs(10)),
+        "iperf {mcn} stalled"
+    );
     let gbps = srv.lock().meter.gbps();
     gbps
 }
@@ -38,7 +44,12 @@ fn stream_bw(il: Interleave) -> f64 {
     let mut ms = MemorySystem::with_interleave(&DramConfig::ddr4_3200(), 1, il);
     let bytes = 4u64 << 20;
     ms.start_with_mlp(
-        Transfer::Stream { start: 0, bytes, read_frac: 1.0, access: Access::Seq },
+        Transfer::Stream {
+            start: 0,
+            bytes,
+            read_frac: 1.0,
+            access: Access::Seq,
+        },
         0,
         16,
         SimTime::ZERO,
@@ -57,7 +68,11 @@ fn main() {
     let bg = stream_bw(Interleave::BgInterleaved);
     let naive = stream_bw(Interleave::RowBankCol);
     println!("bank-group interleaved: {:.2} GB/s", bg / 1e9);
-    println!("naive row-bank-col:     {:.2} GB/s  ({:.2}x slower)", naive / 1e9, bg / naive);
+    println!(
+        "naive row-bank-col:     {:.2} GB/s  ({:.2}x slower)",
+        naive / 1e9,
+        bg / naive
+    );
 
     println!("\n== Ablation 2: mcn0 polling interval ==");
     for us in [1u64, 2, 4, 8] {
@@ -76,7 +91,10 @@ fn main() {
     c4.dma = true;
     let dma = iperf_gbps(&cfg, c4);
     println!("CPU copies: {cpu:.2} Gbps");
-    println!("MCN-DMA:    {dma:.2} Gbps  (+{:.0}%)", (dma / cpu - 1.0) * 100.0);
+    println!(
+        "MCN-DMA:    {dma:.2} Gbps  (+{:.0}%)",
+        (dma / cpu - 1.0) * 100.0
+    );
 
     println!("\n== Ablation 4: SRAM ring capacity (mcn4) ==");
     for kb in [72usize, 96, 160, 256] {

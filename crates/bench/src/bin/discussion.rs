@@ -38,12 +38,13 @@ fn main() {
     // protocol work from the cost model.
     let c = mcn_node::CostModel::host();
     let ack_cost = 2.0 * (c.tcp_ack() + c.driver_rx()).as_ns_f64();
-    let data_cost =
-        (c.tcp_rx(1448, false) + c.tcp_tx(1448, false) + c.driver_rx() * 2).as_ns_f64();
+    let data_cost = (c.tcp_rx(1448, false) + c.tcp_tx(1448, false) + c.driver_rx() * 2).as_ns_f64();
     let overhead = acks * ack_cost / (data * data_cost);
     println!("== ACK overhead (Sec. VII) ==");
-    println!("data segments: {data:.0}, pure ACKs: {acks:.0} ({:.0}% of frames)",
-        100.0 * acks / (acks + data));
+    println!(
+        "data segments: {data:.0}, pure ACKs: {acks:.0} ({:.0}% of frames)",
+        100.0 * acks / (acks + data)
+    );
     println!(
         "estimated ACK share of protocol CPU work: {:.0}%  (paper: up to ~25%)",
         100.0 * overhead
@@ -77,7 +78,10 @@ fn main() {
     for ms in 1..=5u64 {
         sys.run_until(SimTime::from_ms(ms));
         let b = srv.lock().meter.bytes();
-        println!("t={ms} ms: {:.2} Gbps instantaneous", (b - last) as f64 * 8.0 / 1e6 / 1.0);
+        println!(
+            "t={ms} ms: {:.2} Gbps instantaneous",
+            (b - last) as f64 * 8.0 / 1e6 / 1.0
+        );
         last = b;
     }
 }

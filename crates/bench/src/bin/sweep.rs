@@ -48,7 +48,9 @@ fn usage() -> ! {
 
 /// `sweep diff A.json B.json [--ignore SEG]...`
 fn diff(mut args: impl Iterator<Item = String>) -> ! {
-    let (Some(a), Some(b)) = (args.next(), args.next()) else { usage() };
+    let (Some(a), Some(b)) = (args.next(), args.next()) else {
+        usage()
+    };
     let mut ignore = Vec::new();
     while let Some(flag) = args.next() {
         match (flag.as_str(), args.next()) {
@@ -91,7 +93,13 @@ fn main() {
             "--preset" => preset = val(),
             "--spec" => spec_file = Some(val()),
             "--seed" => seed = val().parse().ok().or_else(|| usage()),
-            "--jobs" => jobs = val().parse().ok().filter(|&n| n >= 1).unwrap_or_else(|| usage()),
+            "--jobs" => {
+                jobs = val()
+                    .parse()
+                    .ok()
+                    .filter(|&n| n >= 1)
+                    .unwrap_or_else(|| usage())
+            }
             "--out" => out = val(),
             "--limit" => limit = val().parse().ok().or_else(|| usage()),
             "--list" => list = true,

@@ -36,9 +36,22 @@ fn breakdown_10gbe(payload: u64) -> LatencyBreakdown {
     let cfg = SystemConfig::default();
     let mut c = EthernetCluster::new(&cfg, 2);
     let srv = IperfReport::shared();
-    c.spawn(0, Box::new(IperfServer::new(5001, 1, SimTime::ZERO, srv.clone())), 0);
+    c.spawn(
+        0,
+        Box::new(IperfServer::new(5001, 1, SimTime::ZERO, srv.clone())),
+        0,
+    );
     let rep = IperfReport::shared();
-    c.spawn(1, Box::new(IperfClient::new(EthernetCluster::ip_of(0), 5001, payload, rep)), 1);
+    c.spawn(
+        1,
+        Box::new(IperfClient::new(
+            EthernetCluster::ip_of(0),
+            5001,
+            payload,
+            rep,
+        )),
+        1,
+    );
     assert!(c.run_until_procs_done(SimTime::from_secs(1)));
     let tx = &c.node(1).nic.breakdown;
     let rx = &c.node(0).nic.breakdown;
@@ -64,7 +77,10 @@ fn breakdown_10gbe(payload: u64) -> LatencyBreakdown {
 fn breakdown_mcn(payload: u64, level: u32) -> LatencyBreakdown {
     let mut sys = McnSystem::new(&SystemConfig::default(), 1, McnConfig::level(level));
     let srv = IperfReport::shared();
-    sys.spawn_host(Box::new(IperfServer::new(5001, 1, SimTime::ZERO, srv.clone())), 0);
+    sys.spawn_host(
+        Box::new(IperfServer::new(5001, 1, SimTime::ZERO, srv.clone())),
+        0,
+    );
     let dst = sys.host_rank_ip();
     let rep = IperfReport::shared();
     sys.spawn_dimm(0, Box::new(IperfClient::new(dst, 5001, payload, rep)), 1);
@@ -91,13 +107,21 @@ fn main() {
         println!(
             "{label:<6} {:<7} {:>10.3} {:>8.3} {:>8.3} {:>8.3} {:>10.3} {:>8.3}",
             "10GbE",
-            n(eth.driver_tx_ns), n(eth.dma_tx_ns), n(eth.phy_ns), n(eth.dma_rx_ns),
-            n(eth.driver_rx_ns), 1.0
+            n(eth.driver_tx_ns),
+            n(eth.dma_tx_ns),
+            n(eth.phy_ns),
+            n(eth.dma_rx_ns),
+            n(eth.driver_rx_ns),
+            1.0
         );
         println!(
             "{label:<6} {:<7} {:>10.3} {:>8.3} {:>8.3} {:>8.3} {:>10.3} {:>8.3}",
             format!("MCN-{mcn_level}"),
-            n(mcn.driver_tx_ns), 0.0, 0.0, 0.0, n(mcn.driver_rx_ns),
+            n(mcn.driver_tx_ns),
+            0.0,
+            0.0,
+            0.0,
+            n(mcn.driver_rx_ns),
             n(mcn.total_ns())
         );
     }

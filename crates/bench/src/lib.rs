@@ -80,7 +80,13 @@ pub fn render_main(render: Render) {
 /// The id of a clean single-worker cell.
 fn id(workload: Workload, topology: Topology, level: u32) -> String {
     let opt = OptFlags { level, threads: 1 };
-    Cell { workload, topology, fault: FaultAxis::None, opt }.id()
+    Cell {
+        workload,
+        topology,
+        fault: FaultAxis::None,
+        opt,
+    }
+    .id()
 }
 
 /// The id of a clean cell on one MCN server at `level`.
@@ -94,21 +100,50 @@ fn cluster(workload: Workload) -> String {
 }
 
 fn npb(name: &str, dimms: usize, host_ranks: usize, per_dimm: usize) -> Workload {
-    Workload::Npb { name: name.into(), dimms, host_ranks, per_dimm }
+    Workload::Npb {
+        name: name.into(),
+        dimms,
+        host_ranks,
+        per_dimm,
+    }
 }
 
 /// Fig. 8(a): iperf bandwidth at mcn0..mcn5, host-mcn and mcn-mcn,
 /// normalized to the 10GbE baseline.
 pub fn fig8a(tree: &MetricsSnapshot) -> Result<String, String> {
-    let base = get(tree, &cluster(Workload::Iperf { server_on_dimm: false }), "perf")?;
+    let base = get(
+        tree,
+        &cluster(Workload::Iperf {
+            server_on_dimm: false,
+        }),
+        "perf",
+    )?;
     let mut out = format!("Fig 8(a): iperf bandwidth normalized to 10GbE ({base:.2} Gbps)\n");
     out += &format!(
         "{:<6} {:>12} {:>12} | {:>12} {:>12}\n",
         "level", "host-mcn", "(norm)", "mcn-mcn", "(norm)"
     );
     for level in 0..=5 {
-        let h = get(tree, &single(Workload::Iperf { server_on_dimm: false }, level), "perf")?;
-        let m = get(tree, &single(Workload::Iperf { server_on_dimm: true }, level), "perf")?;
+        let h = get(
+            tree,
+            &single(
+                Workload::Iperf {
+                    server_on_dimm: false,
+                },
+                level,
+            ),
+            "perf",
+        )?;
+        let m = get(
+            tree,
+            &single(
+                Workload::Iperf {
+                    server_on_dimm: true,
+                },
+                level,
+            ),
+            "perf",
+        )?;
         out += &format!(
             "mcn{level:<3} {h:>9.2} Gb {:>11.2}x | {m:>9.2} Gb {:>11.2}x\n",
             h / base,
@@ -123,15 +158,25 @@ pub fn fig8a(tree: &MetricsSnapshot) -> Result<String, String> {
 /// to the 16-byte 10GbE RTT.
 fn ping_figure(tree: &MetricsSnapshot, dimm_to_dimm: bool) -> Result<String, String> {
     let eth = |payload| {
-        let ping = Workload::Ping { dimm_to_dimm: false, payload };
+        let ping = Workload::Ping {
+            dimm_to_dimm: false,
+            payload,
+        };
         get(tree, &cluster(ping), "rtt_ns")
     };
     let mcn = |payload, level| {
-        let ping = Workload::Ping { dimm_to_dimm, payload };
+        let ping = Workload::Ping {
+            dimm_to_dimm,
+            payload,
+        };
         get(tree, &single(ping, level), "rtt_ns")
     };
     let base = eth(16)?;
-    let (fig, mode) = if dimm_to_dimm { ("8(c)", "mcn-mcn") } else { ("8(b)", "host-mcn") };
+    let (fig, mode) = if dimm_to_dimm {
+        ("8(c)", "mcn-mcn")
+    } else {
+        ("8(b)", "host-mcn")
+    };
     let mut out = format!(
         "Fig {fig}: {mode} ping RTT normalized to 10GbE 16B RTT ({:.3} us)\n",
         base / 1e3
@@ -212,7 +257,11 @@ pub fn fig10(tree: &MetricsSnapshot) -> Result<String, String> {
         out += &format!("{name:<10}");
         for (sum, (dimms, nodes)) in sums.iter_mut().zip(pairs) {
             let mcn = get(tree, &single(npb(name, dimms, 8, 4), 3), "energy.total_j")?;
-            let nodes = Workload::NpbCluster { name: name.into(), nodes, per_node: 8 };
+            let nodes = Workload::NpbCluster {
+                name: name.into(),
+                nodes,
+                per_node: 8,
+            };
             let ratio = mcn / get(tree, &cluster(nodes), "energy.total_j")?;
             *sum += ratio;
             out += &format!(" {ratio:>14.2}");
@@ -240,7 +289,10 @@ pub fn fig11(tree: &MetricsSnapshot) -> Result<String, String> {
     );
     for name in ["ep", "cg", "mg"] {
         let scaleup = |cores| {
-            let w = Workload::NpbScaleUp { name: name.into(), cores };
+            let w = Workload::NpbScaleUp {
+                name: name.into(),
+                cores,
+            };
             get(tree, &single(w, 0), "elapsed_ps")
         };
         let base = scaleup(4)?;
@@ -271,7 +323,11 @@ mod tests {
     #[test]
     fn renderers_read_only_supported_paper_cells() {
         let mut sink = MetricSink::new();
-        for cell in SweepSpec::paper().cells.iter().filter(|c| c.supported().is_ok()) {
+        for cell in SweepSpec::paper()
+            .cells
+            .iter()
+            .filter(|c| c.supported().is_ok())
+        {
             for leaf in ["perf", "rtt_ns", "elapsed_ps", "energy.total_j"] {
                 sink.value(&format!("cells.{}.{leaf}", cell.id()), 1.0);
             }
@@ -291,6 +347,9 @@ mod tests {
             }
         }
         let empty = MetricSink::new().finish();
-        assert_eq!(fig8a(&empty), Err("cells.iperf-cluster-none-mcn0_t1.perf".to_string()));
+        assert_eq!(
+            fig8a(&empty),
+            Err("cells.iperf-cluster-none-mcn0_t1.perf".to_string())
+        );
     }
 }

@@ -44,7 +44,14 @@ impl Default for Bank {
 
 impl Bank {
     /// Records an ACT issued at `t` opening `row`.
-    pub fn activate(&mut self, t: SimTime, row: u64, t_rcd: SimTime, t_ras: SimTime, t_rc: SimTime) {
+    pub fn activate(
+        &mut self,
+        t: SimTime,
+        row: u64,
+        t_rcd: SimTime,
+        t_ras: SimTime,
+        t_rc: SimTime,
+    ) {
         debug_assert_eq!(self.state, BankState::Idle, "ACT to non-idle bank");
         self.state = BankState::Active { row };
         self.cas_ready = t + t_rcd;

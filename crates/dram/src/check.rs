@@ -303,7 +303,11 @@ mod tests {
         while completed < n {
             while issued < n {
                 let is_write = rng.chance(write_frac);
-                if !ch.can_accept(if is_write { MemKind::Write } else { MemKind::Read }) {
+                if !ch.can_accept(if is_write {
+                    MemKind::Write
+                } else {
+                    MemKind::Read
+                }) {
                     break;
                 }
                 let addr = if random {

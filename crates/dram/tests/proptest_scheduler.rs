@@ -11,20 +11,32 @@ use proptest::prelude::*;
 
 fn arb_config() -> impl Strategy<Value = DramConfig> {
     (
-        2u64..=30,   // t_rcd
-        2u64..=30,   // t_rp
-        4u64..=30,   // t_cl
-        2u64..=20,   // t_cwl
-        10u64..=60,  // t_ras
-        2u64..=8,    // t_rrd_s
-        0u64..=8,    // t_rrd_l extra over rrd_s
-        2u64..=6,    // t_ccd_s
-        0u64..=6,    // t_ccd_l extra
-        2u64..=30,   // t_wr
+        2u64..=30,                        // t_rcd
+        2u64..=30,                        // t_rp
+        4u64..=30,                        // t_cl
+        2u64..=20,                        // t_cwl
+        10u64..=60,                       // t_ras
+        2u64..=8,                         // t_rrd_s
+        0u64..=8,                         // t_rrd_l extra over rrd_s
+        2u64..=6,                         // t_ccd_s
+        0u64..=6,                         // t_ccd_l extra
+        2u64..=30,                        // t_wr
         (1u64..=6, 0u64..=10, 2u64..=16), // t_wtr_s, t_wtr_l extra, t_rtp
     )
         .prop_map(
-            |(t_rcd, t_rp, t_cl, t_cwl, t_ras, rrd_s, rrd_l_x, ccd_s, ccd_l_x, t_wr, (wtr_s, wtr_l_x, t_rtp))| {
+            |(
+                t_rcd,
+                t_rp,
+                t_cl,
+                t_cwl,
+                t_ras,
+                rrd_s,
+                rrd_l_x,
+                ccd_s,
+                ccd_l_x,
+                t_wr,
+                (wtr_s, wtr_l_x, t_rtp),
+            )| {
                 let mut c = DramConfig::ddr4_3200();
                 c.t_rcd = t_rcd;
                 c.t_rp = t_rp;

@@ -127,7 +127,12 @@ impl std::fmt::Display for EnergyReport {
 }
 
 /// DRAM energy of one channel over `elapsed`, from its activity counters.
-pub fn dram_channel_energy(p: &PowerParams, stats: &ChannelStats, ranks: u32, elapsed: SimTime) -> f64 {
+pub fn dram_channel_energy(
+    p: &PowerParams,
+    stats: &ChannelStats,
+    ranks: u32,
+    elapsed: SimTime,
+) -> f64 {
     let acts = stats.activates.get() as f64;
     let bursts = (stats.reads.get() + stats.writes.get() + stats.sram_ops.get()) as f64;
     let refs = stats.refreshes.get() as f64;
@@ -136,13 +141,7 @@ pub fn dram_channel_energy(p: &PowerParams, stats: &ChannelStats, ranks: u32, el
     activity_nj * 1e-9 + background
 }
 
-fn cores_energy(
-    active_w: f64,
-    idle_w: f64,
-    busy: SimTime,
-    cores: usize,
-    elapsed: SimTime,
-) -> f64 {
+fn cores_energy(active_w: f64, idle_w: f64, busy: SimTime, cores: usize, elapsed: SimTime) -> f64 {
     let busy_s = busy.as_secs_f64();
     let idle_s = (elapsed.as_secs_f64() * cores as f64 - busy_s).max(0.0);
     active_w * busy_s + idle_w * idle_s
@@ -251,12 +250,7 @@ pub struct Efficiency {
 /// [`Efficiency::energy_per_request_nj`] for the unit conventions);
 /// `elapsed` is the simulated completion time the energy was integrated
 /// over.
-pub fn efficiency(
-    report: &EnergyReport,
-    requests: u64,
-    perf: f64,
-    elapsed: SimTime,
-) -> Efficiency {
+pub fn efficiency(report: &EnergyReport, requests: u64, perf: f64, elapsed: SimTime) -> Efficiency {
     let total_j = report.total();
     let secs = elapsed.as_secs_f64();
     let avg_power_w = if secs > 0.0 { total_j / secs } else { 0.0 };
@@ -266,7 +260,11 @@ pub fn efficiency(
         } else {
             0.0
         },
-        perf_per_watt: if avg_power_w > 0.0 { perf / avg_power_w } else { 0.0 },
+        perf_per_watt: if avg_power_w > 0.0 {
+            perf / avg_power_w
+        } else {
+            0.0
+        },
         avg_power_w,
     }
 }
@@ -311,14 +309,15 @@ mod tests {
         let mut sys = McnSystem::new(&SystemConfig::default(), 1, McnConfig::level(0));
         let idle = mcn_system_energy(&p, &sys, SimTime::from_ms(1)).cpu_j;
         // Burn some host CPU.
-        sys.host
-            .cpus
-            .run_on(0, SimTime::ZERO, SimTime::from_ms(1));
+        sys.host.cpus.run_on(0, SimTime::ZERO, SimTime::from_ms(1));
         let busy = mcn_system_energy(&p, &sys, SimTime::from_ms(1)).cpu_j;
         assert!(busy > idle);
         let delta = busy - idle;
         let expect = (p.host_core_active_w - p.host_core_idle_w) * 1e-3;
-        assert!((delta - expect).abs() < 1e-9, "delta {delta} expect {expect}");
+        assert!(
+            (delta - expect).abs() < 1e-9,
+            "delta {delta} expect {expect}"
+        );
     }
 
     #[test]

@@ -459,7 +459,10 @@ impl<E: Endpoint> Shard for EndpointBlock<E> {
             // event lies past `limit` has no step to run, so the call is
             // skipped.
             let limit = match self.wire_wakeup() {
-                Some(w) => w.as_ps().checked_sub(1).map(|ps| end.min(SimTime::from_ps(ps))),
+                Some(w) => w
+                    .as_ps()
+                    .checked_sub(1)
+                    .map(|ps| end.min(SimTime::from_ps(ps))),
                 None => Some(end),
             };
             if let Some(limit) = limit.filter(|&l| self.next_unclamped().is_some_and(|t| t <= l)) {

@@ -187,8 +187,11 @@ impl EthernetCluster {
     /// A structured snapshot of the cluster for stall debugging: each
     /// node's blocked processes and socket states, plus NIC/link timers.
     pub fn stall_report(&self, title: &str) -> StallReport {
-        let mut r =
-            StallReport::new(format!("{title} (cluster of {} @ {})", self.len(), self.now));
+        let mut r = StallReport::new(format!(
+            "{title} (cluster of {} @ {})",
+            self.len(),
+            self.now
+        ));
         for (i, b) in self.shards.iter().enumerate() {
             for line in b.ep.node.runner.stalled_procs() {
                 r.line(&format!("node{i} procs"), line);
@@ -456,7 +459,10 @@ mod tests {
             c.run_until(c.now() + SimTime::from_ns(100));
         }
         c.impair_uplink(0, 0.0, 0.0, 1);
-        assert!(c.uplink(0).next_arrival().is_none(), "the rebuilt uplink is empty");
+        assert!(
+            c.uplink(0).next_arrival().is_none(),
+            "the rebuilt uplink is empty"
+        );
         // The whole first flight died, so no duplicate ACK can trigger a
         // fast retransmit: recovery waits for the first RTO.
         let mut got = Vec::new();

@@ -71,7 +71,10 @@ pub enum DimmSignal {
 #[derive(Debug)]
 enum DrvOp {
     /// Reading the outbound packet out of local kernel memory.
-    TxCopy { frame: EthernetFrame, started: SimTime },
+    TxCopy {
+        frame: EthernetFrame,
+        started: SimTime,
+    },
     /// Writing the received ring contents into local kernel memory.
     RxCopy { started: SimTime },
 }
@@ -210,7 +213,8 @@ impl McnDimm {
             None,
         );
         node.stack.add_neighbor(host_ip, host_mac);
-        node.stack.set_fallback_neighbor(MacAddr::from_id(F4_FALLBACK_MAC));
+        node.stack
+            .set_fallback_neighbor(MacAddr::from_id(F4_FALLBACK_MAC));
         McnDimm {
             node,
             sram: SramBuffer::new(sys.sram_ring_bytes),
@@ -528,8 +532,7 @@ impl McnDimm {
                     DIMM_DRV_WAITER,
                     start,
                 );
-                self.pending
-                    .insert(job.0, DrvOp::RxCopy { started: now });
+                self.pending.insert(job.0, DrvOp::RxCopy { started: now });
             }
             Staged::Deliver(frame) => {
                 self.stats.rx_frames.inc();
@@ -576,8 +579,13 @@ impl McnDimm {
             DIMM_DRV_WAITER,
             start.max(now),
         );
-        self.pending
-            .insert(job.0, DrvOp::TxCopy { frame, started: now });
+        self.pending.insert(
+            job.0,
+            DrvOp::TxCopy {
+                frame,
+                started: now,
+            },
+        );
     }
 
     fn on_job_done(&mut self, job: JobId, now: SimTime) -> Result<(), McnError> {
@@ -621,26 +629,20 @@ impl McnDimm {
                             // Driver ring work on the IRQ core; protocol
                             // processing steered across the other cores
                             // (RPS), like the host side.
-                            let (_, handoff) = self
-                                .node
-                                .cpus
-                                .run_on(DRV_CORE, now, self.node.cost.driver_rx());
-                            let proto = mcn_node::nic::rx_protocol_cost(
-                                &self.node.cost,
-                                &frame,
-                                sw_csum,
-                            );
+                            let (_, handoff) =
+                                self.node
+                                    .cpus
+                                    .run_on(DRV_CORE, now, self.node.cost.driver_rx());
+                            let proto =
+                                mcn_node::nic::rx_protocol_cost(&self.node.cost, &frame, sw_csum);
                             // Per-flow steering (hash of the source MAC):
                             // frames of one flow stay in order on one core,
                             // different senders spread across cores.
-                            let flow = frame.src.0.iter().fold(0usize, |a, &b| {
-                                a.wrapping_mul(31).wrapping_add(b as usize)
-                            });
-                            let proto_core = if cores > 1 {
-                                1 + flow % (cores - 1)
-                            } else {
-                                0
-                            };
+                            let flow =
+                                frame.src.0.iter().fold(0usize, |a, &b| {
+                                    a.wrapping_mul(31).wrapping_add(b as usize)
+                                });
+                            let proto_core = if cores > 1 { 1 + flow % (cores - 1) } else { 0 };
                             let (_, end) = self.node.cpus.run_on(proto_core, handoff, proto);
                             self.stats.driver_rx.record(end.saturating_sub(started));
                             self.staged.push((end, Staged::Deliver(frame)));
@@ -823,7 +825,10 @@ mod tests {
         }
         let (_, t) = drive(&mut d, SimTime::ZERO, SimTime::from_ms(1));
         // Ring holds at most 2 x 700B messages.
-        assert!(d.stats.tx_busy_events.get() > 0, "should hit NETDEV_TX_BUSY");
+        assert!(
+            d.stats.tx_busy_events.get() > 0,
+            "should hit NETDEV_TX_BUSY"
+        );
         let before = d.stats.tx_frames.get();
         assert!(before < 4);
         // Host drains, then kicks.
@@ -914,7 +919,9 @@ mod tests {
             )
             .unwrap();
         let (signals, _) = drive(&mut d, t + SimTime::from_ms(1), t + SimTime::from_ms(2));
-        assert!(signals.iter().any(|s| matches!(s, DimmSignal::TxPollRaised(_))));
+        assert!(signals
+            .iter()
+            .any(|s| matches!(s, DimmSignal::TxPollRaised(_))));
     }
 
     #[test]

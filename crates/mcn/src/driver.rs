@@ -47,8 +47,7 @@ pub fn sram_window(dimm: usize, dimm_channel: u32, host_channels: u32) -> (u64, 
     let raw = SRAM_REGION_BASE + dimm as u64 * SRAM_WINDOW_SPAN;
     // Align the base onto the DIMM's channel under line interleaving.
     let line = raw / 64;
-    let misalign = (dimm_channel as u64 + host_channels as u64
-        - (line % host_channels as u64))
+    let misalign = (dimm_channel as u64 + host_channels as u64 - (line % host_channels as u64))
         % host_channels as u64;
     (raw + misalign * 64, 64 * host_channels as u64)
 }

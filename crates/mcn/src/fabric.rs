@@ -556,8 +556,7 @@ impl Fabric<DcShard> for ClosFabric {
                 out.push((dst_rack, at, frame));
             } else {
                 self.stats.cross_pod.inc();
-                let spines: Vec<usize> =
-                    (0..self.clos.spines).map(|j| self.spine_idx(j)).collect();
+                let spines: Vec<usize> = (0..self.clos.spines).map(|j| self.spine_idx(j)).collect();
                 self.pick(spines, at, frame, out);
             }
         } else {
@@ -597,14 +596,23 @@ impl Datacenter {
         clos: &ClosConfig,
         plan: &FaultPlan,
     ) -> Self {
-        assert!(clos.pods >= 1 && clos.racks_per_pod >= 1, "need at least one rack");
+        assert!(
+            clos.pods >= 1 && clos.racks_per_pod >= 1,
+            "need at least one rack"
+        );
         assert!(clos.racks() <= 64, "NIC MAC plan supports 64 racks");
         assert!(
             (1..=10).contains(&clos.servers_per_rack),
             "address plan supports 1-10 servers per rack"
         );
-        assert!(clos.aggs_per_pod >= 1 && clos.spines >= 1, "need switches on both tiers");
-        assert!(clos.oversubscription >= 1.0, "oversubscription is a ratio >= 1");
+        assert!(
+            clos.aggs_per_pod >= 1 && clos.spines >= 1,
+            "need switches on both tiers"
+        );
+        assert!(
+            clos.oversubscription >= 1.0,
+            "oversubscription is a ratio >= 1"
+        );
         let n_racks = clos.racks();
         // The ToR parameters every rack shares (the fabric reuses the
         // same store-and-forward stage for its own switches).
@@ -889,12 +897,7 @@ mod tests {
         let clos = ClosConfig::default(); // 2 pods × 2 racks × 4 servers
         let mut dc = mk(&clos);
         let dst_ip = McnSystem::nic_ip_in(3, 0);
-        let lst = dc
-            .server_mut(3, 0)
-            .host
-            .stack
-            .tcp_listen(9000)
-            .unwrap();
+        let lst = dc.server_mut(3, 0).host.stack.tcp_listen(9000).unwrap();
         let cs = dc
             .server_mut(0, 0)
             .host
@@ -943,8 +946,15 @@ mod tests {
             "connection survives with one spine dark"
         );
         let snap = MetricsSnapshot::collect(&dc);
-        assert_eq!(snap.get_u64("fabric.ecmp.path.spine0"), 0, "dark spine unused");
-        assert!(snap.get_u64("fabric.ecmp.path.spine1") > 0, "survivor carried flows");
+        assert_eq!(
+            snap.get_u64("fabric.ecmp.path.spine0"),
+            0,
+            "dark spine unused"
+        );
+        assert!(
+            snap.get_u64("fabric.ecmp.path.spine1") > 0,
+            "survivor carried flows"
+        );
         assert_eq!(snap.get_u64("fabric.switch_downs"), 1);
     }
 

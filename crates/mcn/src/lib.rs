@@ -86,4 +86,3 @@ pub use system::McnSystem;
 pub use mcn_sim::{
     Activity, Component, ComponentExt, Instrumented, MetricSink, MetricValue, MetricsSnapshot,
 };
-

@@ -445,7 +445,10 @@ impl McnRack {
         rack_id: usize,
         dc: bool,
     ) -> Self {
-        assert!((1..=10).contains(&n_servers), "address plan supports 1-10 servers");
+        assert!(
+            (1..=10).contains(&n_servers),
+            "address plan supports 1-10 servers"
+        );
         assert!(rack_id < 64, "NIC MAC plan supports 64 racks");
         let mut servers: Vec<McnSystem> = (0..n_servers)
             .map(|s| {
@@ -656,7 +659,10 @@ impl Instrumented for McnRack {
             out.counter("fabric_drops", stats.fabric_drops.get());
             let eps = || self.shards.iter().map(|b| &b.ep);
             out.counter("f4_unroutable", eps().map(|e| e.f4_unroutable.get()).sum());
-            out.counter("rx_undecodable", eps().map(|e| e.rx_undecodable.get()).sum());
+            out.counter(
+                "rx_undecodable",
+                eps().map(|e| e.rx_undecodable.get()).sum(),
+            );
             for d in &stats.domains {
                 out.absorb(&format!("outage.domain.{}", d.name), d);
             }
@@ -687,7 +693,12 @@ mod tests {
     use std::collections::HashSet;
 
     fn mk(servers: usize, dimms: usize, level: u32) -> McnRack {
-        McnRack::new(&SystemConfig::default(), servers, dimms, McnConfig::level(level))
+        McnRack::new(
+            &SystemConfig::default(),
+            servers,
+            dimms,
+            McnConfig::level(level),
+        )
     }
 
     #[test]
@@ -777,7 +788,13 @@ mod tests {
             .dimm_mut(0)
             .node
             .stack
-            .udp_send(u_src, dst_ip, 7001, Bytes::from(vec![0xE4u8; 900]), SimTime::ZERO)
+            .udp_send(
+                u_src,
+                dst_ip,
+                7001,
+                Bytes::from(vec![0xE4u8; 900]),
+                SimTime::ZERO,
+            )
             .unwrap();
         rack.run_until(SimTime::from_ms(1));
         let (from, _, data) = rack
@@ -1030,7 +1047,11 @@ mod tests {
             .is_some());
         assert_eq!(rack.server(0).hdrv.stats.f3_forward.get(), 1);
         assert_eq!(rack.server(0).hdrv.stats.f4_external.get(), 0);
-        assert_eq!(rack.shards[0].ep.nic.tx_frames.get(), 0, "nothing on the wire");
+        assert_eq!(
+            rack.shards[0].ep.nic.tx_frames.get(),
+            0,
+            "nothing on the wire"
+        );
     }
 }
 

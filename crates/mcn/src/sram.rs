@@ -40,7 +40,11 @@ pub struct SramFull {
 
 impl std::fmt::Display for SramFull {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "sram ring full: need {}, free {}", self.needed, self.free)
+        write!(
+            f,
+            "sram ring full: need {}, free {}",
+            self.needed, self.free
+        )
     }
 }
 

@@ -32,6 +32,6 @@ pub mod placement;
 pub mod workloads;
 
 pub use apps::{IperfClient, IperfReport, IperfServer, PingReport, Pinger};
-pub use mpi::{Allreduce, Alltoall, Barrier, Bcast, MpiError, MpiRank};
 pub use mapreduce::{MapReduceReport, MapReduceWorker};
+pub use mpi::{Allreduce, Alltoall, Barrier, Bcast, MpiError, MpiRank};
 pub use workloads::{CommPattern, RankProgram, WorkloadReport, WorkloadSpec};

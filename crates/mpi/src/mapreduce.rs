@@ -31,9 +31,26 @@ use crate::mpi::{Alltoall, Barrier, MpiRank};
 /// A small closed vocabulary so counts collide across ranks and the
 /// shuffle actually merges.
 const VOCAB: &[&str] = &[
-    "memory", "channel", "network", "dimm", "processor", "bandwidth",
-    "latency", "driver", "packet", "buffer", "near", "data", "host",
-    "kernel", "dram", "sram", "interrupt", "polling", "ethernet", "mpi",
+    "memory",
+    "channel",
+    "network",
+    "dimm",
+    "processor",
+    "bandwidth",
+    "latency",
+    "driver",
+    "packet",
+    "buffer",
+    "near",
+    "data",
+    "host",
+    "kernel",
+    "dram",
+    "sram",
+    "interrupt",
+    "polling",
+    "ethernet",
+    "mpi",
 ];
 
 /// CPU nanoseconds per input byte for tokenising + hashing (at the host
@@ -199,8 +216,7 @@ impl Process for MapReduceWorker {
             match &mut self.phase {
                 Phase::Map => {
                     self.mpi.progress(ctx); // bring up the listener early
-                    let text =
-                        generate_split(self.seed, self.mpi.rank(), self.words_per_rank);
+                    let text = generate_split(self.seed, self.mpi.rank(), self.words_per_rank);
                     let bytes = text.len() as u64;
                     // The real map computation.
                     self.counts = Some(count_words(&text));
@@ -242,12 +258,8 @@ impl Process for MapReduceWorker {
                     let rank = self.mpi.rank();
                     let size = self.mpi.size();
                     let mine = self.reduced.take().expect("reduced");
-                    let expect = Self::expected_partition(
-                        self.seed,
-                        size,
-                        self.words_per_rank,
-                        rank,
-                    );
+                    let expect =
+                        Self::expected_partition(self.seed, size, self.words_per_rank, rank);
                     let mut rep = self.report.lock();
                     if mine != expect {
                         rep.verified = false;

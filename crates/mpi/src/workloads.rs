@@ -127,7 +127,9 @@ impl WorkloadSpec {
                 read_frac: 0.7,
                 random_access: false,
                 compute_ns_per_iter: 200_000,
-                comm: CommPattern::Neighbor { msg_bytes: 64 * 1024 },
+                comm: CommPattern::Neighbor {
+                    msg_bytes: 64 * 1024,
+                },
             },
             // ft: 3-D FFT; streaming memory-bound with a full transpose
             // (all-to-all) every iteration.
@@ -166,7 +168,9 @@ impl WorkloadSpec {
                 read_frac: 0.75,
                 random_access: false,
                 compute_ns_per_iter: 150_000,
-                comm: CommPattern::Neighbor { msg_bytes: 4 * 1024 },
+                comm: CommPattern::Neighbor {
+                    msg_bytes: 4 * 1024,
+                },
             },
         ]
     }
@@ -183,7 +187,9 @@ impl WorkloadSpec {
                 read_frac: 0.65,
                 random_access: false,
                 compute_ns_per_iter: 500_000,
-                comm: CommPattern::Neighbor { msg_bytes: 96 * 1024 },
+                comm: CommPattern::Neighbor {
+                    msg_bytes: 96 * 1024,
+                },
             },
             // amg-like algebraic multigrid: random access + irregular comm.
             WorkloadSpec {
@@ -281,7 +287,10 @@ impl WorkloadReport {
 
     /// The job's completion time (slowest rank), if all ranks finished.
     pub fn completion(&self) -> Option<SimTime> {
-        self.finished.iter().copied().collect::<Option<Vec<_>>>()?
+        self.finished
+            .iter()
+            .copied()
+            .collect::<Option<Vec<_>>>()?
             .into_iter()
             .max()
     }
@@ -307,10 +316,7 @@ impl Instrumented for WorkloadReport {
             self.failures.iter().filter(|f| f.is_some()).count() as u64,
         );
         out.counter("verified", self.verified as u64);
-        out.counter(
-            "completion_ps",
-            self.completion().map_or(0, |t| t.as_ps()),
-        );
+        out.counter("completion_ps", self.completion().map_or(0, |t| t.as_ps()));
     }
 }
 
@@ -319,12 +325,8 @@ enum CommEngine {
     None,
     Allreduce(Allreduce),
     Alltoall(Alltoall),
-    Neighbor {
-        need: Vec<usize>,
-    },
-    Irregular {
-        remaining: usize,
-    },
+    Neighbor { need: Vec<usize> },
+    Irregular { remaining: usize },
 }
 
 #[derive(Debug)]
@@ -447,9 +449,7 @@ impl RankProgram {
                 if size == 1 {
                     return CommEngine::Irregular { remaining: 0 };
                 }
-                for dst in
-                    Self::irregular_targets(self.seed, self.iter, rank, size, fanout)
-                {
+                for dst in Self::irregular_targets(self.seed, self.iter, rank, size, fanout) {
                     let payload = vec![rank as u8; msg_bytes as usize];
                     self.mpi.isend(ctx, dst, tag, &payload);
                 }
@@ -548,8 +548,7 @@ impl Process for RankProgram {
                 }
                 State::Compute => {
                     if self.iter >= self.spec.iterations {
-                        self.state =
-                            State::FinalBarrier(Barrier::new(self.next_gen()));
+                        self.state = State::FinalBarrier(Barrier::new(self.next_gen()));
                         continue;
                     }
                     let size = self.mpi.size() as u64;
@@ -561,8 +560,7 @@ impl Process for RankProgram {
                     } else {
                         Access::Seq
                     };
-                    let job =
-                        ctx.mem_stream(self.mem_base, bytes, self.spec.read_frac, access);
+                    let job = ctx.mem_stream(self.mem_base, bytes, self.spec.read_frac, access);
                     self.state = State::WaitMem(job);
                     return Poll::Wait(vec![Wake::Job(job)]);
                 }

@@ -46,18 +46,21 @@ impl Process for Runner {
                     Vec::new()
                 }
             })),
-            Op::Allreduce(elems) => {
-                Engine::R(Allreduce::new(1, vec![(rank + 1) as f64; elems]))
-            }
+            Op::Allreduce(elems) => Engine::R(Allreduce::new(1, vec![(rank + 1) as f64; elems])),
             Op::Alltoall(bytes) => Engine::A(Alltoall::new(
                 1,
-                (0..size).map(|d| vec![(rank * 31 + d) as u8; bytes]).collect(),
+                (0..size)
+                    .map(|d| vec![(rank * 31 + d) as u8; bytes])
+                    .collect(),
             )),
         });
         let ok = match engine {
             Engine::B(b) => b.poll(&mut self.mpi, ctx).then_some(true),
             Engine::C(c) => c.poll(&mut self.mpi, ctx).then(|| {
-                c.data == (0..1000u32).flat_map(|i| i.to_le_bytes()).collect::<Vec<u8>>()
+                c.data
+                    == (0..1000u32)
+                        .flat_map(|i| i.to_le_bytes())
+                        .collect::<Vec<u8>>()
             }),
             Engine::R(r) => r.poll(&mut self.mpi, ctx).then(|| {
                 let expect = (size * (size + 1) / 2) as f64;

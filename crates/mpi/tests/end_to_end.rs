@@ -64,7 +64,9 @@ fn scale_up_loopback_workload() {
 #[test]
 fn alltoall_workload_both_systems() {
     let spec = WorkloadSpec {
-        comm: mcn_mpi::CommPattern::AllToAll { total_bytes: 64 * 1024 },
+        comm: mcn_mpi::CommPattern::AllToAll {
+            total_bytes: 64 * 1024,
+        },
         ..small_spec()
     };
     let mut sys = McnSystem::new(&SystemConfig::default(), 2, McnConfig::level(5));
@@ -83,16 +85,25 @@ fn alltoall_workload_both_systems() {
         "{}",
         c.stall_report("alltoall on cluster stalled")
     );
-    assert!(report.lock().verified, "alltoall payloads corrupted on cluster");
+    assert!(
+        report.lock().verified,
+        "alltoall payloads corrupted on cluster"
+    );
 }
 
 #[test]
 fn irregular_and_neighbor_workloads_on_mcn() {
     for comm in [
         mcn_mpi::CommPattern::Neighbor { msg_bytes: 4096 },
-        mcn_mpi::CommPattern::Irregular { fanout: 2, msg_bytes: 2048 },
+        mcn_mpi::CommPattern::Irregular {
+            fanout: 2,
+            msg_bytes: 2048,
+        },
     ] {
-        let spec = WorkloadSpec { comm, ..small_spec() };
+        let spec = WorkloadSpec {
+            comm,
+            ..small_spec()
+        };
         let mut sys = McnSystem::new(&SystemConfig::default(), 2, McnConfig::level(1));
         let report = spawn_on_mcn(&mut sys, spec, 1, 1, 11);
         assert!(
@@ -146,7 +157,13 @@ fn ping_host_to_mcn_vs_cluster() {
     let rep = PingReport::shared();
     c.spawn(
         0,
-        Box::new(Pinger::new(EthernetCluster::ip_of(1), 56, 10, 1, rep.clone())),
+        Box::new(Pinger::new(
+            EthernetCluster::ip_of(1),
+            56,
+            10,
+            1,
+            rep.clone(),
+        )),
         1,
     );
     assert!(c.run_until_procs_done(SimTime::from_ms(50)));

@@ -36,7 +36,12 @@ pub fn verify(data: &[u8], init: u32) -> bool {
 
 /// Sum of the TCP/UDP pseudo-header: source ip, destination ip, protocol and
 /// L4 length. Feed the result as `init` to [`checksum`]/[`verify`].
-pub fn pseudo_header_sum(src: std::net::Ipv4Addr, dst: std::net::Ipv4Addr, proto: u8, len: u16) -> u32 {
+pub fn pseudo_header_sum(
+    src: std::net::Ipv4Addr,
+    dst: std::net::Ipv4Addr,
+    proto: u8,
+    len: u16,
+) -> u32 {
     let s = src.octets();
     let d = dst.octets();
     u32::from(u16::from_be_bytes([s[0], s[1]]))

@@ -189,7 +189,10 @@ mod tests {
 
     #[test]
     fn decode_rejects_short_buffers() {
-        assert_eq!(EthernetFrame::decode(&[0u8; 13]), Err(FrameError::Truncated));
+        assert_eq!(
+            EthernetFrame::decode(&[0u8; 13]),
+            Err(FrameError::Truncated)
+        );
     }
 
     proptest! {

@@ -309,8 +309,7 @@ impl Reassembler {
 
     fn expire(&mut self, now: SimTime) {
         let timeout = self.timeout;
-        self.pending
-            .retain(|_, d| d.first_seen + timeout > now);
+        self.pending.retain(|_, d| d.first_seen + timeout > now);
     }
 
     /// Number of incomplete datagrams currently buffered.

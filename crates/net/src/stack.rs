@@ -462,7 +462,13 @@ impl NetStack {
         let cfg = self.conn_cfg(ifidx);
         let isn = self.next_isn;
         self.next_isn = self.next_isn.wrapping_add(64_000);
-        let conn = Box::new(TcpConn::connect((local_ip, lport), (dst, dport), cfg, isn, now));
+        let conn = Box::new(TcpConn::connect(
+            (local_ip, lport),
+            (dst, dport),
+            cfg,
+            isn,
+            now,
+        ));
         let id = self.alloc_sock(Socket::Tcp { conn, ifidx });
         self.conn_map.insert((local_ip, lport, dst, dport), id.0);
         self.flush_conn(id.0);
@@ -495,7 +501,12 @@ impl NetStack {
     /// # Errors
     ///
     /// [`StackError::BadSocket`] for non-TCP handles.
-    pub fn tcp_send(&mut self, sock: SockId, data: &[u8], now: SimTime) -> Result<usize, StackError> {
+    pub fn tcp_send(
+        &mut self,
+        sock: SockId,
+        data: &[u8],
+        now: SimTime,
+    ) -> Result<usize, StackError> {
         let n = self.tcp_conn(sock)?.send(data, now);
         self.flush_conn(sock.0);
         self.drain_loopback(now);
@@ -792,8 +803,11 @@ impl NetStack {
                 let _ = self.send_ip(pkt.dst, pkt.src, IpProto::Icmp, Bytes::from(reply.encode()));
             }
             IcmpKind::EchoReply => {
-                self.events
-                    .push(SocketEvent::PingReply(msg.ident, msg.seq, msg.payload.len()));
+                self.events.push(SocketEvent::PingReply(
+                    msg.ident,
+                    msg.seq,
+                    msg.payload.len(),
+                ));
                 self.ping_rx
                     .push_back((pkt.src, msg.ident, msg.seq, msg.payload.len()));
             }
@@ -864,8 +878,7 @@ impl NetStack {
                     .iter()
                     .filter(|s| match s {
                         Socket::Tcp { conn, .. } => {
-                            conn.state() == TcpState::SynRcvd
-                                && conn.local().1 == seg.dst_port
+                            conn.state() == TcpState::SynRcvd && conn.local().1 == seg.dst_port
                         }
                         _ => false,
                     })
@@ -969,12 +982,9 @@ impl NetStack {
     /// queues them on the interface.
     fn flush_conn(&mut self, idx: usize) {
         let (segs, ifidx, local, remote) = match &mut self.sockets[idx] {
-            Socket::Tcp { conn, ifidx } => (
-                conn.take_output(),
-                *ifidx,
-                conn.local(),
-                conn.remote(),
-            ),
+            Socket::Tcp { conn, ifidx } => {
+                (conn.take_output(), *ifidx, conn.local(), conn.remote())
+            }
             _ => return,
         };
         let with_csum = self.ifaces[ifidx].cfg.tx_checksum;
@@ -1744,11 +1754,23 @@ mod drop_tests {
         // Every connection finished cleanly: all slots recycled, no leaks.
         assert_eq!(a.stats.slots_reaped.get(), ROUNDS);
         assert_eq!(b.stats.slots_reaped.get(), ROUNDS);
-        assert_eq!(a.stats.time_wait_reaped.get(), ROUNDS, "active closer waits out 2MSL");
-        assert_eq!(b.stats.time_wait_reaped.get(), 0, "passive closer skips TIME_WAIT");
+        assert_eq!(
+            a.stats.time_wait_reaped.get(),
+            ROUNDS,
+            "active closer waits out 2MSL"
+        );
+        assert_eq!(
+            b.stats.time_wait_reaped.get(),
+            0,
+            "passive closer skips TIME_WAIT"
+        );
         assert!(a.conn_map.is_empty() && b.conn_map.is_empty());
         assert_eq!(a.socket_states().len(), 0, "no live sockets left on A");
-        assert_eq!(b.socket_states().len(), 1, "only the listener survives on B");
+        assert_eq!(
+            b.socket_states().len(),
+            1,
+            "only the listener survives on B"
+        );
         // Stats survive the reaping: 5 payload bytes per round, accumulated
         // in `dead_tcp` even though every slot was recycled.
         assert_eq!(a.tcp_totals().bytes_sent, 5 * ROUNDS);

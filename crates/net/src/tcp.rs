@@ -799,8 +799,8 @@ impl TcpConn {
         self.dupacks = 0;
         self.rto_backoff = (self.rto_backoff + 1).min(10);
         self.rtt_probe = None; // Karn's algorithm: no samples from rtx
-        // Everything between snd_una and snd_nxt is treated as lost:
-        // forward ACKs below this point drive go-back-N retransmission.
+                               // Everything between snd_una and snd_nxt is treated as lost:
+                               // forward ACKs below this point drive go-back-N retransmission.
         if self.in_flight() > 0 {
             self.rto_recover = Some(self.snd_nxt);
         }
@@ -852,8 +852,7 @@ impl TcpConn {
             let mut payload = vec![0; len];
             copy_from_deque(&self.snd_buf, off, &mut payload);
             let payload = Bytes::from(payload);
-            let last_of_fin =
-                self.fin_sent && off + len == self.snd_buf.len();
+            let last_of_fin = self.fin_sent && off + len == self.snd_buf.len();
             self.out.push(TcpSegment {
                 src_port: self.local.1,
                 dst_port: self.remote.1,
@@ -1049,8 +1048,7 @@ impl TcpConn {
                 if self.cwnd < self.ssthresh {
                     self.cwnd += (acked as f64).min(self.cfg.mss as f64);
                 } else {
-                    self.cwnd +=
-                        (self.cfg.mss as f64 * self.cfg.mss as f64 / self.cwnd).max(1.0);
+                    self.cwnd += (self.cfg.mss as f64 * self.cfg.mss as f64 / self.cwnd).max(1.0);
                 }
                 // Go-back-N recovery: a partial ACK below the recovery
                 // point means the next unacked segment died with the rest

@@ -234,7 +234,7 @@ impl TcpSegment {
         let mut opt = &data[TCP_HEADER_BYTES..hl];
         while !opt.is_empty() {
             match opt[0] {
-                0 => break,          // end of options
+                0 => break,           // end of options
                 1 => opt = &opt[1..], // NOP
                 2 if opt.len() >= 4 => {
                     mss = Some(u16::from_be_bytes([opt[2], opt[3]]));

@@ -33,7 +33,12 @@ fn longest_prefix_wins_regardless_of_insertion_order() {
     let any = Ipv4Addr::new(0, 0, 0, 0);
     // Default via iface 0 inserted FIRST; /32 via iface 1 second.
     s.add_route(any, any, 0, None);
-    s.add_route(Ipv4Addr::new(10, 9, 9, 9), Ipv4Addr::new(255, 255, 255, 255), 1, None);
+    s.add_route(
+        Ipv4Addr::new(10, 9, 9, 9),
+        Ipv4Addr::new(255, 255, 255, 255),
+        1,
+        None,
+    );
     s.add_neighbor(Ipv4Addr::new(10, 9, 9, 9), MacAddr::from_id(77));
     s.set_fallback_neighbor(MacAddr::from_id(0xFFFE));
     assert_eq!(egress_iface(&mut s, Ipv4Addr::new(10, 9, 9, 9)), Some(1));
@@ -62,10 +67,22 @@ fn fallback_neighbor_applies_only_without_an_entry() {
     s.add_neighbor(Ipv4Addr::new(10, 5, 0, 5), MacAddr::from_id(50));
     s.set_fallback_neighbor(MacAddr::from_id(0xFFFE));
     let u = s.udp_bind(0).unwrap();
-    s.udp_send(u, Ipv4Addr::new(10, 5, 0, 5), 9, Bytes::from_static(b"a"), SimTime::ZERO)
-        .unwrap();
+    s.udp_send(
+        u,
+        Ipv4Addr::new(10, 5, 0, 5),
+        9,
+        Bytes::from_static(b"a"),
+        SimTime::ZERO,
+    )
+    .unwrap();
     assert_eq!(s.poll_output(0).unwrap().dst, MacAddr::from_id(50));
-    s.udp_send(u, Ipv4Addr::new(10, 6, 0, 6), 9, Bytes::from_static(b"b"), SimTime::ZERO)
-        .unwrap();
+    s.udp_send(
+        u,
+        Ipv4Addr::new(10, 6, 0, 6),
+        9,
+        Bytes::from_static(b"b"),
+        SimTime::ZERO,
+    )
+    .unwrap();
     assert_eq!(s.poll_output(0).unwrap().dst, MacAddr::from_id(0xFFFE));
 }

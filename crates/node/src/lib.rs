@@ -43,4 +43,4 @@ pub use cpu::CpuPool;
 pub use mem::{Access, JobId, MemorySystem, Transfer, WaiterId};
 pub use nic::Nic;
 pub use node::Node;
-pub use proc::{ProcCtx, ProcId, ProcRunner, Process, Poll, Wake};
+pub use proc::{Poll, ProcCtx, ProcId, ProcRunner, Process, Wake};

@@ -106,7 +106,12 @@ struct Ring(VecDeque<Desc>);
 
 impl Ring {
     fn post(&mut self, job: JobId, started: SimTime, frame: EthernetFrame) {
-        self.0.push_back(Desc { job, started, done: false, frame });
+        self.0.push_back(Desc {
+            job,
+            started,
+            done: false,
+            frame,
+        });
     }
 
     /// Marks `job`'s descriptor done; false if this ring does not hold it.
@@ -481,7 +486,10 @@ mod tests {
         assert_eq!(nic.breakdown.dma_tx.count(), 1);
         // DMA of a 1514B frame is fast but nonzero.
         let dma = nic.breakdown.dma_tx.mean().unwrap();
-        assert!(dma > SimTime::from_ns(20) && dma < SimTime::from_us(2), "dma {dma}");
+        assert!(
+            dma > SimTime::from_ns(20) && dma < SimTime::from_us(2),
+            "dma {dma}"
+        );
     }
 
     #[test]
@@ -526,8 +534,14 @@ mod tests {
                 .collect()
         };
         let tx = order(true);
-        assert_eq!(tx.iter().map(|&(_, len)| len).collect::<Vec<_>>(), [8960, 64]);
-        assert_eq!(tx[0].0, tx[1].0, "both leave at the long frame's write-back");
+        assert_eq!(
+            tx.iter().map(|&(_, len)| len).collect::<Vec<_>>(),
+            [8960, 64]
+        );
+        assert_eq!(
+            tx[0].0, tx[1].0,
+            "both leave at the long frame's write-back"
+        );
         let rx: Vec<usize> = order(false).into_iter().map(|(_, len)| len).collect();
         assert_eq!(rx, [8960, 64]);
         assert_eq!(nic.breakdown.dma_tx.count(), 2);

@@ -221,9 +221,13 @@ impl ProcCtx<'_> {
     /// [`Wake::AnyPing`] wake plus a `PingReply` stack event.
     pub fn ping(&mut self, dst: std::net::Ipv4Addr, ident: u16, seq: u16, len: usize) {
         self.charge(self.cost.syscall());
-        let _ = self
-            .stack
-            .send_ping(dst, ident, seq, bytes::Bytes::from(vec![0x42u8; len]), self.now);
+        let _ = self.stack.send_ping(
+            dst,
+            ident,
+            seq,
+            bytes::Bytes::from(vec![0x42u8; len]),
+            self.now,
+        );
     }
 }
 
@@ -353,10 +357,7 @@ impl ProcRunner {
         if let Some(ProcId(idx)) = Self::proc_of_waiter(waiter) {
             if let Some(e) = self.procs.get_mut(idx) {
                 if let ProcState::Waiting(wakes) = &e.state {
-                    if wakes
-                        .iter()
-                        .any(|w| matches!(w, Wake::Job(j) if *j == job))
-                    {
+                    if wakes.iter().any(|w| matches!(w, Wake::Job(j) if *j == job)) {
                         e.state = ProcState::Ready;
                         self.run_queue.push_back(idx);
                     }
@@ -561,7 +562,13 @@ mod tests {
         assert!(!ran, "core busy: nothing should run");
         // next_event points at the core release.
         assert_eq!(runner.next_event(&cpus), Some(SimTime::from_us(100)));
-        assert!(runner.run(SimTime::from_us(100), &mut cpus, &mut stack, &mut mem, &cost));
+        assert!(runner.run(
+            SimTime::from_us(100),
+            &mut cpus,
+            &mut stack,
+            &mut mem,
+            &cost
+        ));
         assert!(runner.all_done());
     }
 

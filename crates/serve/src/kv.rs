@@ -198,8 +198,12 @@ impl KvServer {
                 Request::Get { key } => match self.store.get(&key).copied() {
                     Some(len) => {
                         let start = (key as u64).wrapping_mul(4096) % STORE_SPAN;
-                        let job =
-                            ctx.mem_stream(start, len as u64, 1.0, Access::Rand { span: STORE_SPAN });
+                        let job = ctx.mem_stream(
+                            start,
+                            len as u64,
+                            1.0,
+                            Access::Rand { span: STORE_SPAN },
+                        );
                         let mut resp = format!("V {len}\n").into_bytes();
                         resp.resize(resp.len() + len as usize, 0x56);
                         self.active = Some((token, job, resp));
@@ -343,12 +347,7 @@ impl Process for KvServer {
             return Poll::Wait(vec![Wake::Job(*job)]);
         }
         let mut wakes = vec![Wake::Sock(listener)];
-        wakes.extend(
-            self.conns
-                .iter()
-                .flatten()
-                .map(|c| Wake::Sock(c.sock)),
-        );
+        wakes.extend(self.conns.iter().flatten().map(|c| Wake::Sock(c.sock)));
         if let Some(idle) = self.cfg.idle_timeout {
             if let Some(earliest) = self.conns.iter().flatten().map(|c| c.last_req).min() {
                 wakes.push(Wake::Timer(earliest + idle));

@@ -59,7 +59,10 @@ mod tests {
 
     #[test]
     fn request_parser_round_trips() {
-        assert_eq!(parse_request(b"G 42\n"), Some((Request::Get { key: 42 }, 5)));
+        assert_eq!(
+            parse_request(b"G 42\n"),
+            Some((Request::Get { key: 42 }, 5))
+        );
         assert_eq!(parse_request(b"G 42"), None, "incomplete line");
         let mut set = b"S 7 3\nabc".to_vec();
         assert_eq!(

@@ -254,9 +254,18 @@ mod tests {
             ReplicaMap::new(one_domain, 8, 2),
             Err(PlacementError::InsufficientDomains { needed: 2, have: 1 })
         );
-        assert_eq!(ReplicaMap::new(Vec::new(), 8, 2), Err(PlacementError::NoBackends));
-        assert_eq!(ReplicaMap::new(fleet(), 8, 0), Err(PlacementError::ZeroReplication));
-        assert_eq!(ReplicaMap::new(fleet(), 0, 2), Err(PlacementError::ZeroRanges));
+        assert_eq!(
+            ReplicaMap::new(Vec::new(), 8, 2),
+            Err(PlacementError::NoBackends)
+        );
+        assert_eq!(
+            ReplicaMap::new(fleet(), 8, 0),
+            Err(PlacementError::ZeroReplication)
+        );
+        assert_eq!(
+            ReplicaMap::new(fleet(), 0, 2),
+            Err(PlacementError::ZeroRanges)
+        );
     }
 
     #[test]

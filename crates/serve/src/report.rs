@@ -136,8 +136,7 @@ impl ServeReport {
 
     /// Whether `t` falls inside the declared fault window.
     pub fn in_fault_window(&self, t: SimTime) -> bool {
-        self.fault_window
-            .is_some_and(|(s, e)| t >= s && t < e)
+        self.fault_window.is_some_and(|(s, e)| t >= s && t < e)
     }
 
     /// Records one issued request (the client calls this at the

@@ -383,7 +383,10 @@ impl ResilientKvClient {
                 .tx
                 .extend_from_slice(format!("G {key}\n").as_bytes());
         }
-        self.backends[b].fifo.push_back(AttemptRef { req: req_idx, hedge });
+        self.backends[b].fifo.push_back(AttemptRef {
+            req: req_idx,
+            hedge,
+        });
         let req = &mut self.reqs[req_idx];
         req.pending += 1;
         req.attempts += 1;
@@ -548,8 +551,7 @@ impl Process for ResilientKvClient {
             let Some(sock) = self.backends[b].sock else {
                 continue;
             };
-            if ctx.tcp_failed(sock) || (ctx.tcp_at_eof(sock) && !self.backends[b].fifo.is_empty())
-            {
+            if ctx.tcp_failed(sock) || (ctx.tcp_at_eof(sock) && !self.backends[b].fifo.is_empty()) {
                 self.fail_backend(ctx, b);
             } else if ctx.tcp_at_eof(sock) {
                 // Idle-timeout close with nothing outstanding: quiet drop.
@@ -586,7 +588,11 @@ impl Process for ResilientKvClient {
                 last_backend: 0,
                 attempt_deadline: now + self.cfg.req_timeout,
                 stalled: false,
-                hedge_at: if set { None } else { self.cfg.hedge_delay.map(|d| now + d) },
+                hedge_at: if set {
+                    None
+                } else {
+                    self.cfg.hedge_delay.map(|d| now + d)
+                },
                 deadline: now + self.cfg.give_up_after,
             });
             self.open.push(idx);
@@ -649,10 +655,8 @@ impl Process for ResilientKvClient {
             }
             if now >= self.reqs[idx].attempt_deadline {
                 let lb = self.reqs[idx].last_backend;
-                let zero_win = self.backends[lb]
-                    .sock
-                    .and_then(|s| ctx.tcp_peer_window(s))
-                    == Some(0);
+                let zero_win =
+                    self.backends[lb].sock.and_then(|s| ctx.tcp_peer_window(s)) == Some(0);
                 if zero_win {
                     // Alive-but-full: persist probes are pacing the
                     // peer; failing over would be spurious.
@@ -746,12 +750,7 @@ impl Process for ResilientKvClient {
         if self.issued < self.cfg.n_requests && self.open.len() < self.cfg.pipeline {
             wakes.push(Wake::Timer(self.next_arrival.max(now)));
         }
-        if let Some(t) = self
-            .open
-            .iter()
-            .map(|&i| self.reqs[i].next_check())
-            .min()
-        {
+        if let Some(t) = self.open.iter().map(|&i| self.reqs[i].next_check()).min() {
             wakes.push(Wake::Timer(t.max(now + SimTime::from_ns(1))));
         }
         for b in &self.backends {
@@ -799,7 +798,11 @@ mod tests {
         assert_eq!(b.try_pass(again), Pass::Probe);
         b.record_success();
         assert_eq!(b.try_pass(again), Pass::Yes);
-        assert_eq!(b.try_pass(again), Pass::Yes, "a closed breaker passes every request");
+        assert_eq!(
+            b.try_pass(again),
+            Pass::Yes,
+            "a closed breaker passes every request"
+        );
     }
 
     #[test]

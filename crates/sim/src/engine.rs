@@ -914,7 +914,11 @@ mod tests {
         n.child.component_polls.add(5);
         n.child.rounds.add(1);
         n.child.advances.add(1);
-        assert_eq!(n.engine_stats().component_polls.get(), 10, "own entry first");
+        assert_eq!(
+            n.engine_stats().component_polls.get(),
+            10,
+            "own entry first"
+        );
         let (actual, scan) = n.poll_accounting();
         assert_eq!(actual, 15);
         assert_eq!(scan, (3 + 2) * 4 + (1 + 1) * 2);

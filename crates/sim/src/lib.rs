@@ -48,7 +48,7 @@ pub use diag::StallReport;
 pub use engine::{Activity, Backoff, Component, ComponentExt, Engine, EngineStats, WakeupIndex};
 pub use fault::{FaultInjector, FaultKind, FaultPlan};
 pub use metrics::{Instrumented, MetricSink, MetricValue, MetricsSnapshot};
-pub use shard::{Fabric, Outbox, ParallelEngine, Quantum, RunGoal, RunReport, Shard, ShardStats};
 pub use queue::EventQueue;
 pub use rng::{fnv1a64, DetRng};
+pub use shard::{Fabric, Outbox, ParallelEngine, Quantum, RunGoal, RunReport, Shard, ShardStats};
 pub use time::SimTime;

@@ -88,9 +88,7 @@ impl MetricValue {
                         '"' => out.push_str("\\\""),
                         '\\' => out.push_str("\\\\"),
                         '\n' => out.push_str("\\n"),
-                        c if (c as u32) < 0x20 => {
-                            write!(out, "\\u{:04x}", c as u32).unwrap()
-                        }
+                        c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32).unwrap(),
                         c => out.push(c),
                     }
                 }
@@ -392,19 +390,17 @@ impl MetricsSnapshot {
             let (path, value) = body
                 .split_once("\": ")
                 .ok_or_else(|| err("expected '\": ' separator"))?;
-            let value = if let Some(text) = value
-                .strip_prefix('"')
-                .and_then(|v| v.strip_suffix('"'))
-            {
-                MetricValue::Text(Self::unescape(text).map_err(|e| err(&e))?)
-            } else if value == "null" {
-                // The renderer writes non-finite floats as null.
-                MetricValue::F64(f64::NAN)
-            } else if value.bytes().all(|b| b.is_ascii_digit()) {
-                MetricValue::U64(value.parse().map_err(|_| err("bad counter"))?)
-            } else {
-                MetricValue::F64(value.parse().map_err(|_| err("bad number"))?)
-            };
+            let value =
+                if let Some(text) = value.strip_prefix('"').and_then(|v| v.strip_suffix('"')) {
+                    MetricValue::Text(Self::unescape(text).map_err(|e| err(&e))?)
+                } else if value == "null" {
+                    // The renderer writes non-finite floats as null.
+                    MetricValue::F64(f64::NAN)
+                } else if value.bytes().all(|b| b.is_ascii_digit()) {
+                    MetricValue::U64(value.parse().map_err(|_| err("bad counter"))?)
+                } else {
+                    MetricValue::F64(value.parse().map_err(|_| err("bad number"))?)
+                };
             entries.push((path.to_string(), value));
         }
         if !closed {
@@ -439,9 +435,7 @@ impl MetricsSnapshot {
                     let hex: String = chars.by_ref().take(4).collect();
                     let code = u32::from_str_radix(&hex, 16)
                         .map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                    out.push(
-                        char::from_u32(code).ok_or_else(|| format!("bad codepoint {code}"))?,
-                    );
+                    out.push(char::from_u32(code).ok_or_else(|| format!("bad codepoint {code}"))?);
                 }
                 other => return Err(format!("bad escape {other:?}")),
             }

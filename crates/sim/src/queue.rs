@@ -164,8 +164,15 @@ mod tests {
         q.schedule(SimTime::from_ns(10), 1);
         q.schedule(SimTime::from_ns(30), 3);
         assert_eq!(q.pop_if_due(SimTime::from_ns(5)), None);
-        assert_eq!(q.pop_if_due(SimTime::from_ns(10)), Some((SimTime::from_ns(10), 1)));
-        assert_eq!(q.pop_if_due(SimTime::from_ns(20)), None, "future events stay queued");
+        assert_eq!(
+            q.pop_if_due(SimTime::from_ns(10)),
+            Some((SimTime::from_ns(10), 1))
+        );
+        assert_eq!(
+            q.pop_if_due(SimTime::from_ns(20)),
+            None,
+            "future events stay queued"
+        );
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop_if_due(SimTime::MAX), Some((SimTime::from_ns(30), 3)));
         assert_eq!(q.pop_if_due(SimTime::MAX), None);

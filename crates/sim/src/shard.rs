@@ -319,7 +319,13 @@ pub trait Fabric<S: Shard> {
     /// Routes one frame emitted by shard `from` at time `at`, pushing
     /// `(destination shard, ingress time, frame)` deliveries. Dropping
     /// the frame (dead link, partition) is expressed by pushing nothing.
-    fn route(&mut self, from: usize, at: SimTime, frame: S::Frame, out: &mut Vec<(usize, SimTime, S::Frame)>);
+    fn route(
+        &mut self,
+        from: usize,
+        at: SimTime,
+        frame: S::Frame,
+        out: &mut Vec<(usize, SimTime, S::Frame)>,
+    );
 }
 
 /// What [`ParallelEngine::run`] is asked to achieve.
@@ -457,7 +463,10 @@ fn gather<C, F>(
     pending
         .iter_mut()
         .zip(cmds.iter_mut())
-        .map(|(p, c)| ShardWork { cmds: std::mem::take(c), deliveries: std::mem::take(p) })
+        .map(|(p, c)| ShardWork {
+            cmds: std::mem::take(c),
+            deliveries: std::mem::take(p),
+        })
         .collect()
 }
 
@@ -476,7 +485,10 @@ pub struct ParallelEngine {
 impl ParallelEngine {
     /// A scheduler with the given synchronization quantum.
     pub fn new(quantum: Quantum) -> Self {
-        ParallelEngine { quantum, stats: ShardStats::default() }
+        ParallelEngine {
+            quantum,
+            stats: ShardStats::default(),
+        }
     }
 
     /// The configured quantum.
@@ -499,7 +511,12 @@ impl ParallelEngine {
     /// first folded across many engines with [`ShardStats::accumulate`]
     /// (every rack-level engine of a datacenter forms *one* intra-rack
     /// domain). `quantum` is the shared window width of those engines.
-    pub fn domain_metrics_for(name: &str, quantum: Quantum, stats: &ShardStats, out: &mut MetricSink) {
+    pub fn domain_metrics_for(
+        name: &str,
+        quantum: Quantum,
+        stats: &ShardStats,
+        out: &mut MetricSink,
+    ) {
         out.scoped("domain", |out| {
             out.scoped(name, |out| {
                 out.counter("quantum_ps", quantum.window().as_ps());
@@ -532,12 +549,19 @@ impl ParallelEngine {
             if goal == RunGoal::Deadline {
                 *now = target.max(*now);
             }
-            return RunReport { completed: true, events: 0 };
+            return RunReport {
+                completed: true,
+                events: 0,
+            };
         }
         let threads = threads.clamp(1, n);
         if threads == 1 {
             let mut dispatch = |end, work: Vec<ShardWork<S::Cmd, S::Frame>>| {
-                shards.iter_mut().zip(work).map(|(s, w)| run_one(s, end, w)).collect()
+                shards
+                    .iter_mut()
+                    .zip(work)
+                    .map(|(s, w)| run_one(s, end, w))
+                    .collect()
             };
             return self.coordinate::<S, F>(n, fabric, now, target, goal, &mut dispatch);
         }
@@ -559,8 +583,11 @@ impl ParallelEngine {
                     let (res_tx, res_rx) = mpsc::channel();
                     scope.spawn(move || {
                         while let Ok((end, work)) = job_rx.recv() {
-                            let reports: Vec<_> =
-                                mine.iter_mut().zip(work).map(|(s, w)| run_one(&mut **s, end, w)).collect();
+                            let reports: Vec<_> = mine
+                                .iter_mut()
+                                .zip(work)
+                                .map(|(s, w)| run_one(&mut **s, end, w))
+                                .collect();
                             if res_tx.send(reports).is_err() {
                                 break;
                             }
@@ -589,7 +616,9 @@ impl ParallelEngine {
                         out[w + 1 + k * threads] = Some(r);
                     }
                 }
-                out.into_iter().map(|r| r.expect("missing shard report")).collect()
+                out.into_iter()
+                    .map(|r| r.expect("missing shard report"))
+                    .collect()
             };
             self.coordinate::<S, F>(n, fabric, now, target, goal, &mut dispatch)
         })
@@ -836,7 +865,9 @@ mod tests {
         let mut shards: Vec<Emitter> = (0..shards)
             .map(|id| Emitter {
                 id,
-                script: (0u32..40).map(|i| (SimTime::from_ns(100 * u64::from(i / 2)), i)).collect(),
+                script: (0u32..40)
+                    .map(|i| (SimTime::from_ns(100 * u64::from(i / 2)), i))
+                    .collect(),
                 cursor: 0,
             })
             .collect();
@@ -934,7 +965,14 @@ mod tests {
                 }
             }
         }
-        fn route(&mut self, _from: usize, _at: SimTime, _frame: (), _out: &mut Vec<(usize, SimTime, ())>) {}
+        fn route(
+            &mut self,
+            _from: usize,
+            _at: SimTime,
+            _frame: (),
+            _out: &mut Vec<(usize, SimTime, ())>,
+        ) {
+        }
     }
 
     #[test]
@@ -968,7 +1006,11 @@ mod tests {
         // …but the command still landed exactly at its scheduled time,
         // and no event at or past the control ran before it: the batch
         // was clamped to end strictly before the control.
-        assert_eq!(shards[0].cmd_at, Some(ctl), "control command missed or shifted");
+        assert_eq!(
+            shards[0].cmd_at,
+            Some(ctl),
+            "control command missed or shifted"
+        );
         let before = &shards[0].processed_before_cmd;
         assert!(
             before.iter().all(|&t| t < ctl),
@@ -982,7 +1024,8 @@ mod tests {
     #[test]
     fn batch_windows_count_the_quantum_widths_covered() {
         let q = SimTime::from_ns(200);
-        let wins = |base: u64, end: u64| batch_windows(SimTime::from_ns(base), SimTime::from_ns(end), q);
+        let wins =
+            |base: u64, end: u64| batch_windows(SimTime::from_ns(base), SimTime::from_ns(end), q);
         assert_eq!(wins(199, 199), 1);
         assert_eq!(wins(199, 150), 1); // clamped batch: end < base
         assert_eq!(wins(199, 399), 2);

@@ -51,7 +51,11 @@ pub struct SweepConfig {
 impl SweepConfig {
     /// `jobs` workers writing into `out_dir`, no cell limit.
     pub fn new(jobs: usize, out_dir: impl Into<PathBuf>) -> SweepConfig {
-        SweepConfig { jobs: jobs.max(1), out_dir: out_dir.into(), limit: None }
+        SweepConfig {
+            jobs: jobs.max(1),
+            out_dir: out_dir.into(),
+            limit: None,
+        }
     }
 }
 
@@ -154,7 +158,8 @@ pub fn run_sweep(spec: &SweepSpec, cfg: &SweepConfig) -> std::io::Result<SweepOu
                 let start = Instant::now();
                 let snap = run_cell(cell, &spec.scale, seed);
                 let wall_s = start.elapsed().as_secs_f64();
-                if let Err(e) = write_atomic(&marker_path(&cfg.out_dir, cell, hash), &snap.to_json())
+                if let Err(e) =
+                    write_atomic(&marker_path(&cfg.out_dir, cell, hash), &snap.to_json())
                 {
                     *io_err.lock().expect("io_err") = Some(e);
                     break;
@@ -227,14 +232,26 @@ mod tests {
     fn tiny_spec(seed: u64) -> SweepSpec {
         let axes = Axes {
             workloads: vec![
-                Workload::Iperf { server_on_dimm: false },
-                Workload::Ping { dimm_to_dimm: false, payload: 64 },
+                Workload::Iperf {
+                    server_on_dimm: false,
+                },
+                Workload::Ping {
+                    dimm_to_dimm: false,
+                    payload: 64,
+                },
             ],
             topologies: vec![Topology::Single],
             faults: vec![FaultAxis::None],
-            opts: vec![OptFlags { level: 3, threads: 1 }],
+            opts: vec![OptFlags {
+                level: 3,
+                threads: 1,
+            }],
         };
-        SweepSpec { seed, scale: Scale::smoke(), cells: axes.expand() }
+        SweepSpec {
+            seed,
+            scale: Scale::smoke(),
+            cells: axes.expand(),
+        }
     }
 
     fn tmp_dir(tag: &str) -> PathBuf {

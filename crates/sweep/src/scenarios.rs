@@ -117,8 +117,12 @@ pub fn kv_rack_workload(p: &KvRackParams) -> (McnRack, KvReport) {
     const SERVERS: usize = 2;
     const DIMMS: usize = 2;
     let report = ServeReport::shared(p.slo);
-    let mut rack =
-        McnRack::new(&SystemConfig::default(), SERVERS, DIMMS, McnConfig::level(p.level));
+    let mut rack = McnRack::new(
+        &SystemConfig::default(),
+        SERVERS,
+        DIMMS,
+        McnConfig::level(p.level),
+    );
 
     if let Some(chaos) = p.chaos {
         let mut plan = OutagePlan::new(0xD0);
@@ -145,7 +149,12 @@ pub fn kv_rack_workload(p: &KvRackParams) -> (McnRack, KvReport) {
     let mut backends = Vec::new();
     for s in 0..SERVERS {
         for d in 0..DIMMS {
-            rack.spawn_dimm(s, d, Box::new(KvServer::new(server.clone(), report.clone())), 0);
+            rack.spawn_dimm(
+                s,
+                d,
+                Box::new(KvServer::new(server.clone(), report.clone())),
+                0,
+            );
             backends.push(Backend {
                 addr: rack.server(s).dimm_ip(d),
                 port: 11211,
@@ -237,17 +246,19 @@ pub fn kv_dc_workload(p: &KvDcParams) -> (Datacenter, KvReport, KvReport) {
     let intra = ServeReport::shared(p.slo);
 
     let server = KvServerConfig::default();
-    dc.spawn_host(0, 0, Box::new(KvServer::new(server.clone(), intra.clone())), 0);
+    dc.spawn_host(
+        0,
+        0,
+        Box::new(KvServer::new(server.clone(), intra.clone())),
+        0,
+    );
     dc.spawn_host(3, 0, Box::new(KvServer::new(server, cross.clone())), 0);
 
     let intra_map = ReplicaMap::single(McnSystem::nic_ip_in(0, 0), 11211);
     let cross_map = ReplicaMap::single(McnSystem::nic_ip_in(3, 0), 11211);
 
     for c in 0..p.clients_per_fleet {
-        for (fleet, map, report) in [
-            (0u64, &intra_map, &intra),
-            (1u64, &cross_map, &cross),
-        ] {
+        for (fleet, map, report) in [(0u64, &intra_map, &intra), (1u64, &cross_map, &cross)] {
             let mut cfg = ResilientClientConfig::new(map.clone());
             cfg.seed = p.seed_base + fleet * 16 + c;
             cfg.n_requests = p.reqs_per_client;
@@ -307,7 +318,12 @@ pub fn rack_iperf_workload(
             rack.spawn_dimm(
                 s,
                 d,
-                Box::new(IperfClient::new(dst, 5001, bytes_per_stream, IperfReport::shared())),
+                Box::new(IperfClient::new(
+                    dst,
+                    5001,
+                    bytes_per_stream,
+                    IperfReport::shared(),
+                )),
                 1,
             );
         }
@@ -316,7 +332,12 @@ pub fn rack_iperf_workload(
     rack.spawn_dimm(
         0,
         0,
-        Box::new(IperfClient::new(remote, 5001, bytes_per_stream, IperfReport::shared())),
+        Box::new(IperfClient::new(
+            remote,
+            5001,
+            bytes_per_stream,
+            IperfReport::shared(),
+        )),
         2,
     );
     (rack, (srv0, srv1))
@@ -386,7 +407,8 @@ struct CellRun {
 /// identity) — a panic marks the cell as failed rather than recording
 /// garbage.
 pub fn run_cell(cell: &Cell, scale: &Scale, seed: u64) -> MetricsSnapshot {
-    cell.supported().unwrap_or_else(|why| panic!("unsupported cell {cell}: {why}"));
+    cell.supported()
+        .unwrap_or_else(|why| panic!("unsupported cell {cell}: {why}"));
     let mut sink = MetricSink::new();
     sink.text("meta.workload", &cell.workload.token());
     sink.text("meta.topology", cell.topology.token());
@@ -401,9 +423,13 @@ pub fn run_cell(cell: &Cell, scale: &Scale, seed: u64) -> MetricsSnapshot {
         }
         (Workload::Iperf { .. }, Topology::Rack) => iperf_rack_cell(cell, scale, &mut sink),
         (Workload::Iperf { .. }, Topology::Cluster) => iperf_cluster_cell(cell, scale, &mut sink),
-        (Workload::Ping { dimm_to_dimm, payload }, Topology::Single) => {
-            ping_single_cell(cell, scale, *dimm_to_dimm, *payload, &mut sink)
-        }
+        (
+            Workload::Ping {
+                dimm_to_dimm,
+                payload,
+            },
+            Topology::Single,
+        ) => ping_single_cell(cell, scale, *dimm_to_dimm, *payload, &mut sink),
         (Workload::Ping { payload, .. }, Topology::Cluster) => {
             ping_cluster_cell(cell, scale, *payload, &mut sink)
         }
@@ -418,25 +444,67 @@ pub fn run_cell(cell: &Cell, scale: &Scale, seed: u64) -> MetricsSnapshot {
             &SystemConfig::default(),
             &mut sink,
         ),
-        (Workload::AllReduce, Topology::Cluster) => {
-            mpi_cluster_cell(scale, seed, allreduce_spec(scale.allreduce_iters), 4, 1, &mut sink)
-        }
+        (Workload::AllReduce, Topology::Cluster) => mpi_cluster_cell(
+            scale,
+            seed,
+            allreduce_spec(scale.allreduce_iters),
+            4,
+            1,
+            &mut sink,
+        ),
         (Workload::Kv, Topology::Rack) => kv_rack_cell(cell, scale, &mut sink),
         (Workload::Kv, Topology::Dc) => kv_dc_cell(cell, scale, &mut sink),
-        (Workload::Npb { name, dimms, host_ranks, per_dimm }, Topology::Single) => {
+        (
+            Workload::Npb {
+                name,
+                dimms,
+                host_ranks,
+                per_dimm,
+            },
+            Topology::Single,
+        ) => {
             // One host core per host rank (see `Workload::Npb`).
-            let cfg = SystemConfig { host_cores: *host_ranks, ..SystemConfig::default() };
+            let cfg = SystemConfig {
+                host_cores: *host_ranks,
+                ..SystemConfig::default()
+            };
             mpi_single_cell(
-                cell, scale, seed, npb_spec(name), *dimms, *host_ranks, *per_dimm, &cfg, &mut sink,
+                cell,
+                scale,
+                seed,
+                npb_spec(name),
+                *dimms,
+                *host_ranks,
+                *per_dimm,
+                &cfg,
+                &mut sink,
             )
         }
         (Workload::NpbScaleUp { name, cores }, Topology::Single) => {
-            let cfg = SystemConfig { host_cores: *cores, ..SystemConfig::default() };
-            mpi_single_cell(cell, scale, seed, npb_spec(name), 0, *cores, 0, &cfg, &mut sink)
+            let cfg = SystemConfig {
+                host_cores: *cores,
+                ..SystemConfig::default()
+            };
+            mpi_single_cell(
+                cell,
+                scale,
+                seed,
+                npb_spec(name),
+                0,
+                *cores,
+                0,
+                &cfg,
+                &mut sink,
+            )
         }
-        (Workload::NpbCluster { name, nodes, per_node }, Topology::Cluster) => {
-            mpi_cluster_cell(scale, seed, npb_spec(name), *nodes, *per_node, &mut sink)
-        }
+        (
+            Workload::NpbCluster {
+                name,
+                nodes,
+                per_node,
+            },
+            Topology::Cluster,
+        ) => mpi_cluster_cell(scale, seed, npb_spec(name), *nodes, *per_node, &mut sink),
         (w, t) => panic!("no scenario for {w:?} on {t:?} (supported() let it through)"),
     };
 
@@ -484,9 +552,19 @@ fn iperf_single_cell(
     let srv = IperfReport::shared();
     // Zero warm-up: the meter must account every payload byte so that
     // requests (delivered KiB) and energy-per-request stay honest.
-    let server = Box::new(IperfServer::new(IPERF_PORT, n_dimms, SimTime::ZERO, srv.clone()));
+    let server = Box::new(IperfServer::new(
+        IPERF_PORT,
+        n_dimms,
+        SimTime::ZERO,
+        srv.clone(),
+    ));
     let client = |dst| {
-        Box::new(IperfClient::new(dst, IPERF_PORT, scale.iperf_bytes, IperfReport::shared()))
+        Box::new(IperfClient::new(
+            dst,
+            IPERF_PORT,
+            scale.iperf_bytes,
+            IperfReport::shared(),
+        ))
     };
     if server_on_dimm {
         sys.spawn_dimm(0, server, 1);
@@ -502,13 +580,21 @@ fn iperf_single_cell(
             sys.spawn_dimm(d, client(dst), 1);
         }
     }
-    assert!(sys.run_until_procs_done(scale.deadline), "cell {cell} stalled at {}", sys.now());
+    assert!(
+        sys.run_until_procs_done(scale.deadline),
+        "cell {cell} stalled at {}",
+        sys.now()
+    );
     let elapsed = sys.now();
     let (bytes, gbps) = {
         let r = srv.lock();
         (r.meter.bytes(), r.meter.gbps())
     };
-    assert_eq!(bytes, scale.iperf_bytes * n_dimms as u64, "cell {cell} lost payload bytes");
+    assert_eq!(
+        bytes,
+        scale.iperf_bytes * n_dimms as u64,
+        "cell {cell} lost payload bytes"
+    );
     sink.absorb("sim", &sys);
     CellRun {
         elapsed,
@@ -557,7 +643,16 @@ fn iperf_cluster_cell(cell: &Cell, scale: &Scale, sink: &mut MetricSink) -> Cell
     let clients = 4;
     let mut c = EthernetCluster::new(&SystemConfig::default(), clients + 1);
     let srv = IperfReport::shared();
-    c.spawn(0, Box::new(IperfServer::new(IPERF_PORT, clients, SimTime::ZERO, srv.clone())), 0);
+    c.spawn(
+        0,
+        Box::new(IperfServer::new(
+            IPERF_PORT,
+            clients,
+            SimTime::ZERO,
+            srv.clone(),
+        )),
+        0,
+    );
     for i in 0..clients {
         c.spawn(
             i + 1,
@@ -598,7 +693,11 @@ fn ping_single_cell(
     payload: usize,
     sink: &mut MetricSink,
 ) -> CellRun {
-    let mut sys = McnSystem::new(&SystemConfig::default(), 2, McnConfig::level(cell.opt.level));
+    let mut sys = McnSystem::new(
+        &SystemConfig::default(),
+        2,
+        McnConfig::level(cell.opt.level),
+    );
     let rep = PingReport::shared();
     let pinger = |dst| Box::new(Pinger::new(dst, payload, scale.ping_count, 1, rep.clone()));
     if dimm_to_dimm {
@@ -608,7 +707,11 @@ fn ping_single_cell(
         let dst = sys.dimm_ip(0);
         sys.spawn_host(pinger(dst), 0);
     }
-    assert!(sys.run_until_procs_done(scale.deadline), "cell {cell} stalled at {}", sys.now());
+    assert!(
+        sys.run_until_procs_done(scale.deadline),
+        "cell {cell} stalled at {}",
+        sys.now()
+    );
     let elapsed = sys.now();
     let (replies, rtt) = {
         let r = rep.lock();
@@ -631,7 +734,11 @@ fn ping_cluster_cell(cell: &Cell, scale: &Scale, payload: usize, sink: &mut Metr
     let mut c = EthernetCluster::new(&SystemConfig::default(), 2);
     let rep = PingReport::shared();
     let dst = EthernetCluster::ip_of(1);
-    c.spawn(0, Box::new(Pinger::new(dst, payload, scale.ping_count, 1, rep.clone())), 1);
+    c.spawn(
+        0,
+        Box::new(Pinger::new(dst, payload, scale.ping_count, 1, rep.clone())),
+        1,
+    );
     assert!(
         c.run_parallel(scale.deadline, cell.opt.threads),
         "cell {cell} stalled at {}",
@@ -674,14 +781,20 @@ fn mpi_single_cell(
     };
     let mut sys = McnSystem::with_faults(cfg, n_dimms, mcn, &plan);
     let report = spawn_on_mcn(&mut sys, spec, host_ranks, per_dimm, seed);
-    assert!(sys.run_until_procs_done(scale.deadline), "cell {cell} stalled at {}", sys.now());
+    assert!(
+        sys.run_until_procs_done(scale.deadline),
+        "cell {cell} stalled at {}",
+        sys.now()
+    );
     let elapsed = sys.now();
     {
         let r = report.lock();
         assert!(r.verified, "cell {cell}: numerical verification failed");
     }
     let dram_bytes: u64 = sys.host.mem.total_bytes()
-        + (0..n_dimms).map(|d| sys.dimm(d).node.mem.total_bytes()).sum::<u64>();
+        + (0..n_dimms)
+            .map(|d| sys.dimm(d).node.mem.total_bytes())
+            .sum::<u64>();
     sink.absorb("sim", &sys);
     sink.absorb("workload", &*report.lock());
     CellRun {
@@ -704,11 +817,20 @@ fn mpi_cluster_cell(
 ) -> CellRun {
     let mut c = EthernetCluster::new(&SystemConfig::default(), nodes);
     let report = spawn_on_cluster(&mut c, spec, per_node, seed);
-    assert!(c.run_until_procs_done(scale.deadline), "cluster {} stalled at {}", spec.name, c.now());
+    assert!(
+        c.run_until_procs_done(scale.deadline),
+        "cluster {} stalled at {}",
+        spec.name,
+        c.now()
+    );
     let elapsed = c.now();
     {
         let r = report.lock();
-        assert!(r.verified, "cluster {}: numerical verification failed", spec.name);
+        assert!(
+            r.verified,
+            "cluster {}: numerical verification failed",
+            spec.name
+        );
     }
     let dram_bytes: u64 = (0..nodes).map(|i| c.node(i).node.mem.total_bytes()).sum();
     sink.absorb("sim", &c);
@@ -765,8 +887,14 @@ fn kv_rack_cell(cell: &Cell, scale: &Scale, sink: &mut MetricSink) -> CellRun {
             assert!(rep.fault_issued > 0, "cell {cell}: chaos never engaged");
         }
         let us = |t: SimTime| t.as_ps() as f64 / 1e6;
-        sink.value("kv.p50_us", us(rep.latency.percentile(50.0).unwrap_or(SimTime::ZERO)));
-        sink.value("kv.p99_us", us(rep.latency.percentile(99.0).unwrap_or(SimTime::ZERO)));
+        sink.value(
+            "kv.p50_us",
+            us(rep.latency.percentile(50.0).unwrap_or(SimTime::ZERO)),
+        );
+        sink.value(
+            "kv.p99_us",
+            us(rep.latency.percentile(99.0).unwrap_or(SimTime::ZERO)),
+        );
         sink.value("kv.fault_availability", rep.fault_availability());
         sink.counter("kv.failovers", rep.failovers);
         sink.counter("kv.gave_up", rep.gave_up);
@@ -844,10 +972,17 @@ mod tests {
     use super::*;
     use crate::spec::OptFlags;
 
-    const HOST_MCN_IPERF: Workload = Workload::Iperf { server_on_dimm: false };
+    const HOST_MCN_IPERF: Workload = Workload::Iperf {
+        server_on_dimm: false,
+    };
 
     fn cell(workload: Workload, topology: Topology, fault: FaultAxis, level: u32) -> Cell {
-        Cell { workload, topology, fault, opt: OptFlags { level, threads: 1 } }
+        Cell {
+            workload,
+            topology,
+            fault,
+            opt: OptFlags { level, threads: 1 },
+        }
     }
 
     #[test]
@@ -887,24 +1022,43 @@ mod tests {
             assert!(snap.get(path).is_some(), "missing {path}");
         }
         assert!(snap.get_u64("requests") > 0);
-        assert!(snap.iter().any(|(p, _)| p.starts_with("sim.")), "sim tree missing");
+        assert!(
+            snap.iter().any(|(p, _)| p.starts_with("sim.")),
+            "sim tree missing"
+        );
     }
 
     #[test]
     fn mcn_mcn_iperf_and_payload_pings_complete_and_repeat() {
         let scale = Scale::smoke();
         let clean = |workload, topology, level| cell(workload, topology, FaultAxis::None, level);
-        let ping = |dimm_to_dimm| Workload::Ping { dimm_to_dimm, payload: 4096 };
+        let ping = |dimm_to_dimm| Workload::Ping {
+            dimm_to_dimm,
+            payload: 4096,
+        };
         let (kib, replies) = (4 * (scale.iperf_bytes >> 10), u64::from(scale.ping_count));
         let cells = [
-            (clean(Workload::Iperf { server_on_dimm: true }, Topology::Single, 5), kib),
+            (
+                clean(
+                    Workload::Iperf {
+                        server_on_dimm: true,
+                    },
+                    Topology::Single,
+                    5,
+                ),
+                kib,
+            ),
             (clean(ping(true), Topology::Single, 1), replies),
             (clean(ping(false), Topology::Cluster, 0), replies),
         ];
         for (c, delivered) in cells {
             let snap = run_cell(&c, &scale, 11);
             assert_eq!(snap.get_u64("requests"), delivered, "{c}");
-            assert_eq!(snap.to_json(), run_cell(&c, &scale, 11).to_json(), "{c} differs on repeat");
+            assert_eq!(
+                snap.to_json(),
+                run_cell(&c, &scale, 11).to_json(),
+                "{c} differs on repeat"
+            );
         }
     }
 

@@ -92,9 +92,16 @@ impl Workload {
     /// spelled out.
     pub fn token(&self) -> String {
         match self {
-            Workload::Iperf { server_on_dimm: false } => "iperf".into(),
-            Workload::Iperf { server_on_dimm: true } => "iperfmm".into(),
-            Workload::Ping { dimm_to_dimm, payload } => {
+            Workload::Iperf {
+                server_on_dimm: false,
+            } => "iperf".into(),
+            Workload::Iperf {
+                server_on_dimm: true,
+            } => "iperfmm".into(),
+            Workload::Ping {
+                dimm_to_dimm,
+                payload,
+            } => {
                 let mode = if *dimm_to_dimm { "pingmm" } else { "ping" };
                 match payload {
                     64 => mode.into(),
@@ -103,14 +110,33 @@ impl Workload {
             }
             Workload::AllReduce => "allreduce".into(),
             Workload::Kv => "kv".into(),
-            Workload::Npb { name, dimms: 0, host_ranks: 8, per_dimm: 0 } => format!("conv_{name}"),
-            Workload::Npb { name, dimms, host_ranks: 8, per_dimm: 3 } if *dimms > 0 => {
+            Workload::Npb {
+                name,
+                dimms: 0,
+                host_ranks: 8,
+                per_dimm: 0,
+            } => format!("conv_{name}"),
+            Workload::Npb {
+                name,
+                dimms,
+                host_ranks: 8,
+                per_dimm: 3,
+            } if *dimms > 0 => {
                 format!("npb_{name}_d{dimms}")
             }
-            Workload::Npb { name, dimms, host_ranks, per_dimm } => {
+            Workload::Npb {
+                name,
+                dimms,
+                host_ranks,
+                per_dimm,
+            } => {
                 format!("npb_{name}_d{dimms}_h{host_ranks}r{per_dimm}")
             }
-            Workload::NpbCluster { name, nodes, per_node } => {
+            Workload::NpbCluster {
+                name,
+                nodes,
+                per_node,
+            } => {
                 format!("clus_{name}_n{nodes}r{per_node}")
             }
             Workload::NpbScaleUp { name, cores } => format!("scaleup_{name}_c{cores}"),
@@ -317,7 +343,9 @@ impl Cell {
             return Err("the 10GbE baseline has no MCN optimisation levels (use mcn0)");
         }
         if self.topology == T::Single && self.opt.threads > 1 {
-            return Err("a single system runs on the serial engine (threads > 1 needs rack/cluster/dc)");
+            return Err(
+                "a single system runs on the serial engine (threads > 1 needs rack/cluster/dc)",
+            );
         }
         let topo_ok = matches!(
             (&self.workload, self.topology),
@@ -333,7 +361,12 @@ impl Cell {
         }
         let mcn_mcn = matches!(
             self.workload,
-            W::Ping { dimm_to_dimm: true, .. } | W::Iperf { server_on_dimm: true }
+            W::Ping {
+                dimm_to_dimm: true,
+                ..
+            } | W::Iperf {
+                server_on_dimm: true
+            }
         );
         if mcn_mcn && self.topology != T::Single {
             return Err("mcn-mcn traffic needs the host forwarding engine (single only)");
@@ -394,7 +427,12 @@ impl Axes {
             for &t in &self.topologies {
                 for &f in &self.faults {
                     for &o in &self.opts {
-                        cells.push(Cell { workload: w.clone(), topology: t, fault: f, opt: o });
+                        cells.push(Cell {
+                            workload: w.clone(),
+                            topology: t,
+                            fault: f,
+                            opt: o,
+                        });
                     }
                 }
             }
@@ -410,21 +448,41 @@ impl SweepSpec {
     /// smoke scale.
     pub fn smoke() -> SweepSpec {
         let axes = Axes {
-            workloads: vec![Workload::Iperf { server_on_dimm: false }, Workload::Kv],
+            workloads: vec![
+                Workload::Iperf {
+                    server_on_dimm: false,
+                },
+                Workload::Kv,
+            ],
             topologies: vec![Topology::Single, Topology::Rack],
             faults: vec![FaultAxis::None, FaultAxis::Domains],
-            opts: vec![OptFlags { level: 3, threads: 1 }],
+            opts: vec![OptFlags {
+                level: 3,
+                threads: 1,
+            }],
         };
         let mut cells = axes.expand();
-        for workload in [Workload::Iperf { server_on_dimm: false }, Workload::AllReduce] {
+        for workload in [
+            Workload::Iperf {
+                server_on_dimm: false,
+            },
+            Workload::AllReduce,
+        ] {
             cells.push(Cell {
                 workload,
                 topology: Topology::Cluster,
                 fault: FaultAxis::None,
-                opt: OptFlags { level: 0, threads: 1 },
+                opt: OptFlags {
+                    level: 0,
+                    threads: 1,
+                },
             });
         }
-        SweepSpec { seed: 0x5111, scale: Scale::smoke(), cells }
+        SweepSpec {
+            seed: 0x5111,
+            scale: Scale::smoke(),
+            cells,
+        }
     }
 
     /// The paper preset at paper scale: every cell the figure renderers
@@ -443,31 +501,53 @@ impl SweepSpec {
         // mcn-mcn, plus the 10GbE baseline.
         for server_on_dimm in [false, true] {
             for level in 0..=5 {
-                cells.push(clean(Workload::Iperf { server_on_dimm }, Topology::Single, level));
+                cells.push(clean(
+                    Workload::Iperf { server_on_dimm },
+                    Topology::Single,
+                    level,
+                ));
             }
         }
-        cells.push(clean(Workload::Iperf { server_on_dimm: false }, Topology::Cluster, 0));
+        cells.push(clean(
+            Workload::Iperf {
+                server_on_dimm: false,
+            },
+            Topology::Cluster,
+            0,
+        ));
         // Fig. 8(b)/(c): 64-byte pings at the mcn0 and mcn5 ends, then
         // the payload ladders at mcn0/1/5 and over 10GbE.
         for dimm_to_dimm in [false, true] {
             for level in [0, 5] {
-                let ping = Workload::Ping { dimm_to_dimm, payload: 64 };
+                let ping = Workload::Ping {
+                    dimm_to_dimm,
+                    payload: 64,
+                };
                 cells.push(clean(ping, Topology::Single, level));
             }
         }
-        let ping = Workload::Ping { dimm_to_dimm: false, payload: 64 };
+        let ping = Workload::Ping {
+            dimm_to_dimm: false,
+            payload: 64,
+        };
         cells.push(clean(ping, Topology::Cluster, 0));
         let payloads = [16, 256, 1024, 4096, 8192];
         for dimm_to_dimm in [false, true] {
             for payload in payloads {
                 for level in [0, 1, 5] {
-                    let ping = Workload::Ping { dimm_to_dimm, payload };
+                    let ping = Workload::Ping {
+                        dimm_to_dimm,
+                        payload,
+                    };
                     cells.push(clean(ping, Topology::Single, level));
                 }
             }
         }
         for payload in payloads {
-            let ping = Workload::Ping { dimm_to_dimm: false, payload };
+            let ping = Workload::Ping {
+                dimm_to_dimm: false,
+                payload,
+            };
             cells.push(clean(ping, Topology::Cluster, 0));
         }
         // Resilience column: iperf under rate faults and a rack switch
@@ -486,7 +566,9 @@ impl SweepSpec {
         // (iperf's clean level-1 baseline is already in the Fig. 8(a)
         // column above, so only the faulted variant is added here.)
         cells.push(Cell {
-            workload: Workload::Iperf { server_on_dimm: false },
+            workload: Workload::Iperf {
+                server_on_dimm: false,
+            },
             topology: Topology::Single,
             fault: FaultAxis::Faults,
             opt: t1(1),
@@ -494,7 +576,9 @@ impl SweepSpec {
         for threads in [1, 2] {
             for fault in [FaultAxis::None, FaultAxis::Outages] {
                 cells.push(Cell {
-                    workload: Workload::Iperf { server_on_dimm: false },
+                    workload: Workload::Iperf {
+                        server_on_dimm: false,
+                    },
                     topology: Topology::Rack,
                     fault,
                     opt: OptFlags { level: 3, threads },
@@ -536,7 +620,11 @@ impl SweepSpec {
         for name in ["cg", "mg", "sort"] {
             for (dimms, nodes) in [(2, 2), (4, 3), (6, 4), (8, 5)] {
                 cells.push(clean(npb(name, dimms, 8, 4), Topology::Single, 3));
-                let cluster = Workload::NpbCluster { name: name.into(), nodes, per_node: 8 };
+                let cluster = Workload::NpbCluster {
+                    name: name.into(),
+                    nodes,
+                    per_node: 8,
+                };
                 cells.push(clean(cluster, Topology::Cluster, 0));
             }
         }
@@ -544,14 +632,21 @@ impl SweepSpec {
         // (4 host ranks + 4 per DIMM).
         for name in ["ep", "cg", "mg"] {
             for cores in [4, 8, 12, 16] {
-                let scaleup = Workload::NpbScaleUp { name: name.into(), cores };
+                let scaleup = Workload::NpbScaleUp {
+                    name: name.into(),
+                    cores,
+                };
                 cells.push(clean(scaleup, Topology::Single, 0));
             }
             for dimms in 1..=3 {
                 cells.push(clean(npb(name, dimms, 4, 4), Topology::Single, 3));
             }
         }
-        SweepSpec { seed: 0x9a9e12, scale: Scale::paper(), cells }
+        SweepSpec {
+            seed: 0x9a9e12,
+            scale: Scale::paper(),
+            cells,
+        }
     }
 
     /// Parses the key=value sweep description format:
@@ -594,7 +689,9 @@ impl SweepSpec {
             let list = || value.split(',').map(str::trim).filter(|v| !v.is_empty());
             match key {
                 "seed" => {
-                    seed = value.parse().map_err(|_| err(format!("bad seed {value:?}")))?;
+                    seed = value
+                        .parse()
+                        .map_err(|_| err(format!("bad seed {value:?}")))?;
                 }
                 "scale" => {
                     scale = match value {
@@ -606,9 +703,17 @@ impl SweepSpec {
                 "workloads" => {
                     for v in list() {
                         axes.workloads.push(match v {
-                            "iperf" => Workload::Iperf { server_on_dimm: false },
-                            "ping" => Workload::Ping { dimm_to_dimm: false, payload: 64 },
-                            "pingmm" => Workload::Ping { dimm_to_dimm: true, payload: 64 },
+                            "iperf" => Workload::Iperf {
+                                server_on_dimm: false,
+                            },
+                            "ping" => Workload::Ping {
+                                dimm_to_dimm: false,
+                                payload: 64,
+                            },
+                            "pingmm" => Workload::Ping {
+                                dimm_to_dimm: true,
+                                payload: 64,
+                            },
                             "allreduce" => Workload::AllReduce,
                             "kv" => Workload::Kv,
                             other => return Err(err(format!("unknown workload {other:?}"))),
@@ -639,8 +744,7 @@ impl SweepSpec {
                 }
                 "levels" => {
                     for v in list() {
-                        let n: u32 =
-                            v.parse().map_err(|_| err(format!("bad level {v:?}")))?;
+                        let n: u32 = v.parse().map_err(|_| err(format!("bad level {v:?}")))?;
                         if n > 5 {
                             return Err(err(format!("level {n} out of range (Table I is 0..=5)")));
                         }
@@ -649,8 +753,9 @@ impl SweepSpec {
                 }
                 "threads" => {
                     for v in list() {
-                        let n: usize =
-                            v.parse().map_err(|_| err(format!("bad thread count {v:?}")))?;
+                        let n: usize = v
+                            .parse()
+                            .map_err(|_| err(format!("bad thread count {v:?}")))?;
                         if n == 0 {
                             return Err(err("thread count must be >= 1".into()));
                         }
@@ -676,7 +781,11 @@ impl SweepSpec {
                 axes.opts.push(OptFlags { level, threads: t });
             }
         }
-        Ok(SweepSpec { seed, scale, cells: axes.expand() })
+        Ok(SweepSpec {
+            seed,
+            scale,
+            cells: axes.expand(),
+        })
     }
 }
 
@@ -694,7 +803,10 @@ mod tests {
     fn ids_are_dot_free_and_unique() {
         let spec = SweepSpec::paper();
         let mut ids: Vec<String> = spec.cells.iter().map(Cell::id).collect();
-        assert!(ids.iter().all(|i| !i.contains('.')), "dots would split metric paths");
+        assert!(
+            ids.iter().all(|i| !i.contains('.')),
+            "dots would split metric paths"
+        );
         let n = ids.len();
         ids.sort();
         ids.dedup();
@@ -709,32 +821,93 @@ mod tests {
         fn variants(w: &Workload) -> Vec<Workload> {
             use Workload as W;
             match w.clone() {
-                W::Iperf { server_on_dimm } => vec![W::Iperf { server_on_dimm: !server_on_dimm }],
-                W::Ping { dimm_to_dimm, payload } => vec![
-                    W::Ping { dimm_to_dimm: !dimm_to_dimm, payload },
-                    W::Ping { dimm_to_dimm, payload: payload + 1 },
+                W::Iperf { server_on_dimm } => vec![W::Iperf {
+                    server_on_dimm: !server_on_dimm,
+                }],
+                W::Ping {
+                    dimm_to_dimm,
+                    payload,
+                } => vec![
+                    W::Ping {
+                        dimm_to_dimm: !dimm_to_dimm,
+                        payload,
+                    },
+                    W::Ping {
+                        dimm_to_dimm,
+                        payload: payload + 1,
+                    },
                 ],
                 W::AllReduce | W::Kv => vec![],
-                W::Npb { name, dimms, host_ranks, per_dimm } => vec![
-                    W::Npb { name: format!("{name}x"), dimms, host_ranks, per_dimm },
-                    W::Npb { name: name.clone(), dimms: dimms + 1, host_ranks, per_dimm },
-                    W::Npb { name: name.clone(), dimms, host_ranks: host_ranks + 1, per_dimm },
-                    W::Npb { name, dimms, host_ranks, per_dimm: per_dimm + 1 },
+                W::Npb {
+                    name,
+                    dimms,
+                    host_ranks,
+                    per_dimm,
+                } => vec![
+                    W::Npb {
+                        name: format!("{name}x"),
+                        dimms,
+                        host_ranks,
+                        per_dimm,
+                    },
+                    W::Npb {
+                        name: name.clone(),
+                        dimms: dimms + 1,
+                        host_ranks,
+                        per_dimm,
+                    },
+                    W::Npb {
+                        name: name.clone(),
+                        dimms,
+                        host_ranks: host_ranks + 1,
+                        per_dimm,
+                    },
+                    W::Npb {
+                        name,
+                        dimms,
+                        host_ranks,
+                        per_dimm: per_dimm + 1,
+                    },
                 ],
-                W::NpbCluster { name, nodes, per_node } => vec![
-                    W::NpbCluster { name: format!("{name}x"), nodes, per_node },
-                    W::NpbCluster { name: name.clone(), nodes: nodes + 1, per_node },
-                    W::NpbCluster { name, nodes, per_node: per_node + 1 },
+                W::NpbCluster {
+                    name,
+                    nodes,
+                    per_node,
+                } => vec![
+                    W::NpbCluster {
+                        name: format!("{name}x"),
+                        nodes,
+                        per_node,
+                    },
+                    W::NpbCluster {
+                        name: name.clone(),
+                        nodes: nodes + 1,
+                        per_node,
+                    },
+                    W::NpbCluster {
+                        name,
+                        nodes,
+                        per_node: per_node + 1,
+                    },
                 ],
                 W::NpbScaleUp { name, cores } => vec![
-                    W::NpbScaleUp { name: format!("{name}x"), cores },
-                    W::NpbScaleUp { name, cores: cores + 1 },
+                    W::NpbScaleUp {
+                        name: format!("{name}x"),
+                        cores,
+                    },
+                    W::NpbScaleUp {
+                        name,
+                        cores: cores + 1,
+                    },
                 ],
             }
         }
         for cell in SweepSpec::paper().cells {
             for workload in variants(&cell.workload) {
-                let other = Cell { workload, ..cell.clone() };
+                let other = Cell {
+                    workload,
+                    ..cell.clone()
+                };
                 assert_ne!(other.id(), cell.id(), "{other:?} reuses the id of {cell:?}");
             }
         }
@@ -753,10 +926,15 @@ mod tests {
     #[test]
     fn config_hash_tracks_scale_and_seed() {
         let cell = Cell {
-            workload: Workload::Iperf { server_on_dimm: false },
+            workload: Workload::Iperf {
+                server_on_dimm: false,
+            },
             topology: Topology::Single,
             fault: FaultAxis::None,
-            opt: OptFlags { level: 3, threads: 1 },
+            opt: OptFlags {
+                level: 3,
+                threads: 1,
+            },
         };
         let h = cell.config_hash(7, &Scale::smoke());
         assert_eq!(h, cell.config_hash(7, &Scale::smoke()));
@@ -798,15 +976,33 @@ mod tests {
             opt: OptFlags { level, threads },
         };
         let iperf = |server_on_dimm| Workload::Iperf { server_on_dimm };
-        assert!(mk(iperf(false), Topology::Single, FaultAxis::None, 5, 1).supported().is_ok());
-        assert!(mk(iperf(true), Topology::Single, FaultAxis::None, 5, 1).supported().is_ok());
-        assert!(mk(Workload::Kv, Topology::Rack, FaultAxis::Domains, 3, 2).supported().is_ok());
-        assert!(mk(Workload::Kv, Topology::Dc, FaultAxis::Outages, 3, 2).supported().is_ok());
+        assert!(mk(iperf(false), Topology::Single, FaultAxis::None, 5, 1)
+            .supported()
+            .is_ok());
+        assert!(mk(iperf(true), Topology::Single, FaultAxis::None, 5, 1)
+            .supported()
+            .is_ok());
+        assert!(mk(Workload::Kv, Topology::Rack, FaultAxis::Domains, 3, 2)
+            .supported()
+            .is_ok());
+        assert!(mk(Workload::Kv, Topology::Dc, FaultAxis::Outages, 3, 2)
+            .supported()
+            .is_ok());
         // And the documented holes.
-        assert!(mk(Workload::Kv, Topology::Single, FaultAxis::None, 3, 1).supported().is_err());
-        assert!(mk(iperf(false), Topology::Single, FaultAxis::None, 3, 2).supported().is_err());
-        assert!(mk(iperf(false), Topology::Cluster, FaultAxis::None, 3, 1).supported().is_err());
-        assert!(mk(iperf(true), Topology::Rack, FaultAxis::None, 3, 1).supported().is_err());
-        assert!(mk(Workload::Kv, Topology::Dc, FaultAxis::Domains, 3, 1).supported().is_err());
+        assert!(mk(Workload::Kv, Topology::Single, FaultAxis::None, 3, 1)
+            .supported()
+            .is_err());
+        assert!(mk(iperf(false), Topology::Single, FaultAxis::None, 3, 2)
+            .supported()
+            .is_err());
+        assert!(mk(iperf(false), Topology::Cluster, FaultAxis::None, 3, 1)
+            .supported()
+            .is_err());
+        assert!(mk(iperf(true), Topology::Rack, FaultAxis::None, 3, 1)
+            .supported()
+            .is_err());
+        assert!(mk(Workload::Kv, Topology::Dc, FaultAxis::Domains, 3, 1)
+            .supported()
+            .is_err());
     }
 }

@@ -80,7 +80,11 @@ fn main() {
     if !json {
         println!(
             "iperf DIMM0 -> host, {BYTES} bytes, seed {seed}, drop {drop}{}",
-            if outage { ", DIMM crash at 1ms (+5ms down)" } else { "" }
+            if outage {
+                ", DIMM crash at 1ms (+5ms down)"
+            } else {
+                ""
+            }
         );
     }
     if !sys.run_until_procs_done(SimTime::from_secs(10)) {
@@ -103,38 +107,68 @@ fn main() {
     // dumps — exact paths, so a renamed counter fails here instead of
     // silently printing zero.
     let bytes = snap.get_u64("iperf_server.goodput.bytes");
-    println!("delivered {bytes} bytes in {} (byte-complete: {})",
-        sys.now(), bytes == BYTES);
-    println!("\ninjected   : host drops {} flips {} | dimm drops {} flips {}",
-        snap.get_u64("driver.frames_dropped"), snap.get_u64("driver.ecc_escapes"),
-        snap.get_u64("dimm0.driver.frames_dropped"), snap.get_u64("dimm0.driver.ecc_escapes"));
-    println!("alert path : dropped {} delayed {} fallback polls {} recoveries {}",
-        snap.get_u64("driver.alerts_dropped"), snap.get_u64("driver.alerts_delayed"),
-        snap.get_u64("driver.fallback_polls"), snap.get_u64("driver.alert_recoveries"));
-    println!("dma path   : stalls {} retries {} cpu-copy fallbacks {}",
-        snap.get_u64("driver.dma_stalls"), snap.get_u64("driver.dma_retries"),
-        snap.get_u64("driver.dma_fallbacks"));
-    println!("caught     : host cksum drops {} malformed {} | dimm cksum drops {} malformed {}",
-        snap.get_u64("host.stack.drop_checksum"), snap.get_u64("host.stack.malformed"),
+    println!(
+        "delivered {bytes} bytes in {} (byte-complete: {})",
+        sys.now(),
+        bytes == BYTES
+    );
+    println!(
+        "\ninjected   : host drops {} flips {} | dimm drops {} flips {}",
+        snap.get_u64("driver.frames_dropped"),
+        snap.get_u64("driver.ecc_escapes"),
+        snap.get_u64("dimm0.driver.frames_dropped"),
+        snap.get_u64("dimm0.driver.ecc_escapes")
+    );
+    println!(
+        "alert path : dropped {} delayed {} fallback polls {} recoveries {}",
+        snap.get_u64("driver.alerts_dropped"),
+        snap.get_u64("driver.alerts_delayed"),
+        snap.get_u64("driver.fallback_polls"),
+        snap.get_u64("driver.alert_recoveries")
+    );
+    println!(
+        "dma path   : stalls {} retries {} cpu-copy fallbacks {}",
+        snap.get_u64("driver.dma_stalls"),
+        snap.get_u64("driver.dma_retries"),
+        snap.get_u64("driver.dma_fallbacks")
+    );
+    println!(
+        "caught     : host cksum drops {} malformed {} | dimm cksum drops {} malformed {}",
+        snap.get_u64("host.stack.drop_checksum"),
+        snap.get_u64("host.stack.malformed"),
         snap.get_u64("dimm0.stack.drop_checksum"),
-        snap.get_u64("dimm0.stack.malformed"));
+        snap.get_u64("dimm0.stack.malformed")
+    );
     if outage {
-        println!("\nlifecycle  : crashes {} reboots {} (port up: {})",
-            snap.get_u64("dimm0.driver.crashes"), snap.get_u64("dimm0.driver.reboots"),
-            snap.get_u64("driver.ports_up") == snap.get_u64("driver.ports"));
-        println!("handshake  : port downs {} probes {} (retries {}) ring resets {} mac announces {}",
-            snap.get_u64("driver.port_downs"), snap.get_u64("driver.probes_sent"),
-            snap.get_u64("driver.probe_retries"), snap.get_u64("driver.ring_resets"),
-            snap.get_u64("driver.mac_announces"));
-        println!("             reinits completed {} failed {} stale descriptors dropped {}",
-            snap.get_u64("driver.reinits_completed"), snap.get_u64("driver.reinit_failures"),
-            snap.get_u64("driver.stale_desc_dropped"));
+        println!(
+            "\nlifecycle  : crashes {} reboots {} (port up: {})",
+            snap.get_u64("dimm0.driver.crashes"),
+            snap.get_u64("dimm0.driver.reboots"),
+            snap.get_u64("driver.ports_up") == snap.get_u64("driver.ports")
+        );
+        println!(
+            "handshake  : port downs {} probes {} (retries {}) ring resets {} mac announces {}",
+            snap.get_u64("driver.port_downs"),
+            snap.get_u64("driver.probes_sent"),
+            snap.get_u64("driver.probe_retries"),
+            snap.get_u64("driver.ring_resets"),
+            snap.get_u64("driver.mac_announces")
+        );
+        println!(
+            "             reinits completed {} failed {} stale descriptors dropped {}",
+            snap.get_u64("driver.reinits_completed"),
+            snap.get_u64("driver.reinit_failures"),
+            snap.get_u64("driver.stale_desc_dropped")
+        );
     }
 }
 
 /// The system's full registry plus the iperf server's report under
 /// `iperf_server.*` — one tree feeding both output modes.
-fn snapshot(sys: &McnSystem, srv: &std::sync::Arc<parking_lot::Mutex<IperfReport>>) -> MetricsSnapshot {
+fn snapshot(
+    sys: &McnSystem,
+    srv: &std::sync::Arc<parking_lot::Mutex<IperfReport>>,
+) -> MetricsSnapshot {
     let mut sink = MetricSink::new();
     sys.metrics(&mut sink);
     sink.absorb("iperf_server", &*srv.lock());

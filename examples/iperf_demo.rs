@@ -65,7 +65,10 @@ fn over_10gbe() -> f64 {
 }
 
 fn main() {
-    println!("iperf, 2 clients -> 1 server, {} MB per client:\n", BYTES >> 20);
+    println!(
+        "iperf, 2 clients -> 1 server, {} MB per client:\n",
+        BYTES >> 20
+    );
     let eth = over_10gbe();
     println!("10GbE cluster:        {eth:>6.2} Gbps   (wire-limited)");
     for level in [0u32, 3, 5] {

@@ -19,7 +19,11 @@ fn main() {
         spec.suite,
         spec.iterations,
         spec.mem_bytes_per_iter >> 20,
-        if spec.random_access { "random access" } else { "streaming" },
+        if spec.random_access {
+            "random access"
+        } else {
+            "streaming"
+        },
         spec.comm
     );
     let deadline = SimTime::from_secs(30);

@@ -25,7 +25,11 @@ fn main() {
     // A server with two MCN DIMMs at optimisation level mcn1
     // (ALERT_N interrupts instead of HR-timer polling).
     let mut sys = McnSystem::new(&SystemConfig::default(), 2, McnConfig::level(1));
-    println!("built an MCN server with {} DIMMs ({})", sys.dimms(), sys.config());
+    println!(
+        "built an MCN server with {} DIMMs ({})",
+        sys.dimms(),
+        sys.config()
+    );
     println!("  host-side interface 0: {}", McnSystem::host_if_ip(0));
     println!("  DIMM 0 (MCN node):     {}", sys.dimm_ip(0));
 
@@ -102,11 +106,26 @@ fn main() {
 
     // --- statistics ------------------------------------------------------
     println!("\nhost-side driver:");
-    println!("  frames into DIMM RX rings: {}", sys.hdrv.stats.tx_frames.get());
-    println!("  frames out of TX rings:    {}", sys.hdrv.stats.rx_frames.get());
-    println!("  F1 host deliveries:        {}", sys.hdrv.stats.f1_host.get());
-    println!("  F3 dimm-to-dimm forwards:  {}", sys.hdrv.stats.f3_forward.get());
-    println!("  ALERT_N interrupts:        {}", sys.hdrv.stats.alerts.get());
+    println!(
+        "  frames into DIMM RX rings: {}",
+        sys.hdrv.stats.tx_frames.get()
+    );
+    println!(
+        "  frames out of TX rings:    {}",
+        sys.hdrv.stats.rx_frames.get()
+    );
+    println!(
+        "  F1 host deliveries:        {}",
+        sys.hdrv.stats.f1_host.get()
+    );
+    println!(
+        "  F3 dimm-to-dimm forwards:  {}",
+        sys.hdrv.stats.f3_forward.get()
+    );
+    println!(
+        "  ALERT_N interrupts:        {}",
+        sys.hdrv.stats.alerts.get()
+    );
     for ch in sys.host.mem.channels() {
         println!(
             "  host channel: {} SRAM transactions, {} DRAM reads, {} writes",

@@ -113,7 +113,10 @@ fn main() {
         );
     }
     assert!(hard.busy > 0, "overload must shed");
-    assert_eq!(hard.completed_clients, 6, "shedding must not strand clients");
+    assert_eq!(
+        hard.completed_clients, 6,
+        "shedding must not strand clients"
+    );
 
     // --- Act 3: a failure domain dies mid-benchmark ---------------------
     // 2 servers x 2 DIMMs; each server's DIMM riser is one failure

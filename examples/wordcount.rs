@@ -54,7 +54,11 @@ fn main() {
     println!(
         "  completed in {}  — verification: {}",
         r.completion().expect("finished"),
-        if r.verified { "PASSED (bit-exact vs ground truth)" } else { "FAILED" }
+        if r.verified {
+            "PASSED (bit-exact vs ground truth)"
+        } else {
+            "FAILED"
+        }
     );
     assert!(r.verified);
     let t_mcn = r.completion().unwrap();

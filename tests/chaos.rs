@@ -212,13 +212,7 @@ fn switch_partition_heals_and_stream_completes() {
         "the stream can only complete after the 250 ms heal"
     );
     assert!(
-        rack.server(0)
-            .dimm(0)
-            .node
-            .stack
-            .tcp_totals()
-            .retransmits
-            > 0,
+        rack.server(0).dimm(0).node.stack.tcp_totals().retransmits > 0,
         "partitioned frames must have been retransmitted"
     );
 }
@@ -259,7 +253,10 @@ fn unreachable_peer_times_out_instead_of_hanging() {
     assert!(sys.host.stack.tcp_totals().rto_giveups >= 1);
     // The driver's re-init probes also gave up and parked the port.
     assert_eq!(sys.hdrv.stats.reinit_failures.get(), 1);
-    assert!(!sys.hdrv.port_is_up(0), "port parked down, not retrying forever");
+    assert!(
+        !sys.hdrv.port_is_up(0),
+        "port parked down, not retrying forever"
+    );
 }
 
 #[test]

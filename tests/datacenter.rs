@@ -41,14 +41,24 @@ fn iperf_datacenter(bytes: u64) -> Datacenter {
         dc.spawn_host(
             r,
             0,
-            Box::new(IperfServer::new(5001, 2, SimTime::from_ms(1), IperfReport::shared())),
+            Box::new(IperfServer::new(
+                5001,
+                2,
+                SimTime::from_ms(1),
+                IperfReport::shared(),
+            )),
             0,
         );
     }
     for r in 0..4 {
         // Cross-pod partner (rack r+4) and intra-pod neighbour, both
         // directions so every rack sources and sinks.
-        for (src, dst) in [(r, r + 4), (r + 4, r), (r, (r + 1) % 4), (r + 4, 4 + (r + 1) % 4)] {
+        for (src, dst) in [
+            (r, r + 4),
+            (r + 4, r),
+            (r, (r + 1) % 4),
+            (r + 4, 4 + (r + 1) % 4),
+        ] {
             dc.spawn_host(
                 src,
                 1 + dst % 4,
@@ -76,7 +86,11 @@ fn spine_loss_is_thread_count_invariant_at_64_servers() {
         let mut dc = iperf_datacenter(96 * 1024);
         dc.set_outage_plan(&plan);
         let done = dc.run_parallel(SimTime::from_secs(10), threads);
-        assert!(done, "datacenter stalled on {threads} thread(s) at {}", dc.now());
+        assert!(
+            done,
+            "datacenter stalled on {threads} thread(s) at {}",
+            dc.now()
+        );
         (dc.now(), snapshot(&dc))
     };
 
@@ -94,7 +108,11 @@ fn spine_loss_is_thread_count_invariant_at_64_servers() {
 #[test]
 fn hierarchical_quanta_make_cross_pod_barriers_rare() {
     let mut dc = iperf_datacenter(32 * 1024);
-    assert!(dc.run_parallel(SimTime::from_secs(10), 2), "stalled at {}", dc.now());
+    assert!(
+        dc.run_parallel(SimTime::from_secs(10), 2),
+        "stalled at {}",
+        dc.now()
+    );
     let snap = MetricsSnapshot::collect(&dc);
     let barriers = snap.get_u64("sched.domain.cross_pod.barriers");
     let windows = snap.get_u64("sched.domain.intra_rack.windows");
@@ -123,7 +141,12 @@ fn ecmp_spreads_flows_and_is_deterministic_across_threads() {
             dc.spawn_host(
                 r,
                 0,
-                Box::new(IperfServer::new(5001, 3, SimTime::from_ms(1), IperfReport::shared())),
+                Box::new(IperfServer::new(
+                    5001,
+                    3,
+                    SimTime::from_ms(1),
+                    IperfReport::shared(),
+                )),
                 0,
             );
         }
@@ -147,7 +170,11 @@ fn ecmp_spreads_flows_and_is_deterministic_across_threads() {
                 }
             }
         }
-        assert!(dc.run_parallel(SimTime::from_secs(10), threads), "stalled at {}", dc.now());
+        assert!(
+            dc.run_parallel(SimTime::from_secs(10), threads),
+            "stalled at {}",
+            dc.now()
+        );
         let snap = MetricsSnapshot::collect(&dc);
         let paths: Vec<u64> = [
             "fabric.ecmp.path.pod0.agg0",
@@ -169,7 +196,10 @@ fn ecmp_spreads_flows_and_is_deterministic_across_threads() {
     }
     for threads in [2, 4, 8] {
         let (p, snap) = run(threads);
-        assert_eq!(paths, p, "per-path flow counts diverged at {threads} threads");
+        assert_eq!(
+            paths, p,
+            "per-path flow counts diverged at {threads} threads"
+        );
         assert_eq!(serial, snap, "{threads}-thread snapshot diverged");
     }
 }
@@ -191,7 +221,12 @@ fn pod_scale_domain_outage_fells_aggs_and_rack_together() {
     dc.spawn_host(
         3,
         0,
-        Box::new(IperfServer::new(5001, 1, SimTime::from_ms(1), IperfReport::shared())),
+        Box::new(IperfServer::new(
+            5001,
+            1,
+            SimTime::from_ms(1),
+            IperfReport::shared(),
+        )),
         0,
     );
     dc.spawn_host(
@@ -205,10 +240,21 @@ fn pod_scale_domain_outage_fells_aggs_and_rack_together() {
         )),
         1,
     );
-    assert!(dc.run_parallel(SimTime::from_secs(10), 2), "stalled at {}", dc.now());
+    assert!(
+        dc.run_parallel(SimTime::from_secs(10), 2),
+        "stalled at {}",
+        dc.now()
+    );
     let snap = MetricsSnapshot::collect(&dc);
     assert_eq!(snap.get_u64("fabric.outage.domain.pod0.breaker.crashes"), 1);
     assert_eq!(snap.get_u64("fabric.outage.domain.pod0.breaker.heals"), 1);
-    assert_eq!(snap.get_u64("fabric.switch_downs"), 2, "both pod-0 aggs fell");
-    assert!(snap.get_u64("rack0.rack.node_reboots") > 0, "rack 0 servers rebooted");
+    assert_eq!(
+        snap.get_u64("fabric.switch_downs"),
+        2,
+        "both pod-0 aggs fell"
+    );
+    assert!(
+        snap.get_u64("rack0.rack.node_reboots") > 0,
+        "rack 0 servers rebooted"
+    );
 }

@@ -70,7 +70,12 @@ fn run_iperf(plan: &FaultPlan) -> (McnSystem, u64) {
     let dst = sys.host_rank_ip();
     sys.spawn_dimm(
         0,
-        Box::new(IperfClient::new(dst, 5001, IPERF_BYTES, IperfReport::shared())),
+        Box::new(IperfClient::new(
+            dst,
+            5001,
+            IPERF_BYTES,
+            IperfReport::shared(),
+        )),
         1,
     );
     assert!(
@@ -96,11 +101,12 @@ fn iperf_stream_survives_injected_faults_intact() {
     // Every fault class was actually injected...
     let h = &sys.hdrv.stats;
     let d = &sys.dimm(0).stats;
-    let injected_sram = h.frames_dropped.get()
-        + h.ecc_escapes.get()
-        + d.frames_dropped.get()
-        + d.ecc_escapes.get();
-    assert!(injected_sram > 0, "no SRAM faults fired; weaken the plan check");
+    let injected_sram =
+        h.frames_dropped.get() + h.ecc_escapes.get() + d.frames_dropped.get() + d.ecc_escapes.get();
+    assert!(
+        injected_sram > 0,
+        "no SRAM faults fired; weaken the plan check"
+    );
     assert!(h.alerts_dropped.get() > 0, "no ALERT_N drops fired");
     assert!(h.dma_stalls.get() > 0, "no DMA stalls fired");
 

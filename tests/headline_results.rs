@@ -15,7 +15,12 @@ fn mcn_iperf(level: u32, dimms: usize) -> f64 {
     let mut sys = McnSystem::new(&SystemConfig::default(), dimms, McnConfig::level(level));
     let srv = IperfReport::shared();
     sys.spawn_host(
-        Box::new(IperfServer::new(5001, dimms, SimTime::from_ms(1), srv.clone())),
+        Box::new(IperfServer::new(
+            5001,
+            dimms,
+            SimTime::from_ms(1),
+            srv.clone(),
+        )),
         0,
     );
     let dst = sys.host_rank_ip();
@@ -40,7 +45,12 @@ fn eth_iperf(clients: usize) -> f64 {
     let srv = IperfReport::shared();
     c.spawn(
         0,
-        Box::new(IperfServer::new(5001, clients, SimTime::from_ms(1), srv.clone())),
+        Box::new(IperfServer::new(
+            5001,
+            clients,
+            SimTime::from_ms(1),
+            srv.clone(),
+        )),
         0,
     );
     for i in 0..clients {
@@ -78,8 +88,14 @@ fn optimisation_levels_are_ordered() {
     let g0 = mcn_iperf(0, 2);
     let g3 = mcn_iperf(3, 2);
     let g5 = mcn_iperf(5, 2);
-    assert!(g3 > 1.3 * g0, "jumbo MTU should be a large gain: {g0:.2} -> {g3:.2}");
-    assert!(g5 >= g3 * 0.95, "mcn5 should not regress: {g3:.2} -> {g5:.2}");
+    assert!(
+        g3 > 1.3 * g0,
+        "jumbo MTU should be a large gain: {g0:.2} -> {g3:.2}"
+    );
+    assert!(
+        g5 >= g3 * 0.95,
+        "mcn5 should not regress: {g3:.2} -> {g5:.2}"
+    );
 }
 
 #[test]
@@ -89,7 +105,13 @@ fn mcn_ping_latency_beats_10gbe() {
     let rep = PingReport::shared();
     c.spawn(
         0,
-        Box::new(Pinger::new(EthernetCluster::ip_of(1), 56, 10, 1, rep.clone())),
+        Box::new(Pinger::new(
+            EthernetCluster::ip_of(1),
+            56,
+            10,
+            1,
+            rep.clone(),
+        )),
         1,
     );
     assert!(c.run_until_procs_done(SimTime::from_ms(100)));
@@ -128,15 +150,27 @@ fn aggregate_bandwidth_scales_with_dimms() {
         assert!(sys.run_until_procs_done(SimTime::from_secs(20)));
         let done = report.lock().completion().unwrap();
         let bytes: u64 = sys.host.mem.total_bytes()
-            + (0..dimms).map(|d| sys.dimm(d).node.mem.total_bytes()).sum::<u64>();
+            + (0..dimms)
+                .map(|d| sys.dimm(d).node.mem.total_bytes())
+                .sum::<u64>();
         assert!(report.lock().verified);
         bytes as f64 / done.as_secs_f64()
     };
     let conv = run(0);
     let two = run(2);
     let four = run(4);
-    assert!(two > 1.2 * conv, "2 DIMMs: {:.1} vs {:.1} GB/s", two / 1e9, conv / 1e9);
-    assert!(four > two, "4 DIMMs {:.1} should beat 2 {:.1}", four / 1e9, two / 1e9);
+    assert!(
+        two > 1.2 * conv,
+        "2 DIMMs: {:.1} vs {:.1} GB/s",
+        two / 1e9,
+        conv / 1e9
+    );
+    assert!(
+        four > two,
+        "4 DIMMs {:.1} should beat 2 {:.1}",
+        four / 1e9,
+        two / 1e9
+    );
 }
 
 #[test]
@@ -194,7 +228,11 @@ fn golden_trace_is_reproducible_under_faults() {
     // simulated time on every run.
     let run = || {
         let mut plan = FaultPlan::new(0xC0FFEE);
-        plan.rate(&McnSystem::sram_host_fault_component(0, 0), FaultKind::Drop, 0.02);
+        plan.rate(
+            &McnSystem::sram_host_fault_component(0, 0),
+            FaultKind::Drop,
+            0.02,
+        );
         plan.rate(&McnSystem::alert_fault_component(0), FaultKind::Drop, 0.10);
         plan.rate(&McnSystem::dma_fault_component(0), FaultKind::Stall, 0.01);
         let mut sys =
@@ -210,7 +248,12 @@ fn golden_trace_is_reproducible_under_faults() {
         for d in 0..2 {
             sys.spawn_dimm(
                 d,
-                Box::new(IperfClient::new(dst, 5001, 256 << 10, IperfReport::shared())),
+                Box::new(IperfClient::new(
+                    dst,
+                    5001,
+                    256 << 10,
+                    IperfReport::shared(),
+                )),
                 1,
             );
         }
@@ -243,7 +286,10 @@ fn golden_trace_is_reproducible_under_faults() {
     };
     let a = run();
     let b = run();
-    assert_eq!(a, b, "same seed and wiring must give a byte-identical trace");
+    assert_eq!(
+        a, b,
+        "same seed and wiring must give a byte-identical trace"
+    );
 }
 
 #[test]

@@ -75,7 +75,12 @@ fn paths_are_unique_and_stable_across_embeddings() {
             "missing embedded spine path srv0.{path}"
         );
     }
-    for path in ["rack.partitions", "switch.flooded", "nic0.irqs", "link0.down.bytes"] {
+    for path in [
+        "rack.partitions",
+        "switch.flooded",
+        "nic0.irqs",
+        "link0.down.bytes",
+    ] {
         assert!(rack_snap.get(path).is_some(), "missing rack path {path}");
     }
 }

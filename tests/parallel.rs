@@ -37,12 +37,22 @@ fn iperf_rack(cfg: McnConfig, plan: &FaultPlan) -> McnRack {
     let mut rack = McnRack::with_faults(&SystemConfig::default(), 2, 2, cfg, plan);
     rack.spawn_host(
         0,
-        Box::new(IperfServer::new(5001, 2, SimTime::from_ms(1), IperfReport::shared())),
+        Box::new(IperfServer::new(
+            5001,
+            2,
+            SimTime::from_ms(1),
+            IperfReport::shared(),
+        )),
         0,
     );
     rack.spawn_host(
         1,
-        Box::new(IperfServer::new(5001, 3, SimTime::from_ms(1), IperfReport::shared())),
+        Box::new(IperfServer::new(
+            5001,
+            3,
+            SimTime::from_ms(1),
+            IperfReport::shared(),
+        )),
         0,
     );
     for s in 0..2 {
@@ -51,7 +61,12 @@ fn iperf_rack(cfg: McnConfig, plan: &FaultPlan) -> McnRack {
             rack.spawn_dimm(
                 s,
                 d,
-                Box::new(IperfClient::new(dst, 5001, 512 * 1024, IperfReport::shared())),
+                Box::new(IperfClient::new(
+                    dst,
+                    5001,
+                    512 * 1024,
+                    IperfReport::shared(),
+                )),
                 1,
             );
         }
@@ -60,7 +75,12 @@ fn iperf_rack(cfg: McnConfig, plan: &FaultPlan) -> McnRack {
     rack.spawn_dimm(
         0,
         0,
-        Box::new(IperfClient::new(remote, 5001, 512 * 1024, IperfReport::shared())),
+        Box::new(IperfClient::new(
+            remote,
+            5001,
+            512 * 1024,
+            IperfReport::shared(),
+        )),
         2,
     );
     rack
@@ -120,8 +140,16 @@ fn rack_fault_plan_is_thread_count_invariant() {
         plan.rate(&comp, FaultKind::Drop, 0.01);
         plan.rate(&comp, FaultKind::BitFlip, 0.005);
     }
-    plan.rate(&mcn::McnSystem::alert_fault_component(0), FaultKind::Drop, 0.1);
-    plan.rate(&mcn::McnSystem::dma_fault_component(0), FaultKind::Stall, 0.02);
+    plan.rate(
+        &mcn::McnSystem::alert_fault_component(0),
+        FaultKind::Drop,
+        0.1,
+    );
+    plan.rate(
+        &mcn::McnSystem::dma_fault_component(0),
+        FaultKind::Stall,
+        0.02,
+    );
 
     let run = |threads: usize| {
         let mut rack = iperf_rack(cfg, &plan);
@@ -248,7 +276,12 @@ fn datacenter_chaos_mix_is_thread_count_invariant() {
             dc.spawn_host(
                 r,
                 0,
-                Box::new(IperfServer::new(5001, 1, SimTime::from_ms(1), IperfReport::shared())),
+                Box::new(IperfServer::new(
+                    5001,
+                    1,
+                    SimTime::from_ms(1),
+                    IperfReport::shared(),
+                )),
                 0,
             );
             dc.spawn_host(
@@ -264,7 +297,11 @@ fn datacenter_chaos_mix_is_thread_count_invariant() {
             );
         }
         let done = dc.run_parallel(SimTime::from_secs(30), threads);
-        assert!(done, "datacenter chaos stalled on {threads} thread(s) at {}", dc.now());
+        assert!(
+            done,
+            "datacenter chaos stalled on {threads} thread(s) at {}",
+            dc.now()
+        );
         (dc.now(), snapshot(&dc))
     };
 

@@ -163,13 +163,21 @@ fn syn_flood_leaves_listener_serving_within_backlog_bounds() {
     assert_eq!(a.tcp_state(cs), TcpState::Established);
     let ss = b.tcp_accept(lst).expect("listener accepts after the flood");
     assert_eq!(b.tcp_state(ss), TcpState::Established);
-    assert_eq!(b.stats.accept_prunes.get(), 4, "flood corpses pruned at accept");
+    assert_eq!(
+        b.stats.accept_prunes.get(),
+        4,
+        "flood corpses pruned at accept"
+    );
     a.tcp_send(cs, b"still serving", now).unwrap();
     settle(&mut a, &mut b, &mut now);
     let mut buf = [0u8; 64];
     let n = b.tcp_recv(ss, &mut buf, now).unwrap();
     assert_eq!(&buf[..n], b"still serving");
-    assert_eq!(b.stats.syn_drops.get(), 20, "no drops after the flood ended");
+    assert_eq!(
+        b.stats.syn_drops.get(),
+        20,
+        "no drops after the flood ended"
+    );
     assert_eq!(
         b.socket_states().len(),
         2,
@@ -253,7 +261,10 @@ fn kv_churn_reaps_time_wait_and_recycles_slots() {
     assert_eq!(snap.get_u64("host.stack.tcp.slots_reaped"), CLIENTS);
     assert_eq!(snap.get_u64("dimm0.stack.tcp.slots_reaped"), CLIENTS);
     assert_eq!(snap.get_u64("dimm0.stack.tcp.time_wait_reaped"), 0);
-    assert!(sys.host.stack.socket_states().is_empty(), "host leaked sockets");
+    assert!(
+        sys.host.stack.socket_states().is_empty(),
+        "host leaked sockets"
+    );
     assert_eq!(
         sys.dimm_mut(0).node.stack.socket_states().len(),
         1,
@@ -291,8 +302,14 @@ fn overload_sheds_requests_and_connections_instead_of_collapsing() {
 
     let snap = MetricsSnapshot::collect(&sys);
     let rep = report.lock();
-    assert_eq!(rep.completed_clients, 6, "overloaded fleet must still finish");
-    assert!(rep.ok > 0, "the server must serve *something* while shedding");
+    assert_eq!(
+        rep.completed_clients, 6,
+        "overloaded fleet must still finish"
+    );
+    assert!(
+        rep.ok > 0,
+        "the server must serve *something* while shedding"
+    );
     assert!(rep.busy > 0, "clients must observe B\\n rejections");
     assert!(
         rep.shed_requests >= rep.busy,
@@ -401,7 +418,12 @@ fn chaos_mix_serving_is_thread_count_invariant() {
         sink.absorb("serve", &*report.lock());
         let rep = report.lock();
         assert_accounted(&rep);
-        (rack.now(), sink.finish().to_json(), rep.ok, rep.completed_clients)
+        (
+            rack.now(),
+            sink.finish().to_json(),
+            rep.ok,
+            rep.completed_clients,
+        )
     };
 
     let serial = run(1);
@@ -420,7 +442,9 @@ fn chaos_mix_serving_is_thread_count_invariant() {
     // one whose DIMM crashed fails *cleanly* — keepalive declares the
     // half-open connection dead instead of letting the client hang.
     assert_eq!(serial.3, 4, "every client must finish despite the chaos");
-    assert!(serial.1.contains("\"root.srv1.host.stack.tcp.keepalive_giveups\": 1"));
+    assert!(serial
+        .1
+        .contains("\"root.srv1.host.stack.tcp.keepalive_giveups\": 1"));
 }
 
 // ---------------------------------------------------------------------------
@@ -641,11 +665,15 @@ fn replicated_failover_is_thread_count_invariant() {
         "the domain crash must have engaged failover (serve.failovers)"
     );
     assert!(
-        serial.1.contains("\"root.rack.outage.domain.riser0.crashes\": 1"),
+        serial
+            .1
+            .contains("\"root.rack.outage.domain.riser0.crashes\": 1"),
         "the domain crash must be visible in the snapshot"
     );
     assert!(
-        serial.1.contains("\"root.rack.outage.domain.riser0.heals\": 1"),
+        serial
+            .1
+            .contains("\"root.rack.outage.domain.riser0.heals\": 1"),
         "the domain heal must be visible in the snapshot"
     );
 }

@@ -22,12 +22,24 @@ fn tmp_dir(tag: &str) -> PathBuf {
 /// and both a clean and a chaos fault plan, at smoke scale.
 fn spec() -> SweepSpec {
     let axes = Axes {
-        workloads: vec![Workload::Iperf { server_on_dimm: false }, Workload::Kv],
+        workloads: vec![
+            Workload::Iperf {
+                server_on_dimm: false,
+            },
+            Workload::Kv,
+        ],
         topologies: vec![Topology::Single, Topology::Rack],
         faults: vec![FaultAxis::None, FaultAxis::Domains],
-        opts: vec![OptFlags { level: 3, threads: 1 }],
+        opts: vec![OptFlags {
+            level: 3,
+            threads: 1,
+        }],
     };
-    SweepSpec { seed: 0x7357, scale: Scale::smoke(), cells: axes.expand() }
+    SweepSpec {
+        seed: 0x7357,
+        scale: Scale::smoke(),
+        cells: axes.expand(),
+    }
 }
 
 fn sweep_json(dir: &Path) -> String {
@@ -43,7 +55,10 @@ fn same_seed_is_byte_identical_across_runs_and_worker_counts() {
     run_sweep(&spec, &SweepConfig::new(4, &d4)).expect("jobs=4");
     let (a, b) = (sweep_json(&d1), sweep_json(&d4));
     assert!(!a.is_empty());
-    assert_eq!(a, b, "jobs=1 and jobs=4 sweeps must render byte-identically");
+    assert_eq!(
+        a, b,
+        "jobs=1 and jobs=4 sweeps must render byte-identically"
+    );
 
     // A rerun over the existing markers must change nothing.
     let again = run_sweep(&spec, &SweepConfig::new(4, &d4)).expect("rerun");
@@ -125,7 +140,10 @@ fn every_cell_reports_nonzero_energy_figures() {
                 .as_f64();
             assert!(v > 0.0, "{id}.{leaf} = {v}, want > 0");
         }
-        assert!(out.merged.get_u64(&format!("cells.{id}.requests")) > 0, "{id} did no work");
+        assert!(
+            out.merged.get_u64(&format!("cells.{id}.requests")) > 0,
+            "{id} did no work"
+        );
     }
     assert!(cells_seen >= 3, "support matrix left too few cells to test");
     let _ = fs::remove_dir_all(&dir);
@@ -134,13 +152,21 @@ fn every_cell_reports_nonzero_energy_figures() {
 #[test]
 fn energy_grows_with_request_count() {
     let cell = Cell {
-        workload: Workload::Iperf { server_on_dimm: false },
+        workload: Workload::Iperf {
+            server_on_dimm: false,
+        },
         topology: Topology::Single,
         fault: FaultAxis::None,
-        opt: OptFlags { level: 3, threads: 1 },
+        opt: OptFlags {
+            level: 3,
+            threads: 1,
+        },
     };
     let small = Scale::smoke();
-    let big = Scale { iperf_bytes: small.iperf_bytes * 4, ..small };
+    let big = Scale {
+        iperf_bytes: small.iperf_bytes * 4,
+        ..small
+    };
     let a = run_cell(&cell, &small, 1);
     let b = run_cell(&cell, &big, 1);
     let (req_a, req_b) = (a.get_u64("requests"), b.get_u64("requests"));
@@ -159,7 +185,10 @@ fn energy_grows_with_request_count() {
 fn lossy_stacks(snap: &MetricsSnapshot) -> (Vec<String>, usize) {
     let mut lossy = Vec::new();
     let mut stacks = 0;
-    for stack in snap.iter().filter_map(|(p, _)| p.strip_suffix(".stack.tcp.retransmits")) {
+    for stack in snap
+        .iter()
+        .filter_map(|(p, _)| p.strip_suffix(".stack.tcp.retransmits"))
+    {
         stacks += 1;
         for field in ["retransmits", "timeouts", "ooo_segs_in"] {
             let path = format!("{stack}.stack.tcp.{field}");
@@ -180,11 +209,18 @@ fn lossy_stacks(snap: &MetricsSnapshot) -> (Vec<String>, usize) {
 fn lossless_rack_iperf_never_retransmits() {
     for mib in [1, 2, 6, 8] {
         let (mut rack, _) = rack_iperf_workload(3, mib << 20, None);
-        assert!(rack.run_parallel(SimTime::from_secs(10), 1), "{mib} MiB stalled");
+        assert!(
+            rack.run_parallel(SimTime::from_secs(10), 1),
+            "{mib} MiB stalled"
+        );
         let (lossy, stacks) = lossy_stacks(&MetricsSnapshot::collect(&rack));
         assert_eq!(stacks, 6, "2 hosts and 4 DIMMs");
         assert!(lossy.is_empty(), "{mib} MiB per stream: {lossy:?}");
-        assert!(rack.now() < SimTime::from_ms(20), "{mib} MiB ended at {}", rack.now());
+        assert!(
+            rack.now() < SimTime::from_ms(20),
+            "{mib} MiB ended at {}",
+            rack.now()
+        );
     }
 }
 
@@ -193,10 +229,15 @@ fn lossless_rack_iperf_never_retransmits() {
 #[test]
 fn lossless_10gbe_iperf_cell_never_retransmits() {
     let cell = Cell {
-        workload: Workload::Iperf { server_on_dimm: false },
+        workload: Workload::Iperf {
+            server_on_dimm: false,
+        },
         topology: Topology::Cluster,
         fault: FaultAxis::None,
-        opt: OptFlags { level: 0, threads: 1 },
+        opt: OptFlags {
+            level: 0,
+            threads: 1,
+        },
     };
     assert_eq!(cell.id(), "iperf-cluster-none-mcn0_t1");
     let (lossy, stacks) = lossy_stacks(&run_cell(&cell, &Scale::smoke(), SweepSpec::smoke().seed));

@@ -26,25 +26,36 @@ fn spec(comm: CommPattern) -> WorkloadSpec {
 fn same_program_three_systems() {
     for comm in [
         CommPattern::AllReduce { elems: 256 },
-        CommPattern::AllToAll { total_bytes: 64 * 1024 },
+        CommPattern::AllToAll {
+            total_bytes: 64 * 1024,
+        },
     ] {
         let w = spec(comm);
         // Scale-up (loopback).
         let mut sys = McnSystem::new(&SystemConfig::default(), 0, McnConfig::level(0));
         let r = spawn_on_mcn(&mut sys, w, 4, 0, 1);
-        assert!(sys.run_until_procs_done(SimTime::from_secs(20)), "{comm:?} scale-up");
+        assert!(
+            sys.run_until_procs_done(SimTime::from_secs(20)),
+            "{comm:?} scale-up"
+        );
         assert!(r.lock().verified, "{comm:?} scale-up verification");
 
         // MCN server.
         let mut sys = McnSystem::new(&SystemConfig::default(), 2, McnConfig::level(4));
         let r = spawn_on_mcn(&mut sys, w, 2, 1, 1);
-        assert!(sys.run_until_procs_done(SimTime::from_secs(20)), "{comm:?} mcn");
+        assert!(
+            sys.run_until_procs_done(SimTime::from_secs(20)),
+            "{comm:?} mcn"
+        );
         assert!(r.lock().verified, "{comm:?} mcn verification");
 
         // 10GbE cluster.
         let mut c = EthernetCluster::new(&SystemConfig::default(), 2);
         let r = spawn_on_cluster(&mut c, w, 2, 1);
-        assert!(c.run_until_procs_done(SimTime::from_secs(20)), "{comm:?} cluster");
+        assert!(
+            c.run_until_procs_done(SimTime::from_secs(20)),
+            "{comm:?} cluster"
+        );
         assert!(r.lock().verified, "{comm:?} cluster verification");
     }
 }
