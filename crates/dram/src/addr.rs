@@ -57,6 +57,29 @@ pub struct AddressMap {
     channels: u32,
     scheme: Interleave,
     cfg: DramConfig,
+    /// Where `scheme` puts the bank group, column and bank in a line's
+    /// per-channel index; above them sit rank and row.
+    bank_group: Field,
+    col: Field,
+    bank: Field,
+    /// Bits below the rank and row.
+    low_bits: u32,
+    /// [`total_bytes`](Self::total_bytes), checked on every decode.
+    total: u64,
+}
+
+/// A power-of-two field of a line's per-channel index.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+struct Field {
+    shift: u32,
+    mask: u64,
+}
+
+impl Field {
+    #[inline]
+    fn get(self, rest: u64) -> u64 {
+        (rest >> self.shift) & self.mask
+    }
 }
 
 impl AddressMap {
@@ -68,10 +91,38 @@ impl AddressMap {
     pub fn new(cfg: DramConfig, channels: u32, scheme: Interleave) -> Self {
         assert!(channels > 0, "need at least one channel");
         cfg.validate().expect("invalid DRAM config");
+        // `validate` makes each field's size a power of two.
+        let field = |shift: u32, size: u64| Field {
+            shift,
+            mask: size - 1,
+        };
+        let (groups, banks) = (u64::from(cfg.bank_groups), u64::from(cfg.banks_per_group));
+        let (bg_bits, col_bits, bank_bits) = (
+            groups.trailing_zeros(),
+            cfg.cols_per_row.trailing_zeros(),
+            banks.trailing_zeros(),
+        );
+        let (bank_group, col, bank) = match scheme {
+            Interleave::BgInterleaved => (
+                field(0, groups),
+                field(bg_bits, cfg.cols_per_row),
+                field(bg_bits + col_bits, banks),
+            ),
+            Interleave::RowBankCol => (
+                field(col_bits + bank_bits, groups),
+                field(0, cfg.cols_per_row),
+                field(col_bits, banks),
+            ),
+        };
         AddressMap {
+            total: cfg.channel_bytes() * u64::from(channels),
             channels,
             scheme,
             cfg,
+            bank_group,
+            col,
+            bank,
+            low_bits: bg_bits + col_bits + bank_bits,
         }
     }
 
@@ -87,7 +138,7 @@ impl AddressMap {
 
     /// Total mapped capacity in bytes.
     pub fn total_bytes(&self) -> u64 {
-        self.cfg.channel_bytes() * self.channels as u64
+        self.total
     }
 
     /// Channel that cache line containing `addr` maps to.
@@ -106,47 +157,22 @@ impl AddressMap {
     /// Panics if `addr` is beyond the mapped capacity.
     pub fn decode(&self, addr: u64) -> Location {
         assert!(
-            addr < self.total_bytes(),
+            addr < self.total,
             "address {addr:#x} beyond capacity {:#x}",
-            self.total_bytes()
+            self.total
         );
         let line = addr / LINE_BYTES;
-        let channel = (line % self.channels as u64) as u32;
-        let mut rest = line / self.channels as u64;
-
-        let c = &self.cfg;
-        let (rank, bank_group, bank, row, col);
-        match self.scheme {
-            Interleave::BgInterleaved => {
-                bank_group = (rest % c.bank_groups as u64) as u32;
-                rest /= c.bank_groups as u64;
-                col = rest % c.cols_per_row;
-                rest /= c.cols_per_row;
-                bank = (rest % c.banks_per_group as u64) as u32;
-                rest /= c.banks_per_group as u64;
-                rank = (rest % c.ranks as u64) as u32;
-                rest /= c.ranks as u64;
-                row = rest;
-            }
-            Interleave::RowBankCol => {
-                col = rest % c.cols_per_row;
-                rest /= c.cols_per_row;
-                bank = (rest % c.banks_per_group as u64) as u32;
-                rest /= c.banks_per_group as u64;
-                bank_group = (rest % c.bank_groups as u64) as u32;
-                rest /= c.bank_groups as u64;
-                rank = (rest % c.ranks as u64) as u32;
-                rest /= c.ranks as u64;
-                row = rest;
-            }
-        }
+        let channels = u64::from(self.channels);
+        let rest = line / channels;
+        let high = rest >> self.low_bits;
+        let ranks = u64::from(self.cfg.ranks);
         Location {
-            channel,
-            rank,
-            bank_group,
-            bank,
-            row,
-            col,
+            channel: (line % channels) as u32,
+            rank: (high % ranks) as u32,
+            bank_group: self.bank_group.get(rest) as u32,
+            bank: self.bank.get(rest) as u32,
+            row: high / ranks,
+            col: self.col.get(rest),
         }
     }
 
