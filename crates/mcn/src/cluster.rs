@@ -18,7 +18,6 @@
 use std::net::Ipv4Addr;
 
 use mcn_net::link::Link;
-use mcn_net::tcp::TcpConfig;
 use mcn_net::{EthernetFrame, MacAddr, NetConfig};
 use mcn_node::nic::{Nic, NIC_WAITER};
 use mcn_node::{CostModel, MemorySystem, Node, ProcId, Process};
@@ -112,7 +111,6 @@ impl EthernetCluster {
                 CostModel::host(),
                 &sys.host_dram,
                 sys.host_channels,
-                TcpConfig::default(),
             );
             let mac = MacAddr::from_id(0x0300 + i as u16);
             let ip = Self::ip_of(i);
@@ -122,8 +120,7 @@ impl EthernetCluster {
                 mtu: mcn_net::MTU_ETHERNET,
                 // Hardware checksum offload: no CPU checksum charges, no
                 // software verification; FCS covers the wire.
-                tx_checksum: false,
-                rx_checksum: false,
+                checksum: false,
                 tso: false,
             });
             node.stack.add_route(

@@ -23,7 +23,6 @@ use std::collections::{HashMap, VecDeque};
 use std::net::Ipv4Addr;
 
 use mcn_dram::MemKind;
-use mcn_net::tcp::TcpConfig;
 use mcn_net::{EthernetFrame, MacAddr, NetConfig};
 use mcn_node::mem::{Pattern, Transfer};
 use mcn_node::{CostModel, JobId, Node, WaiterId};
@@ -179,24 +178,19 @@ impl McnDimm {
         host_ip: Ipv4Addr,
         host_mac: MacAddr,
     ) -> Self {
-        let mut tcp = TcpConfig::default();
-        let mtu = cfg.mtu();
-        tcp.mss = mtu - mcn_net::IPV4_HEADER_BYTES - mcn_net::TCP_HEADER_BYTES;
         let mut node = Node::new(
             sys.mcn_cores,
             CostModel::mcn(),
             &sys.mcn_dram,
             sys.mcn_channels,
-            tcp,
         );
         let mac = Self::mac_for(server, index);
         let ip = Self::ip_for(server, index);
         let ifidx = node.stack.add_interface(NetConfig {
             mac,
             ip,
-            mtu,
-            tx_checksum: !cfg.checksum_bypass,
-            rx_checksum: !cfg.checksum_bypass,
+            mtu: cfg.mtu(),
+            checksum: !cfg.checksum_bypass,
             tso: cfg.tso,
         });
         debug_assert_eq!(ifidx, 0);

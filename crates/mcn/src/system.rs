@@ -25,7 +25,6 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use mcn_dram::Target;
-use mcn_net::tcp::TcpConfig;
 use mcn_net::{EthernetFrame, MacAddr, NetConfig};
 use mcn_node::mem::{MemorySystem, Pattern, Transfer};
 use mcn_node::nic::{rx_protocol_cost, tx_protocol_cost};
@@ -222,16 +221,11 @@ impl McnSystem {
         plan: &FaultPlan,
     ) -> Self {
         assert!(n_dimms <= 24, "address plan supports 0-24 DIMMs per server");
-        let tcp = TcpConfig {
-            mss: cfg.mtu() - mcn_net::IPV4_HEADER_BYTES - mcn_net::TCP_HEADER_BYTES,
-            ..TcpConfig::default()
-        };
         let mut host = Node::new(
             sys.host_cores,
             CostModel::host(),
             &sys.host_dram,
             sys.host_channels,
-            tcp,
         );
         let mut hdrv = HostDriver::new();
         let mut dimms = Vec::new();
@@ -244,8 +238,7 @@ impl McnSystem {
                 mac: MacAddr::from_id(1),
                 ip: Self::loopback_ip(),
                 mtu: 65536 - mcn_net::IPV4_HEADER_BYTES,
-                tx_checksum: false,
-                rx_checksum: false,
+                checksum: false,
                 tso: true,
             });
             host.stack.add_route(
@@ -263,8 +256,7 @@ impl McnSystem {
                 mac,
                 ip,
                 mtu: cfg.mtu(),
-                tx_checksum: !cfg.checksum_bypass,
-                rx_checksum: !cfg.checksum_bypass,
+                checksum: !cfg.checksum_bypass,
                 tso: cfg.tso,
             });
             let mut dimm = McnDimm::new_in_server(server_id, d, channel, sys, cfg, ip, mac);
@@ -422,8 +414,7 @@ impl McnSystem {
             mac: Self::nic_mac_in(self.rack_id, self.server_id),
             ip: Self::nic_ip_in(self.rack_id, self.server_id),
             mtu: mcn_net::MTU_ETHERNET,
-            tx_checksum: false,
-            rx_checksum: false,
+            checksum: false,
             tso: false,
         });
         self.nic_ifidx = Some(ifidx);

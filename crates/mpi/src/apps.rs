@@ -110,7 +110,7 @@ impl Process for IperfServer {
         }
         // Count freshly closed connections.
         self.conns.retain(|&c| {
-            if ctx.tcp_at_eof(c) {
+            if ctx.stack.tcp_at_eof(c) {
                 self.closed += 1;
                 false
             } else {

@@ -28,10 +28,9 @@ pub struct NetConfig {
     pub ip: Ipv4Addr,
     /// MTU in bytes of IP packet (1500 conventional, 9000 for `mcn3`+).
     pub mtu: usize,
-    /// Compute checksums on transmit (off = `mcn2` bypass).
-    pub tx_checksum: bool,
-    /// Verify checksums on receive (off = `mcn2` bypass).
-    pub rx_checksum: bool,
+    /// Compute checksums on transmit, verify them on receive; off = the
+    /// `mcn2` bypass or hardware offload.
+    pub checksum: bool,
     /// TCP segmentation offload: let TCP emit super-MTU segments and leave
     /// slicing (or, over MCN, nothing at all) to the device (`mcn4`).
     pub tso: bool,
@@ -44,8 +43,7 @@ impl NetConfig {
             mac,
             ip,
             mtu: crate::MTU_ETHERNET,
-            tx_checksum: true,
-            rx_checksum: true,
+            checksum: true,
             tso: false,
         }
     }
@@ -415,14 +413,8 @@ impl NetStack {
                     // Died in the queue: the application never saw the
                     // handle, so nothing is lost by reclaiming it now
                     // (it is already Closed — nothing left to flush).
-                    let key = (
-                        conn.local().0,
-                        conn.local().1,
-                        conn.remote().0,
-                        conn.remote().1,
-                    );
                     self.dead_tcp.merge(conn.stats());
-                    self.conn_map.remove(&key);
+                    self.conn_map.remove(&conn.key());
                     self.sockets[id.0] = Socket::Closed;
                     self.stats.accept_prunes.inc();
                 }
@@ -459,32 +451,47 @@ impl NetStack {
             self.ifaces[ifidx].cfg.ip
         };
         let lport = self.alloc_port();
-        let cfg = self.conn_cfg(ifidx);
-        let isn = self.next_isn;
-        self.next_isn = self.next_isn.wrapping_add(64_000);
-        let conn = Box::new(TcpConn::connect(
-            (local_ip, lport),
-            (dst, dport),
-            cfg,
-            isn,
-            now,
-        ));
-        let id = self.alloc_sock(Socket::Tcp { conn, ifidx });
-        self.conn_map.insert((local_ip, lport, dst, dport), id.0);
-        self.flush_conn(id.0);
+        let (cfg, isn) = self.conn_cfg(ifidx);
+        let conn = TcpConn::connect((local_ip, lport), (dst, dport), cfg, isn, now);
+        let id = self.open(conn, ifidx);
         self.drain_loopback(now);
         Ok(id)
     }
 
-    fn conn_cfg(&self, ifidx: usize) -> TcpConfig {
+    /// The configuration and initial sequence number of a new connection
+    /// over interface `ifidx`.
+    fn conn_cfg(&mut self, ifidx: usize) -> (TcpConfig, u32) {
         let iface = &self.ifaces[ifidx].cfg;
         let mss = iface.mtu - crate::IPV4_HEADER_BYTES - crate::TCP_HEADER_BYTES;
-        TcpConfig {
+        let cfg = TcpConfig {
             mss,
             // IPv4's 16-bit total length caps a TSO super-segment at
             // 65535 - 40 bytes; stay comfortably below like real GSO.
             tso_max: if iface.tso { 60 * 1024 } else { mss },
             ..self.tcp_base.clone()
+        };
+        let isn = self.next_isn;
+        self.next_isn = self.next_isn.wrapping_add(64_000);
+        (cfg, isn)
+    }
+
+    /// Gives a new connection a socket slot and a demux entry, and sends
+    /// its first segment.
+    fn open(&mut self, conn: TcpConn, ifidx: usize) -> SockId {
+        let key = conn.key();
+        let id = self.alloc_sock(Socket::Tcp {
+            conn: Box::new(conn),
+            ifidx,
+        });
+        self.conn_map.insert(key, id.0);
+        self.flush_conn(id.0);
+        id
+    }
+
+    fn conn(&self, sock: SockId) -> Option<&TcpConn> {
+        match self.sockets.get(sock.0) {
+            Some(Socket::Tcp { conn, .. }) => Some(conn),
+            _ => None,
         }
     }
 
@@ -541,20 +548,14 @@ impl NetStack {
 
     /// Connection state, or `Closed` for unknown handles.
     pub fn tcp_state(&self, sock: SockId) -> TcpState {
-        match self.sockets.get(sock.0) {
-            Some(Socket::Tcp { conn, .. }) => conn.state(),
-            _ => TcpState::Closed,
-        }
+        self.conn(sock).map_or(TcpState::Closed, TcpConn::state)
     }
 
     /// Why the connection failed terminally (RTO give-up or peer reset);
     /// `None` for healthy connections, clean closes, and unknown handles.
     /// The stack-level dead-peer signal upper layers (MPI) act on.
     pub fn tcp_error(&self, sock: SockId) -> Option<crate::tcp::TcpError> {
-        match self.sockets.get(sock.0) {
-            Some(Socket::Tcp { conn, .. }) => conn.error(),
-            _ => None,
-        }
+        self.conn(sock).and_then(TcpConn::error)
     }
 
     /// True when the connection died abnormally (shorthand for
@@ -599,10 +600,7 @@ impl NetStack {
 
     /// Bytes readable right now.
     pub fn tcp_readable(&self, sock: SockId) -> usize {
-        match self.sockets.get(sock.0) {
-            Some(Socket::Tcp { conn, .. }) => conn.readable(),
-            _ => 0,
-        }
+        self.conn(sock).map_or(0, TcpConn::readable)
     }
 
     /// Peer-advertised receive window in bytes, or `None` for unknown
@@ -611,18 +609,12 @@ impl NetStack {
     /// failover should treat `Some(0)` as "wait for persist probes",
     /// not "peer dead".
     pub fn tcp_snd_wnd(&self, sock: SockId) -> Option<u32> {
-        match self.sockets.get(sock.0) {
-            Some(Socket::Tcp { conn, .. }) => Some(conn.snd_wnd()),
-            _ => None,
-        }
+        self.conn(sock).map(TcpConn::snd_wnd)
     }
 
     /// True when the peer closed and all data was read.
     pub fn tcp_at_eof(&self, sock: SockId) -> bool {
-        match self.sockets.get(sock.0) {
-            Some(Socket::Tcp { conn, .. }) => conn.at_eof(),
-            _ => true,
-        }
+        self.conn(sock).is_none_or(TcpConn::at_eof)
     }
 
     /// Sums connection statistics over every TCP socket — live, closed
@@ -641,10 +633,7 @@ impl NetStack {
 
     /// Per-connection statistics.
     pub fn tcp_stats(&self, sock: SockId) -> Option<&crate::tcp::TcpStats> {
-        match self.sockets.get(sock.0) {
-            Some(Socket::Tcp { conn, .. }) => Some(conn.stats()),
-            _ => None,
-        }
+        self.conn(sock).map(TcpConn::stats)
     }
 
     // ---------------- UDP sockets ----------------
@@ -697,7 +686,7 @@ impl NetStack {
         } else {
             self.ifaces[ifidx].cfg.ip
         };
-        let with_csum = self.ifaces[ifidx].cfg.tx_checksum;
+        let with_csum = self.ifaces[ifidx].cfg.checksum;
         let dg = UdpDatagram::new(sport, dport, data);
         let payload = Bytes::from(dg.encode(src, dst, with_csum));
         let r = self.send_ip(src, dst, IpProto::Udp, payload);
@@ -763,7 +752,7 @@ impl NetStack {
             self.stats.malformed.inc();
             return;
         };
-        if self.ifaces[ifidx].cfg.rx_checksum && !pkt.checksum_ok {
+        if self.ifaces[ifidx].cfg.checksum && !pkt.checksum_ok {
             self.stats.drop_checksum.inc();
             return;
         }
@@ -782,7 +771,7 @@ impl NetStack {
         match pkt.proto {
             IpProto::Icmp => self.deliver_icmp(ifidx, &pkt),
             IpProto::Tcp => self.deliver_tcp(ifidx, &pkt, now),
-            IpProto::Udp => self.deliver_udp(ifidx, &pkt, now),
+            IpProto::Udp => self.deliver_udp(&pkt),
             IpProto::Other(_) => {}
         }
     }
@@ -792,7 +781,7 @@ impl NetStack {
             self.stats.malformed.inc();
             return;
         };
-        if self.ifaces[ifidx].cfg.rx_checksum && !msg.checksum_ok {
+        if self.ifaces[ifidx].cfg.checksum && !msg.checksum_ok {
             self.stats.drop_checksum.inc();
             return;
         }
@@ -814,7 +803,7 @@ impl NetStack {
         }
     }
 
-    fn deliver_udp(&mut self, _ifidx: usize, pkt: &Ipv4Packet, _now: SimTime) {
+    fn deliver_udp(&mut self, pkt: &Ipv4Packet) {
         let Ok(dg) = UdpDatagram::decode(&pkt.payload, pkt.src, pkt.dst) else {
             self.stats.malformed.inc();
             return;
@@ -835,7 +824,7 @@ impl NetStack {
 
     fn deliver_tcp(&mut self, ifidx: usize, pkt: &Ipv4Packet, now: SimTime) {
         self.timer.set(None);
-        let verify = self.ifaces[ifidx].cfg.rx_checksum;
+        let verify = self.ifaces[ifidx].cfg.checksum;
         let Ok(seg) = TcpSegment::decode(&pkt.payload, pkt.src, pkt.dst, verify) else {
             self.stats.malformed.inc();
             return;
@@ -890,24 +879,14 @@ impl NetStack {
                     self.stats.syn_drops.inc();
                     return;
                 }
-                let cfg = self.conn_cfg(ifidx);
-                let isn = self.next_isn;
-                self.next_isn = self.next_isn.wrapping_add(64_000);
-                let conn = Box::new(TcpConn::accept(
-                    (pkt.dst, seg.dst_port),
-                    (pkt.src, seg.src_port),
-                    cfg,
-                    isn,
-                    &seg,
-                    now,
-                ));
-                let id = self.alloc_sock(Socket::Tcp { conn, ifidx });
-                self.conn_map.insert(key, id.0);
+                let (cfg, isn) = self.conn_cfg(ifidx);
+                let (local, remote) = ((pkt.dst, seg.dst_port), (pkt.src, seg.src_port));
+                let conn = TcpConn::accept(local, remote, cfg, isn, &seg, now);
+                let id = self.open(conn, ifidx);
                 if let Socket::TcpListener { pending, .. } = &mut self.sockets[lidx] {
                     pending.push_back(id);
                 }
                 self.events.push(SocketEvent::Activity(SockId(lidx)));
-                self.flush_conn(id.0);
                 return;
             }
         }
@@ -932,8 +911,8 @@ impl NetStack {
             payload: Bytes::new(),
             checksum_ok: true,
         };
-        let verify_tx = self.ifaces[ifidx].cfg.tx_checksum;
-        let bytes = Bytes::from(rst.encode(pkt.dst, pkt.src, verify_tx));
+        let with_csum = self.ifaces[ifidx].cfg.checksum;
+        let bytes = Bytes::from(rst.encode(pkt.dst, pkt.src, with_csum));
         let _ = self.send_ip(pkt.dst, pkt.src, IpProto::Tcp, bytes);
     }
 
@@ -971,8 +950,7 @@ impl NetStack {
         for idx in 0..self.sockets.len() {
             if let Socket::Tcp { conn, .. } = &self.sockets[idx] {
                 if conn.state() == TcpState::Closed {
-                    let (l, r) = (conn.local(), conn.remote());
-                    self.reap(idx, (l.0, l.1, r.0, r.1));
+                    self.reap(idx, conn.key());
                 }
             }
         }
@@ -987,7 +965,7 @@ impl NetStack {
             }
             _ => return,
         };
-        let with_csum = self.ifaces[ifidx].cfg.tx_checksum;
+        let with_csum = self.ifaces[ifidx].cfg.checksum;
         for seg in segs {
             let bytes = Bytes::from(seg.encode(local.0, remote.0, with_csum));
             let _ = self.send_ip(local.0, remote.0, IpProto::Tcp, bytes);
@@ -1098,12 +1076,7 @@ impl NetStack {
                 self.udp_ports.remove(port);
             }
             Socket::Tcp { conn, .. } => {
-                let key = (
-                    conn.local().0,
-                    conn.local().1,
-                    conn.remote().0,
-                    conn.remote().1,
-                );
+                let key = conn.key();
                 if conn.state() != TcpState::Closed {
                     conn.abort();
                 }
@@ -1557,7 +1530,7 @@ mod tests {
             b.on_frame(0, f, now);
             fresh(&a, &b);
         }
-        assert_eq!(b.next_timer(), Some(now + TcpConfig::default().delack));
+        assert_eq!(b.next_timer(), Some(now + crate::tcp::DELACK));
         walk(&mut a, &mut b, &mut now, ms(1), false);
         assert_eq!(drain(&a, &mut b, ss, now), 100);
 

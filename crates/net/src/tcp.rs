@@ -56,21 +56,8 @@ pub struct TcpConfig {
     /// Maximum bytes per emitted segment. Equal to `mss` normally; larger
     /// when TSO is enabled (the device or MCN driver handles the rest).
     pub tso_max: usize,
-    /// Send buffer capacity in bytes.
-    pub send_buf: usize,
     /// Receive buffer capacity in bytes.
     pub recv_buf: usize,
-    /// Initial congestion window in segments (RFC 6928 uses 10).
-    pub init_cwnd_segs: u32,
-    /// Delayed-ACK timeout.
-    pub delack: SimTime,
-    /// Lower bound for the retransmission timeout.
-    pub min_rto: SimTime,
-    /// Consecutive RTO firings (no ACK progress in between) after which the
-    /// connection gives up and fails with [`TcpError::TimedOut`] instead of
-    /// backing off forever. With the default `min_rto` and exponential
-    /// backoff this bounds dead-peer detection to tens of seconds.
-    pub max_rto_retries: u32,
     /// Idle interval after which keepalive probing starts, or `None` to
     /// disable keepalive entirely (the default — matching a socket without
     /// `SO_KEEPALIVE`). Retransmission timers cover dead-peer detection
@@ -82,10 +69,6 @@ pub struct TcpConfig {
     /// Unanswered probes after which the peer is declared dead and the
     /// connection fails with [`TcpError::KeepaliveTimeout`].
     pub keepalive_probes: u32,
-    /// TIME_WAIT (2MSL) duration. Shortened from the RFC 793 minutes-scale
-    /// value because simulated workloads never reuse a 4-tuple within a
-    /// real 2MSL; raise it to study TIME_WAIT port pressure.
-    pub time_wait: SimTime,
 }
 
 impl Default for TcpConfig {
@@ -93,26 +76,38 @@ impl Default for TcpConfig {
         TcpConfig {
             mss: 1460,
             tso_max: 1460,
-            send_buf: 256 * 1024,
             recv_buf: 256 * 1024,
-            init_cwnd_segs: 10,
-            delack: SimTime::from_us(500),
-            min_rto: SimTime::from_ms(200),
-            max_rto_retries: 8,
             keepalive_idle: None,
             keepalive_intvl: SimTime::from_ms(100),
             keepalive_probes: 3,
-            time_wait: SimTime::from_ms(1),
         }
     }
 }
+
+/// Send buffer capacity in bytes.
+const SEND_BUF: usize = 256 * 1024;
+/// Initial congestion window in segments (RFC 6928).
+const INIT_CWND_SEGS: usize = 10;
+/// Delayed-ACK timeout.
+pub(crate) const DELACK: SimTime = SimTime::from_us(500);
+/// Lower bound for the retransmission timeout.
+const MIN_RTO: SimTime = SimTime::from_ms(200);
+/// Consecutive RTO firings (no ACK progress in between) after which the
+/// connection gives up with [`TcpError::TimedOut`] instead of backing off
+/// forever: about 102 s of silence from `MIN_RTO` doubling.
+const MAX_RTO_RETRIES: u32 = 8;
+/// TIME_WAIT (2MSL) duration, shortened from RFC 793's minutes because
+/// simulated workloads never reuse a 4-tuple within a real 2MSL.
+const TIME_WAIT: SimTime = SimTime::from_ms(1);
+/// Window scale both sides advertise.
+const WSCALE: u8 = 7;
 
 /// Why a connection failed terminally (it is [`TcpState::Closed`] and will
 /// never carry data again). Queried by the stack's dead-peer reporting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TcpError {
-    /// `max_rto_retries` consecutive retransmission timeouts expired with
-    /// no sign of the peer: it is unreachable or dead.
+    /// Eight consecutive retransmission timeouts (about 102 s) expired
+    /// with no sign of the peer: it is unreachable or dead.
     TimedOut,
     /// The peer reset the connection (RST received).
     PeerReset,
@@ -145,8 +140,6 @@ pub enum TcpState {
     /// Fully closed.
     Closed,
 }
-
-const WSCALE: u8 = 7;
 
 /// Copies `dst.len()` bytes of `src`, starting `off` bytes in, into
 /// `dst`: one slice copy per half of the ring buffer.
@@ -268,7 +261,7 @@ pub struct TcpStats {
     pub bytes_delivered: u64,
     /// Payload bytes accepted from the application.
     pub bytes_sent: u64,
-    /// Connections abandoned after `max_rto_retries` consecutive timeouts.
+    /// Connections abandoned after eight consecutive timeouts.
     pub rto_giveups: u64,
     /// Persist (zero-window) probes transmitted.
     pub persist_probes_out: u64,
@@ -342,20 +335,7 @@ impl TcpConn {
         now: SimTime,
     ) -> Self {
         let mut c = Self::common(local, remote, cfg, isn, TcpState::SynSent);
-        let seg = TcpSegment {
-            src_port: local.1,
-            dst_port: remote.1,
-            seq: isn,
-            ack: 0,
-            flags: TcpFlags::SYN,
-            window: c.recv_window_field(),
-            mss: Some(c.cfg.mss as u16),
-            wscale: Some(WSCALE),
-            payload: Bytes::new(),
-            checksum_ok: true,
-        };
-        c.out.push(seg);
-        c.arm_rtx(now);
+        c.send_syn(now);
         c
     }
 
@@ -374,28 +354,8 @@ impl TcpConn {
     ) -> Self {
         assert!(syn.flags.syn && !syn.flags.ack, "accept() requires a SYN");
         let mut c = Self::common(local, remote, cfg, isn, TcpState::SynRcvd);
-        c.rcv_nxt = syn.seq.wrapping_add(1);
-        c.peer_wscale = syn.wscale.unwrap_or(0);
-        if let Some(mss) = syn.mss {
-            c.cfg.mss = c.cfg.mss.min(mss as usize);
-            c.cfg.tso_max = c.cfg.tso_max.max(c.cfg.mss);
-        }
-        c.cwnd = (c.cfg.init_cwnd_segs as usize * c.cfg.mss) as f64;
-        c.snd_wnd = (syn.window as u32) << c.peer_wscale;
-        let seg = TcpSegment {
-            src_port: local.1,
-            dst_port: remote.1,
-            seq: isn,
-            ack: c.rcv_nxt,
-            flags: TcpFlags::SYN_ACK,
-            window: c.recv_window_field(),
-            mss: Some(c.cfg.mss as u16),
-            wscale: Some(WSCALE),
-            payload: Bytes::new(),
-            checksum_ok: true,
-        };
-        c.out.push(seg);
-        c.arm_rtx(now);
+        c.take_syn(syn);
+        c.send_syn(now);
         c
     }
 
@@ -406,7 +366,7 @@ impl TcpConn {
         isn: u32,
         state: TcpState,
     ) -> Self {
-        let cwnd = (cfg.init_cwnd_segs as usize * cfg.mss) as f64;
+        let cwnd = (INIT_CWND_SEGS * cfg.mss) as f64;
         TcpConn {
             state,
             local,
@@ -468,6 +428,12 @@ impl TcpConn {
         self.remote
     }
 
+    /// The stack's demux key: (local address, local port, remote address,
+    /// remote port).
+    pub(crate) fn key(&self) -> (Ipv4Addr, u16, Ipv4Addr, u16) {
+        (self.local.0, self.local.1, self.remote.0, self.remote.1)
+    }
+
     /// Statistics so far.
     pub fn stats(&self) -> &TcpStats {
         &self.stats
@@ -491,7 +457,7 @@ impl TcpConn {
             TcpState::Established | TcpState::CloseWait | TcpState::SynSent | TcpState::SynRcvd
         ) && !self.fin_queued
         {
-            self.cfg.send_buf - self.snd_buf.len()
+            SEND_BUF - self.snd_buf.len()
         } else {
             0
         }
@@ -538,6 +504,96 @@ impl TcpConn {
     fn recv_window_field(&self) -> u16 {
         let free = self.cfg.recv_buf - self.rcv_buf.len();
         ((free >> WSCALE) as u32).min(u16::MAX as u32) as u16
+    }
+
+    // ---------- segments ----------
+
+    /// A segment from this side: ports, `ack = rcv_nxt` and the current
+    /// receive window.
+    fn segment(&self, seq: u32, flags: TcpFlags, payload: Bytes) -> TcpSegment {
+        TcpSegment {
+            src_port: self.local.1,
+            dst_port: self.remote.1,
+            seq,
+            ack: self.rcv_nxt,
+            flags,
+            window: self.recv_window_field(),
+            mss: None,
+            wscale: None,
+            payload,
+            checksum_ok: true,
+        }
+    }
+
+    /// This side's SYN (in `SynSent`) or SYN-ACK, with the MSS and
+    /// window-scale options, always at `snd_una`.
+    fn syn_segment(&self) -> TcpSegment {
+        let flags = if self.state == TcpState::SynSent {
+            TcpFlags::SYN
+        } else {
+            TcpFlags::SYN_ACK
+        };
+        TcpSegment {
+            mss: Some(self.cfg.mss as u16),
+            wscale: Some(WSCALE),
+            ..self.segment(self.snd_una, flags, Bytes::new())
+        }
+    }
+
+    /// A persist or keepalive probe: a pure ACK one byte *below* the
+    /// expected sequence (RFC 1122 §4.2.3.6), which a live peer answers
+    /// with a challenge ACK carrying its current window.
+    fn probe_segment(&self) -> TcpSegment {
+        self.segment(self.snd_nxt.wrapping_sub(1), TcpFlags::ACK, Bytes::new())
+    }
+
+    /// `len` bytes of the send buffer from offset `off`.
+    fn payload_at(&self, off: usize, len: usize) -> Bytes {
+        if len == 0 {
+            return Bytes::new();
+        }
+        let mut payload = vec![0; len];
+        copy_from_deque(&self.snd_buf, off, &mut payload);
+        Bytes::from(payload)
+    }
+
+    /// Stages this side's SYN (or SYN-ACK) and arms its retransmission.
+    fn send_syn(&mut self, now: SimTime) {
+        self.out.push(self.syn_segment());
+        self.arm_rtx(now);
+    }
+
+    /// Takes the peer's SYN (or SYN-ACK): its sequence number, window
+    /// scale and window, the MSS clamp and the initial congestion window.
+    fn take_syn(&mut self, syn: &TcpSegment) {
+        self.rcv_nxt = syn.seq.wrapping_add(1);
+        self.peer_wscale = syn.wscale.unwrap_or(0);
+        if let Some(mss) = syn.mss {
+            self.cfg.mss = self.cfg.mss.min(mss as usize);
+            self.cfg.tso_max = self.cfg.tso_max.max(self.cfg.mss);
+        }
+        self.cwnd = (INIT_CWND_SEGS * self.cfg.mss) as f64;
+        self.snd_wnd = (syn.window as u32) << self.peer_wscale;
+    }
+
+    /// Closes the connection at once and cancels every timer; `error`,
+    /// when given, records why.
+    fn shut(&mut self, error: Option<TcpError>) {
+        self.error = error.or(self.error);
+        self.state = TcpState::Closed;
+        self.rtx_deadline = None;
+        self.ack_deadline = None;
+        self.time_wait_deadline = None;
+        self.persist_deadline = None;
+        self.ka_deadline = None;
+    }
+
+    /// A segment carrying the current `rcv_nxt` left: the ACK policy is
+    /// satisfied.
+    fn ack_sent(&mut self) {
+        self.need_ack_now = false;
+        self.segs_unacked = 0;
+        self.ack_deadline = None;
     }
 
     // ---------- application interface ----------
@@ -593,23 +649,10 @@ impl TcpConn {
     pub fn abort(&mut self) {
         if self.state != TcpState::Closed {
             self.out.push(TcpSegment {
-                src_port: self.local.1,
-                dst_port: self.remote.1,
-                seq: self.snd_nxt,
-                ack: self.rcv_nxt,
-                flags: TcpFlags::RST,
                 window: 0,
-                mss: None,
-                wscale: None,
-                payload: Bytes::new(),
-                checksum_ok: true,
+                ..self.segment(self.snd_nxt, TcpFlags::RST, Bytes::new())
             });
-            self.state = TcpState::Closed;
-            self.rtx_deadline = None;
-            self.ack_deadline = None;
-            self.time_wait_deadline = None;
-            self.persist_deadline = None;
-            self.ka_deadline = None;
+            self.shut(None);
         }
     }
 
@@ -677,8 +720,7 @@ impl TcpConn {
     /// Arms (or re-arms) the persist timer with exponential backoff.
     fn arm_persist(&mut self, now: SimTime) {
         let interval = SimTime::from_ps(
-            self.cfg
-                .min_rto
+            MIN_RTO
                 .as_ps()
                 .saturating_mul(1u64 << self.persist_backoff.min(10)),
         )
@@ -686,10 +728,9 @@ impl TcpConn {
         self.persist_deadline = Some(now + interval);
     }
 
-    /// The persist timer fired: probe the zero-window peer. The probe is a
-    /// keepalive-shaped pure ACK one byte below the expected sequence — a
-    /// live receiver answers with a challenge ACK carrying its *current*
-    /// window, reopening the pipe the instant space exists. Unlike the RTO
+    /// The persist timer fired: probe the zero-window peer. The probe's
+    /// challenge ACK carries the receiver's *current* window, reopening
+    /// the pipe the instant space exists. Unlike the RTO
     /// path this never counts toward the dead-peer give-up budget: a
     /// zero-window peer is alive by definition (it keeps answering), and
     /// probing continues for as long as the stall does.
@@ -702,18 +743,7 @@ impl TcpConn {
             self.persist_backoff = 0;
             return;
         }
-        self.out.push(TcpSegment {
-            src_port: self.local.1,
-            dst_port: self.remote.1,
-            seq: self.snd_nxt.wrapping_sub(1),
-            ack: self.rcv_nxt,
-            flags: TcpFlags::ACK,
-            window: self.recv_window_field(),
-            mss: None,
-            wscale: None,
-            payload: Bytes::new(),
-            checksum_ok: true,
-        });
+        self.out.push(self.probe_segment());
         self.stats.persist_probes_out += 1;
         self.persist_backoff = (self.persist_backoff + 1).min(10);
         self.arm_persist(now);
@@ -738,29 +768,12 @@ impl TcpConn {
         }
         if self.ka_probes_sent >= self.cfg.keepalive_probes {
             self.stats.keepalive_giveups += 1;
-            self.error = Some(TcpError::KeepaliveTimeout);
-            self.state = TcpState::Closed;
-            self.rtx_deadline = None;
-            self.ack_deadline = None;
-            self.time_wait_deadline = None;
-            self.persist_deadline = None;
+            self.shut(Some(TcpError::KeepaliveTimeout));
             return;
         }
-        // The probe is a pure ACK one byte *below* the expected sequence
-        // (RFC 1122 §4.2.3.6): a live peer answers with a challenge ACK,
-        // which resets the idle timer; a dead one stays silent.
-        self.out.push(TcpSegment {
-            src_port: self.local.1,
-            dst_port: self.remote.1,
-            seq: self.snd_nxt.wrapping_sub(1),
-            ack: self.rcv_nxt,
-            flags: TcpFlags::ACK,
-            window: self.recv_window_field(),
-            mss: None,
-            wscale: None,
-            payload: Bytes::new(),
-            checksum_ok: true,
-        });
+        // A live peer's challenge ACK resets the idle timer; a dead one
+        // stays silent.
+        self.out.push(self.probe_segment());
         self.stats.keepalive_probes_out += 1;
         self.ka_probes_sent += 1;
         self.ka_deadline = Some(now + self.cfg.keepalive_intvl);
@@ -779,17 +792,11 @@ impl TcpConn {
         }
         self.stats.timeouts += 1;
         self.consec_rtos = self.consec_rtos.saturating_add(1);
-        if self.consec_rtos > self.cfg.max_rto_retries {
+        if self.consec_rtos > MAX_RTO_RETRIES {
             // The peer has not acknowledged anything across the whole retry
             // budget: declare it dead instead of retransmitting forever.
             self.stats.rto_giveups += 1;
-            self.error = Some(TcpError::TimedOut);
-            self.state = TcpState::Closed;
-            self.rtx_deadline = None;
-            self.ack_deadline = None;
-            self.time_wait_deadline = None;
-            self.persist_deadline = None;
-            self.ka_deadline = None;
+            self.shut(Some(TcpError::TimedOut));
             return;
         }
         // Multiplicative decrease + slow-start restart (classic Reno RTO).
@@ -798,94 +805,39 @@ impl TcpConn {
         self.cwnd = self.cfg.mss as f64;
         self.dupacks = 0;
         self.rto_backoff = (self.rto_backoff + 1).min(10);
-        self.rtt_probe = None; // Karn's algorithm: no samples from rtx
-                               // Everything between snd_una and snd_nxt is treated as lost:
-                               // forward ACKs below this point drive go-back-N retransmission.
+        // Karn's algorithm: no RTT samples from retransmissions.
+        self.rtt_probe = None;
+        // Everything between snd_una and snd_nxt is treated as lost:
+        // forward ACKs below this point drive go-back-N retransmission.
         if self.in_flight() > 0 {
             self.rto_recover = Some(self.snd_nxt);
         }
-        self.retransmit_head(now);
+        self.retransmit_head();
         self.arm_rtx(now);
     }
 
     /// Retransmits the earliest unacknowledged segment.
-    fn retransmit_head(&mut self, _now: SimTime) {
+    fn retransmit_head(&mut self) {
         self.stats.retransmits += 1;
-        match self.state {
-            TcpState::SynSent => {
-                self.out.push(TcpSegment {
-                    src_port: self.local.1,
-                    dst_port: self.remote.1,
-                    seq: self.snd_una,
-                    ack: 0,
-                    flags: TcpFlags::SYN,
-                    window: self.recv_window_field(),
-                    mss: Some(self.cfg.mss as u16),
-                    wscale: Some(WSCALE),
-                    payload: Bytes::new(),
-                    checksum_ok: true,
-                });
-                return;
-            }
-            TcpState::SynRcvd => {
-                self.out.push(TcpSegment {
-                    src_port: self.local.1,
-                    dst_port: self.remote.1,
-                    seq: self.snd_una,
-                    ack: self.rcv_nxt,
-                    flags: TcpFlags::SYN_ACK,
-                    window: self.recv_window_field(),
-                    mss: Some(self.cfg.mss as u16),
-                    wscale: Some(WSCALE),
-                    payload: Bytes::new(),
-                    checksum_ok: true,
-                });
-                return;
-            }
-            _ => {}
+        if matches!(self.state, TcpState::SynSent | TcpState::SynRcvd) {
+            self.out.push(self.syn_segment());
+            return;
         }
-        // Data (or FIN) retransmission from snd_una.
+        // Data (or FIN) from snd_una. Once the FIN is acknowledged, `off`
+        // can pass the end of the buffer.
         let off = self.snd_una.wrapping_sub(self.snd_base) as usize;
-        let avail = self.snd_buf.len().saturating_sub(off);
-        let len = avail.min(self.cfg.mss);
-        if len > 0 {
-            let mut payload = vec![0; len];
-            copy_from_deque(&self.snd_buf, off, &mut payload);
-            let payload = Bytes::from(payload);
-            let last_of_fin = self.fin_sent && off + len == self.snd_buf.len();
-            self.out.push(TcpSegment {
-                src_port: self.local.1,
-                dst_port: self.remote.1,
-                seq: self.snd_una,
-                ack: self.rcv_nxt,
-                flags: if last_of_fin {
-                    TcpFlags::FIN_ACK
-                } else {
-                    TcpFlags::ACK
-                },
-                window: self.recv_window_field(),
-                mss: None,
-                wscale: None,
-                payload,
-                checksum_ok: true,
-            });
-        } else if self.fin_sent {
-            self.out.push(TcpSegment {
-                src_port: self.local.1,
-                dst_port: self.remote.1,
-                seq: self.snd_una,
-                ack: self.rcv_nxt,
-                flags: TcpFlags::FIN_ACK,
-                window: self.recv_window_field(),
-                mss: None,
-                wscale: None,
-                payload: Bytes::new(),
-                checksum_ok: true,
-            });
+        let len = self.snd_buf.len().saturating_sub(off).min(self.cfg.mss);
+        let fin = self.fin_sent && off + len >= self.snd_buf.len();
+        if len > 0 || fin {
+            let flags = if fin {
+                TcpFlags::FIN_ACK
+            } else {
+                TcpFlags::ACK
+            };
+            self.out
+                .push(self.segment(self.snd_una, flags, self.payload_at(off, len)));
         }
-        self.need_ack_now = false;
-        self.segs_unacked = 0;
-        self.ack_deadline = None;
+        self.ack_sent();
     }
 
     fn arm_rtx(&mut self, now: SimTime) {
@@ -894,7 +846,7 @@ impl TcpConn {
                 .as_ps()
                 .saturating_mul(1u64 << self.rto_backoff.min(10)),
         );
-        let rto = backoff.max(self.cfg.min_rto).min(SimTime::from_secs(60));
+        let rto = backoff.max(MIN_RTO).min(SimTime::from_secs(60));
         self.rtx_deadline = Some(now + rto);
     }
 
@@ -910,7 +862,7 @@ impl TcpConn {
             }
         }
         let rto = self.srtt.expect("set") + 4.0 * self.rttvar;
-        self.rto = SimTime::from_secs_f64(rto).max(self.cfg.min_rto);
+        self.rto = SimTime::from_secs_f64(rto).max(MIN_RTO);
         self.rto_backoff = 0;
         self.consec_rtos = 0;
     }
@@ -921,29 +873,15 @@ impl TcpConn {
     /// Checksum policy is the caller's: segments passed here are trusted.
     pub fn on_segment(&mut self, seg: &TcpSegment, now: SimTime) {
         if seg.flags.rst {
-            if !matches!(self.state, TcpState::Closed | TcpState::TimeWait) {
-                self.error = Some(TcpError::PeerReset);
-            }
-            self.state = TcpState::Closed;
-            self.rtx_deadline = None;
-            self.ack_deadline = None;
-            self.time_wait_deadline = None;
-            self.persist_deadline = None;
-            self.ka_deadline = None;
+            let live = !matches!(self.state, TcpState::Closed | TcpState::TimeWait);
+            self.shut(live.then_some(TcpError::PeerReset));
             return;
         }
         match self.state {
             TcpState::SynSent => {
                 if seg.flags.syn && seg.flags.ack && seg.ack == self.snd_nxt {
-                    self.rcv_nxt = seg.seq.wrapping_add(1);
+                    self.take_syn(seg);
                     self.snd_una = seg.ack;
-                    self.peer_wscale = seg.wscale.unwrap_or(0);
-                    if let Some(mss) = seg.mss {
-                        self.cfg.mss = self.cfg.mss.min(mss as usize);
-                        self.cfg.tso_max = self.cfg.tso_max.max(self.cfg.mss);
-                    }
-                    self.cwnd = (self.cfg.init_cwnd_segs as usize * self.cfg.mss) as f64;
-                    self.snd_wnd = (seg.window as u32) << self.peer_wscale;
                     self.state = TcpState::Established;
                     self.rtx_deadline = None;
                     self.consec_rtos = 0;
@@ -954,28 +892,9 @@ impl TcpConn {
                     // peer's crossed. Acknowledge theirs with a SYN-ACK and
                     // move to SynRcvd; the peer's crossing SYN-ACK then
                     // completes the handshake through the SynRcvd arm.
-                    self.rcv_nxt = seg.seq.wrapping_add(1);
-                    self.peer_wscale = seg.wscale.unwrap_or(0);
-                    if let Some(mss) = seg.mss {
-                        self.cfg.mss = self.cfg.mss.min(mss as usize);
-                        self.cfg.tso_max = self.cfg.tso_max.max(self.cfg.mss);
-                    }
-                    self.cwnd = (self.cfg.init_cwnd_segs as usize * self.cfg.mss) as f64;
-                    self.snd_wnd = (seg.window as u32) << self.peer_wscale;
+                    self.take_syn(seg);
                     self.state = TcpState::SynRcvd;
-                    self.out.push(TcpSegment {
-                        src_port: self.local.1,
-                        dst_port: self.remote.1,
-                        seq: self.snd_una, // our original ISN
-                        ack: self.rcv_nxt,
-                        flags: TcpFlags::SYN_ACK,
-                        window: self.recv_window_field(),
-                        mss: Some(self.cfg.mss as u16),
-                        wscale: Some(WSCALE),
-                        payload: Bytes::new(),
-                        checksum_ok: true,
-                    });
-                    self.arm_rtx(now);
+                    self.send_syn(now);
                 }
             }
             TcpState::SynRcvd => {
@@ -1057,7 +976,7 @@ impl TcpConn {
                 // of one per doubled RTO.
                 if let Some(rec) = self.rto_recover {
                     if seq_lt(self.snd_una, rec) {
-                        self.retransmit_head(now);
+                        self.retransmit_head();
                     } else {
                         self.rto_recover = None;
                     }
@@ -1081,7 +1000,7 @@ impl TcpConn {
                     let inflight = self.in_flight() as f64;
                     self.ssthresh = (inflight / 2.0).max(2.0 * self.cfg.mss as f64);
                     self.cwnd = self.ssthresh;
-                    self.retransmit_head(now);
+                    self.retransmit_head();
                     self.arm_rtx(now);
                 }
             }
@@ -1150,17 +1069,16 @@ impl TcpConn {
     }
 
     fn enter_time_wait(&mut self, now: SimTime) {
-        // 2MSL shortened (cfg.time_wait, default 1 ms): connections in this
-        // simulation are never reused with colliding 4-tuples inside a real
-        // 2MSL. The stack frees the port and slot after expiry.
-        self.time_wait_deadline = Some(now + self.cfg.time_wait);
+        // 2MSL shortened to `TIME_WAIT`; the stack frees the port and slot
+        // after expiry.
+        self.time_wait_deadline = Some(now + TIME_WAIT);
         self.saw_time_wait = true;
         self.ka_deadline = None;
         self.rtx_deadline = None;
         self.persist_deadline = None;
     }
 
-    fn ingest_data(&mut self, seq: u32, mut payload: Bytes, _now: SimTime) {
+    fn ingest_data(&mut self, seq: u32, mut payload: Bytes, now: SimTime) {
         // Trim anything we already have.
         if seq_lt(seq, self.rcv_nxt) {
             let dup = self.rcv_nxt.wrapping_sub(seq) as usize;
@@ -1199,7 +1117,7 @@ impl TcpConn {
             if self.segs_unacked >= 2 {
                 self.need_ack_now = true;
             } else if self.ack_deadline.is_none() {
-                self.ack_deadline = Some(_now + self.cfg.delack);
+                self.ack_deadline = Some(now + DELACK);
             }
         } else {
             // Out of order: stash and send an immediate duplicate ACK so the
@@ -1237,30 +1155,16 @@ impl TcpConn {
                 if len == 0 {
                     break;
                 }
-                let mut payload = vec![0; len];
-                copy_from_deque(&self.snd_buf, off, &mut payload);
-                let payload = Bytes::from(payload);
                 let is_last = off + len == self.snd_buf.len();
                 let fin_now = self.fin_queued && is_last && !self.fin_sent;
                 let seq = self.snd_nxt;
-                self.out.push(TcpSegment {
-                    src_port: self.local.1,
-                    dst_port: self.remote.1,
-                    seq,
-                    ack: self.rcv_nxt,
-                    flags: TcpFlags {
-                        ack: true,
-                        fin: fin_now,
-                        psh: is_last,
-                        syn: false,
-                        rst: false,
-                    },
-                    window: self.recv_window_field(),
-                    mss: None,
-                    wscale: None,
-                    payload,
-                    checksum_ok: true,
-                });
+                let flags = TcpFlags {
+                    fin: fin_now,
+                    psh: is_last,
+                    ..TcpFlags::ACK
+                };
+                self.out
+                    .push(self.segment(seq, flags, self.payload_at(off, len)));
                 self.snd_nxt = self.snd_nxt.wrapping_add(len as u32 + fin_now as u32);
                 if fin_now {
                     self.mark_fin_sent();
@@ -1272,30 +1176,16 @@ impl TcpConn {
                 sent_any = true;
             }
             // FIN with no data left to send.
-            if self.fin_queued && !self.fin_sent {
-                let off = self.snd_nxt.wrapping_sub(self.snd_base) as usize;
-                if off >= self.snd_buf.len() {
-                    self.out.push(TcpSegment {
-                        src_port: self.local.1,
-                        dst_port: self.remote.1,
-                        seq: self.snd_nxt,
-                        ack: self.rcv_nxt,
-                        flags: TcpFlags::FIN_ACK,
-                        window: self.recv_window_field(),
-                        mss: None,
-                        wscale: None,
-                        payload: Bytes::new(),
-                        checksum_ok: true,
-                    });
-                    self.snd_nxt = self.snd_nxt.wrapping_add(1);
-                    self.mark_fin_sent();
-                    sent_any = true;
-                }
+            let off = self.snd_nxt.wrapping_sub(self.snd_base) as usize;
+            if self.fin_queued && !self.fin_sent && off >= self.snd_buf.len() {
+                self.out
+                    .push(self.segment(self.snd_nxt, TcpFlags::FIN_ACK, Bytes::new()));
+                self.snd_nxt = self.snd_nxt.wrapping_add(1);
+                self.mark_fin_sent();
+                sent_any = true;
             }
             if sent_any {
-                self.need_ack_now = false;
-                self.segs_unacked = 0;
-                self.ack_deadline = None;
+                self.ack_sent();
                 if self.rtx_deadline.is_none() {
                     self.arm_rtx(now);
                 }
@@ -1319,22 +1209,10 @@ impl TcpConn {
             }
         }
         if self.need_ack_now && !sent_any {
-            self.out.push(TcpSegment {
-                src_port: self.local.1,
-                dst_port: self.remote.1,
-                seq: self.snd_nxt,
-                ack: self.rcv_nxt,
-                flags: TcpFlags::ACK,
-                window: self.recv_window_field(),
-                mss: None,
-                wscale: None,
-                payload: Bytes::new(),
-                checksum_ok: true,
-            });
+            self.out
+                .push(self.segment(self.snd_nxt, TcpFlags::ACK, Bytes::new()));
             self.stats.acks_out += 1;
-            self.need_ack_now = false;
-            self.segs_unacked = 0;
-            self.ack_deadline = None;
+            self.ack_sent();
         }
     }
 
@@ -1387,6 +1265,11 @@ mod tests {
         /// for test-sized traffic.
         in_flight: Vec<(SimTime, u64, bool, TcpSegment)>,
         seq: u64,
+        /// Every segment `pump` took, before the loss roll: (count,
+        /// FNV-1a over each one's emission time and wire bytes).
+        stream: (u64, u64),
+        /// The distinct (flags, carries payload) pairs `pump` took.
+        kinds: Vec<(TcpFlags, bool)>,
     }
 
     impl Harness {
@@ -1402,6 +1285,8 @@ mod tests {
                 rng: DetRng::new(7),
                 in_flight: Default::default(),
                 seq: 0,
+                stream: (0, 0),
+                kinds: Vec::new(),
             }
         }
 
@@ -1409,6 +1294,18 @@ mod tests {
             // Collect outputs from both sides.
             for (from_a, out) in [(true, self.a.take_output()), (false, self.b.take_output())] {
                 for seg in out {
+                    let (src, dst) = if from_a {
+                        (addr(1), addr(2))
+                    } else {
+                        (addr(2), addr(1))
+                    };
+                    let hash = mcn_sim::fnv1a64(self.stream.1, &self.now.as_ps().to_le_bytes());
+                    let wire = seg.encode(src.0, dst.0, true);
+                    self.stream = (self.stream.0 + 1, mcn_sim::fnv1a64(hash, &wire));
+                    let kind = (seg.flags, !seg.payload.is_empty());
+                    if !self.kinds.contains(&kind) {
+                        self.kinds.push(kind);
+                    }
                     if self.rng.chance(self.drop_rate) {
                         continue; // lost on the wire
                     }
@@ -1470,6 +1367,157 @@ mod tests {
             }
             assert!(pred(self), "condition not reached within {max_steps} steps");
         }
+
+        /// Loses every segment on the wire that `hit(from_a, seg)` picks;
+        /// returns how many.
+        fn lose(&mut self, mut hit: impl FnMut(bool, &TcpSegment) -> bool) -> usize {
+            let before = self.in_flight.len();
+            self.in_flight
+                .retain(|(_, _, from_a, seg)| !hit(*from_a, seg));
+            before - self.in_flight.len()
+        }
+
+        /// Steps until b has read `n` bytes.
+        fn read(&mut self, n: usize) {
+            let mut buf = [0u8; 4096];
+            let mut got = 0;
+            while got < n {
+                got += self.b.recv(&mut buf, self.now);
+                if got < n {
+                    assert!(self.step(), "stalled at {got} of {n} bytes");
+                }
+            }
+        }
+    }
+
+    /// Pins `TcpConn`'s output at the byte level. Two scripted connection
+    /// lives reach every segment kind it builds; the count and hash of
+    /// every segment either side emitted must not move.
+    #[test]
+    fn segment_stream_is_pinned() {
+        let ms = SimTime::from_ms;
+        let cfg = TcpConfig {
+            recv_buf: 32 * 1024,
+            keepalive_idle: Some(ms(300)),
+            keepalive_intvl: ms(100),
+            keepalive_probes: 3,
+            ..TcpConfig::default()
+        };
+        let mut h = Harness::new(cfg, SimTime::from_us(10), 0.0);
+        let established = |h: &Harness| {
+            h.a.state() == TcpState::Established && h.b.state() == TcpState::Established
+        };
+
+        // The SYN is lost, then the SYN-ACK: each comes back on its RTO.
+        h.pump();
+        assert_eq!(h.lose(|_, s| s.flags.syn), 1);
+        h.run_until(|h| h.b.state() == TcpState::SynRcvd, 10);
+        assert_eq!(h.lose(|_, s| s.flags.syn), 1);
+        h.run_until(established, 20);
+        assert_eq!((h.a.stats().timeouts, h.b.stats().timeouts), (1, 1));
+
+        // One lost data segment: duplicate ACKs fast-retransmit it.
+        assert_eq!(h.a.send(&[1; 12_000], h.now), 12_000);
+        h.pump();
+        let mut first = true;
+        assert_eq!(
+            h.lose(|from_a, s| from_a && !s.payload.is_empty() && std::mem::take(&mut first)),
+            1
+        );
+        h.read(12_000);
+        assert_eq!(h.a.stats().fast_retransmits, 1);
+
+        // A whole flight is lost: one RTO, then go-back-N on the ACK clock.
+        assert_eq!(h.a.send(&[2; 12_000], h.now), 12_000);
+        h.pump();
+        assert!(h.lose(|from_a, s| from_a && !s.payload.is_empty()) >= 3);
+        h.read(12_000);
+        let a = h.a.stats();
+        assert_eq!(a.timeouts, 2);
+        assert!(
+            a.retransmits > a.timeouts + a.fast_retransmits,
+            "go-back-N ran"
+        );
+
+        // The reader stalls: the window closes and the sender probes it,
+        // while the idle receiver's keepalive probes the sender.
+        assert_eq!(h.a.send(&[3; 48 * 1024], h.now), 48 * 1024);
+        h.run_until(|h| h.a.stats().persist_probes_out >= 2, 10_000);
+        h.read(48 * 1024);
+        assert_eq!(h.a.stats().zero_window_stalls, 1);
+
+        // Idle: both sides' keepalive probes are answered.
+        let probes = h.a.stats().keepalive_probes_out;
+        h.run_until(|h| h.a.stats().keepalive_probes_out > probes, 1000);
+
+        // a closes behind queued data, so its FIN rides the last data
+        // segment; that segment is lost and its RTO resends data and FIN.
+        assert_eq!(h.a.send(&[4; 40_000], h.now), 40_000);
+        h.a.close(h.now);
+        let mut got = 0;
+        while !h.in_flight.iter().any(|(.., seg)| seg.flags.fin) {
+            got += h.b.recv(&mut [0; 4096], h.now);
+            assert!(h.step());
+        }
+        assert_eq!(h.lose(|_, s| s.flags.fin && !s.payload.is_empty()), 1);
+        h.read(40_000 - got);
+        h.run_until(|h| h.b.at_eof(), 100);
+        h.b.close(h.now);
+        h.run_until(
+            |h| h.a.state() == TcpState::Closed && h.b.state() == TcpState::Closed,
+            100,
+        );
+        let (a, b) = (h.a.stats(), h.b.stats());
+        assert_eq!((a.timeouts, b.timeouts), (3, 1));
+        assert!(a.dup_acks_in >= 3 && b.ooo_segs_in >= 1);
+        assert!(a.persist_probes_out >= 2 && a.keepalive_probes_out >= 1);
+        assert!(b.keepalive_probes_out >= 1 && b.acks_out > 0);
+        assert!(h.a.finished_cleanly() && h.b.finished_cleanly());
+
+        // Second life: a simultaneous open and data both ways; a's bare
+        // FIN is lost and resent on its RTO; then a aborts.
+        let mut h2 = Harness::new(TcpConfig::default(), SimTime::from_us(10), 0.0);
+        h2.b = TcpConn::connect(addr(2), addr(1), TcpConfig::default(), 9000, h2.now);
+        (h2.stream, h2.kinds) = (h.stream, std::mem::take(&mut h.kinds));
+        h2.run_until(established, 50);
+        h2.a.send(b"ping", h2.now);
+        h2.b.send(b"pong", h2.now);
+        h2.run_until(|h| h.a.readable() == 4 && h.b.readable() == 4, 50);
+        h2.a.close(h2.now);
+        h2.pump();
+        assert_eq!(h2.lose(|_, s| s.flags.fin), 1);
+        h2.run_until(|h| h.a.state() == TcpState::FinWait2, 50);
+        assert_eq!(h2.a.stats().timeouts, 1);
+        h2.a.abort();
+        h2.run_until(|h| h.b.state() == TcpState::Closed, 50);
+        assert_eq!(h2.b.error(), Some(TcpError::PeerReset));
+
+        let psh = TcpFlags {
+            psh: true,
+            ..TcpFlags::ACK
+        };
+        let fin_psh = TcpFlags {
+            psh: true,
+            ..TcpFlags::FIN_ACK
+        };
+        for kind in [
+            (TcpFlags::SYN, false),
+            (TcpFlags::SYN_ACK, false),
+            (TcpFlags::ACK, false),
+            (TcpFlags::ACK, true),
+            (psh, true),
+            (fin_psh, true),
+            (TcpFlags::FIN_ACK, true),
+            (TcpFlags::FIN_ACK, false),
+            (TcpFlags::RST, false),
+        ] {
+            assert!(h2.kinds.contains(&kind), "no {kind:?} segment");
+        }
+        assert_eq!(
+            h2.stream,
+            (201, 0xb746_2ffe_c638_8231),
+            "segment stream moved"
+        );
     }
 
     #[test]

@@ -30,18 +30,13 @@ pub struct Node {
 }
 
 impl Node {
-    /// Assembles a node.
-    pub fn new(
-        cores: usize,
-        cost: CostModel,
-        dram: &DramConfig,
-        channels: u32,
-        tcp: TcpConfig,
-    ) -> Self {
+    /// Assembles a node; its stack derives each connection's MSS from the
+    /// interface the connection uses.
+    pub fn new(cores: usize, cost: CostModel, dram: &DramConfig, channels: u32) -> Self {
         Node {
             cpus: CpuPool::new(cores),
             mem: MemorySystem::new(dram, channels),
-            stack: NetStack::new(tcp),
+            stack: NetStack::new(TcpConfig::default()),
             runner: ProcRunner::new(),
             cost,
         }
@@ -145,13 +140,7 @@ mod tests {
 
     #[test]
     fn node_assembles_and_idles() {
-        let n = Node::new(
-            4,
-            CostModel::host(),
-            &DramConfig::ddr4_3200(),
-            2,
-            TcpConfig::default(),
-        );
+        let n = Node::new(4, CostModel::host(), &DramConfig::ddr4_3200(), 2);
         assert_eq!(n.cpus.cores(), 4);
         assert_eq!(n.next_event(), None, "fresh node has nothing scheduled");
     }
@@ -159,13 +148,7 @@ mod tests {
     #[test]
     fn mem_completions_split_by_waiter() {
         use crate::mem::{Access, Transfer};
-        let mut n = Node::new(
-            1,
-            CostModel::host(),
-            &DramConfig::ddr4_3200(),
-            1,
-            TcpConfig::default(),
-        );
+        let mut n = Node::new(1, CostModel::host(), &DramConfig::ddr4_3200(), 1);
         // One device job (waiter below PROC base), one fake proc job.
         n.mem.start(
             Transfer::Stream {

@@ -164,7 +164,7 @@ impl ProcCtx<'_> {
     }
 
     /// `recv(2)` wrapper; returns bytes read (0 = would block or EOF —
-    /// check [`ProcCtx::tcp_at_eof`]). Charges the kernel→user copy.
+    /// check [`NetStack::tcp_at_eof`]). Charges the kernel→user copy.
     pub fn tcp_recv(&mut self, sock: SockId, buf: &mut [u8]) -> usize {
         self.charge(self.cost.syscall());
         let n = self.stack.tcp_recv(sock, buf, self.now).unwrap_or(0);
@@ -181,33 +181,6 @@ impl ProcCtx<'_> {
     /// Connection established?
     pub fn tcp_established(&self, sock: SockId) -> bool {
         self.stack.tcp_state(sock) == mcn_net::tcp::TcpState::Established
-    }
-
-    /// End of peer stream?
-    pub fn tcp_at_eof(&self, sock: SockId) -> bool {
-        self.stack.tcp_at_eof(sock)
-    }
-
-    /// True when the connection died abnormally (RTO give-up, keepalive
-    /// give-up, or peer reset) — the dead-peer signal serving loops act on.
-    pub fn tcp_failed(&self, sock: SockId) -> bool {
-        self.stack.tcp_failed(sock)
-    }
-
-    /// Why the connection died ([`tcp_failed`](Self::tcp_failed) with the
-    /// cause): `None` while healthy, `Some(TimedOut | PeerReset |
-    /// KeepaliveTimeout)` once terminal. Resilient clients key failover
-    /// policy off the variant.
-    pub fn tcp_error(&self, sock: SockId) -> Option<mcn_net::tcp::TcpError> {
-        self.stack.tcp_error(sock)
-    }
-
-    /// Peer-advertised receive window in bytes (`None` for unknown
-    /// handles). `Some(0)` means the peer is alive but full — persist
-    /// probes are in flight and a stalled request should *not* be treated
-    /// as a dead backend.
-    pub fn tcp_peer_window(&self, sock: SockId) -> Option<u32> {
-        self.stack.tcp_snd_wnd(sock)
     }
 
     /// `close(2)`-and-forget for a connection the process is abandoning:

@@ -277,7 +277,7 @@ impl Process for KvServer {
             };
             let sock = conn.sock;
             // Dead peers (keepalive give-up, RST, RTO) free their slot now.
-            if ctx.tcp_failed(sock) {
+            if ctx.stack.tcp_failed(sock) {
                 ctx.tcp_drop(sock);
                 self.conns[token] = None;
                 continue;
@@ -304,7 +304,7 @@ impl Process for KvServer {
                 }
             }
             conn.rx.drain(..consumed);
-            conn.eof_seen = ctx.tcp_at_eof(sock);
+            conn.eof_seen = ctx.stack.tcp_at_eof(sock);
         }
 
         // Service unit: start the next memory job if idle.

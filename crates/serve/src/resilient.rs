@@ -551,9 +551,11 @@ impl Process for ResilientKvClient {
             let Some(sock) = self.backends[b].sock else {
                 continue;
             };
-            if ctx.tcp_failed(sock) || (ctx.tcp_at_eof(sock) && !self.backends[b].fifo.is_empty()) {
+            if ctx.stack.tcp_failed(sock)
+                || (ctx.stack.tcp_at_eof(sock) && !self.backends[b].fifo.is_empty())
+            {
                 self.fail_backend(ctx, b);
-            } else if ctx.tcp_at_eof(sock) {
+            } else if ctx.stack.tcp_at_eof(sock) {
                 // Idle-timeout close with nothing outstanding: quiet drop.
                 ctx.tcp_close(sock);
                 self.backends[b].sock = None;
@@ -655,8 +657,10 @@ impl Process for ResilientKvClient {
             }
             if now >= self.reqs[idx].attempt_deadline {
                 let lb = self.reqs[idx].last_backend;
-                let zero_win =
-                    self.backends[lb].sock.and_then(|s| ctx.tcp_peer_window(s)) == Some(0);
+                let zero_win = self.backends[lb]
+                    .sock
+                    .and_then(|s| ctx.stack.tcp_snd_wnd(s))
+                    == Some(0);
                 if zero_win {
                     // Alive-but-full: persist probes are pacing the
                     // peer; failing over would be spurious.

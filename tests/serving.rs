@@ -502,7 +502,7 @@ impl Process for StallServer {
                     Request::Get { .. } => ctx.tcp_send(*s, b"M\n"),
                 };
             }
-            if ctx.tcp_at_eof(*s) || ctx.tcp_failed(*s) {
+            if ctx.stack.tcp_at_eof(*s) || ctx.stack.tcp_failed(*s) {
                 ctx.tcp_close(*s);
                 false
             } else {
