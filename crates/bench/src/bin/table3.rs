@@ -87,8 +87,8 @@ fn breakdown_mcn(payload: u64, level: u32) -> LatencyBreakdown {
     assert!(sys.run_until_procs_done(SimTime::from_secs(1)));
     let mean_ns = |h: &mcn_sim::stats::Histogram| h.mean().unwrap_or(SimTime::ZERO).as_ns_f64();
     LatencyBreakdown {
-        driver_tx_ns: mean_ns(&sys.dimm(0).stats.driver_tx),
-        driver_rx_ns: mean_ns(&sys.hdrv.stats.driver_rx),
+        driver_tx_ns: mean_ns(&sys.dimm(0).stats.ring.driver_tx),
+        driver_rx_ns: mean_ns(&sys.hdrv.stats.ring.driver_rx),
         ..LatencyBreakdown::default()
     }
 }

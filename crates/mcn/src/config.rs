@@ -92,8 +92,10 @@ impl fmt::Display for McnConfig {
     }
 }
 
-/// The simulated machine of Table II plus the MCN-specific parameters the
-/// paper leaves to the implementation (polling interval, SRAM sizing).
+/// The simulated machine of Table II plus the two MCN parameters the paper
+/// leaves to the implementation that experiments vary: the polling
+/// interval and the SRAM ring size. The drivers' fixed timings are
+/// constants of the [`driver`](crate::driver) module.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SystemConfig {
     /// Host cores (Table II: 8).
@@ -113,31 +115,14 @@ pub struct SystemConfig {
     pub mcn_dram: DramConfig,
     /// HR-timer polling interval for the `mcn0` polling agent.
     pub poll_interval: SimTime,
-    /// MC-to-core delivery latency of a re-purposed ALERT_N (`mcn1`+).
-    pub alert_latency: SimTime,
     /// SRAM ring capacity per direction, in bytes. The paper's prototype
     /// uses a 96 KB SRAM; we default to 160 KB per direction so TSO's
     /// 64 KB chunks double-buffer (documented substitution in DESIGN.md).
     pub sram_ring_bytes: usize,
-    /// MCN-DMA engine setup cost per transfer (`mcn5`).
-    pub dma_setup: SimTime,
-    /// Deadline the host driver's watchdog gives an MCN-DMA transfer
-    /// before declaring it stalled and retrying (doubling per attempt,
-    /// then degrading that transfer to the CPU-copy path).
-    pub dma_watchdog_deadline: SimTime,
     /// Baseline Ethernet bandwidth in bytes/second (Table II: 10GbE).
     pub eth_bytes_per_sec: f64,
     /// Baseline Ethernet link latency (Table II: 1 µs).
     pub eth_latency: SimTime,
-    /// Re-init handshake: initial delay between probe reads of a
-    /// (re)powered DIMM's SRAM control words (doubles per failed probe).
-    pub reinit_probe_interval: SimTime,
-    /// Re-init handshake: probe budget before the host gives up and parks
-    /// the port down.
-    pub reinit_max_probes: u32,
-    /// Re-init handshake: latency of each post-probe step (ring reset, MAC
-    /// re-announce).
-    pub reinit_step: SimTime,
 }
 
 impl Default for SystemConfig {
@@ -150,15 +135,9 @@ impl Default for SystemConfig {
             host_dram: DramConfig::ddr4_3200(),
             mcn_dram: DramConfig::ddr4_3200(),
             poll_interval: SimTime::from_us(1),
-            alert_latency: SimTime::from_ns(200),
             sram_ring_bytes: 160 * 1024,
-            dma_setup: SimTime::from_ns(150),
-            dma_watchdog_deadline: SimTime::from_us(5),
             eth_bytes_per_sec: 1.25e9,
             eth_latency: SimTime::from_us(1),
-            reinit_probe_interval: SimTime::from_us(10),
-            reinit_max_probes: 8,
-            reinit_step: SimTime::from_us(2),
         }
     }
 }

@@ -26,14 +26,15 @@ use mcn_dram::MemKind;
 use mcn_net::{EthernetFrame, MacAddr, NetConfig};
 use mcn_node::mem::{Pattern, Transfer};
 use mcn_node::{CostModel, JobId, Node, WaiterId};
-use mcn_sim::fault::{FaultInjector, FaultKind};
+use mcn_sim::fault::FaultInjector;
 use mcn_sim::metrics::{Instrumented, MetricSink};
-use mcn_sim::stats::{Counter, Histogram};
-use mcn_sim::SimTime;
+use mcn_sim::stats::Counter;
+use mcn_sim::{SimTime, StallReport};
 
 use crate::config::{McnConfig, SystemConfig};
+use crate::driver::{Scratch, DMA_SETUP};
 use crate::error::{McnError, McnSide};
-use crate::sram::{Dir, SramBuffer};
+use crate::sram::{Dir, RingStats, SramBuffer};
 
 /// EtherType of the experimental direct-message channel (Sec. VII future
 /// work: an mTCP-like user-space path that "resembles a shared memory
@@ -62,9 +63,8 @@ pub(crate) const F4_FALLBACK_MAC: u16 = 0xFFFE;
 pub enum DimmSignal {
     /// `tx-poll` went from clear to set at this time (drives ALERT_N).
     TxPollRaised(SimTime),
-    /// The RX ring gained free space at this time (host retries blocked
-    /// transmissions).
-    RxSpaceFreed(SimTime),
+    /// The RX ring gained free space (host retries blocked transmissions).
+    RxSpaceFreed,
 }
 
 #[derive(Debug)]
@@ -91,28 +91,11 @@ enum Staged {
 /// Driver statistics and latency components.
 #[derive(Debug, Default)]
 pub struct DimmDriverStats {
-    /// Frames sent into the SRAM TX ring.
-    pub tx_frames: Counter,
-    /// Frames delivered from the SRAM RX ring to the stack.
-    pub rx_frames: Counter,
+    /// The ring counters both drivers keep (`rx_frames` counts frames as
+    /// they are delivered to the stack).
+    pub ring: RingStats,
     /// Interrupts taken from the MCN interface.
     pub irqs: Counter,
-    /// Transmissions deferred for lack of TX-ring space (NETDEV_TX_BUSY).
-    pub tx_busy_events: Counter,
-    /// Driver transmit time per frame (charge start → data in SRAM).
-    pub driver_tx: Histogram,
-    /// Driver receive time per frame (IRQ → delivered to stack).
-    pub driver_rx: Histogram,
-    /// Injected SRAM bit flips on this DIMM's TX push path (ECC escapes).
-    pub ecc_escapes: Counter,
-    /// Injected frame drops on this DIMM's TX push path.
-    pub frames_dropped: Counter,
-    /// Undecodable messages popped from the RX ring and dropped.
-    pub malformed: Counter,
-    /// Frames dropped on an unexpectedly full TX ring.
-    pub ring_full_drops: Counter,
-    /// Memory completions for jobs the driver no longer tracks.
-    pub unknown_jobs: Counter,
     /// Hard crashes ([`McnDimm::crash`]) this DIMM has taken.
     pub crashes: Counter,
     /// Power-ons ([`McnDimm::power_on`]) after a crash.
@@ -132,7 +115,6 @@ pub struct McnDimm {
     mac: MacAddr,
     ip: Ipv4Addr,
     cfg: McnConfig,
-    dma_setup: SimTime,
 
     tx_queue: VecDeque<EthernetFrame>,
     tx_busy: bool,
@@ -140,7 +122,7 @@ pub struct McnDimm {
     pending: HashMap<u64, DrvOp>,
     staged: Vec<(SimTime, Staged)>,
     signals: Vec<DimmSignal>,
-    scratch: u64,
+    scratch: Scratch,
     /// Received direct messages (Sec. VII bypass path): (arrival, payload).
     pub direct_rx: VecDeque<(SimTime, bytes::Bytes)>,
     /// Whether the device is powered. A crashed DIMM is frozen: it takes no
@@ -154,22 +136,11 @@ pub struct McnDimm {
 }
 
 impl McnDimm {
-    /// Builds DIMM `index`, attached to host channel `channel`, peering
-    /// with the host-side interface at `host_ip`/`host_mac`.
+    /// Builds DIMM `index` of server `server` (0 standalone; the address
+    /// plan shifts per server, see [`ip_for`](Self::ip_for)), attached to
+    /// host channel `channel`, peering with the host-side interface at
+    /// `host_ip`/`host_mac`.
     pub fn new(
-        index: usize,
-        channel: u32,
-        sys: &SystemConfig,
-        cfg: McnConfig,
-        host_ip: Ipv4Addr,
-        host_mac: MacAddr,
-    ) -> Self {
-        Self::new_in_server(0, index, channel, sys, cfg, host_ip, host_mac)
-    }
-
-    /// [`new`](Self::new) for a DIMM inside server `server` of a rack
-    /// (shifts the address plan so servers don't collide).
-    pub fn new_in_server(
         server: usize,
         index: usize,
         channel: u32,
@@ -217,14 +188,14 @@ impl McnDimm {
             mac,
             ip,
             cfg,
-            dma_setup: sys.dma_setup,
             tx_queue: VecDeque::new(),
             tx_busy: false,
             rx_busy: false,
             pending: HashMap::new(),
             staged: Vec::new(),
             signals: Vec::new(),
-            scratch: 0,
+            // Kernel buffers: 64 MiB of local DRAM at 1 GiB.
+            scratch: Scratch::new(1 << 30, 64 << 20),
             direct_rx: VecDeque::new(),
             alive: true,
             faults: FaultInjector::none(),
@@ -276,30 +247,37 @@ impl McnDimm {
         self.channel
     }
 
-    fn scratch_addr(&mut self, bytes: u64) -> u64 {
-        const BASE: u64 = 1 << 30;
-        const SPAN: u64 = 64 << 20;
-        let lines = bytes.div_ceil(64);
-        if self.scratch + lines * 64 > SPAN {
-            self.scratch = 0;
+    /// Adds this DIMM's rings, driver queues, stalled processes and
+    /// sockets to a stall report.
+    pub(crate) fn stall_lines(&self, r: &mut StallReport) {
+        let d = self.index;
+        r.line(
+            "rings",
+            format!(
+                "dimm{d}: tx_used={} tx_poll={} rx_used={} rx_poll={}",
+                self.sram.used(Dir::Tx),
+                self.sram.poll_flag(Dir::Tx),
+                self.sram.used(Dir::Rx),
+                self.sram.poll_flag(Dir::Rx),
+            ),
+        );
+        r.line(
+            "dimm drivers",
+            format!(
+                "dimm{d}: tx_busy={} rx_busy={} tx_queue={} staged={} pending_jobs={}",
+                self.tx_busy,
+                self.rx_busy,
+                self.tx_queue.len(),
+                self.staged.len(),
+                self.pending.len(),
+            ),
+        );
+        for line in self.node.runner.stalled_procs() {
+            r.line("dimm procs", format!("dimm{d}: {line}"));
         }
-        let a = BASE + self.scratch;
-        self.scratch += lines * 64;
-        a
-    }
-
-    /// Debug dump: (tx_busy, rx_busy, tx_queue length, sram tx used, sram
-    /// rx used, staged items, pending jobs).
-    pub fn debug_state(&self) -> (bool, bool, usize, usize, usize, usize, usize) {
-        (
-            self.tx_busy,
-            self.rx_busy,
-            self.tx_queue.len(),
-            self.sram.used(crate::sram::Dir::Tx),
-            self.sram.used(crate::sram::Dir::Rx),
-            self.staged.len(),
-            self.pending.len(),
-        )
+        for line in self.node.stack.socket_states() {
+            r.line("dimm sockets", format!("dimm{d}: {line}"));
+        }
     }
 
     /// Whether the device is powered (see [`crash`](Self::crash)).
@@ -427,22 +405,34 @@ impl McnDimm {
     }
 
     /// Advances the DIMM to `now`; returns signals for the system layer.
+    ///
+    /// # Panics
+    ///
+    /// Panics with a stall report when the driver still finds work after
+    /// 10,000 rounds at `now`: it would never settle, and the system would
+    /// advance it at the same instant forever.
     pub fn advance(&mut self, now: SimTime) -> Vec<DimmSignal> {
         if !self.alive {
             self.signals.clear();
             return Vec::new();
         }
-        for _ in 0..10_000 {
+        for round in 0.. {
+            if round == 10_000 {
+                let mut r = StallReport::new(format!(
+                    "dimm{} ({}) driver did not converge @ {now}",
+                    self.index, self.ip
+                ));
+                self.stall_lines(&mut r);
+                panic!("{r}");
+            }
             let mut changed = false;
             // Local memory-job completions → driver ops. Errors are
             // counted and the simulation keeps running: a fault injector
             // can legitimately produce both conditions.
             for (waiter, job) in self.node.advance_mem(now) {
                 debug_assert_eq!(waiter, DIMM_DRV_WAITER);
-                match self.on_job_done(job, now) {
-                    Ok(()) => {}
-                    Err(McnError::UnknownJob { .. }) => self.stats.unknown_jobs.inc(),
-                    Err(McnError::RingFull { .. }) => self.stats.ring_full_drops.inc(),
+                if let Err(e) = self.on_job_done(job, now) {
+                    self.stats.ring.count(e);
                 }
                 changed = true;
             }
@@ -500,36 +490,16 @@ impl McnDimm {
         match item {
             Staged::TryTx => self.try_tx(now),
             Staged::StartRxCopy => {
-                let used = self.sram.used(Dir::Rx) as u64;
+                let used = self.sram.used(Dir::Rx);
                 if used == 0 {
                     self.rx_busy = false;
                     return;
                 }
-                let dst = self.scratch_addr(used);
-                let start = if self.cfg.dma {
-                    let (_, end) = self.node.cpus.run_on(DRV_CORE, now, self.dma_setup);
-                    end
-                } else {
-                    let (_, end) = self.node.cpus.run_on(
-                        DRV_CORE,
-                        now,
-                        self.node.cost.small_copy(used as usize),
-                    );
-                    end
-                };
-                let job = self.node.mem.start(
-                    Transfer::Single {
-                        pat: Pattern::dram(dst),
-                        kind: MemKind::Write,
-                        bytes: used,
-                    },
-                    DIMM_DRV_WAITER,
-                    start,
-                );
-                self.pending.insert(job.0, DrvOp::RxCopy { started: now });
+                let op = DrvOp::RxCopy { started: now };
+                self.start_copy(now, used, used as u64, MemKind::Write, op);
             }
             Staged::Deliver(frame) => {
-                self.stats.rx_frames.inc();
+                self.stats.ring.rx_frames.inc();
                 if frame.ethertype == mcn_net::EtherType::Other(DIRECT_ETHERTYPE) {
                     // Bypass path: straight to the user-space queue.
                     self.direct_rx.push_back((now, frame.payload));
@@ -548,105 +518,89 @@ impl McnDimm {
         let Some(frame) = self.tx_queue.front() else {
             return;
         };
-        let bytes = frame.encode().len();
-        if self.sram.free_space(Dir::Tx) < bytes + 4 {
-            self.stats.tx_busy_events.inc();
+        let need = SramBuffer::message_len(frame);
+        if self.sram.free_space(Dir::Tx) < need {
+            self.stats.ring.tx_busy_events.inc();
             return; // NETDEV_TX_BUSY: kick_tx retries when the host drains
         }
         let frame = self.tx_queue.pop_front().expect("checked");
         self.tx_busy = true;
-        // DMA: the core only programs the engine. CPU copy: charge the
-        // per-byte issue work up front (the job models the channel time).
+        // Kernel memory holds the frame alone; the ring writes its length
+        // prefix.
+        let bytes = (need - 4) as u64;
+        let op = DrvOp::TxCopy {
+            frame,
+            started: now,
+        };
+        self.start_copy(now, need, bytes, MemKind::Read, op);
+    }
+
+    /// Starts a copy of `bytes` between kernel memory and the interface
+    /// SRAM; the job models the local channels (the SRAM side is on-chip).
+    /// DMA: the core only programs the engine. CPU copy: the core pays the
+    /// per-byte issue work for `cpu_bytes` up front.
+    fn start_copy(&mut self, now: SimTime, cpu_bytes: usize, bytes: u64, kind: MemKind, op: DrvOp) {
         let work = if self.cfg.dma {
-            self.dma_setup
+            DMA_SETUP
         } else {
-            self.node.cost.small_copy(bytes + 4)
+            self.node.cost.small_copy(cpu_bytes)
         };
         let (_, start) = self.node.cpus.run_on(DRV_CORE, now, work);
-        let src = self.scratch_addr(bytes as u64);
+        let pat = Pattern::dram(self.scratch.alloc(bytes));
         let job = self.node.mem.start(
-            Transfer::Single {
-                pat: Pattern::dram(src),
-                kind: MemKind::Read,
-                bytes: bytes as u64,
-            },
+            Transfer::Single { pat, kind, bytes },
             DIMM_DRV_WAITER,
-            start.max(now),
+            start,
         );
-        self.pending.insert(
-            job.0,
-            DrvOp::TxCopy {
-                frame,
-                started: now,
-            },
-        );
+        self.pending.insert(job.0, op);
     }
 
     fn on_job_done(&mut self, job: JobId, now: SimTime) -> Result<(), McnError> {
         match self.pending.remove(&job.0) {
             Some(DrvOp::TxCopy { frame, started }) => {
-                // The copy into the interface SRAM is the injection point
-                // for memory-channel faults on this side: a dropped frame
-                // (transport recovers) or an ECC-escaped bit flip.
                 self.tx_busy = false;
                 self.staged.push((now, Staged::TryTx));
-                if self.faults.fires(FaultKind::Drop) {
-                    self.stats.frames_dropped.inc();
-                    return Ok(());
-                }
-                let mut encoded = frame.encode();
-                if self.faults.fires(FaultKind::BitFlip) {
-                    self.faults.flip_bit(&mut encoded);
-                    self.stats.ecc_escapes.inc();
-                }
-                let was_empty = !self.sram.poll_flag(Dir::Tx);
-                if self.sram.push(Dir::Tx, &encoded).is_err() {
-                    return Err(McnError::RingFull {
-                        side: McnSide::Dimm(self.index),
-                        len: encoded.len(),
-                    });
-                }
-                self.stats.tx_frames.inc();
-                self.stats.driver_tx.record(now.saturating_sub(started));
-                if was_empty {
+                let pushed = self.sram.push_frame(
+                    Dir::Tx,
+                    &frame,
+                    &mut self.faults,
+                    &mut self.stats.ring,
+                    McnSide::Dimm(self.index),
+                    now.saturating_sub(started),
+                )?;
+                if pushed.raised {
                     self.signals.push(DimmSignal::TxPollRaised(now));
                 }
             }
             Some(DrvOp::RxCopy { started }) => {
-                let msgs = self.sram.pop_all(Dir::Rx);
-                self.signals.push(DimmSignal::RxSpaceFreed(now));
+                let frames = self.sram.drain_frames(Dir::Rx, &mut self.stats.ring);
+                self.signals.push(DimmSignal::RxSpaceFreed);
                 let sw_csum = !self.cfg.checksum_bypass;
                 let cores = self.node.cpus.cores();
-                for msg in msgs {
-                    match EthernetFrame::decode(&msg) {
-                        Ok(frame) => {
-                            // Driver ring work on the IRQ core; protocol
-                            // processing steered across the other cores
-                            // (RPS), like the host side.
-                            let (_, handoff) =
-                                self.node
-                                    .cpus
-                                    .run_on(DRV_CORE, now, self.node.cost.driver_rx());
-                            let proto =
-                                mcn_node::nic::rx_protocol_cost(&self.node.cost, &frame, sw_csum);
-                            // Per-flow steering (hash of the source MAC):
-                            // frames of one flow stay in order on one core,
-                            // different senders spread across cores.
-                            let flow =
-                                frame.src.0.iter().fold(0usize, |a, &b| {
-                                    a.wrapping_mul(31).wrapping_add(b as usize)
-                                });
-                            let proto_core = if cores > 1 { 1 + flow % (cores - 1) } else { 0 };
-                            let (_, end) = self.node.cpus.run_on(proto_core, handoff, proto);
-                            self.stats.driver_rx.record(end.saturating_sub(started));
-                            self.staged.push((end, Staged::Deliver(frame)));
-                        }
-                        Err(_) => {
-                            // Undecodable ring message (possible under
-                            // injected corruption): count and drop.
-                            self.stats.malformed.inc();
-                        }
-                    }
+                for frame in frames {
+                    // Driver ring work on the IRQ core; protocol processing
+                    // steered across the other cores (RPS), like the host
+                    // side.
+                    let (_, handoff) =
+                        self.node
+                            .cpus
+                            .run_on(DRV_CORE, now, self.node.cost.driver_rx());
+                    let proto = mcn_node::nic::rx_protocol_cost(&self.node.cost, &frame, sw_csum);
+                    // Per-flow steering (hash of the source MAC): frames of
+                    // one flow stay in order on one core, different senders
+                    // spread across cores.
+                    let flow = frame
+                        .src
+                        .0
+                        .iter()
+                        .fold(0usize, |a, &b| a.wrapping_mul(31).wrapping_add(b as usize));
+                    let proto_core = if cores > 1 { 1 + flow % (cores - 1) } else { 0 };
+                    let (_, end) = self.node.cpus.run_on(proto_core, handoff, proto);
+                    self.stats
+                        .ring
+                        .driver_rx
+                        .record(end.saturating_sub(started));
+                    self.staged.push((end, Staged::Deliver(frame)));
                 }
                 self.rx_busy = false;
                 // More data may have landed while we were copying: keep
@@ -668,17 +622,8 @@ impl McnDimm {
 
 impl Instrumented for DimmDriverStats {
     fn metrics(&self, out: &mut MetricSink) {
-        out.counter("tx_frames", self.tx_frames.get());
-        out.counter("rx_frames", self.rx_frames.get());
+        self.ring.metrics(out);
         out.counter("irqs", self.irqs.get());
-        out.counter("tx_busy_events", self.tx_busy_events.get());
-        out.histogram("driver_tx", &self.driver_tx);
-        out.histogram("driver_rx", &self.driver_rx);
-        out.counter("ecc_escapes", self.ecc_escapes.get());
-        out.counter("frames_dropped", self.frames_dropped.get());
-        out.counter("malformed", self.malformed.get());
-        out.counter("ring_full_drops", self.ring_full_drops.get());
-        out.counter("unknown_jobs", self.unknown_jobs.get());
         out.counter("crashes", self.crashes.get());
         out.counter("reboots", self.reboots.get());
     }
@@ -700,6 +645,7 @@ mod tests {
 
     fn mk() -> McnDimm {
         McnDimm::new(
+            0,
             0,
             0,
             &SystemConfig::default(),
@@ -748,16 +694,8 @@ mod tests {
         d.sram.push(Dir::Rx, &f.encode()).unwrap();
         d.on_rx_poll(SimTime::ZERO);
         let (signals, end) = drive(&mut d, SimTime::ZERO, SimTime::from_ms(1));
-        assert!(signals.contains(&DimmSignal::RxSpaceFreed(
-            signals
-                .iter()
-                .find_map(|s| match s {
-                    DimmSignal::RxSpaceFreed(t) => Some(*t),
-                    _ => None,
-                })
-                .unwrap()
-        )));
-        assert_eq!(d.stats.rx_frames.get(), 1);
+        assert!(signals.contains(&DimmSignal::RxSpaceFreed));
+        assert_eq!(d.stats.ring.rx_frames.get(), 1);
         assert_eq!(d.stats.irqs.get(), 1);
         let (_, _, data) = d.node.stack.udp_recv(sock).expect("datagram delivered");
         assert_eq!(data.len(), 200);
@@ -787,7 +725,7 @@ mod tests {
         // 10.9.0.2 matches no neighbor: the frame carries the "external"
         // fallback MAC, which the host forwarding engine classifies as F4.
         assert_eq!(f.dst, MacAddr::from_id(F4_FALLBACK_MAC));
-        assert_eq!(d.stats.tx_frames.get(), 1);
+        assert_eq!(d.stats.ring.tx_frames.get(), 1);
     }
 
     #[test]
@@ -797,6 +735,7 @@ mod tests {
             ..SystemConfig::default()
         };
         let mut d = McnDimm::new(
+            0,
             0,
             0,
             &sys_cfg,
@@ -820,22 +759,23 @@ mod tests {
         let (_, t) = drive(&mut d, SimTime::ZERO, SimTime::from_ms(1));
         // Ring holds at most 2 x 700B messages.
         assert!(
-            d.stats.tx_busy_events.get() > 0,
+            d.stats.ring.tx_busy_events.get() > 0,
             "should hit NETDEV_TX_BUSY"
         );
-        let before = d.stats.tx_frames.get();
+        let before = d.stats.ring.tx_frames.get();
         assert!(before < 4);
         // Host drains, then kicks.
         d.sram.pop_all(Dir::Tx);
         d.kick_tx(t);
         drive(&mut d, t, t + SimTime::from_ms(1));
-        assert!(d.stats.tx_frames.get() > before);
+        assert!(d.stats.ring.tx_frames.get() > before);
     }
 
     #[test]
     fn dma_level_keeps_cores_freer() {
         let run = |cfg: McnConfig| -> SimTime {
             let mut d = McnDimm::new(
+                0,
                 0,
                 0,
                 &SystemConfig::default(),
@@ -889,9 +829,11 @@ mod tests {
         assert!(!d.sram.poll_flag(Dir::Tx));
         assert!(!d.sram.poll_flag(Dir::Rx));
         // Driver state gone, and the DIMM is frozen.
-        let (tx_busy, rx_busy, q, _, _, staged, pending) = d.debug_state();
-        assert!(!tx_busy && !rx_busy);
-        assert_eq!((q, staged, pending), (0, 0, 0));
+        assert!(!d.tx_busy && !d.rx_busy);
+        assert_eq!(
+            (d.tx_queue.len(), d.staged.len(), d.pending.len()),
+            (0, 0, 0)
+        );
         assert_eq!(d.next_event(), None);
         // Interrupts while dead are ignored.
         d.on_rx_poll(t);

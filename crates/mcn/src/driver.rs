@@ -1,5 +1,6 @@
 //! Host-side MCN driver state: ports, polling agents, the forwarding
-//! engine's classification, and the memory-mapping unit's address math.
+//! engine's classification, and the memory-mapping unit's address math;
+//! plus the fixed timings and the kernel-buffer allocator of both drivers.
 //!
 //! The *logic* that moves packets runs in [`crate::system::McnSystem`]
 //! (it needs simultaneous access to the host node, the DIMMs and this
@@ -11,12 +12,77 @@ use std::net::Ipv4Addr;
 
 use mcn_net::{EthernetFrame, MacAddr};
 use mcn_node::WaiterId;
+use mcn_sim::fault::FaultInjector;
 use mcn_sim::metrics::{Instrumented, MetricSink};
-use mcn_sim::stats::{Counter, Histogram};
+use mcn_sim::stats::Counter;
 use mcn_sim::SimTime;
+
+use crate::sram::RingStats;
 
 /// Waiter id for host-side driver jobs on the host memory system.
 pub const HOST_DRV_WAITER: WaiterId = 1 << 41;
+
+/// MC-to-core delivery latency of a re-purposed ALERT_N (`mcn1`+).
+pub(crate) const ALERT_LATENCY: SimTime = SimTime::from_ns(200);
+
+/// MCN-DMA engine setup cost per transfer (`mcn5`), on either side.
+pub(crate) const DMA_SETUP: SimTime = SimTime::from_ns(150);
+
+/// Deadline the host driver's watchdog gives an MCN-DMA transfer before
+/// declaring it stalled and retrying; it doubles per attempt.
+pub(crate) const DMA_WATCHDOG_DEADLINE: SimTime = SimTime::from_us(5);
+
+/// Watchdog retry budget before a stalled MCN-DMA transfer degrades to the
+/// CPU-copy path (per transfer, not globally).
+pub(crate) const DMA_MAX_ATTEMPTS: u32 = 2;
+
+/// The fallback poller covers dropped ALERT_N edges at a coarse interval:
+/// frequent enough to bound the hang, rare enough not to recreate `mcn0`.
+pub(crate) const FALLBACK_POLL_MULT: u64 = 16;
+
+/// Re-init handshake: initial delay between probe reads of a (re)powered
+/// DIMM's SRAM control words (doubles per failed probe).
+pub(crate) const REINIT_PROBE_INTERVAL: SimTime = SimTime::from_us(10);
+
+/// Re-init handshake: probe budget before the host gives up and parks the
+/// port down.
+pub(crate) const REINIT_MAX_PROBES: u32 = 8;
+
+/// Re-init handshake: latency of each post-probe step (ring reset, MAC
+/// re-announce).
+pub(crate) const REINIT_STEP: SimTime = SimTime::from_us(2);
+
+/// A driver's kernel buffers: a line-aligned bump allocator over a DRAM
+/// region that the packet copies read and write, wrapping to the start of
+/// the region when the next buffer would overrun it.
+#[derive(Debug)]
+pub(crate) struct Scratch {
+    base: u64,
+    span: u64,
+    next: u64,
+}
+
+impl Scratch {
+    /// `span` bytes of DRAM from physical address `base`.
+    pub(crate) fn new(base: u64, span: u64) -> Self {
+        Scratch {
+            base,
+            span,
+            next: 0,
+        }
+    }
+
+    /// The address of the next `bytes`-byte buffer.
+    pub(crate) fn alloc(&mut self, bytes: u64) -> u64 {
+        let lines = bytes.div_ceil(64);
+        if self.next + lines * 64 > self.span {
+            self.next = 0;
+        }
+        let a = self.base + self.next;
+        self.next += lines * 64;
+        a
+    }
+}
 
 /// Host physical region where the MCN SRAM windows are mapped (reserved at
 /// "boot" via the device tree, paper Sec. II-A: `reserved_memory`).
@@ -97,13 +163,12 @@ pub enum PortLink {
 }
 
 /// Per-DIMM host-side state: the virtual Ethernet interface ("host-side
-/// interface") and its transmit/receive machinery.
+/// interface") and its transmit/receive machinery. Port `d` talks to
+/// DIMM `d`.
 #[derive(Debug)]
 pub struct Port {
     /// Interface index on the host stack.
     pub ifidx: usize,
-    /// The DIMM this port talks to.
-    pub dimm: usize,
     /// Host memory channel the DIMM is on.
     pub channel: u32,
     /// Host core that runs this port's transmit work.
@@ -124,6 +189,19 @@ pub struct Port {
     pub sram_stride: u64,
     /// Link lifecycle state (see [`PortLink`]).
     pub link: PortLink,
+    /// Fault injector of the push path into the DIMM's RX ring (`Drop`
+    /// loses the frame, `BitFlip` corrupts one bit of it).
+    pub faults: FaultInjector,
+}
+
+/// Which way a host copy moves data.
+#[derive(Debug)]
+pub enum HostCopy {
+    /// `memcpy_to_mcn` of one frame into the DIMM's RX ring (applied
+    /// functionally at completion).
+    ToDimm(EthernetFrame),
+    /// `memcpy_from_mcn` of the DIMM's TX ring contents.
+    FromDimm,
 }
 
 /// Host-side driver job bookkeeping.
@@ -137,20 +215,13 @@ pub enum HostOp {
         /// ALERT_N edges) rather than the HR-timer/interrupt path.
         via_fallback: bool,
     },
-    /// `memcpy_from_mcn` of the TX ring contents.
-    RxCopy {
-        /// Port being drained.
+    /// A copy between host memory and a DIMM's SRAM window.
+    Copy {
+        /// The port copied to or from.
         port: usize,
-        /// Copy start time (for the core-blocking charge and Table III).
-        started: SimTime,
-    },
-    /// `memcpy_to_mcn` of one frame into the DIMM's RX ring.
-    TxCopy {
-        /// Destination port.
-        port: usize,
-        /// The frame (applied functionally at completion).
-        frame: EthernetFrame,
-        /// Copy start time.
+        /// Its direction (and, to a DIMM, the frame).
+        copy: HostCopy,
+        /// Copy start time (Table III's driver times).
         started: SimTime,
     },
 }
@@ -159,10 +230,9 @@ pub enum HostOp {
 /// read the histograms).
 #[derive(Debug, Default)]
 pub struct HostDriverStats {
-    /// Frames copied into DIMM RX rings.
-    pub tx_frames: Counter,
-    /// Frames read out of DIMM TX rings.
-    pub rx_frames: Counter,
+    /// The ring counters both drivers keep (`rx_frames` counts frames as
+    /// the TX rings are drained).
+    pub ring: RingStats,
     /// F1 deliveries to the host stack.
     pub f1_host: Counter,
     /// F2 broadcasts.
@@ -175,19 +245,8 @@ pub struct HostDriverStats {
     pub polls: Counter,
     /// ALERT_N interrupts taken.
     pub alerts: Counter,
-    /// Transmissions deferred on a full DIMM RX ring.
-    pub tx_busy_events: Counter,
-    /// Driver transmit time per frame (driver entry → data in SRAM).
-    pub driver_tx: Histogram,
-    /// Driver receive time per frame (poll/alert hit → delivered).
-    pub driver_rx: Histogram,
 
     // --- fault-injection and recovery accounting -----------------------
-    /// Injected SRAM bit flips that slipped past ECC into ring words
-    /// (quantifies the checksum-bypass exposure at `mcn2+`).
-    pub ecc_escapes: Counter,
-    /// Injected frame drops on the SRAM push path.
-    pub frames_dropped: Counter,
     /// Injected ALERT_N interrupt drops.
     pub alerts_dropped: Counter,
     /// Injected ALERT_N delivery delays.
@@ -205,13 +264,6 @@ pub struct HostDriverStats {
     /// Stalled DMA transfers that exhausted retries and degraded to the
     /// CPU-copy (`memcpy_to_mcn`/`from_mcn`) path for that transfer.
     pub dma_fallbacks: Counter,
-    /// Undecodable messages popped from SRAM TX rings and dropped.
-    pub malformed: Counter,
-    /// Frames dropped because a ring filled despite the space pre-check
-    /// (only possible under fault injection).
-    pub ring_full_drops: Counter,
-    /// Memory-system completions for jobs the driver no longer tracks.
-    pub unknown_jobs: Counter,
 
     // --- crash / re-init handshake accounting --------------------------
     /// Ports taken down by a DIMM crash or link outage.
@@ -235,19 +287,13 @@ pub struct HostDriverStats {
 
 impl Instrumented for HostDriverStats {
     fn metrics(&self, out: &mut MetricSink) {
-        out.counter("tx_frames", self.tx_frames.get());
-        out.counter("rx_frames", self.rx_frames.get());
+        self.ring.metrics(out);
         out.counter("f1_host", self.f1_host.get());
         out.counter("f2_broadcast", self.f2_broadcast.get());
         out.counter("f3_forward", self.f3_forward.get());
         out.counter("f4_external", self.f4_external.get());
         out.counter("polls", self.polls.get());
         out.counter("alerts", self.alerts.get());
-        out.counter("tx_busy_events", self.tx_busy_events.get());
-        out.histogram("driver_tx", &self.driver_tx);
-        out.histogram("driver_rx", &self.driver_rx);
-        out.counter("ecc_escapes", self.ecc_escapes.get());
-        out.counter("frames_dropped", self.frames_dropped.get());
         out.counter("alerts_dropped", self.alerts_dropped.get());
         out.counter("alerts_delayed", self.alerts_delayed.get());
         out.counter("dma_stalls", self.dma_stalls.get());
@@ -255,9 +301,6 @@ impl Instrumented for HostDriverStats {
         out.counter("alert_recoveries", self.alert_recoveries.get());
         out.counter("dma_retries", self.dma_retries.get());
         out.counter("dma_fallbacks", self.dma_fallbacks.get());
-        out.counter("malformed", self.malformed.get());
-        out.counter("ring_full_drops", self.ring_full_drops.get());
-        out.counter("unknown_jobs", self.unknown_jobs.get());
         out.counter("port_downs", self.port_downs.get());
         out.counter("probes_sent", self.probes_sent.get());
         out.counter("probe_retries", self.probe_retries.get());
@@ -284,8 +327,9 @@ impl Instrumented for HostDriver {
     }
 }
 
-/// Host-side driver state for all DIMMs.
-#[derive(Debug)]
+/// Host-side driver state for all DIMMs (ports added by the system
+/// builder).
+#[derive(Debug, Default)]
 pub struct HostDriver {
     /// One port per MCN DIMM.
     pub ports: Vec<Port>,
@@ -296,26 +340,9 @@ pub struct HostDriver {
 }
 
 impl HostDriver {
-    /// Creates an empty driver (ports added by the system builder).
-    pub fn new() -> Self {
-        HostDriver {
-            ports: Vec::new(),
-            pending: HashMap::new(),
-            stats: HostDriverStats::default(),
-        }
-    }
-
     /// MACs of all host-side interfaces.
     pub fn host_macs(&self) -> Vec<MacAddr> {
         self.ports.iter().map(|p| p.mac).collect()
-    }
-
-    /// Debug dump: per-port (tx_busy, rx_busy, tx_queue length).
-    pub fn debug_ports(&self) -> Vec<(bool, bool, usize)> {
-        self.ports
-            .iter()
-            .map(|p| (p.tx_busy, p.rx_busy, p.tx_queue.len()))
-            .collect()
     }
 
     /// Takes port `port` down after its DIMM crashed: queued frames are
@@ -339,22 +366,6 @@ impl HostDriver {
     /// Whether port `port` is fully up (traffic may move).
     pub fn port_is_up(&self, port: usize) -> bool {
         self.ports[port].link == PortLink::Up
-    }
-
-    /// Ports installed on `channel`.
-    pub fn ports_on_channel(&self, channel: u32) -> Vec<usize> {
-        self.ports
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.channel == channel)
-            .map(|(i, _)| i)
-            .collect()
-    }
-}
-
-impl Default for HostDriver {
-    fn default() -> Self {
-        Self::new()
     }
 }
 

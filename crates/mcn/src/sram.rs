@@ -16,8 +16,19 @@
 //! them and observe the consequences, and the drivers' control-word
 //! *timing* is modelled as channel transactions by the system layer while
 //! the *functional* effect happens here.
+//!
+//! Both MCN drivers move frames through the rings the same way once a copy
+//! finishes: one faulted push and one decoding drain, both counting into
+//! the drivers' shared [`RingStats`].
 
+use mcn_net::{EthernetFrame, ETHER_HEADER_BYTES};
+use mcn_sim::fault::{FaultInjector, FaultKind};
+use mcn_sim::metrics::{Instrumented, MetricSink};
+use mcn_sim::stats::{Counter, Histogram};
+use mcn_sim::SimTime;
 use serde::{Deserialize, Serialize};
+
+use crate::error::{McnError, McnSide};
 
 /// Ring direction, from the MCN node's perspective.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -58,6 +69,69 @@ const TX_END: usize = 68;
 const TX_POLL: usize = 72;
 const CTRL_BYTES: usize = 128;
 const LEN_PREFIX: usize = 4;
+
+/// The counters both MCN drivers keep for their side of the rings. Each
+/// driver's statistics embed one and emit it at their own scope.
+#[derive(Debug, Default)]
+pub struct RingStats {
+    /// Frames pushed into the outbound ring.
+    pub tx_frames: Counter,
+    /// Frames received from the inbound ring: the host counts them as it
+    /// drains a ring, a DIMM as it delivers them to its stack.
+    pub rx_frames: Counter,
+    /// Transmissions deferred on a full outbound ring (`NETDEV_TX_BUSY`).
+    pub tx_busy_events: Counter,
+    /// Driver transmit time per frame (driver entry → data in SRAM).
+    pub driver_tx: Histogram,
+    /// Driver receive time per frame (poll hit or IRQ → delivered).
+    pub driver_rx: Histogram,
+    /// Injected SRAM bit flips that slipped past ECC into pushed ring data
+    /// (quantifies the checksum-bypass exposure at `mcn2+`).
+    pub ecc_escapes: Counter,
+    /// Injected frame drops on the push path.
+    pub frames_dropped: Counter,
+    /// Undecodable messages drained from the inbound ring and dropped.
+    pub malformed: Counter,
+    /// Frames dropped because the outbound ring filled despite the space
+    /// pre-check (only possible under fault injection).
+    pub ring_full_drops: Counter,
+    /// Memory-system completions for jobs the driver no longer tracks.
+    pub unknown_jobs: Counter,
+}
+
+impl RingStats {
+    /// Counts a recoverable data-path error; the run goes on.
+    pub(crate) fn count(&mut self, e: McnError) {
+        match e {
+            McnError::UnknownJob { .. } => self.unknown_jobs.inc(),
+            McnError::RingFull { .. } => self.ring_full_drops.inc(),
+        }
+    }
+}
+
+impl Instrumented for RingStats {
+    fn metrics(&self, out: &mut MetricSink) {
+        out.counter("tx_frames", self.tx_frames.get());
+        out.counter("rx_frames", self.rx_frames.get());
+        out.counter("tx_busy_events", self.tx_busy_events.get());
+        out.histogram("driver_tx", &self.driver_tx);
+        out.histogram("driver_rx", &self.driver_rx);
+        out.counter("ecc_escapes", self.ecc_escapes.get());
+        out.counter("frames_dropped", self.frames_dropped.get());
+        out.counter("malformed", self.malformed.get());
+        out.counter("ring_full_drops", self.ring_full_drops.get());
+        out.counter("unknown_jobs", self.unknown_jobs.get());
+    }
+}
+
+/// What [`SramBuffer::push_frame`] did with a frame.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Pushed {
+    /// The push-path fault injector dropped the frame.
+    pub(crate) dropped: bool,
+    /// The ring's poll flag went from clear to set.
+    pub(crate) raised: bool,
+}
 
 /// The interface SRAM: control words + two message rings, all real bytes.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -208,6 +282,68 @@ impl SramBuffer {
     /// until `tx-start == tx-end`).
     pub fn pop_all(&mut self, dir: Dir) -> Vec<Vec<u8>> {
         std::iter::from_fn(|| self.pop(dir)).collect()
+    }
+
+    /// Bytes `frame` takes as a ring message: the length prefix and the
+    /// encoded frame, unpadded (unlike [`EthernetFrame::wire_len`]).
+    pub(crate) fn message_len(frame: &EthernetFrame) -> usize {
+        LEN_PREFIX + ETHER_HEADER_BYTES + frame.payload.len()
+    }
+
+    /// A driver's push of `frame` into ring `dir` once its copy finished.
+    /// The push is the memory channel's fault point: `faults` may drop the
+    /// frame, or flip one bit of its ring data that ECC missed (the length
+    /// prefix is written by the ring itself and stays intact). A pushed
+    /// frame counts in `tx_frames`, and `took` in `driver_tx`.
+    ///
+    /// # Errors
+    ///
+    /// [`McnError::RingFull`] on `side` when the ring filled despite the
+    /// driver's space check; the frame is lost.
+    pub(crate) fn push_frame(
+        &mut self,
+        dir: Dir,
+        frame: &EthernetFrame,
+        faults: &mut FaultInjector,
+        stats: &mut RingStats,
+        side: McnSide,
+        took: SimTime,
+    ) -> Result<Pushed, McnError> {
+        let mut pushed = Pushed {
+            dropped: faults.fires(FaultKind::Drop),
+            raised: false,
+        };
+        if pushed.dropped {
+            stats.frames_dropped.inc();
+            return Ok(pushed);
+        }
+        let mut msg = frame.encode();
+        if faults.fires(FaultKind::BitFlip) {
+            faults.flip_bit(&mut msg);
+            stats.ecc_escapes.inc();
+        }
+        pushed.raised = !self.poll_flag(dir);
+        self.push(dir, &msg).map_err(|_| McnError::RingFull {
+            side,
+            len: msg.len(),
+        })?;
+        stats.tx_frames.inc();
+        stats.driver_tx.record(took);
+        Ok(pushed)
+    }
+
+    /// Drains ring `dir` and decodes every message; an undecodable one
+    /// (possible under injected corruption) counts in `malformed` and is
+    /// dropped.
+    pub(crate) fn drain_frames(&mut self, dir: Dir, stats: &mut RingStats) -> Vec<EthernetFrame> {
+        let mut frames = Vec::new();
+        for msg in self.pop_all(dir) {
+            match EthernetFrame::decode(&msg) {
+                Ok(frame) => frames.push(frame),
+                Err(_) => stats.malformed.inc(),
+            }
+        }
+        frames
     }
 
     /// Power-on reset: zeroes the control words (producer/consumer indices

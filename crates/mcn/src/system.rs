@@ -12,7 +12,7 @@
 //!   `poll_interval`, pays the timer cost, and issues one uncached line
 //!   read per DIMM to check `tx-poll` (steps R1–R5 follow on a hit).
 //! * **ALERT_N** (mcn1+): a DIMM raising `tx-poll` interrupts the host
-//!   after `alert_latency`; only then does the driver poll that channel.
+//!   after `ALERT_LATENCY`; only then does the driver poll that channel.
 //! * **receive** (R1–R5) and the **packet forwarding engine** (F1–F4):
 //!   `memcpy_from_mcn` drains the TX ring, then each message is classified
 //!   by destination MAC — up the host stack (F1), copied into another
@@ -24,7 +24,6 @@
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
-use mcn_dram::Target;
 use mcn_net::{EthernetFrame, MacAddr, NetConfig};
 use mcn_node::mem::{MemorySystem, Pattern, Transfer};
 use mcn_node::nic::{rx_protocol_cost, tx_protocol_cost};
@@ -36,19 +35,13 @@ use mcn_sim::{Activity, Component, Engine, EngineStats, EventQueue, SimTime, Sta
 use crate::config::{McnConfig, SystemConfig};
 use crate::dimm::{DimmSignal, McnDimm};
 use crate::driver::{
-    classify, sram_window, ForwardClass, HostDriver, HostOp, Port, PortLink, HOST_DRV_WAITER,
+    classify, sram_window, ForwardClass, HostCopy, HostDriver, HostOp, Port, PortLink, Scratch,
+    ALERT_LATENCY, DMA_MAX_ATTEMPTS, DMA_SETUP, DMA_WATCHDOG_DEADLINE, FALLBACK_POLL_MULT,
+    HOST_DRV_WAITER, REINIT_MAX_PROBES, REINIT_PROBE_INTERVAL, REINIT_STEP,
 };
 use crate::error::{McnError, McnSide};
 use crate::outage::{self, Edge, OutagePlan, Part};
-use crate::sram::Dir;
-
-/// Watchdog retry budget before a stalled MCN-DMA transfer degrades to the
-/// CPU-copy path (per transfer, not globally).
-const DMA_MAX_ATTEMPTS: u32 = 2;
-
-/// The fallback poller covers dropped ALERT_N edges at a coarse interval:
-/// frequent enough to bound the hang, rare enough not to recreate `mcn0`.
-const FALLBACK_POLL_MULT: u64 = 16;
+use crate::sram::{Dir, SramBuffer};
 
 /// Engine component id of the host node; DIMM `d` is `HOST_ID + 1 + d`.
 const HOST_ID: usize = 0;
@@ -56,6 +49,12 @@ const HOST_ID: usize = 0;
 /// Engine component id of DIMM `d`.
 const fn dimm_id(d: usize) -> usize {
     HOST_ID + 1 + d
+}
+
+/// Interval between polling rounds on a channel: `poll_interval`, or
+/// `FALLBACK_POLL_MULT` times it for the fallback poller.
+fn poll_period(sys: &SystemConfig, fallback: bool) -> SimTime {
+    sys.poll_interval * if fallback { FALLBACK_POLL_MULT } else { 1 }
 }
 
 #[derive(Debug)]
@@ -66,8 +65,11 @@ enum Effect {
     TryPortTx { port: usize },
     /// Driver work done; start the `memcpy_to_mcn` job.
     StartTxCopy { port: usize, frame: EthernetFrame },
-    /// HR-timer polling round on a channel (mcn0).
-    PollFire { channel: u32 },
+    /// A polling round on a channel: the HR timer of `mcn0`, or with
+    /// `fallback` the coarse safety net for dropped ALERT_N edges, armed
+    /// only when ALERT_N faults are active so that fault-free
+    /// interrupt-mode runs never poll.
+    Poll { channel: u32, fallback: bool },
     /// ALERT_N delivered to the host for a channel (mcn1+).
     HostAlert { channel: u32 },
     /// Begin draining a DIMM's TX ring.
@@ -80,28 +82,12 @@ enum Effect {
     DimmKick { dimm: usize },
     /// Watchdog deadline for a possibly-stalled MCN-DMA transfer.
     DmaWatchdog { key: u64 },
-    /// Coarse safety-net polling round; armed only when ALERT_N faults are
-    /// active, so fault-free interrupt-mode runs never poll.
-    FallbackPoll { channel: u32 },
     /// Hard-crash DIMM `dimm` (scheduled outage or explicit call).
     Crash { dimm: usize },
     /// Power DIMM `dimm` back on and start the re-init handshake.
     PowerOn { dimm: usize },
     /// One step of the host↔DIMM re-init handshake for `dimm`'s port.
     Reinit { dimm: usize },
-}
-
-/// A DMA transfer the watchdog is holding because its descriptor stalled.
-#[derive(Debug)]
-enum StalledOp {
-    /// A host→DIMM `memcpy_to_mcn` that never completed.
-    Tx {
-        port: usize,
-        frame: EthernetFrame,
-        attempt: u32,
-    },
-    /// A DIMM→host `memcpy_from_mcn` that never completed.
-    Rx { port: usize, attempt: u32 },
 }
 
 /// A full MCN-enabled server; see the module docs.
@@ -123,7 +109,7 @@ pub struct McnSystem {
     /// Host-side driver state (public for harness statistics access).
     pub hdrv: HostDriver,
     effects: EventQueue<Effect>,
-    scratch: u64,
+    scratch: Scratch,
     /// Interface index of the conventional NIC (rack servers only).
     nic_ifidx: Option<usize>,
     /// Host memory-job completions owned by devices outside this system
@@ -141,10 +127,9 @@ pub struct McnSystem {
     alert_faults: FaultInjector,
     /// MCN-DMA descriptor faults (stall).
     dma_faults: FaultInjector,
-    /// Host-side SRAM push faults per DIMM (drop/bit-flip into the RX ring).
-    sram_faults: Vec<FaultInjector>,
-    /// Stalled DMA transfers awaiting their watchdog deadline.
-    stalled: HashMap<u64, StalledOp>,
+    /// DMA copies whose descriptor stalled, awaiting their watchdog
+    /// deadline: (port, copy, attempt).
+    stalled: HashMap<u64, (usize, HostCopy, u32)>,
     stall_seq: u64,
     /// Wakeup index + dirty-list bookkeeping for the event loop.
     engine: Engine,
@@ -227,7 +212,7 @@ impl McnSystem {
             &sys.host_dram,
             sys.host_channels,
         );
-        let mut hdrv = HostDriver::new();
+        let mut hdrv = HostDriver::default();
         let mut dimms = Vec::new();
         if n_dimms == 0 {
             // Pure scale-up server (Fig. 11 baseline): no MCN interfaces
@@ -259,7 +244,7 @@ impl McnSystem {
                 checksum: !cfg.checksum_bypass,
                 tso: cfg.tso,
             });
-            let mut dimm = McnDimm::new_in_server(server_id, d, channel, sys, cfg, ip, mac);
+            let mut dimm = McnDimm::new(server_id, d, channel, sys, cfg, ip, mac);
             dimm.set_fault_injector(plan.injector(&Self::sram_dimm_fault_component(server_id, d)));
             // Host-side /32 route: forward to this interface iff the entire
             // destination IP matches the DIMM (paper Sec. III-B).
@@ -273,7 +258,6 @@ impl McnSystem {
                 .max(1);
             hdrv.ports.push(Port {
                 ifidx,
-                dimm: d,
                 channel,
                 core: d % tx_cores,
                 mac,
@@ -284,6 +268,7 @@ impl McnSystem {
                 sram_base,
                 sram_stride,
                 link: PortLink::Up,
+                faults: plan.injector(&Self::sram_host_fault_component(server_id, d)),
             });
             dimms.push(dimm);
         }
@@ -302,26 +287,20 @@ impl McnSystem {
             }
         }
         let mut effects = EventQueue::new();
-        if !cfg.alert_interrupt && n_dimms > 0 {
-            for channel in 0..sys.host_channels {
-                effects.schedule(sys.poll_interval, Effect::PollFire { channel });
-            }
-        }
         let alert_faults = plan.injector(&Self::alert_fault_component(server_id));
-        // Safety net for lost ALERT_N edges: a coarse poller, armed only
-        // when alert faults can actually occur so that fault-free
-        // interrupt-mode baselines stay bit-identical (zero polls).
-        if cfg.alert_interrupt && n_dimms > 0 && alert_faults.is_active() {
+        // `mcn0` polls every channel. Interrupt mode arms the fallback
+        // poller only when alert faults can actually occur, so that
+        // fault-free interrupt-mode baselines stay bit-identical (zero
+        // polls).
+        let fallback = cfg.alert_interrupt;
+        if n_dimms > 0 && (!fallback || alert_faults.is_active()) {
             for channel in 0..sys.host_channels {
                 effects.schedule(
-                    sys.poll_interval * FALLBACK_POLL_MULT,
-                    Effect::FallbackPoll { channel },
+                    poll_period(sys, fallback),
+                    Effect::Poll { channel, fallback },
                 );
             }
         }
-        let sram_faults = (0..n_dimms)
-            .map(|d| plan.injector(&Self::sram_host_fault_component(server_id, d)))
-            .collect();
         McnSystem {
             sys: sys.clone(),
             cfg,
@@ -332,14 +311,14 @@ impl McnSystem {
             dimms,
             hdrv,
             effects,
-            scratch: 0,
+            // Kernel buffers: 256 MiB of host DRAM at 2 GiB.
+            scratch: Scratch::new(2 << 30, 256 << 20),
             nic_ifidx: None,
             foreign_jobs: Vec::new(),
             direct_rx: Vec::new(),
             external_out: Vec::new(),
             alert_faults,
             dma_faults: plan.injector(&Self::dma_fault_component(server_id)),
-            sram_faults,
             stalled: HashMap::new(),
             stall_seq: 0,
             engine: Engine::new(1 + n_dimms),
@@ -583,40 +562,20 @@ impl McnSystem {
         for line in self.host.stack.socket_states() {
             r.line("host sockets", line);
         }
-        for (i, (tx_busy, rx_busy, txq)) in self.hdrv.debug_ports().iter().enumerate() {
-            let link = self.hdrv.ports[i].link;
+        for (i, p) in self.hdrv.ports.iter().enumerate() {
             r.line(
                 "ports",
                 format!(
-                    "port{i}: link={link:?} tx_busy={tx_busy} rx_busy={rx_busy} tx_queue={txq}"
+                    "port{i}: link={:?} tx_busy={} rx_busy={} tx_queue={}",
+                    p.link,
+                    p.tx_busy,
+                    p.rx_busy,
+                    p.tx_queue.len()
                 ),
             );
         }
-        for (d, dimm) in self.dimms.iter().enumerate() {
-            r.line(
-                "rings",
-                format!(
-                    "dimm{d}: tx_used={} tx_poll={} rx_used={} rx_poll={}",
-                    dimm.sram.used(Dir::Tx),
-                    dimm.sram.poll_flag(Dir::Tx),
-                    dimm.sram.used(Dir::Rx),
-                    dimm.sram.poll_flag(Dir::Rx),
-                ),
-            );
-            let (tx_busy, rx_busy, txq, _, _, staged, pending) = dimm.debug_state();
-            r.line(
-                "dimm drivers",
-                format!(
-                    "dimm{d}: tx_busy={tx_busy} rx_busy={rx_busy} tx_queue={txq} \
-                     staged={staged} pending_jobs={pending}"
-                ),
-            );
-            for line in dimm.node.runner.stalled_procs() {
-                r.line("dimm procs", format!("dimm{d}: {line}"));
-            }
-            for line in dimm.node.stack.socket_states() {
-                r.line("dimm sockets", format!("dimm{d}: {line}"));
-            }
+        for dimm in &self.dimms {
+            dimm.stall_lines(&mut r);
         }
         r.line(
             "driver jobs",
@@ -636,18 +595,6 @@ impl McnSystem {
         } else {
             channel as usize % self.sys.host_cores
         }
-    }
-
-    fn scratch_addr(&mut self, bytes: u64) -> u64 {
-        const BASE: u64 = 2 << 30;
-        const SPAN: u64 = 256 << 20;
-        let lines = bytes.div_ceil(64);
-        if self.scratch + lines * 64 > SPAN {
-            self.scratch = 0;
-        }
-        let a = BASE + self.scratch;
-        self.scratch += lines * 64;
-        a
     }
 
     // ------------------------------------------------------------------
@@ -898,10 +845,8 @@ impl McnSystem {
         let mut changed = false;
         for (waiter, job) in self.host.advance_mem(t) {
             if waiter == HOST_DRV_WAITER {
-                match self.on_host_job(job, t) {
-                    Ok(()) => {}
-                    Err(McnError::UnknownJob { .. }) => self.hdrv.stats.unknown_jobs.inc(),
-                    Err(McnError::RingFull { .. }) => self.hdrv.stats.ring_full_drops.inc(),
+                if let Err(e) = self.on_host_job(job, t) {
+                    self.hdrv.stats.ring.count(e);
                 }
             } else {
                 self.foreign_jobs.push((waiter, job));
@@ -934,7 +879,7 @@ impl McnSystem {
                             self.hdrv.stats.alerts_dropped.inc();
                             continue;
                         }
-                        let mut latency = self.sys.alert_latency;
+                        let mut latency = ALERT_LATENCY;
                         if self.alert_faults.fires(FaultKind::Delay) {
                             self.hdrv.stats.alerts_delayed.inc();
                             latency += SimTime::from_us(1 + self.alert_faults.rng().next_below(4));
@@ -944,9 +889,8 @@ impl McnSystem {
                             .schedule((at + latency).max(t), Effect::HostAlert { channel });
                     }
                 }
-                DimmSignal::RxSpaceFreed(_) => {
-                    let port = d; // port index == dimm index
-                    self.effects.schedule(t, Effect::TryPortTx { port });
+                DimmSignal::RxSpaceFreed => {
+                    self.effects.schedule(t, Effect::TryPortTx { port: d });
                 }
             }
         }
@@ -1000,32 +944,31 @@ impl McnSystem {
                 self.try_port_tx(port, now);
             }
             Effect::TryPortTx { port } => self.try_port_tx(port, now),
-            Effect::StartTxCopy { port, frame } => self.issue_tx_copy(port, frame, now, 0),
-            Effect::PollFire { channel } => {
-                self.hdrv.stats.polls.inc();
+            Effect::StartTxCopy { port, frame } => {
+                self.issue_copy(port, HostCopy::ToDimm(frame), now, 0)
+            }
+            Effect::Poll { channel, fallback } => {
+                let rounds = if fallback {
+                    &mut self.hdrv.stats.fallback_polls
+                } else {
+                    &mut self.hdrv.stats.polls
+                };
+                rounds.inc();
                 let core = self.poll_core(channel);
                 let (_, end) = self.host.cpus.run_on(core, now, self.host.cost.hrtimer());
-                self.issue_poll_checks(channel, end, false);
+                self.issue_poll_checks(channel, end, fallback);
                 // Pace the next poll by the core, not just the timer: a
                 // busy core takes its timer interrupt late, it does not
                 // accumulate an unbounded backlog of polling work.
-                let next = (now + self.sys.poll_interval).max(end);
-                self.effects.schedule(next, Effect::PollFire { channel });
+                let next = (now + poll_period(&self.sys, fallback)).max(end);
+                self.effects
+                    .schedule(next, Effect::Poll { channel, fallback });
             }
             Effect::HostAlert { channel } => {
                 self.hdrv.stats.alerts.inc();
                 let core = self.poll_core(channel);
                 let (_, end) = self.host.cpus.run_on(core, now, self.host.cost.irq());
                 self.issue_poll_checks(channel, end, false);
-            }
-            Effect::FallbackPoll { channel } => {
-                self.hdrv.stats.fallback_polls.inc();
-                let core = self.poll_core(channel);
-                let (_, end) = self.host.cpus.run_on(core, now, self.host.cost.hrtimer());
-                self.issue_poll_checks(channel, end, true);
-                let next = (now + self.sys.poll_interval * FALLBACK_POLL_MULT).max(end);
-                self.effects
-                    .schedule(next, Effect::FallbackPoll { channel });
             }
             Effect::DmaWatchdog { key } => self.on_dma_watchdog(key, now),
             Effect::StartHostRx { port } => self.start_host_rx(port, now),
@@ -1054,7 +997,7 @@ impl McnSystem {
     /// A DIMM dies: device state wiped, host port down, both links down,
     /// parked DMA transfers for that port discarded. The host driver starts
     /// probing the dead port immediately (exponential backoff, bounded by
-    /// `reinit_max_probes`), so a device that powers back on inside the
+    /// `REINIT_MAX_PROBES`), so a device that powers back on inside the
     /// probe budget re-initialises with no further intervention.
     fn do_crash(&mut self, d: usize, now: SimTime) {
         if !self.dimms[d].alive() {
@@ -1070,20 +1013,13 @@ impl McnSystem {
         self.host.stack.link_down(ifidx);
         self.hdrv.ports[d].link = PortLink::Probe { attempt: 0 };
         if was_up {
-            self.effects.schedule(
-                now + self.sys.reinit_probe_interval,
-                Effect::Reinit { dimm: d },
-            );
+            self.effects
+                .schedule(now + REINIT_PROBE_INTERVAL, Effect::Reinit { dimm: d });
         }
         // Watchdog-parked DMA transfers targeting the dead port are stale:
         // drop them (their DmaWatchdog effects will find nothing to retry).
         let before = self.stalled.len();
-        self.stalled.retain(|_, op| {
-            !matches!(
-                op,
-                StalledOp::Tx { port, .. } | StalledOp::Rx { port, .. } if *port == d
-            )
-        });
+        self.stalled.retain(|_, (port, _, _)| *port != d);
         self.hdrv
             .stats
             .stale_desc_dropped
@@ -1102,12 +1038,12 @@ impl McnSystem {
         if self.hdrv.ports[d].link == PortLink::Down {
             self.hdrv.ports[d].link = PortLink::Probe { attempt: 0 };
             self.effects
-                .schedule(now + self.sys.reinit_step, Effect::Reinit { dimm: d });
+                .schedule(now + REINIT_STEP, Effect::Reinit { dimm: d });
         }
     }
 
     /// One step of the re-init handshake: probe (with exponential backoff
-    /// against a still-dead device, bounded by `reinit_max_probes`), then
+    /// against a still-dead device, bounded by `REINIT_MAX_PROBES`), then
     /// ring reset, then MAC re-announce, then link up on both sides.
     fn reinit_step(&mut self, d: usize, now: SimTime) {
         let channel = self.hdrv.ports[d].channel;
@@ -1121,8 +1057,8 @@ impl McnSystem {
                 if self.dimms[d].alive() {
                     self.hdrv.ports[d].link = PortLink::RingReset;
                     self.effects
-                        .schedule(now + self.sys.reinit_step, Effect::Reinit { dimm: d });
-                } else if attempt + 1 >= self.sys.reinit_max_probes {
+                        .schedule(now + REINIT_STEP, Effect::Reinit { dimm: d });
+                } else if attempt + 1 >= REINIT_MAX_PROBES {
                     // Probe budget exhausted: park the port down. A later
                     // power-on restarts the handshake from scratch.
                     self.hdrv.stats.reinit_failures.inc();
@@ -1132,9 +1068,7 @@ impl McnSystem {
                     self.hdrv.ports[d].link = PortLink::Probe {
                         attempt: attempt + 1,
                     };
-                    let delay = self
-                        .sys
-                        .reinit_probe_interval
+                    let delay = REINIT_PROBE_INTERVAL
                         .as_ps()
                         .saturating_mul(1u64 << attempt.min(20));
                     self.effects
@@ -1149,7 +1083,7 @@ impl McnSystem {
                 self.dimms[d].sram.reset();
                 self.hdrv.ports[d].link = PortLink::MacAnnounce;
                 self.effects
-                    .schedule(now + self.sys.reinit_step, Effect::Reinit { dimm: d });
+                    .schedule(now + REINIT_STEP, Effect::Reinit { dimm: d });
             }
             PortLink::MacAnnounce => {
                 self.hdrv.stats.mac_announces.inc();
@@ -1171,19 +1105,15 @@ impl McnSystem {
     /// One uncached `tx-poll` line read per DIMM on the channel.
     fn issue_poll_checks(&mut self, channel: u32, at: SimTime, via_fallback: bool) {
         let core = self.poll_core(channel);
-        for port in self.hdrv.ports_on_channel(channel) {
-            if self.hdrv.ports[port].link != PortLink::Up {
-                continue; // dead or re-initialising: nothing to poll
+        for port in 0..self.hdrv.ports.len() {
+            let p = &self.hdrv.ports[port];
+            if p.channel != channel || p.link != PortLink::Up {
+                continue; // another channel, or dead or re-initialising
             }
             self.host.cpus.run_on(core, at, self.host.cost.poll_check());
-            let p = &self.hdrv.ports[port];
             let job = self.host.mem.start(
                 Transfer::Single {
-                    pat: Pattern {
-                        start: p.sram_base,
-                        stride: p.sram_stride,
-                        target: Target::Sram,
-                    },
+                    pat: Pattern::sram(p.sram_base, p.sram_stride),
                     kind: mcn_dram::MemKind::Read,
                     bytes: 64,
                 },
@@ -1196,58 +1126,66 @@ impl McnSystem {
         }
     }
 
-    /// Issues the `memcpy_to_mcn` job for one frame, or parks it behind the
-    /// watchdog if the DMA descriptor stalls. `attempt` 0 is the normal
-    /// path; the watchdog re-enters with higher attempts, and once the
-    /// retry budget is spent the transfer degrades to a CPU copy.
-    fn issue_tx_copy(&mut self, port: usize, frame: EthernetFrame, now: SimTime, attempt: u32) {
+    /// Issues a copy between host memory and port `port`'s SRAM window:
+    /// `memcpy_to_mcn` of one frame or `memcpy_from_mcn` of the whole TX
+    /// ring (the port's `rx_busy` must already be held). A stalled DMA
+    /// descriptor parks the copy behind the watchdog instead. `attempt` 0
+    /// is the normal path; the watchdog re-enters with higher attempts,
+    /// and once the retry budget is spent the copy degrades to a CPU copy.
+    fn issue_copy(&mut self, port: usize, copy: HostCopy, now: SimTime, attempt: u32) {
         if self.cfg.dma && attempt < DMA_MAX_ATTEMPTS && self.dma_faults.fires(FaultKind::Stall) {
             self.hdrv.stats.dma_stalls.inc();
             let key = self.stall_seq;
             self.stall_seq += 1;
-            self.stalled.insert(
-                key,
-                StalledOp::Tx {
-                    port,
-                    frame,
-                    attempt,
-                },
-            );
+            self.stalled.insert(key, (port, copy, attempt));
             // Exponential backoff: each retry doubles the deadline.
-            let deadline = self.sys.dma_watchdog_deadline * (1u64 << attempt);
+            let deadline = DMA_WATCHDOG_DEADLINE * (1u64 << attempt);
             self.effects
                 .schedule(now + deadline, Effect::DmaWatchdog { key });
             return;
         }
+        // A copy that exhausted its DMA retries runs as a CPU copy —
+        // slower, but it completes.
         let cpu_fallback = self.cfg.dma && attempt >= DMA_MAX_ATTEMPTS;
-        let bytes = frame.encode().len() as u64 + 4 + 64; // msg + ctrl line
-        let src = self.scratch_addr(bytes);
+        if cpu_fallback {
+            self.hdrv.stats.dma_fallbacks.inc();
+        }
         let p = &self.hdrv.ports[port];
-        let (sram_base, sram_stride, core) = (p.sram_base, p.sram_stride, p.core);
+        let window = Pattern::sram(p.sram_base, p.sram_stride);
+        // Each copy also moves the ring's control line. A transmit paid
+        // its CPU share up front (`try_port_tx`), so its copy charges the
+        // port core only when the DMA engine gave up on it; a receive
+        // charges the polling core unless the DMA engine runs it.
+        let (bytes, core, cpu_work) = match &copy {
+            HostCopy::ToDimm(frame) => {
+                let bytes = SramBuffer::message_len(frame) + 64;
+                let work = cpu_fallback.then(|| self.host.cost.sram_write_copy(bytes));
+                (bytes, p.core, work)
+            }
+            HostCopy::FromDimm => {
+                let bytes = self.dimms[port].sram.used(Dir::Tx) + 64;
+                let work =
+                    (!self.cfg.dma || cpu_fallback).then(|| self.host.cost.sram_read_copy(bytes));
+                (bytes, self.poll_core(p.channel), work)
+            }
+        };
+        let kernel = Pattern::dram(self.scratch.alloc(bytes as u64));
+        let start = match cpu_work {
+            Some(work) => self.host.cpus.run_on(core, now, work).1,
+            None => now,
+        };
+        let (src, dst) = match copy {
+            HostCopy::ToDimm(_) => (kernel, window),
+            HostCopy::FromDimm => (window, kernel),
+        };
         // CPU copies to uncached/WC windows sustain limited memory-level
         // parallelism; the MCN-DMA engine pipelines deeply (the mcn5 gain).
-        // A transfer that exhausted its DMA retries runs as a CPU copy —
-        // slower, but it completes.
-        let start = if cpu_fallback {
-            self.hdrv.stats.dma_fallbacks.inc();
-            let (_, end) =
-                self.host
-                    .cpus
-                    .run_on(core, now, self.host.cost.sram_write_copy(bytes as usize));
-            end
-        } else {
-            now
-        };
         let mlp = if self.cfg.dma && !cpu_fallback { 16 } else { 4 };
         let job = self.host.mem.start_with_mlp(
             Transfer::Copy {
-                src: Pattern::dram(src),
-                dst: Pattern {
-                    start: sram_base,
-                    stride: sram_stride,
-                    target: Target::Sram,
-                },
-                bytes,
+                src,
+                dst,
+                bytes: bytes as u64,
             },
             HOST_DRV_WAITER,
             mlp,
@@ -1255,33 +1193,22 @@ impl McnSystem {
         );
         self.hdrv.pending.insert(
             job.0,
-            HostOp::TxCopy {
+            HostOp::Copy {
                 port,
-                frame,
+                copy,
                 started: now,
             },
         );
     }
 
-    /// A watchdog deadline fired: the parked transfer is retried (the
+    /// A watchdog deadline fired: the parked copy is retried (the
     /// descriptor is re-issued) or, out of retries, degraded to a CPU copy.
     fn on_dma_watchdog(&mut self, key: u64, now: SimTime) {
-        let Some(op) = self.stalled.remove(&key) else {
+        let Some((port, copy, attempt)) = self.stalled.remove(&key) else {
             return; // already recovered
         };
         self.hdrv.stats.dma_retries.inc();
-        match op {
-            StalledOp::Tx {
-                port,
-                frame,
-                attempt,
-            } => {
-                self.issue_tx_copy(port, frame, now, attempt + 1);
-            }
-            StalledOp::Rx { port, attempt } => {
-                self.issue_rx_copy(port, now, attempt + 1);
-            }
-        }
+        self.issue_copy(port, copy, now, attempt + 1);
     }
 
     fn try_port_tx(&mut self, port: usize, now: SimTime) {
@@ -1300,9 +1227,9 @@ impl McnSystem {
         let Some(frame) = p.tx_queue.front() else {
             return;
         };
-        let need = frame.encode().len() + 4;
-        if self.dimms[p.dimm].sram.free_space(Dir::Rx) < need {
-            self.hdrv.stats.tx_busy_events.inc();
+        let need = SramBuffer::message_len(frame);
+        if self.dimms[port].sram.free_space(Dir::Rx) < need {
+            self.hdrv.stats.ring.tx_busy_events.inc();
             return; // retried on RxSpaceFreed
         }
         let frame = p.tx_queue.pop_front().expect("checked");
@@ -1313,7 +1240,7 @@ impl McnSystem {
         // core would double-count wall-clock the core already spent on
         // other work, so the CPU share is charged up front instead.
         let work = if self.cfg.dma {
-            self.host.cost.driver_tx() + self.sys.dma_setup
+            self.host.cost.driver_tx() + DMA_SETUP
         } else {
             self.host.cost.driver_tx() + self.host.cost.sram_write_copy(need)
         };
@@ -1328,68 +1255,11 @@ impl McnSystem {
         if p.rx_busy {
             return;
         }
-        if self.dimms[p.dimm].sram.used(Dir::Tx) == 0 {
+        if self.dimms[port].sram.used(Dir::Tx) == 0 {
             return;
         }
         p.rx_busy = true;
-        self.issue_rx_copy(port, now, 0);
-    }
-
-    /// Issues the `memcpy_from_mcn` drain of a TX ring (the port's
-    /// `rx_busy` must already be held), parking it behind the watchdog on
-    /// a DMA stall — same retry/degrade policy as the transmit side.
-    fn issue_rx_copy(&mut self, port: usize, now: SimTime, attempt: u32) {
-        if self.cfg.dma && attempt < DMA_MAX_ATTEMPTS && self.dma_faults.fires(FaultKind::Stall) {
-            self.hdrv.stats.dma_stalls.inc();
-            let key = self.stall_seq;
-            self.stall_seq += 1;
-            self.stalled.insert(key, StalledOp::Rx { port, attempt });
-            let deadline = self.sys.dma_watchdog_deadline * (1u64 << attempt);
-            self.effects
-                .schedule(now + deadline, Effect::DmaWatchdog { key });
-            return;
-        }
-        let cpu_fallback = self.cfg.dma && attempt >= DMA_MAX_ATTEMPTS;
-        let p = &self.hdrv.ports[port];
-        let used = self.dimms[p.dimm].sram.used(Dir::Tx) as u64;
-        let bytes = used + 64; // + control line
-        let sram_base = p.sram_base;
-        let sram_stride = p.sram_stride;
-        let channel = p.channel;
-        let dst = self.scratch_addr(bytes);
-        // memcpy_from_mcn CPU issue work (skipped under working MCN-DMA);
-        // the copy job starts once the core gets to it.
-        let start = if self.cfg.dma && !cpu_fallback {
-            now
-        } else {
-            if cpu_fallback {
-                self.hdrv.stats.dma_fallbacks.inc();
-            }
-            let core = self.poll_core(channel);
-            let (_, end) =
-                self.host
-                    .cpus
-                    .run_on(core, now, self.host.cost.sram_read_copy(bytes as usize));
-            end
-        };
-        let mlp = if self.cfg.dma && !cpu_fallback { 16 } else { 4 };
-        let job = self.host.mem.start_with_mlp(
-            Transfer::Copy {
-                src: Pattern {
-                    start: sram_base,
-                    stride: sram_stride,
-                    target: Target::Sram,
-                },
-                dst: Pattern::dram(dst),
-                bytes,
-            },
-            HOST_DRV_WAITER,
-            mlp,
-            start,
-        );
-        self.hdrv
-            .pending
-            .insert(job.0, HostOp::RxCopy { port, started: now });
+        self.issue_copy(port, HostCopy::FromDimm, now, 0);
     }
 
     fn on_host_job(&mut self, job: JobId, now: SimTime) -> Result<(), McnError> {
@@ -1397,11 +1267,7 @@ impl McnSystem {
         // down read (or would write) pre-crash ring state the device no
         // longer owns: discard the result instead of consuming it.
         if let Some(op) = self.hdrv.pending.get(&job.0) {
-            let port = match op {
-                HostOp::PollCheck { port, .. }
-                | HostOp::RxCopy { port, .. }
-                | HostOp::TxCopy { port, .. } => *port,
-            };
+            let (HostOp::PollCheck { port, .. } | HostOp::Copy { port, .. }) = *op;
             if self.hdrv.ports[port].link != PortLink::Up {
                 self.hdrv.pending.remove(&job.0);
                 self.hdrv.stats.stale_desc_dropped.inc();
@@ -1410,8 +1276,7 @@ impl McnSystem {
         }
         match self.hdrv.pending.remove(&job.0) {
             Some(HostOp::PollCheck { port, via_fallback }) => {
-                let d = self.hdrv.ports[port].dimm;
-                if self.dimms[d].sram.poll_flag(Dir::Tx) && !self.hdrv.ports[port].rx_busy {
+                if self.dimms[port].sram.poll_flag(Dir::Tx) && !self.hdrv.ports[port].rx_busy {
                     if via_fallback {
                         // Pending TX data with no alert in flight: a dropped
                         // ALERT_N that would have hung the ring forever.
@@ -1420,58 +1285,40 @@ impl McnSystem {
                     self.start_host_rx(port, now);
                 }
             }
-            Some(HostOp::TxCopy {
+            Some(HostOp::Copy {
                 port,
-                frame,
+                copy: HostCopy::ToDimm(frame),
                 started,
             }) => {
                 let p = &mut self.hdrv.ports[port];
-                let d = p.dimm;
                 p.tx_busy = false;
                 self.effects.schedule(now, Effect::TryPortTx { port });
-                // The write into the interface SRAM is the injection point
-                // for memory-channel faults: a lost frame, or an
-                // ECC-escaped bit flip landing in ring *data* bytes (the
-                // checksum-bypass exposure; the 4-byte length prefix is
-                // written by the ring itself and stays intact).
-                if self.sram_faults[d].fires(FaultKind::Drop) {
-                    self.hdrv.stats.frames_dropped.inc();
-                    return Ok(());
+                let pushed = self.dimms[port].sram.push_frame(
+                    Dir::Rx,
+                    &frame,
+                    &mut p.faults,
+                    &mut self.hdrv.stats.ring,
+                    McnSide::Host,
+                    now.saturating_sub(started),
+                )?;
+                if !pushed.dropped {
+                    self.effects.schedule(now, Effect::DimmIrq { dimm: port });
                 }
-                let mut encoded = frame.encode();
-                if self.sram_faults[d].fires(FaultKind::BitFlip) {
-                    self.sram_faults[d].flip_bit(&mut encoded);
-                    self.hdrv.stats.ecc_escapes.inc();
-                }
-                if self.dimms[d].sram.push(Dir::Rx, &encoded).is_err() {
-                    return Err(McnError::RingFull {
-                        side: McnSide::Host,
-                        len: encoded.len(),
-                    });
-                }
-                self.hdrv.stats.tx_frames.inc();
-                self.hdrv
-                    .stats
-                    .driver_tx
-                    .record(now.saturating_sub(started));
-                self.effects.schedule(now, Effect::DimmIrq { dimm: d });
             }
-            Some(HostOp::RxCopy { port, started }) => {
-                let channel = self.hdrv.ports[port].channel;
-                let core = self.poll_core(channel);
-                let d = self.hdrv.ports[port].dimm;
-                let msgs = self.dimms[d].sram.pop_all(Dir::Tx);
-                self.effects.schedule(now, Effect::DimmKick { dimm: d });
+            Some(HostOp::Copy {
+                port,
+                copy: HostCopy::FromDimm,
+                started,
+            }) => {
+                let core = self.poll_core(self.hdrv.ports[port].channel);
+                let frames = self.dimms[port]
+                    .sram
+                    .drain_frames(Dir::Tx, &mut self.hdrv.stats.ring);
+                self.effects.schedule(now, Effect::DimmKick { dimm: port });
                 let host_macs = self.hdrv.host_macs();
                 let dimm_macs: Vec<MacAddr> = self.dimms.iter().map(|x| x.mac()).collect();
-                for msg in msgs {
-                    let Ok(frame) = EthernetFrame::decode(&msg) else {
-                        // Undecodable ring message (possible under injected
-                        // corruption): count and drop.
-                        self.hdrv.stats.malformed.inc();
-                        continue;
-                    };
-                    self.hdrv.stats.rx_frames.inc();
+                for frame in frames {
+                    self.hdrv.stats.ring.rx_frames.inc();
                     match classify(&frame, &host_macs, &dimm_macs) {
                         ForwardClass::Host => {
                             self.hdrv.stats.f1_host.inc();
@@ -1488,7 +1335,7 @@ impl McnSystem {
                             self.hdrv.stats.f2_broadcast.inc();
                             self.deliver_to_host(port, frame.clone(), core, started, now);
                             for j in 0..self.dimms.len() {
-                                if j != d {
+                                if j != port {
                                     self.effects.schedule(
                                         now,
                                         Effect::PortXmit {
@@ -1510,7 +1357,7 @@ impl McnSystem {
                     }
                 }
                 self.hdrv.ports[port].rx_busy = false;
-                if self.dimms[d].sram.poll_flag(Dir::Tx) {
+                if self.dimms[port].sram.poll_flag(Dir::Tx) {
                     self.effects.schedule(now, Effect::StartHostRx { port });
                 }
             }
@@ -1573,6 +1420,7 @@ impl McnSystem {
         let (_, end) = self.host.cpus.run_on(proto_core, handoff, proto);
         self.hdrv
             .stats
+            .ring
             .driver_rx
             .record(end.saturating_sub(started));
         // F1 frames may target *any* host-side interface's MAC (an MCN node
@@ -1689,8 +1537,8 @@ mod tests {
         assert_eq!(src, Ipv4Addr::new(10, 1, 0, 1));
         assert_eq!(sport, 5000);
         assert_eq!(data.len(), 1000);
-        assert_eq!(sys.hdrv.stats.tx_frames.get(), 1);
-        assert_eq!(sys.dimm(0).stats.rx_frames.get(), 1);
+        assert_eq!(sys.hdrv.stats.ring.tx_frames.get(), 1);
+        assert_eq!(sys.dimm(0).stats.ring.rx_frames.get(), 1);
     }
 
     #[test]
@@ -1886,15 +1734,16 @@ mod tests {
     #[test]
     fn dma_stalls_retry_then_degrade_to_cpu_copy() {
         use mcn_sim::fault::{FaultKind, FaultPlan};
-        // Every DMA descriptor stalls: each transfer burns its full retry
-        // budget and completes via the CPU-copy path instead of hanging.
+        // Every DMA descriptor stalls: each copy, host→DIMM and DIMM→host,
+        // burns its full retry budget and completes via the CPU-copy path
+        // instead of hanging.
         let mut plan = FaultPlan::new(23);
         plan.rate(&McnSystem::dma_fault_component(0), FaultKind::Stall, 1.0);
         let mut sys =
             McnSystem::with_faults(&SystemConfig::default(), 1, McnConfig::level(5), &plan);
         let dimm_ip = sys.dimm_ip(0);
         let ud = sys.dimm_mut(0).node.stack.udp_bind(6000).unwrap();
-        sys.host.stack.udp_bind(5000).unwrap();
+        let uh = sys.host.stack.udp_bind(5000).unwrap();
         let us = sys.host.stack.udp_bind(5001).unwrap();
         sys.host
             .stack
@@ -1906,15 +1755,39 @@ mod tests {
                 SimTime::ZERO,
             )
             .unwrap();
+        sys.dimm_mut(0)
+            .node
+            .stack
+            .udp_send(
+                ud,
+                McnSystem::host_if_ip(0),
+                5000,
+                Bytes::from(vec![8u8; 1000]),
+                SimTime::ZERO,
+            )
+            .unwrap();
         sys.run_until(SimTime::from_ms(2));
         assert!(
             sys.dimm_mut(0).node.stack.udp_recv(ud).is_some(),
-            "transfer must complete via CPU fallback\n{}",
+            "memcpy_to_mcn must complete via CPU fallback\n{}",
             sys.stall_report("dma-stall recovery failed")
         );
-        assert!(sys.hdrv.stats.dma_stalls.get() > 0);
-        assert!(sys.hdrv.stats.dma_retries.get() > 0);
-        assert!(sys.hdrv.stats.dma_fallbacks.get() > 0);
+        assert!(
+            sys.host.stack.udp_recv(uh).is_some(),
+            "memcpy_from_mcn must complete via CPU fallback\n{}",
+            sys.stall_report("dma-stall recovery failed")
+        );
+        // One copy each way, each stalled on both attempts, retried twice
+        // and then degraded.
+        let h = &sys.hdrv.stats;
+        assert_eq!(
+            (
+                h.dma_stalls.get(),
+                h.dma_retries.get(),
+                h.dma_fallbacks.get()
+            ),
+            (4, 4, 2)
+        );
     }
 
     #[test]
@@ -1947,12 +1820,12 @@ mod tests {
                 .unwrap();
             sys.run_until(now + SimTime::from_us(50));
         }
-        let dropped = sys.hdrv.stats.frames_dropped.get();
-        let flipped = sys.hdrv.stats.ecc_escapes.get();
+        let dropped = sys.hdrv.stats.ring.frames_dropped.get();
+        let flipped = sys.hdrv.stats.ring.ecc_escapes.get();
         assert!(dropped > 0, "expected injected drops");
         assert!(flipped > 0, "expected injected bit flips");
         // Conservation: every accepted frame was pushed or counted dropped.
-        assert_eq!(sys.hdrv.stats.tx_frames.get() + dropped, 40);
+        assert_eq!(sys.hdrv.stats.ring.tx_frames.get() + dropped, 40);
     }
 
     #[test]
@@ -2047,19 +1920,15 @@ mod tests {
 
     #[test]
     fn outage_longer_than_probe_budget_parks_then_recovers_on_power_on() {
-        let sys_cfg = SystemConfig {
-            reinit_max_probes: 3,
-            ..SystemConfig::default()
-        };
-        let mut sys = McnSystem::new(&sys_cfg, 1, McnConfig::level(1));
+        let mut sys = mk(1, 1);
         sys.run_until(SimTime::from_us(10));
         let t = sys.now();
         sys.crash_dimm(0, t);
-        // Budget: 10 + 20 + 40 µs of probes, all failing.
-        sys.run_until(t + SimTime::from_ms(1));
+        // Budget: eight probes at 10, 20, 40, ... 1,280 µs, all failing.
+        sys.run_until(t + SimTime::from_ms(3));
         assert_eq!(sys.hdrv.stats.reinit_failures.get(), 1);
         assert!(!sys.hdrv.port_is_up(0));
-        assert_eq!(sys.hdrv.stats.probes_sent.get(), 3);
+        assert_eq!(sys.hdrv.stats.probes_sent.get(), 8);
         // A later power-on restarts the handshake from scratch.
         let t2 = sys.now();
         sys.power_on_dimm(0, t2);
@@ -2114,6 +1983,23 @@ mod tests {
         let mut plan = OutagePlan::new(7);
         plan.define_domain("riser0", &[Part::Dimm(0, 0)]);
         mk(1, 1).set_outage_plan(&plan);
+    }
+
+    #[test]
+    #[should_panic(expected = "did not converge")]
+    fn a_dimm_process_that_never_settles_fails_instead_of_hanging() {
+        use mcn_node::{Poll, ProcCtx, Wake};
+        // Wakes itself at the current instant forever and charges nothing:
+        // the DIMM's driver loop never settles at t = 0.
+        struct Spin;
+        impl Process for Spin {
+            fn poll(&mut self, ctx: &mut ProcCtx<'_>) -> Poll {
+                Poll::Wait(vec![Wake::Timer(ctx.now)])
+            }
+        }
+        let mut sys = mk(1, 0);
+        sys.spawn_dimm(0, Box::new(Spin), 1);
+        sys.run_until(SimTime::from_us(1));
     }
 
     #[test]

@@ -92,15 +92,15 @@ fn main() {
     println!("--- memory-channel traffic (the 'tcpdump' view) ---");
     println!(
         "host driver: {} frames written to DIMM RX rings, {} read from TX rings",
-        sys.hdrv.stats.tx_frames.get(),
-        sys.hdrv.stats.rx_frames.get()
+        sys.hdrv.stats.ring.tx_frames.get(),
+        sys.hdrv.stats.ring.rx_frames.get()
     );
     for d in 0..sys.dimms() {
         let st = &sys.dimm(d).stats;
         println!(
             "DIMM {d}: {} frames sent, {} received, {} interface IRQs",
-            st.tx_frames.get(),
-            st.rx_frames.get(),
+            st.ring.tx_frames.get(),
+            st.ring.rx_frames.get(),
             st.irqs.get()
         );
     }

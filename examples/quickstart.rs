@@ -108,11 +108,11 @@ fn main() {
     println!("\nhost-side driver:");
     println!(
         "  frames into DIMM RX rings: {}",
-        sys.hdrv.stats.tx_frames.get()
+        sys.hdrv.stats.ring.tx_frames.get()
     );
     println!(
         "  frames out of TX rings:    {}",
-        sys.hdrv.stats.rx_frames.get()
+        sys.hdrv.stats.ring.rx_frames.get()
     );
     println!(
         "  F1 host deliveries:        {}",

@@ -101,8 +101,10 @@ fn iperf_stream_survives_injected_faults_intact() {
     // Every fault class was actually injected...
     let h = &sys.hdrv.stats;
     let d = &sys.dimm(0).stats;
-    let injected_sram =
-        h.frames_dropped.get() + h.ecc_escapes.get() + d.frames_dropped.get() + d.ecc_escapes.get();
+    let injected_sram = h.ring.frames_dropped.get()
+        + h.ring.ecc_escapes.get()
+        + d.ring.frames_dropped.get()
+        + d.ring.ecc_escapes.get();
     assert!(
         injected_sram > 0,
         "no SRAM faults fired; weaken the plan check"
@@ -131,9 +133,9 @@ fn iperf_stream_survives_injected_faults_intact() {
         + sys.host.stack.stats.malformed.get()
         + sys.dimm(0).node.stack.stats.drop_checksum.get()
         + sys.dimm(0).node.stack.stats.malformed.get()
-        + h.malformed.get()
-        + d.malformed.get();
-    let flips = h.ecc_escapes.get() + d.ecc_escapes.get();
+        + h.ring.malformed.get()
+        + d.ring.malformed.get();
+    let flips = h.ring.ecc_escapes.get() + d.ring.ecc_escapes.get();
     assert!(
         flips == 0 || caught > 0,
         "{flips} bit flips escaped the checksums unnoticed"
@@ -203,7 +205,7 @@ fn direct_udp_payloads_cross_faulty_rings_byte_identical() {
     }
     assert!(delivered > 0, "some datagrams must survive");
     assert!(
-        delivered < sent || sys.hdrv.stats.frames_dropped.get() == 0,
+        delivered < sent || sys.hdrv.stats.ring.frames_dropped.get() == 0,
         "drops must be reflected in delivery"
     );
 }
@@ -238,7 +240,10 @@ fn checksum_bypass_lets_ecc_escapes_reach_the_application() {
         sys.run_until(now + SimTime::from_us(50));
     }
     sys.run_until(sys.now() + SimTime::from_ms(1));
-    assert!(sys.hdrv.stats.ecc_escapes.get() > 0, "no flips injected");
+    assert!(
+        sys.hdrv.stats.ring.ecc_escapes.get() > 0,
+        "no flips injected"
+    );
     let mut corrupted = 0;
     while let Some((_, _, data)) = sys.dimm_mut(0).node.stack.udp_recv(ud) {
         if data.iter().any(|&b| b != 0x55) {
@@ -266,16 +271,16 @@ fn same_seed_reproduces_the_same_faulted_run() {
         (
             bytes,
             sys.now(),
-            h.frames_dropped.get(),
-            h.ecc_escapes.get(),
+            h.ring.frames_dropped.get(),
+            h.ring.ecc_escapes.get(),
             h.alerts_dropped.get(),
             h.dma_stalls.get(),
             h.dma_retries.get(),
             h.dma_fallbacks.get(),
             h.fallback_polls.get(),
             h.alert_recoveries.get(),
-            d.frames_dropped.get(),
-            d.ecc_escapes.get(),
+            d.ring.frames_dropped.get(),
+            d.ring.ecc_escapes.get(),
         )
     };
     assert_eq!(
@@ -291,8 +296,8 @@ fn different_seeds_draw_different_fault_histories() {
     let (b, _) = run_iperf(&stress_plan(2));
     let sig = |s: &McnSystem| {
         (
-            s.hdrv.stats.frames_dropped.get(),
-            s.hdrv.stats.ecc_escapes.get(),
+            s.hdrv.stats.ring.frames_dropped.get(),
+            s.hdrv.stats.ring.ecc_escapes.get(),
             s.hdrv.stats.alerts_dropped.get(),
             s.hdrv.stats.dma_stalls.get(),
             s.now(),
