@@ -181,7 +181,11 @@ pub enum BlockCmd {
 /// endpoint only provides device/stack progress and frame ingestion.
 pub trait Endpoint: Send {
     /// The NIC and the host memory it DMAs into, borrowed together
-    /// (the pump needs both at once).
+    /// (the pump needs both at once). The NIC reaches that memory only
+    /// through [`MemorySystem::start`] (TX DMA in `Nic::advance_into`,
+    /// RX DMA in `Nic::wire_rx`), so an MCN server hands it out without
+    /// flagging its host and catches every DMA start by its job
+    /// watermark ([`HostNode`](crate::HostNode)).
     fn wire(&mut self) -> (&mut Nic, &mut MemorySystem);
 
     /// Read-only NIC access (emission bounds, metrics, stall reports).

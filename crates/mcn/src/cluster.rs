@@ -177,8 +177,12 @@ impl EthernetCluster {
     }
 
     /// Spawns a process on a core of node `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if node `i` has no core `core` ([`Node::spawn`]).
     pub fn spawn(&mut self, i: usize, proc: Box<dyn Process>, core: usize) -> ProcId {
-        self.node_mut(i).node.runner.spawn(proc, core)
+        self.node_mut(i).node.spawn(proc, core)
     }
 
     /// A structured snapshot of the cluster for stall debugging: each

@@ -75,7 +75,7 @@ pub use sram::SramBuffer;
 /// Re-export of the SRAM module under a bench-friendly name (the module
 /// itself is public as [`sram`]).
 pub use sram as sram_mod;
-pub use system::McnSystem;
+pub use system::{HostNode, McnSystem};
 
 // Engine traits every driver of a system/rack/cluster needs in scope:
 // `Component` for `advance`/`next_event`, `ComponentExt` for the shared

@@ -130,8 +130,10 @@ fn remote_rack_of(ip: std::net::Ipv4Addr, rack_id: usize) -> Option<usize> {
 }
 
 impl Endpoint for McnEndpoint {
+    // Unflagged: the block calls this in every round, and the server's
+    // job watermark catches each DMA the NIC starts.
     fn wire(&mut self) -> (&mut Nic, &mut MemorySystem) {
-        (&mut self.nic, &mut self.sys.host.mem)
+        (&mut self.nic, self.sys.host.mem_unflagged())
     }
 
     fn nic(&self) -> &Nic {
@@ -150,8 +152,9 @@ impl Endpoint for McnEndpoint {
         // NIC DMA completions the server collected for us.
         for (waiter, job) in std::mem::take(&mut self.sys.foreign_jobs) {
             debug_assert_eq!(waiter, NIC_WAITER);
+            let host = &mut *self.sys.host;
             self.nic
-                .on_job_done(job, t, &mut self.sys.host.cpus, &self.sys.host.cost, false);
+                .on_job_done(job, t, &mut host.cpus, &host.cost, false);
             changed = true;
         }
         // F4 frames → NIC transmit, addressed to the owning server (or
@@ -179,9 +182,9 @@ impl Endpoint for McnEndpoint {
             };
             frame.dst = dst_mac;
             frame.src = McnSystem::nic_mac_in(self.rack_id, self.id);
-            let core = self.sys.host.cpus.least_loaded();
-            self.nic
-                .xmit(frame, t, core, &mut self.sys.host.cpus, &self.sys.host.cost);
+            let host = &mut *self.sys.host;
+            let core = host.cpus.least_loaded();
+            self.nic.xmit(frame, t, core, &mut host.cpus, &host.cost);
         }
         changed
     }
@@ -1011,6 +1014,26 @@ mod tests {
         let mut plan = OutagePlan::new(7);
         plan.down(Part::Spine(0), SimTime::from_us(1), SimTime::from_us(1));
         mk(2, 1, 1).set_outage_plan(&plan);
+    }
+
+    #[test]
+    fn a_frame_at_the_nic_wakes_its_server_at_the_rx_dma() {
+        let mut rack = mk(2, 1, 1);
+        let ep = &mut rack.shards[1].ep;
+        assert_eq!(ep.sys.next_event(), None, "an idle server");
+        let started = ep.sys.host.mem.jobs_started();
+        let at = SimTime::from_us(5);
+        let frame = EthernetFrame::ipv4(
+            McnSystem::nic_mac_in(0, 1),
+            McnSystem::nic_mac_in(0, 0),
+            Bytes::from(vec![0u8; 1000]),
+        );
+        let (nic, mem) = ep.wire();
+        nic.wire_rx(frame, at, mem);
+        assert_eq!(ep.sys.host.mem.jobs_started(), started + 1, "one RX DMA");
+        let first = ep.sys.host.mem.next_event();
+        assert!(first.is_some_and(|t| t >= at), "the DMA's first command");
+        assert_eq!(ep.sys.next_event(), first);
     }
 
     #[test]

@@ -23,6 +23,7 @@
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use std::ops::{Deref, DerefMut};
 
 use mcn_net::{EthernetFrame, MacAddr, NetConfig};
 use mcn_node::mem::{MemorySystem, Pattern, Transfer};
@@ -90,6 +91,71 @@ enum Effect {
     Reinit { dimm: usize },
 }
 
+/// The host node of an [`McnSystem`]: a [`Node`] that flags itself
+/// changed on every mutable access.
+///
+/// It reads as a `Node` through `Deref`, and every `DerefMut` (a bind,
+/// a send, a route, a spawn) sets the flag, so the server re-queries the
+/// host's wakeup only after something changed the host. Because
+/// `DerefMut` borrows the whole node, a write through it cannot read the
+/// server in the same expression: hoist `sys.now()` into a local before
+/// `sys.host.stack.udp_send(…, now)`.
+#[derive(Debug)]
+pub struct HostNode {
+    node: Node,
+    /// Set by every `DerefMut`, cleared by the server's wakeup query.
+    changed: bool,
+    /// The memory's [`jobs_started`](MemorySystem::jobs_started) at the
+    /// last wakeup query.
+    jobs_seen: u64,
+}
+
+impl HostNode {
+    fn new(node: Node) -> Self {
+        HostNode {
+            node,
+            changed: true,
+            jobs_seen: 0,
+        }
+    }
+
+    /// Whether the host's wakeup may have moved since the last query:
+    /// it was written through `DerefMut`, or its memory started a job
+    /// through [`mem_unflagged`](Self::mem_unflagged).
+    fn is_stale(&self) -> bool {
+        self.changed || self.node.mem.jobs_started() != self.jobs_seen
+    }
+
+    /// Records a wakeup query: clears the flag and the job watermark.
+    fn mark_queried(&mut self) {
+        self.changed = false;
+        self.jobs_seen = self.node.mem.jobs_started();
+    }
+
+    /// The host memory, mutably, without flagging the host. Only for
+    /// callers whose changes the server sees anyway: a job started here
+    /// moves the watermark, and `fast_forward` records the wakeup of
+    /// every memory step it runs.
+    pub(crate) fn mem_unflagged(&mut self) -> &mut MemorySystem {
+        &mut self.node.mem
+    }
+}
+
+impl Deref for HostNode {
+    type Target = Node;
+
+    fn deref(&self) -> &Node {
+        &self.node
+    }
+}
+
+impl DerefMut for HostNode {
+    fn deref_mut(&mut self) -> &mut Node {
+        self.changed = true;
+        &mut self.node
+    }
+}
+
 /// A full MCN-enabled server; see the module docs.
 ///
 /// Construct with [`McnSystem::new`], attach application processes with
@@ -103,8 +169,10 @@ pub struct McnSystem {
     now: SimTime,
     server_id: usize,
     rack_id: usize,
-    /// The host node (public for instrumentation in harnesses/tests).
-    pub host: Node,
+    /// The host node, public for harnesses and tests. Reads and writes
+    /// go through it as through a [`Node`]; every write flags the host,
+    /// and the next wakeup refresh re-queries it (see [`HostNode`]).
+    pub host: HostNode,
     dimms: Vec<McnDimm>,
     /// Host-side driver state (public for harness statistics access).
     pub hdrv: HostDriver,
@@ -307,7 +375,7 @@ impl McnSystem {
             now: SimTime::ZERO,
             server_id,
             rack_id,
-            host,
+            host: HostNode::new(host),
             dimms,
             hdrv,
             effects,
@@ -535,14 +603,22 @@ impl McnSystem {
     }
 
     /// Spawns an application process on a host core.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the host has no core `core` ([`Node::spawn`]).
     pub fn spawn_host(&mut self, proc: Box<dyn Process>, core: usize) -> ProcId {
-        self.host.runner.spawn(proc, core)
+        self.host.spawn(proc, core)
     }
 
     /// Spawns an application process on a core of DIMM `d`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if DIMM `d` has no core `core` ([`Node::spawn`]).
     pub fn spawn_dimm(&mut self, d: usize, proc: Box<dyn Process>, core: usize) -> ProcId {
         self.engine.mark_stale(dimm_id(d));
-        self.dimms[d].node.runner.spawn(proc, core)
+        self.dimms[d].node.spawn(proc, core)
     }
 
     /// All application processes (host + DIMMs) finished?
@@ -619,10 +695,12 @@ impl McnSystem {
         }
     }
 
-    /// [`mem_of`](Self::mem_of), mutably.
+    /// [`mem_of`](Self::mem_of), mutably, for `fast_forward`'s memory
+    /// steps: they start no job and record the wakeup they leave, so the
+    /// host is not flagged.
     fn mem_mut(&mut self, id: usize) -> &mut MemorySystem {
         if id == HOST_ID {
-            &mut self.host.mem
+            self.host.mem_unflagged()
         } else {
             &mut self.dimms[id - 1 - HOST_ID].node.mem
         }
@@ -633,6 +711,7 @@ impl McnSystem {
     /// indexed wakeup. A crashed DIMM is frozen and reports neither.
     fn requery(&mut self, id: usize) {
         let (outside, mem) = if id == HOST_ID {
+            self.host.mark_queried();
             (
                 self.host.next_event_outside_mem(),
                 self.host.mem.next_event(),
@@ -647,11 +726,18 @@ impl McnSystem {
         self.engine.set_wakeup(id, w);
     }
 
-    /// Re-queries every stale component's deadline. The host is *always*
-    /// treated as stale: it is a public field, so harnesses and tests can
-    /// inject work (binds, sends, spawns) the engine cannot observe.
+    /// Re-queries every stale component's deadline. The host is stale
+    /// when something wrote through [`host`](Self::host) since its last
+    /// query (binds, sends, spawns, and every driver path in this crate),
+    /// or when its memory started a job since then: the rack's NIC
+    /// reaches that memory without the flag ([`HostNode`]), and starting
+    /// a DMA job is all it does there. Debug builds re-query a skipped
+    /// host and check that the query would have changed nothing.
     fn refresh_wakeups(&mut self) {
-        self.engine.mark_stale(HOST_ID);
+        let host_stale = self.host.is_stale();
+        if host_stale {
+            self.engine.mark_stale(HOST_ID);
+        }
         let ids = self
             .engine
             .drain_stale_into(std::mem::take(&mut self.engine_scratch));
@@ -659,6 +745,16 @@ impl McnSystem {
             self.requery(id);
         }
         self.engine_scratch = ids;
+        if cfg!(debug_assertions) && !host_stale {
+            let recorded = (self.visible[HOST_ID], self.engine.wakeup(HOST_ID));
+            self.requery(HOST_ID);
+            assert_eq!(
+                recorded,
+                (self.visible[HOST_ID], self.engine.wakeup(HOST_ID)),
+                "host changed unflagged at {}",
+                self.now
+            );
+        }
     }
 
     /// Earliest pending activity anywhere in the system: the staged-effect
@@ -955,7 +1051,8 @@ impl McnSystem {
                 };
                 rounds.inc();
                 let core = self.poll_core(channel);
-                let (_, end) = self.host.cpus.run_on(core, now, self.host.cost.hrtimer());
+                let host = &mut *self.host;
+                let (_, end) = host.cpus.run_on(core, now, host.cost.hrtimer());
                 self.issue_poll_checks(channel, end, fallback);
                 // Pace the next poll by the core, not just the timer: a
                 // busy core takes its timer interrupt late, it does not
@@ -967,7 +1064,8 @@ impl McnSystem {
             Effect::HostAlert { channel } => {
                 self.hdrv.stats.alerts.inc();
                 let core = self.poll_core(channel);
-                let (_, end) = self.host.cpus.run_on(core, now, self.host.cost.irq());
+                let host = &mut *self.host;
+                let (_, end) = host.cpus.run_on(core, now, host.cost.irq());
                 self.issue_poll_checks(channel, end, false);
             }
             Effect::DmaWatchdog { key } => self.on_dma_watchdog(key, now),
@@ -1051,9 +1149,8 @@ impl McnSystem {
         match self.hdrv.ports[d].link {
             PortLink::Probe { attempt } => {
                 self.hdrv.stats.probes_sent.inc();
-                self.host
-                    .cpus
-                    .run_on(core, now, self.host.cost.poll_check());
+                let host = &mut *self.host;
+                host.cpus.run_on(core, now, host.cost.poll_check());
                 if self.dimms[d].alive() {
                     self.hdrv.ports[d].link = PortLink::RingReset;
                     self.effects
@@ -1110,8 +1207,9 @@ impl McnSystem {
             if p.channel != channel || p.link != PortLink::Up {
                 continue; // another channel, or dead or re-initialising
             }
-            self.host.cpus.run_on(core, at, self.host.cost.poll_check());
-            let job = self.host.mem.start(
+            let host = &mut *self.host;
+            host.cpus.run_on(core, at, host.cost.poll_check());
+            let job = host.mem.start(
                 Transfer::Single {
                     pat: Pattern::sram(p.sram_base, p.sram_stride),
                     kind: mcn_dram::MemKind::Read,
@@ -1326,8 +1424,8 @@ impl McnSystem {
                         }
                         ForwardClass::Dimm(j) => {
                             self.hdrv.stats.f3_forward.inc();
-                            let (_, end) =
-                                self.host.cpus.run_on(core, now, self.host.cost.driver_rx());
+                            let host = &mut *self.host;
+                            let (_, end) = host.cpus.run_on(core, now, host.cost.driver_rx());
                             self.effects
                                 .schedule(end, Effect::PortXmit { port: j, frame });
                         }
@@ -1414,10 +1512,11 @@ impl McnSystem {
         // Driver work (ring cleanup, sk_buff) stays on the polling core;
         // protocol processing is steered to the port's core (RPS-style),
         // sequenced after the driver hands the packet off.
-        let (_, handoff) = self.host.cpus.run_on(core, now, self.host.cost.driver_rx());
-        let proto = rx_protocol_cost(&self.host.cost, &frame, sw_csum);
+        let host = &mut *self.host;
+        let (_, handoff) = host.cpus.run_on(core, now, host.cost.driver_rx());
+        let proto = rx_protocol_cost(&host.cost, &frame, sw_csum);
         let proto_core = self.hdrv.ports[port].core;
-        let (_, end) = self.host.cpus.run_on(proto_core, handoff, proto);
+        let (_, end) = host.cpus.run_on(proto_core, handoff, proto);
         self.hdrv
             .stats
             .ring
@@ -1470,7 +1569,7 @@ impl Instrumented for McnSystem {
     /// standalone and embedded use.
     fn metrics(&self, out: &mut MetricSink) {
         out.counter("now_ps", self.now.as_ps());
-        out.absorb("host", &self.host);
+        out.absorb("host", &*self.host);
         out.absorb("driver", &self.hdrv);
         for (d, dimm) in self.dimms.iter().enumerate() {
             out.absorb(&format!("dimm{d}"), dimm);
@@ -1832,10 +1931,11 @@ mod tests {
     fn stall_report_names_the_blockage() {
         let mut sys = mk(1, 0);
         let _l = sys.dimm_mut(0).node.stack.tcp_listen(5001).unwrap();
+        let dimm_ip = sys.dimm_ip(0);
         let _c = sys
             .host
             .stack
-            .tcp_connect(sys.dimm_ip(0), 5001, SimTime::ZERO)
+            .tcp_connect(dimm_ip, 5001, SimTime::ZERO)
             .unwrap();
         sys.run_until(SimTime::from_us(100));
         let report = sys.stall_report("probe").to_string();
@@ -1873,9 +1973,10 @@ mod tests {
         assert!(!sys.hdrv.port_is_up(0));
         assert_eq!(sys.hdrv.stats.port_downs.get(), 1);
         // Traffic into the dead port is dropped at the host link, not hung.
+        let now = sys.now();
         sys.host
             .stack
-            .udp_send(us, dimm_ip, 6000, Bytes::from(vec![2u8; 300]), sys.now())
+            .udp_send(us, dimm_ip, 6000, Bytes::from(vec![2u8; 300]), now)
             .unwrap();
         let t2 = sys.now() + SimTime::from_us(100);
         sys.run_until(t2);
@@ -2000,6 +2101,52 @@ mod tests {
         let mut sys = mk(1, 0);
         sys.spawn_dimm(0, Box::new(Spin), 1);
         sys.run_until(SimTime::from_us(1));
+    }
+
+    /// A process that finishes at its first poll.
+    struct Exit;
+    impl Process for Exit {
+        fn poll(&mut self, _: &mut mcn_node::ProcCtx<'_>) -> mcn_node::Poll {
+            mcn_node::Poll::Done
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot spawn on core 99: the node has 8 cores")]
+    fn a_host_spawn_on_a_missing_core_fails_at_the_spawn() {
+        mk(1, 1).spawn_host(Box::new(Exit), 99);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot spawn on core 4: the node has 4 cores")]
+    fn a_dimm_spawn_on_a_missing_core_fails_at_the_spawn() {
+        mk(1, 1).spawn_dimm(0, Box::new(Exit), 4);
+    }
+
+    #[test]
+    fn a_write_through_host_between_drives_is_due_at_once() {
+        let mut sys = mk(1, 1);
+        let us = sys.host.stack.udp_bind(5000).unwrap();
+        sys.run_until(SimTime::from_us(10));
+        assert_eq!(sys.next_event(), None, "an idle server");
+        let (dimm_ip, now) = (sys.dimm_ip(0), sys.now());
+        sys.host
+            .stack
+            .udp_send(us, dimm_ip, 6000, Bytes::from(vec![1u8; 100]), now)
+            .unwrap();
+        assert_eq!(sys.next_event(), Some(now), "queued output is due now");
+    }
+
+    #[test]
+    fn a_host_spawn_after_a_drive_is_due_at_once() {
+        let mut sys = mk(1, 1);
+        sys.run_until(SimTime::from_us(10));
+        assert_eq!(sys.next_event(), None, "an idle server");
+        let now = sys.now();
+        sys.spawn_host(Box::new(Exit), 0);
+        assert_eq!(sys.next_event(), Some(now), "a runnable process");
+        sys.run_until(now + SimTime::from_us(1));
+        assert!(sys.all_procs_done());
     }
 
     #[test]

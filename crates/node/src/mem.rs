@@ -268,6 +268,14 @@ impl MemorySystem {
         JobId(id)
     }
 
+    /// How many jobs [`start`](Self::start) and
+    /// [`start_with_mlp`](Self::start_with_mlp) have started so far. An
+    /// owner that compares it against a watermark sees every job started
+    /// through a borrow it handed out.
+    pub fn jobs_started(&self) -> u64 {
+        self.next_job - 1
+    }
+
     /// True while any job or channel has pending work.
     pub fn busy(&self) -> bool {
         !self.jobs.is_empty() || self.channels.iter().any(|c| c.outstanding() > 0)

@@ -9,7 +9,7 @@ use mcn_sim::SimTime;
 use crate::cost::CostModel;
 use crate::cpu::CpuPool;
 use crate::mem::{JobId, MemorySystem, WaiterId};
-use crate::proc::ProcRunner;
+use crate::proc::{ProcId, ProcRunner, Process};
 
 /// One machine: CPU pool, memory system, network stack, process runner and
 /// cost model. Device models (NIC, MCN drivers) live outside and borrow
@@ -40,6 +40,21 @@ impl Node {
             runner: ProcRunner::new(),
             cost,
         }
+    }
+
+    /// Spawns an application process on core `core`.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the core and the core count, if the node has no
+    /// core `core`.
+    pub fn spawn(&mut self, proc: Box<dyn Process>, core: usize) -> ProcId {
+        let cores = self.cpus.cores();
+        assert!(
+            core < cores,
+            "cannot spawn on core {core}: the node has {cores} cores"
+        );
+        self.runner.spawn(proc, core)
     }
 
     /// Earliest of the node's own deadlines (memory activity, TCP timers,

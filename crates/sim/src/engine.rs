@@ -523,6 +523,12 @@ impl Engine {
         self.index.set(id, deadline);
     }
 
+    /// The wakeup indexed for `id`, as [`set_wakeup`](Engine::set_wakeup)
+    /// clamped it.
+    pub fn wakeup(&self, id: usize) -> Option<SimTime> {
+        self.index.get(id)
+    }
+
     /// Earliest indexed wakeup across all components.
     pub fn earliest(&self) -> Option<SimTime> {
         self.index.earliest()

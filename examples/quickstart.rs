@@ -36,10 +36,10 @@ fn main() {
     // --- UDP host → DIMM ------------------------------------------------
     let us = sys.host.stack.udp_bind(5000).expect("bind");
     let ud = sys.dimm_mut(0).node.stack.udp_bind(6000).expect("bind");
-    let dimm_ip = sys.dimm_ip(0);
+    let (dimm_ip, now) = (sys.dimm_ip(0), sys.now());
     sys.host
         .stack
-        .udp_send(us, dimm_ip, 6000, Bytes::from(vec![42u8; 1200]), sys.now())
+        .udp_send(us, dimm_ip, 6000, Bytes::from(vec![42u8; 1200]), now)
         .expect("send");
     sys.run_until(SimTime::from_us(100));
     let (from, port, data) = sys
